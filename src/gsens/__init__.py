@@ -57,7 +57,7 @@ from .divergence import (
     scheme_ordering,
 )
 from .errors import (
-    BlockConsistencyError,
+    FactorError,
     GsensError,
     InadmissibleError,
     ModelFormatError,
@@ -79,9 +79,6 @@ from .matcore import (
     DEFAULT_TOL,
     Minor,
     TolerancePolicy,
-    all_minors,
-    det,
-    floor_one,
     inverse,
     is_psd,
     iter_minors,

@@ -1,7 +1,7 @@
-"""Model files, sensitivity sweeps over factor grids, and report emission.
+"""Model files, sweep requests, sensitivity sweeps and report emission.
 
 The model file is JSON with variable names everywhere (indices never appear
-in files):
+in model files):
 
     {
       "variables": ["Y1", ...],
@@ -17,36 +17,54 @@ in files):
     }
 
 When both "dag" and "covariance" are given they must agree to 1e-9
-relative. Explicit "ci" wins over DAG-derived statements.
+relative. Explicit "ci" wins over DAG-derived statements. Every number must
+be finite.
+
+A sweep request is the JSON object a sweep config file holds, and the one
+the sweep/sweep2 flags build:
+
+    {
+      "model": "model.json",             # relative to the config file
+      "positions": [[var, var]],         # one or two pairs
+      "deltas": [0.9, 1.0] or {"min": 0.75, "max": 1.25, "step": 0.01},
+      "deltas2": ...,                    # optional, defaults to "deltas"
+      "schemes": ["standard", "total",   # optional, defaults to all five
+                  {"kind": "row", "E": [var], "statement_index": 1}],
+      "format": "csv",                   # optional, csv or json
+      "output": "out.csv"                # optional, default stdout
+    }
+
+A variable (var) here is a name or a 1-based index. In a scheme object E
+(kind "row") and F (kind "column") list variables, and statement_index
+names one statement of the model, 1-based. Factors must be finite and
+nonzero.
 
 Sweeps evaluate, per grid factor and scheme, the perturbed covariance, its
-admissibility (PSD with positive determinant; KL is reported only for
-admissible rows), the Frobenius norm, and a re-checked preservation flag.
+admissibility (divergence.evaluate: PSD, then a computable KL; KL is
+reported only for admissible rows), the Frobenius norm, and a re-checked
+preservation flag.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
+import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .cimodel import CIStatement, model_holds
-from .covariation import PerturbationPlan, Scheme, Variation, build_plan, compose
-from .divergence import frobenius, frobenius_mp, kl_additive, kl_mp
-from .errors import (
-    GsensError,
-    InadmissibleError,
-    ModelFormatError,
-    ModelPreconditionError,
-    SingularMatrixError,
-)
+from .cimodel import CIStatement, model_holds, require_model
+from .covariation import Scheme, Variation, build_plan
+from .divergence import additive_shift, evaluate
+from .errors import FactorError, GsensError, ModelFormatError
 from .graphmodels import GaussianDag, GraphModelError, dag_ci_statements, dag_to_gaussian
-from .matcore import DEFAULT_TOL, TolerancePolicy, is_psd
+from .matcore import DEFAULT_TOL, TolerancePolicy
 
 # Relative agreement required between a file's covariance and its DAG's.
 DAG_COV_AGREE_TOL = 1e-9
@@ -75,28 +93,30 @@ class Model:
         except ValueError:
             raise KeyError(f"unknown variable {name!r}; model has {', '.join(self.names)}") from None
 
+    def resolve(self, variables) -> tuple[int, ...]:
+        """0-based indices of variables given by name or by 1-based index (an
+        integer or a digit string)."""
+        out = []
+        for v in variables:
+            if isinstance(v, str):
+                v = v.strip()
+                if not v.lstrip("+-").isdigit():
+                    out.append(self.index(v))
+                    continue
+                v = int(v)
+            elif isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"expected a variable name or 1-based index, got {v!r}")
+            if not 1 <= v <= self.n:
+                raise IndexError(f"index {v} out of range 1..{self.n}")
+            out.append(int(v) - 1)
+        return tuple(out)
+
     def resolve_position(self, position) -> tuple[int, int]:
-        """(i, j) from a 'name,name' / '2,1' string or a pair; numeric entries
-        are 1-based."""
-        if isinstance(position, str):
-            parts = [p.strip() for p in position.split(",")]
-        else:
-            parts = list(position)
+        """(i, j) from a 'name,name' / '2,1' string or a pair of variables."""
+        parts = position.split(",") if isinstance(position, str) else list(position)
         if len(parts) != 2:
             raise ValueError(f"position needs exactly two components, got {position!r}")
-        out = []
-        for p in parts:
-            if isinstance(p, str) and not p.lstrip("+-").isdigit():
-                out.append(self.index(p))
-            else:
-                k = int(p)
-                if not 1 <= k <= self.n:
-                    raise IndexError(f"position index {k} out of range 1..{self.n}")
-                out.append(k - 1)
-        return out[0], out[1]
-
-    def resolve_names(self, names: Sequence[str]) -> tuple[int, ...]:
-        return tuple(self.index(v) for v in names)
+        return self.resolve(parts)
 
 
 def _req(obj: dict, key: str, where: str):
@@ -112,9 +132,25 @@ def _reject_unknown(obj: dict, allowed: set[str], where: str):
 
 
 def _num(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ModelFormatError(f"{where}: expected a number, got {value!r}")
+    # NaN fails the comparison; so do infinities and integers beyond float range
+    finite = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if isinstance(value, bool) or not finite:
+        raise ModelFormatError(f"{where}: expected a finite number, got {value!r}")
     return float(value)
+
+
+def _read_json(path: Path) -> dict:
+    """The top-level object of a JSON file; a missing file, malformed JSON or
+    another top level is a ModelFormatError."""
+    try:
+        raw = json.loads(path.read_text())
+    except FileNotFoundError:
+        raise ModelFormatError(f"{path}: no such file") from None
+    except json.JSONDecodeError as e:
+        raise ModelFormatError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
+    if not isinstance(raw, dict):
+        raise ModelFormatError(f"{path}: top level must be an object")
+    return raw
 
 
 def _name_list(value, names: Sequence[str], where: str) -> tuple[int, ...]:
@@ -195,14 +231,7 @@ def load_model(path) -> Model:
     """Parse and validate a model file; see the module docstring for the
     schema. Asymmetric covariances and unknown variable names are rejected."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ModelFormatError(f"{path}: no such file") from None
-    except json.JSONDecodeError as e:
-        raise ModelFormatError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
-    if not isinstance(raw, dict):
-        raise ModelFormatError(f"{path}: top level must be an object")
+    raw = _read_json(path)
     _reject_unknown(raw, {"variables", "mean", "covariance", "ci", "dag"}, str(path))
 
     names_raw = _req(raw, "variables", str(path))
@@ -314,146 +343,88 @@ class SweepRecord:
     error: str | None = None
 
 
-def _normalize_schemes(schemes) -> tuple[tuple[str, Scheme | None], ...]:
-    """Each entry becomes (label, Scheme) with label "standard" mapping to
-    the additive method (Scheme None)."""
-    out = []
-    for s in schemes:
-        if isinstance(s, Scheme):
-            out.append((s.kind, s))
-        elif isinstance(s, str):
-            if s == "standard":
-                out.append(("standard", None))
-            else:
-                out.append((s, Scheme(s)))
-        elif isinstance(s, dict):
-            kind = s.get("kind")
-            if kind == "standard":
-                out.append(("standard", None))
-                continue
-            if kind not in ("total", "partial", "row", "column", "none"):
-                raise ValueError(f"unknown scheme kind {kind!r}")
-            subset = s.get("E") if kind == "row" else s.get("F") if kind == "column" else None
-            idx = s.get("statement_index")
-            out.append(
-                (
-                    kind,
-                    Scheme(
-                        kind,
-                        None if subset is None else tuple(subset),
-                        None if idx is None else int(idx),
-                    ),
-                )
-            )
-        else:
-            raise ValueError(f"cannot interpret scheme entry {s!r}")
-    return tuple(out)
+def resolve_scheme(model: Model, entry) -> Scheme | None:
+    """A scheme entry of a sweep request, or of covary's flags, as a Scheme;
+    None stands for "standard", the additive method.
+
+    An entry is a Scheme, a kind name, or {"kind", "E", "F",
+    "statement_index"}. E (kind "row") and F (kind "column") list variable
+    names or 1-based indices; other kinds ignore them. statement_index is
+    1-based.
+    """
+    if isinstance(entry, Scheme):
+        return entry
+    if isinstance(entry, str):
+        entry = {"kind": entry}
+    if not isinstance(entry, dict):
+        raise ModelFormatError(f"cannot interpret scheme entry {entry!r}")
+    _reject_unknown(entry, {"kind", "E", "F", "statement_index"}, "scheme")
+    kind = entry.get("kind")
+    if kind == "standard":
+        return None
+    key = "E" if kind == "row" else "F" if kind == "column" else None
+    subset = entry.get(key) if key else None
+    if subset is not None:
+        if not isinstance(subset, list):
+            raise ModelFormatError(f"scheme {key}: expected a list of variables")
+        subset = model.resolve(subset)
+    k = entry.get("statement_index")
+    if k is not None and (isinstance(k, bool) or not isinstance(k, int) or k < 1):
+        raise ModelFormatError(f"statement_index must be an integer >= 1, got {k!r}")
+    return Scheme(kind, subset, None if k is None else k - 1)
 
 
-def _as_grid(deltas) -> np.ndarray:
-    grid = np.asarray(list(deltas), dtype=float)
-    if grid.size == 0:
-        raise ValueError("empty factor grid")
-    if np.any(grid == 0):
-        raise ValueError("factor grids exclude 0")
-    return np.sort(grid)
+def _as_grid(deltas) -> list[float]:
+    grid = sorted(float(d) for d in deltas)
+    if not grid:
+        raise FactorError("empty factor grid")
+    if 0.0 in grid:
+        raise FactorError("factor grids exclude 0")
+    for d in grid:
+        if not math.isfinite(d):
+            raise FactorError(f"factor grids must be finite, got {d}")
+    return grid
 
 
-def _check_model(model: Model, tol: TolerancePolicy):
-    before = model_holds(model.covariance, model.statements, tol)
-    if not before.holds:
-        k, minor = before.failures[0]
-        raise ModelPreconditionError(
-            f"model covariance does not satisfy its CI statements: statement "
-            f"{k + 1} fails with {minor.describe(model.names)}"
-        )
-
-
-def _additive_target(cov: np.ndarray, positions, deltas) -> tuple[np.ndarray, np.ndarray]:
-    shift = np.zeros_like(cov)
-    for (i, j), d in zip(positions, deltas):
-        shift[i, j] += (d - 1.0) * cov[i, j]
-        if i != j:
-            shift[j, i] += (d - 1.0) * cov[j, i]
-    return shift, cov + shift
-
-
-def _finish_record(
-    model: Model,
-    deltas: tuple[float, float | None],
-    label: str,
-    target: np.ndarray,
-    frob: float,
-    kl_thunk,
-    tol: TolerancePolicy,
-) -> SweepRecord:
-    admissible = is_psd(target, tol.rel)
-    kl_val = None
-    if admissible:
-        try:
-            kl_val = kl_thunk()
-        except (InadmissibleError, SingularMatrixError):
-            # PSD boundary: zero determinant makes the log term infinite
-            admissible = False
-    preserving = model_holds(target, model.statements, tol).holds
-    return SweepRecord(
-        delta1=deltas[0],
-        delta2=deltas[1],
-        scheme=label,
-        kl=kl_val,
-        frobenius=frob,
-        admissible=admissible,
-        preserving=preserving,
-    )
-
-
-def _eval_cell(
+def _row(
     model: Model,
     positions: tuple[tuple[int, int], ...],
     deltas: tuple[float, ...],
-    label: str,
     scheme: Scheme | None,
     tol: TolerancePolicy,
 ) -> SweepRecord:
+    """One grid point under one scheme; a scheme that fails to build gives
+    an error record."""
+    label = "standard" if scheme is None else scheme.kind
+    d1, d2 = deltas if len(deltas) == 2 else (deltas[0], None)
     cov = model.covariance
-    d2 = deltas[1] if len(deltas) == 2 else None
-    if scheme is None:  # standard additive
-        shift, target = _additive_target(cov, positions, deltas)
-        return _finish_record(
-            model,
-            (deltas[0], d2),
-            label,
-            target,
-            frobenius(cov, target),
-            lambda: kl_additive(cov, shift),
-            tol,
-        )
-    try:
-        plan: PerturbationPlan | None = None
-        for (i, j), d in zip(positions, deltas):
-            p = build_plan(Variation(model.n, ((i, j, d),)), scheme, model.statements)
-            plan = p if plan is None else compose(plan, p)
-    except GsensError as e:
-        return SweepRecord(
-            delta1=deltas[0],
-            delta2=d2,
-            scheme=label,
-            kl=None,
-            frobenius=None,
-            admissible=False,
-            preserving=False,
-            error=str(e),
-        )
-    target = plan.apply(cov)
-    return _finish_record(
-        model,
-        (deltas[0], d2),
-        label,
-        target,
-        frobenius_mp(cov, plan),
-        lambda: kl_mp(cov, plan),
-        tol,
-    )
+    if scheme is None:
+        change = additive_shift(cov, positions, deltas)
+    else:
+        factors = tuple((i, j, d) for (i, j), d in zip(positions, deltas))
+        try:
+            change = build_plan(Variation(model.n, factors), scheme, model.statements)
+        except GsensError as e:
+            return SweepRecord(d1, d2, label, None, None, False, False, str(e))
+    target, report = evaluate(label, cov, change, tol)
+    preserving = model_holds(target, model.statements, tol).holds
+    return SweepRecord(d1, d2, label, report.kl, report.frobenius, report.admissible, preserving)
+
+
+def _sweep(model: Model, positions, grids, schemes, tol: TolerancePolicy) -> list[SweepRecord]:
+    """Rows for every combination of grid factors (first grid outermost),
+    schemes in declared order within each grid point."""
+    require_model(model.covariance, model.statements, tol, model.names)
+    for i, j in positions:
+        if not (0 <= i < model.n and 0 <= j < model.n):
+            raise IndexError(f"position ({i + 1},{j + 1}) out of range for dimension {model.n}")
+    grids = [_as_grid(g) for g in grids]
+    specs = [resolve_scheme(model, s) for s in schemes]
+    return [
+        _row(model, positions, deltas, scheme, tol)
+        for deltas in itertools.product(*grids)
+        for scheme in specs
+    ]
 
 
 def one_way_sweep(
@@ -468,17 +439,7 @@ def one_way_sweep(
     Rows are ordered by factor ascending, schemes in declared order. Scheme
     construction failures become per-row error records, never exceptions.
     """
-    _check_model(model, tol)
-    i, j = position
-    if not (0 <= i < model.n and 0 <= j < model.n):
-        raise IndexError(f"position ({i + 1},{j + 1}) out of range for dimension {model.n}")
-    grid = _as_grid(deltas)
-    specs = _normalize_schemes(schemes)
-    return [
-        _eval_cell(model, ((i, j),), (float(d),), label, scheme, tol)
-        for d in grid
-        for label, scheme in specs
-    ]
+    return _sweep(model, (position,), (deltas,), schemes, tol)
 
 
 def two_way_sweep(
@@ -491,19 +452,11 @@ def two_way_sweep(
 ) -> list[SweepRecord]:
     """Vary two entries over a factor grid; model-preserving schemes perturb
     each position separately and compose the two plans."""
-    _check_model(model, tol)
     (i1, j1), (i2, j2) = positions
-    if (min(i1, j1), max(i1, j1)) == (min(i2, j2), max(i2, j2)):
+    if sorted((i1, j1)) == sorted((i2, j2)):
         raise ValueError("two-way sweep needs two distinct positions")
-    g1 = _as_grid(deltas1)
-    g2 = g1 if deltas2 is None else _as_grid(deltas2)
-    specs = _normalize_schemes(schemes)
-    return [
-        _eval_cell(model, ((i1, j1), (i2, j2)), (float(d1), float(d2)), label, scheme, tol)
-        for d1 in g1
-        for d2 in g2
-        for label, scheme in specs
-    ]
+    grid2 = deltas1 if deltas2 is None else deltas2
+    return _sweep(model, positions, (deltas1, grid2), schemes, tol)
 
 
 @dataclass(frozen=True)
@@ -605,10 +558,10 @@ def emit(records: Sequence[SweepRecord], fmt: str = "csv", path=None) -> str:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Parsed sweep configuration file."""
+    """A validated sweep request, from a config file or the sweep flags."""
 
     model_path: Path
-    positions: tuple[tuple[str, str], ...]
+    positions: tuple[tuple[str | int, str | int], ...]
     deltas1: tuple[float, ...]
     deltas2: tuple[float, ...] | None
     schemes: tuple
@@ -633,38 +586,28 @@ def _parse_grid(raw, where: str) -> tuple[float, ...]:
     raise ModelFormatError(f"{where}: expected a list or a min/max/step object")
 
 
-def load_sweep_config(path) -> SweepConfig:
-    """Parse a sweep config file; the model path is resolved relative to the
-    config file's directory."""
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ModelFormatError(f"{path}: no such file") from None
-    except json.JSONDecodeError as e:
-        raise ModelFormatError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
-    if not isinstance(raw, dict):
-        raise ModelFormatError(f"{path}: top level must be an object")
+def sweep_config(raw: dict, where: str, base: Path) -> SweepConfig:
+    """Validate a sweep request (see the module docstring); where names it in
+    error messages and the model path is taken relative to base."""
     _reject_unknown(
-        raw, {"model", "positions", "deltas", "deltas2", "schemes", "format", "output"}, str(path)
+        raw, {"model", "positions", "deltas", "deltas2", "schemes", "format", "output"}, where
     )
-    model_rel = _req(raw, "model", str(path))
+    model_rel = _req(raw, "model", where)
     if not isinstance(model_rel, str):
         raise ModelFormatError('"model" must be a path string')
-    positions_raw = _req(raw, "positions", str(path))
-    if (
-        not isinstance(positions_raw, list)
-        or not 1 <= len(positions_raw) <= 2
-        or not all(isinstance(p, list) and len(p) == 2 for p in positions_raw)
-    ):
-        raise ModelFormatError('"positions" must be one or two [name, name] pairs')
-    deltas1 = _parse_grid(_req(raw, "deltas", str(path)), "deltas")
+    positions = _req(raw, "positions", where)
+    if not isinstance(positions, list) or not 1 <= len(positions) <= 2:
+        raise ModelFormatError('"positions" must be one or two [variable, variable] pairs')
+    for k, p in enumerate(positions):
+        if not isinstance(p, list) or len(p) != 2:
+            raise ModelFormatError(
+                f"positions[{k}]: expected a [variable, variable] pair, got {p!r}"
+            )
+    deltas1 = _parse_grid(_req(raw, "deltas", where), "deltas")
     deltas2 = _parse_grid(raw["deltas2"], "deltas2") if "deltas2" in raw else None
     schemes = raw.get("schemes", ["standard", "total", "partial", "row", "column"])
-    try:
-        _normalize_schemes(schemes)
-    except (ValueError, GsensError) as e:
-        raise ModelFormatError(f"schemes: {e}") from None
+    if not isinstance(schemes, list):
+        raise ModelFormatError('"schemes" must be a list')
     fmt = raw.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ModelFormatError(f'"format" must be csv or json, got {fmt!r}')
@@ -672,11 +615,18 @@ def load_sweep_config(path) -> SweepConfig:
     if output is not None and not isinstance(output, str):
         raise ModelFormatError('"output" must be a path string')
     return SweepConfig(
-        model_path=(path.parent / model_rel).resolve(),
-        positions=tuple((p[0], p[1]) for p in positions_raw),
+        model_path=base / model_rel,
+        positions=tuple(tuple(p) for p in positions),
         deltas1=deltas1,
         deltas2=deltas2,
         schemes=tuple(schemes),
         fmt=fmt,
         output=output,
     )
+
+
+def load_sweep_config(path) -> SweepConfig:
+    """Read a sweep config file; its model path is relative to the file's
+    directory."""
+    path = Path(path)
+    return sweep_config(_read_json(path), str(path), path.parent.resolve())

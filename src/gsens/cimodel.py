@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import ModelPreconditionError
 from .matcore import (
     Block,
     DEFAULT_TOL,
@@ -126,6 +127,21 @@ def model_holds(
         if not res.holds:
             failures.append((k, res.witness))
     return ModelCheck(not failures, tuple(failures))
+
+
+def require_model(
+    cov, statements: Sequence[CIStatement], tol: TolerancePolicy, names: Sequence[str] | None
+) -> None:
+    """Raise ModelPreconditionError unless cov satisfies every statement, so
+    that "the input was never in the model" is not reported as "the
+    perturbation broke the model"."""
+    check = model_holds(cov, statements, tol)
+    if not check.holds:
+        k, minor = check.failures[0]
+        raise ModelPreconditionError(
+            f"covariance does not satisfy the model: statement {k + 1} "
+            f"fails with {minor.describe(names)}"
+        )
 
 
 def _block_positions(stmt: CIStatement) -> set[tuple[int, int]]:

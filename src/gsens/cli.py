@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -20,14 +21,16 @@ from .analysis import (
     load_model,
     load_sweep_config,
     one_way_sweep,
+    resolve_scheme,
+    sweep_config,
     two_way_sweep,
 )
 from .cimodel import ci_holds
 from .conditioning import Evidence, condition
-from .covariation import Scheme, Variation, build_plan, verify_preserving
-from .divergence import frobenius_mp, kl_mp, scheme_ordering
-from .errors import GsensError, InadmissibleError, SingularMatrixError
-from .matcore import TolerancePolicy, is_psd
+from .covariation import Variation, build_plan, verify_preserving
+from .divergence import evaluate, scheme_ordering
+from .errors import GsensError, SingularMatrixError
+from .matcore import TolerancePolicy
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -48,28 +51,9 @@ def _print_matrix(m: np.ndarray, names) -> None:
         print(name.ljust(width + 2) + "  ".join(c.rjust(col) for c in row))
 
 
-def _scheme_from_args(model: Model, args) -> Scheme:
-    subset = None
-    if args.scheme == "row" and args.E:
-        subset = _index_list(model, args.E)
-    if args.scheme == "column" and args.F:
-        subset = _index_list(model, args.F)
-    statement = None if args.statement is None else args.statement - 1
-    return Scheme(args.scheme, subset, statement)
-
-
-def _index_list(model: Model, text: str) -> tuple[int, ...]:
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if part.lstrip("+-").isdigit():
-            k = int(part)
-            if not 1 <= k <= model.n:
-                raise IndexError(f"index {k} out of range 1..{model.n}")
-            out.append(k - 1)
-        else:
-            out.append(model.index(part))
-    return tuple(out)
+def _names(text: str | None) -> list[str] | None:
+    """A comma-separated --E/--F value as a scheme entry's list."""
+    return text.split(",") if text else None
 
 
 def _plan_json(model: Model, plan) -> str:
@@ -124,7 +108,8 @@ def _cmd_covary(args) -> int:
     model = load_model(args.model)
     tol = TolerancePolicy(args.tol)
     i, j = model.resolve_position(args.pos)
-    scheme = _scheme_from_args(model, args)
+    entry = {"kind": args.scheme, "E": _names(args.E), "F": _names(args.F)}
+    scheme = resolve_scheme(model, {**entry, "statement_index": args.statement})
     plan = build_plan(Variation(model.n, ((i, j, args.delta),)), scheme, model.statements)
     print(f"plan: {_plan_json(model, plan)}")
     verdict = verify_preserving(plan, model.covariance, model.statements, tol)
@@ -132,56 +117,45 @@ def _cmd_covary(args) -> int:
         print("verdict: preserving")
     else:
         print(f"verdict: NOT preserving  witness {verdict.witness.describe(model.names)}")
-    target = plan.apply(model.covariance)
-    admissible = is_psd(target, tol.rel)
-    print(f"admissible: {'yes' if admissible else 'no'}")
-    print(f"frobenius: {frobenius_mp(model.covariance, plan):.12g}")
-    if admissible:
-        try:
-            print(f"kl: {kl_mp(model.covariance, plan):.12g}")
-        except (InadmissibleError, SingularMatrixError) as e:
-            admissible = False
-            print(f"kl: unavailable ({e})")
+    _, report = evaluate(args.scheme, model.covariance, plan, tol)
+    print(f"admissible: {'yes' if report.admissible else 'no'}")
+    print(f"frobenius: {report.frobenius:.12g}")
+    if report.admissible:
+        print(f"kl: {report.kl:.12g}")
     else:
         print("kl: unavailable (perturbed covariance not admissible)")
-    return EXIT_OK if admissible else EXIT_INADMISSIBLE
+    return EXIT_OK if report.admissible else EXIT_INADMISSIBLE
 
 
-def _make_grid(lo: float, hi: float, step: float) -> list[float]:
-    if step <= 0:
-        raise ValueError("--delta-step must be > 0")
-    count = int(round((hi - lo) / step)) + 1
-    return [round(lo + k * step, 12) for k in range(count) if lo + k * step <= hi + 1e-12]
+def _sweep_request(args, positions: list[str]) -> dict:
+    """The sweep config object that the sweep/sweep2 flags describe."""
 
+    def grid(deltas, lo, hi, step):
+        if deltas:
+            return [float(x) for x in deltas.split(",")]
+        return {"min": lo, "max": hi, "step": step}
 
-def _grid_from_args(args) -> list[float]:
-    if args.deltas:
-        return [float(x) for x in args.deltas.split(",")]
-    return _make_grid(args.delta_min, args.delta_max, args.delta_step)
-
-
-def _grid2_from_args(args) -> list[float] | None:
-    if args.deltas2:
-        return [float(x) for x in args.deltas2.split(",")]
-    if args.delta_min2 is None and args.delta_max2 is None and args.delta_step2 is None:
-        return None
-    lo = args.delta_min2 if args.delta_min2 is not None else args.delta_min
-    hi = args.delta_max2 if args.delta_max2 is not None else args.delta_max
-    step = args.delta_step2 if args.delta_step2 is not None else args.delta_step
-    return _make_grid(lo, hi, step)
-
-
-def _split_schemes(model: Model, args) -> list:
-    out = []
-    for kind in args.schemes.split(","):
-        kind = kind.strip()
-        if kind == "row" and args.E:
-            out.append(Scheme("row", _index_list(model, args.E)))
-        elif kind == "column" and args.F:
-            out.append(Scheme("column", _index_list(model, args.F)))
-        else:
-            out.append(kind)
-    return out
+    request = {
+        "model": args.model,
+        "positions": [p.split(",") for p in positions],
+        "deltas": grid(args.deltas, args.delta_min, args.delta_max, args.delta_step),
+        "schemes": [
+            {"kind": kind.strip(), "E": _names(args.E), "F": _names(args.F)}
+            for kind in args.schemes.split(",")
+        ],
+        "format": args.format or "csv",
+        "output": args.output,
+    }
+    if len(positions) == 2 and (
+        args.deltas2 or (args.delta_min2, args.delta_max2, args.delta_step2) != (None, None, None)
+    ):
+        request["deltas2"] = grid(
+            args.deltas2,
+            args.delta_min if args.delta_min2 is None else args.delta_min2,
+            args.delta_max if args.delta_max2 is None else args.delta_max2,
+            args.delta_step if args.delta_step2 is None else args.delta_step2,
+        )
+    return request
 
 
 def _emit_records(records, fmt: str, output, summary: bool) -> None:
@@ -203,58 +177,26 @@ def _emit_records(records, fmt: str, output, summary: bool) -> None:
 
 
 def _cmd_sweep(args) -> int:
+    count = 2 if args.command == "sweep2" else 1
     if args.config:
         cfg = load_sweep_config(args.config)
-        model = load_model(cfg.model_path)
-        if len(cfg.positions) != 1:
-            return _fail("sweep config has two positions; use sweep2")
-        position = model.resolve_position(cfg.positions[0])
-        records = one_way_sweep(model, position, cfg.deltas1, cfg.schemes, TolerancePolicy(args.tol))
-        _emit_records(records, args.format or cfg.fmt, args.output or cfg.output, args.summary)
-        return EXIT_OK
-    if not args.model or not args.pos:
-        return _fail("sweep needs a model and --pos (or --config)")
-    model = load_model(args.model)
-    position = model.resolve_position(args.pos)
-    records = one_way_sweep(
-        model,
-        position,
-        _grid_from_args(args),
-        _split_schemes(model, args),
-        TolerancePolicy(args.tol),
-    )
-    _emit_records(records, args.format or "csv", args.output, args.summary)
-    return EXIT_OK
-
-
-def _cmd_sweep2(args) -> int:
-    if args.config:
-        cfg = load_sweep_config(args.config)
-        model = load_model(cfg.model_path)
-        if len(cfg.positions) != 2:
-            return _fail("sweep2 config needs exactly two positions")
-        p1 = model.resolve_position(cfg.positions[0])
-        p2 = model.resolve_position(cfg.positions[1])
-        records = two_way_sweep(
-            model, (p1, p2), cfg.deltas1, cfg.deltas2, cfg.schemes, TolerancePolicy(args.tol)
-        )
-        _emit_records(records, args.format or cfg.fmt, args.output or cfg.output, args.summary)
-        return EXIT_OK
-    if not args.model or not args.pos or not args.pos2:
-        return _fail("sweep2 needs a model, --pos and --pos2 (or --config)")
-    model = load_model(args.model)
-    p1 = model.resolve_position(args.pos)
-    p2 = model.resolve_position(args.pos2)
-    grid2 = _grid2_from_args(args)
-    records = two_way_sweep(
-        model,
-        (p1, p2),
-        _grid_from_args(args),
-        grid2,
-        _split_schemes(model, args),
-        TolerancePolicy(args.tol),
-    )
-    _emit_records(records, args.format or "csv", args.output, args.summary)
+    else:
+        positions = [p for p in (args.pos, getattr(args, "pos2", None)) if p]
+        if not args.model or len(positions) != count:
+            needs = "a model and --pos" if count == 1 else "a model, --pos and --pos2"
+            return _fail(f"{args.command} needs {needs} (or --config)")
+        cfg = sweep_config(_sweep_request(args, positions), args.command, Path())
+    if len(cfg.positions) != count:
+        return _fail(f"{args.command} config needs exactly {count} position{'s' * (count - 1)}")
+    model = load_model(cfg.model_path)
+    positions = tuple(model.resolve_position(p) for p in cfg.positions)
+    tol = TolerancePolicy(args.tol)
+    if count == 1:
+        records = one_way_sweep(model, positions[0], cfg.deltas1, cfg.schemes, tol)
+    else:
+        records = two_way_sweep(model, positions, cfg.deltas1, cfg.deltas2, cfg.schemes, tol)
+    # --format and -o override a config file's choice
+    _emit_records(records, args.format or cfg.fmt, args.output or cfg.output, args.summary)
     return EXIT_OK
 
 
@@ -366,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-o", "--output", help="output file (default stdout)")
         p.add_argument("--summary", action="store_true", help="print admissibility summary to stderr")
         _add_tol(p)
-        p.set_defaults(func=_cmd_sweep2 if two else _cmd_sweep)
+        p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("condition", help="condition the model on observed values")
     p.add_argument("model")

@@ -18,14 +18,15 @@ and composed by entrywise product.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .cimodel import CIStatement, ModelCheck, model_holds, nonempty_conditioning
-from .errors import ModelPreconditionError, SchemeError
+from .cimodel import CIStatement, model_holds, nonempty_conditioning, require_model
+from .errors import FactorError, SchemeError
 from .matcore import (
     DEFAULT_TOL,
     Minor,
@@ -102,10 +103,12 @@ class Variation:
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise IndexError(f"position ({i + 1},{j + 1}) out of range for dimension {self.n}")
             if delta == 0:
-                raise ValueError(
+                raise FactorError(
                     f"variation factor at ({i + 1},{j + 1}) is zero: multiplying a "
                     "covariance by zero would force a spurious independence"
                 )
+            if not math.isfinite(delta):
+                raise FactorError(f"variation factor at ({i + 1},{j + 1}) is {delta}, not finite")
             key = (min(i, j), max(i, j))
             if key in seen:
                 raise ValueError(f"duplicate variation position ({key[0] + 1},{key[1] + 1})")
@@ -526,12 +529,6 @@ def verify_preserving(
     flag reported by sweeps.
     """
     cov = check_symmetric(as_matrix(cov))
-    before: ModelCheck = model_holds(cov, statements, tol)
-    if not before.holds:
-        k, minor = before.failures[0]
-        raise ModelPreconditionError(
-            f"input covariance does not satisfy the model: statement {k + 1} "
-            f"fails with {minor.describe()}"
-        )
+    require_model(cov, statements, tol, None)
     after = model_holds(plan.apply(cov), statements, tol)
     return Verdict(after.holds, after.failures)

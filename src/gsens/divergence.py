@@ -7,8 +7,8 @@ squared entrywise covariance differences. KL values are in nats.
 KL here requires computability (invertible base covariance, positive
 determinant of the perturbed one) rather than cone membership: a perturbed
 matrix can stray outside the PSD cone while the trace/log-det expression is
-still well defined, and admissibility is reported separately by the sweep
-layer. Exactly identical inputs short-circuit to 0.0.
+still well defined, and admissibility is decided separately by one
+rule (evaluate). Exactly identical inputs short-circuit to 0.0.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .cimodel import CIStatement
 from .covariation import PerturbationPlan, Scheme, Variation, build_scheme
-from .errors import InadmissibleError, SingularMatrixError
+from .errors import GsensError, InadmissibleError, SingularMatrixError
 from .matcore import DEFAULT_TOL, TolerancePolicy, as_matrix, check_symmetric, inverse, is_psd
 
 
@@ -129,6 +129,17 @@ def frobenius_mp(cov, plan: PerturbationPlan) -> float:
     return float(((cov - plan.apply(cov)) ** 2).sum())
 
 
+def additive_shift(cov: np.ndarray, positions, deltas) -> np.ndarray:
+    """The standard method's change matched to a multiplicative variation:
+    d_ij = d_ji = (delta - 1) s_ij at each varied position, zero elsewhere."""
+    shift = np.zeros_like(cov)
+    for (i, j), d in zip(positions, deltas):
+        shift[i, j] += (d - 1.0) * cov[i, j]
+        if i != j:
+            shift[j, i] += (d - 1.0) * cov[j, i]
+    return shift
+
+
 @dataclass(frozen=True)
 class DivergenceReport:
     """One scheme's divergence numbers at a single grid point."""
@@ -139,15 +150,42 @@ class DivergenceReport:
     admissible: bool
 
 
-def _report(label: str, cov, mean, target, frob, psd_tol: float) -> DivergenceReport:
-    admissible = is_psd(target, psd_tol)
-    kl_val = None
-    if admissible:
+def evaluate(
+    label: str, cov: np.ndarray, change, tol: TolerancePolicy
+) -> tuple[np.ndarray, DivergenceReport]:
+    """The perturbed covariance and its report, for a change that is either a
+    PerturbationPlan (KL by kl_mp) or an additive shift D (KL by kl_additive).
+
+    The admissibility rule: the perturbed matrix must be PSD, and then its KL
+    computable; a KL that raises InadmissibleError or SingularMatrixError
+    (the PSD boundary, where the determinant is zero) demotes the point to
+    inadmissible. KL is reported exactly for admissible points.
+    """
+    if isinstance(change, PerturbationPlan):
+        target = change.apply(cov)
+        frob = frobenius_mp(cov, change)
+        kl = kl_mp
+    else:
+        target = cov + change
+        frob = frobenius(cov, target)
+        kl = kl_additive
+    if is_psd(target, tol.rel):
         try:
-            kl_val = kl_gaussian(mean, cov, mean, target)
+            return target, DivergenceReport(label, kl(cov, change), frob, True)
         except (InadmissibleError, SingularMatrixError):
-            admissible = False
-    return DivergenceReport(label, kl_val, frob, admissible)
+            pass
+    return target, DivergenceReport(label, None, frob, False)
+
+
+# (larger, smaller) Frobenius pairs implied by containment of the changed
+# entry sets
+FROBENIUS_ORDER = (
+    ("total", "partial"),
+    ("partial", "row"),
+    ("partial", "column"),
+    ("row", "standard"),
+    ("column", "standard"),
+)
 
 
 def scheme_ordering(
@@ -162,32 +200,21 @@ def scheme_ordering(
 
     The Frobenius ordering total >= partial >= row, partial >= column,
     row >= standard, column >= standard holds by containment of the changed
-    entry sets and is re-asserted on every call.
+    entry sets and is re-checked on every call; a violation raises
+    GsensError.
     """
     cov = check_symmetric(as_matrix(cov, "cov"), "cov")
-    n = cov.shape[0]
     i, j = position
-    variation = Variation(n, ((i, j, float(delta)),))
-    mean = np.zeros(n)
-
-    reports = {}
-    for kind in ("total", "partial", "row", "column"):
-        plan = build_scheme(variation, Scheme(kind), stmt)
-        reports[kind] = _report(kind, cov, mean, plan.apply(cov), frobenius_mp(cov, plan), tol.rel)
-
-    shift = np.zeros((n, n))
-    shift[i, j] += (delta - 1.0) * cov[i, j]
-    if i != j:
-        shift[j, i] += (delta - 1.0) * cov[j, i]
-    reports["standard"] = _report(
-        "standard", cov, mean, cov + shift, frobenius(cov, cov + shift), tol.rel
-    )
+    variation = Variation(cov.shape[0], ((i, j, float(delta)),))
+    reports = {
+        kind: evaluate(kind, cov, build_scheme(variation, Scheme(kind), stmt), tol)[1]
+        for kind in ("total", "partial", "row", "column")
+    }
+    shift = additive_shift(cov, (position,), (delta,))
+    reports["standard"] = evaluate("standard", cov, shift, tol)[1]
 
     slack = 1e-12 * max(1.0, reports["total"].frobenius)
-    f = {k: r.frobenius for k, r in reports.items()}
-    assert f["total"] >= f["partial"] - slack, "Frobenius ordering violated: total < partial"
-    assert f["partial"] >= f["row"] - slack, "Frobenius ordering violated: partial < row"
-    assert f["partial"] >= f["column"] - slack, "Frobenius ordering violated: partial < column"
-    assert f["row"] >= f["standard"] - slack, "Frobenius ordering violated: row < standard"
-    assert f["column"] >= f["standard"] - slack, "Frobenius ordering violated: column < standard"
-    return tuple(reports[k] for k in ("total", "partial", "row", "column", "standard"))
+    for big, small in FROBENIUS_ORDER:
+        if reports[big].frobenius < reports[small].frobenius - slack:
+            raise GsensError(f"Frobenius ordering violated: {big} < {small}")
+    return tuple(reports.values())

@@ -9,8 +9,8 @@ class SingularMatrixError(GsensError):
     """Matrix is numerically singular (reciprocal condition estimate below threshold)."""
 
 
-class BlockConsistencyError(GsensError):
-    """Embedding a block would require conflicting values at mirrored positions."""
+class FactorError(GsensError):
+    """Variation factor is zero or not finite."""
 
 
 class SchemeError(GsensError):

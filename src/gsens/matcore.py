@@ -1,8 +1,8 @@
 """Dense symmetric-matrix kernel.
 
-Submatrices, exhaustive minor enumeration, determinants/inverses,
-Schur (entrywise) products, positive-semidefiniteness and the ones-filled
-block embedding used by covariation schemes. Everything here is a pure
+Submatrices, exhaustive minor enumeration, inverses, Schur (entrywise)
+products, positive-semidefiniteness and the ones-filled block embedding
+used by covariation schemes. Everything here is a pure
 function on small dense arrays; nothing is optimized beyond desk scale
 (n up to a few dozen).
 """
@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import BlockConsistencyError, SingularMatrixError
+from .errors import SingularMatrixError
 
 # Reciprocal condition estimate below this means "singular" for inverse().
 RCOND_LIMIT = 1e-12
@@ -151,16 +151,6 @@ def iter_minors(block: Block, k: int) -> Iterator[Minor]:
             )
 
 
-def all_minors(block: Block, k: int) -> list[float]:
-    """Values of every k x k minor of the block in enumeration order."""
-    return [m.value for m in iter_minors(block, k)]
-
-
-def det(m) -> float:
-    """Determinant of a square matrix."""
-    return float(np.linalg.det(as_matrix(m)))
-
-
 def inverse(m) -> np.ndarray:
     """Inverse of a symmetric matrix; raises SingularMatrixError when the
     reciprocal condition estimate falls below RCOND_LIMIT."""
@@ -185,46 +175,9 @@ def is_psd(m, tol: float = DEFAULT_REL_TOL) -> bool:
     return smallest >= -tol * max(1.0, float(np.abs(a).max()))
 
 
-def embed_block(block: Block, n: int) -> np.ndarray:
-    """Embed a block into an n x n matrix: block values at rows x cols,
-    mirrored values at cols x rows, ones everywhere else.
-
-    Raises BlockConsistencyError if the block prescribes different values at
-    a position and its transpose (both inside rows x cols).
-    """
-    out = np.ones((n, n))
-    rows, cols, vals = block.rows, block.cols, block.values
-    if rows and max(rows) >= n or cols and max(cols) >= n:
-        raise IndexError(f"block indices exceed dimension {n}")
-    rpos = {r: a for a, r in enumerate(rows)}
-    cpos = {c: b for b, c in enumerate(cols)}
-    for a, r in enumerate(rows):
-        for b, c in enumerate(cols):
-            v = vals[a, b]
-            if c in rpos and r in cpos:
-                w = vals[rpos[c], cpos[r]]
-                if v != w:
-                    raise BlockConsistencyError(
-                        f"block requires ({r + 1},{c + 1}) = {v!r} but its mirror "
-                        f"({c + 1},{r + 1}) = {w!r}; cannot embed symmetrically"
-                    )
-            out[r, c] = v
-            out[c, r] = v
-    return out
-
-
-def floor_one(d, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
-    """Symmetric matrix carrying d's rows x cols block, ones elsewhere.
-
-    Only the indexed block of d is read; mirror positions are forced equal.
-    """
-    a = as_matrix(d)
-    return embed_block(submatrix(a, rows, cols), a.shape[0])
-
-
 def ones_block(n: int, rows: Sequence[int], cols: Sequence[int], value: float) -> np.ndarray:
-    """floor_one of a constant block: value on rows x cols (and its mirror),
-    ones elsewhere."""
+    """Symmetric matrix with value on rows x cols (and its mirror), ones
+    elsewhere."""
     r = as_index_set(rows, n, "row index set")
     c = as_index_set(cols, n, "column index set")
     out = np.ones((n, n))

@@ -45,20 +45,6 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-def cofactor_det(m: np.ndarray) -> float:
-    """Independent determinant oracle: recursive Laplace expansion along the
-    first row. Exponential; for test matrices of order <= 7 only."""
-    m = np.asarray(m, dtype=float)
-    k = m.shape[0]
-    if k == 1:
-        return float(m[0, 0])
-    total = 0.0
-    for j in range(k):
-        sub = np.delete(np.delete(m, 0, axis=0), j, axis=1)
-        total += (-1.0) ** j * m[0, j] * cofactor_det(sub)
-    return total
-
-
 def random_dag(rng: np.random.Generator, n: int | None = None, edge_prob: float = 0.5) -> GaussianDag:
     """Random DAG with natural topological order, coefficients in [-2, 2] and
     conditional variances in [0.5, 2]."""

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import SIGMA4
 from gsens import (
+    FactorError,
     ModelFormatError,
     ModelPreconditionError,
     Scheme,
@@ -16,6 +17,7 @@ from gsens import (
     one_way_sweep,
     two_way_sweep,
 )
+from gsens.analysis import resolve_scheme
 from gsens.fixtures import fixture_path
 
 
@@ -98,6 +100,12 @@ class TestLoadModel:
         with pytest.raises(ModelFormatError, match="disagree"):
             load_model(path)
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), 10**400])
+    def test_non_finite_number_rejected(self, tmp_path, bad):
+        path = write_model(tmp_path, {"variables": ["a"], "covariance": [[bad]]})
+        with pytest.raises(ModelFormatError, match="finite"):
+            load_model(path)
+
     def test_unknown_top_level_field_rejected(self, tmp_path):
         path = write_model(
             tmp_path, {"variables": ["a"], "covariance": [[1.0]], "extra": 1}
@@ -140,6 +148,45 @@ class TestLoadModel:
             toy_model.resolve_position("Y9,Y1")
         with pytest.raises(IndexError):
             toy_model.resolve_position("5,1")
+
+    def test_resolve_names_and_one_based_indices(self, toy_model):
+        assert toy_model.resolve(["Y3", 1, " 2 "]) == (2, 0, 1)
+        with pytest.raises(IndexError):
+            toy_model.resolve([0])
+        with pytest.raises(ValueError, match="1-based index"):
+            toy_model.resolve([2.0])
+
+
+class TestResolveScheme:
+    def test_kind_names(self, toy_model):
+        assert resolve_scheme(toy_model, "standard") is None
+        assert resolve_scheme(toy_model, "partial") == Scheme("partial")
+        assert resolve_scheme(toy_model, {"kind": "standard"}) is None
+
+    def test_sets_take_names_or_one_based_indices(self, toy_model):
+        by_name = resolve_scheme(toy_model, {"kind": "row", "E": ["Y3"]})
+        assert by_name == resolve_scheme(toy_model, {"kind": "row", "E": [3]}) == Scheme("row", (2,))
+        assert resolve_scheme(toy_model, {"kind": "column", "F": ["Y1", 2]}) == Scheme("column", (0, 1))
+
+    def test_sets_apply_to_their_own_kind_only(self, toy_model):
+        entry = {"kind": "partial", "E": ["Y3"], "F": ["Y1"]}
+        assert resolve_scheme(toy_model, entry) == Scheme("partial")
+
+    def test_statement_index_is_one_based(self, toy_model):
+        scheme = resolve_scheme(toy_model, {"kind": "partial", "statement_index": 1})
+        assert scheme.statement_index == 0
+        with pytest.raises(ModelFormatError, match="statement_index"):
+            resolve_scheme(toy_model, {"kind": "partial", "statement_index": 0})
+
+    def test_malformed_entries_rejected(self, toy_model):
+        with pytest.raises(ValueError, match="unknown scheme kind"):
+            resolve_scheme(toy_model, "bogus")
+        with pytest.raises(ModelFormatError, match="unknown field"):
+            resolve_scheme(toy_model, {"kind": "row", "rows": ["Y3"]})
+        with pytest.raises(ModelFormatError, match="list"):
+            resolve_scheme(toy_model, {"kind": "row", "E": "Y3"})
+        with pytest.raises(KeyError):
+            resolve_scheme(toy_model, {"kind": "row", "E": ["Y9"]})
 
 
 class TestOneWaySweep:
@@ -211,6 +258,11 @@ class TestOneWaySweep:
     def test_zero_factor_rejected(self, toy_model):
         with pytest.raises(ValueError, match="exclude 0"):
             one_way_sweep(toy_model, (1, 0), [0.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_factor_rejected(self, toy_model, bad):
+        with pytest.raises(FactorError, match="finite"):
+            one_way_sweep(toy_model, (1, 0), [0.9, bad])
 
     def test_deterministic_and_order_independent(self, toy_model):
         grid = [0.9, 0.95, 1.0, 1.05, 1.1]
@@ -373,3 +425,35 @@ class TestSweepConfig:
         )
         with pytest.raises(ModelFormatError, match="max < min"):
             load_sweep_config(cfg_path)
+
+    def test_non_finite_grid_rejected(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps(
+                {"model": "m.json", "positions": [["a", "b"]], "deltas": [0.9, float("inf")]}
+            )
+        )
+        with pytest.raises(ModelFormatError, match=r"deltas\[1\]: expected a finite number"):
+            load_sweep_config(cfg_path)
+
+    def test_scheme_sets_and_statement_run_against_the_model(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps(
+                {
+                    "model": str(fixture_path("synthetic4")),
+                    "positions": [[3, "Y1"]],
+                    "deltas": [1.02],
+                    "schemes": [
+                        {"kind": "row", "E": ["Y3"]},
+                        {"kind": "partial", "statement_index": 1},
+                    ],
+                }
+            )
+        )
+        cfg = load_sweep_config(cfg_path)
+        model = load_model(cfg.model_path)
+        position = model.resolve_position(cfg.positions[0])
+        records = one_way_sweep(model, position, cfg.deltas1, cfg.schemes)
+        assert [r.error for r in records] == [None, None]
+        assert all(r.preserving for r in records)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -221,3 +222,97 @@ def test_usage_error_exits_with_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["covary", SYNTH, "--pos", "Y2,Y1"])  # missing --delta
     assert exc.value.code == 1
+
+
+def _write_config(tmp_path, payload):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", SYNTH, "--pos", "Y2,Y1", "--deltas", "nan,1.0"],
+        ["covary", SYNTH, "--pos", "Y2,Y1", "--delta", "inf"],
+        [
+            "sweep",
+            "--config",
+            {"model": SYNTH, "positions": [["Y2", "Y1"]], "deltas": [0.9, float("nan")]},
+        ],
+    ],
+    ids=["sweep-deltas", "covary-delta", "config-deltas"],
+)
+def test_non_finite_factor_rejected(argv, tmp_path, capsys):
+    argv = [_write_config(tmp_path, a) if isinstance(a, dict) else a for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+        assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--pos", "Y3,Y1", "--delta", "1.02", "--scheme", "row", "--E", "Y3"],
+        ["--pos", "Y2,Y1", "--delta", "1.05", "--scheme", "partial", "--statement", "1"],
+    ],
+    ids=["row-E", "statement"],
+)
+def test_covary_plan_scheme_round_trips_through_sweep_config(argv, tmp_path, capsys):
+    main(["covary", SYNTH, *argv])
+    printed = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    plan = json.loads(printed["plan"])
+    (step,) = plan["positions"]
+    cfg = _write_config(
+        tmp_path,
+        {
+            "model": SYNTH,
+            "positions": [[step["i"], step["j"]]],
+            "deltas": [step["delta"]],
+            "schemes": [plan["scheme"]],
+            "format": "json",
+        },
+    )
+    assert main(["sweep", "--config", cfg]) == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    assert row["error"] is None
+    assert f"{row['frobenius']:.12g}" == printed["frobenius"]
+    assert ("yes" if row["admissible"] else "no") == printed["admissible"]
+    assert f"{row['kl']:.12g}" == printed["kl"]
+
+
+@pytest.mark.parametrize(
+    "flags, config",
+    [
+        (
+            ["sweep", SYNTH, "--pos", "Y2,Y1", "--deltas", "0.9,1.1", "--schemes", "standard,row",
+             "--E", "Y2"],
+            {"positions": [["Y2", "Y1"]], "deltas": [0.9, 1.1],
+             "schemes": ["standard", {"kind": "row", "E": ["Y2"]}]},
+        ),
+        (
+            ["sweep2", SYNTH, "--pos", "Y2,Y1", "--pos2", "3,2", "--delta-min", "0.9",
+             "--delta-max", "1.1", "--delta-step", "0.1", "--deltas2", "1.0,1.05",
+             "--schemes", "total,column", "--F", "1", "--format", "json"],
+            {"positions": [["Y2", "Y1"], [3, 2]], "deltas": {"min": 0.9, "max": 1.1, "step": 0.1},
+             "deltas2": [1.0, 1.05], "schemes": ["total", {"kind": "column", "F": [1]}],
+             "format": "json"},
+        ),
+    ],
+    ids=["sweep", "sweep2"],
+)
+def test_flags_and_config_give_identical_output(flags, config, tmp_path, capsys):
+    assert main(flags) == 0
+    by_flags = capsys.readouterr().out
+    cfg = _write_config(tmp_path, {"model": SYNTH, **config})
+    assert main([flags[0], "--config", cfg]) == 0
+    assert capsys.readouterr().out == by_flags
+
+
+def test_sweep2_config_needs_two_positions(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"model": SYNTH, "positions": [["Y2", "Y1"]], "deltas": [1.0]})
+    assert main(["sweep2", "--config", cfg]) == 1
+    assert "exactly 2 positions" in capsys.readouterr().err

@@ -10,6 +10,7 @@ from conftest import (
 )
 from gsens import (
     CIStatement,
+    FactorError,
     ModelPreconditionError,
     PerturbationPlan,
     Scheme,
@@ -43,6 +44,11 @@ class TestVariation:
     def test_zero_factor_rejected(self):
         with pytest.raises(ValueError, match="spurious independence"):
             make_variation(3, [(0, 1, 0.0)])
+
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_factor_rejected(self, delta):
+        with pytest.raises(FactorError, match="not finite"):
+            make_variation(3, [(0, 1, delta)])
 
     def test_duplicate_position_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):

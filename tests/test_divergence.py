@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import SIGMA4, random_dag
 from gsens import (
+    GsensError,
     InadmissibleError,
     Scheme,
     SingularMatrixError,
@@ -23,6 +24,7 @@ from gsens import (
     make_variation,
     scheme_ordering,
 )
+from gsens import divergence
 
 # 0.5 * 4 * (1.25 - ln 1.25 - 1), frozen from direct evaluation
 KL_TOTAL_125_N4 = 0.05371289737158048
@@ -246,3 +248,14 @@ class TestSchemeOrdering:
         reports = scheme_ordering(sigma4, (1, 0), 1.25, stmt4)
         for r in reports:
             assert (r.kl is not None) == r.admissible
+
+    def test_ordering_violation_is_a_gsens_error(self, monkeypatch, sigma4, stmt4):
+        # the check must survive python -O and reach the CLI as exit 1
+        real = divergence.frobenius_mp
+
+        def broken(cov, plan):
+            return 0.0 if plan.is_total() else real(cov, plan)
+
+        monkeypatch.setattr(divergence, "frobenius_mp", broken)
+        with pytest.raises(GsensError, match="total < partial"):
+            scheme_ordering(sigma4, (1, 0), 1.05, stmt4)

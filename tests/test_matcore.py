@@ -4,16 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import SIGMA4, cofactor_det
 from gsens import (
     Block,
-    BlockConsistencyError,
     Minor,
     SingularMatrixError,
     TolerancePolicy,
-    all_minors,
-    det,
-    floor_one,
     inverse,
     is_psd,
     iter_minors,
@@ -85,13 +80,17 @@ class TestSchur:
         np.testing.assert_array_equal(product, expected)
 
 
+def minor_values(block, k):
+    return [m.value for m in iter_minors(block, k)]
+
+
 class TestMinors:
     def test_three_minors_in_order(self, rng):
         # block rows {2,4} x cols {1,3,4} of a random symmetric 4x4
         s = rng.uniform(-3, 3, size=(4, 4))
         s = (s + s.T) / 2
         block = submatrix(s, [1, 3], [0, 2, 3])
-        got = all_minors(block, 2)
+        got = minor_values(block, 2)
         expected = [
             s[1, 0] * s[3, 2] - s[3, 0] * s[1, 2],
             s[1, 0] * s[3, 3] - s[3, 0] * s[1, 3],
@@ -101,11 +100,11 @@ class TestMinors:
 
     def test_order_one_minors_are_entries(self, sigma4):
         block = submatrix(sigma4, [0, 2], [1, 3])
-        assert all_minors(block, 1) == [2.0, 7.0, 5.0, 19.0]
+        assert minor_values(block, 1) == [2.0, 7.0, 5.0, 19.0]
 
     def test_vanishing_minor_is_exactly_zero(self, sigma4):
         block = submatrix(sigma4, [1, 2], [0, 1])
-        assert all_minors(block, 2) == [0.0]
+        assert minor_values(block, 2) == [0.0]
 
     def test_rank_one_block_gives_zero_minors(self):
         row = np.array([1.0, 2.0, 3.0, 4.0])
@@ -118,7 +117,7 @@ class TestMinors:
     def test_minor_order_too_large(self, sigma4):
         block = submatrix(sigma4, [0, 1], [2])
         with pytest.raises(ValueError):
-            all_minors(block, 2)
+            minor_values(block, 2)
 
     def test_minor_carries_original_indices(self, sigma4):
         block = submatrix(sigma4, [1, 2], [0, 1])
@@ -127,16 +126,6 @@ class TestMinors:
 
 
 class TestDetInverse:
-    def test_identity(self):
-        assert det(np.eye(5)) == pytest.approx(1.0)
-
-    def test_matches_cofactor_oracle(self, sigma4, rng):
-        assert det(sigma4) == pytest.approx(cofactor_det(sigma4), rel=1e-9)
-        for n in range(2, 7):
-            m = rng.uniform(-2, 2, size=(n, n))
-            m = (m + m.T) / 2
-            assert det(m) == pytest.approx(cofactor_det(m), rel=1e-9, abs=1e-12)
-
     def test_scalar_inverse(self):
         np.testing.assert_array_equal(inverse([[5.0]]), [[0.2]])
 
@@ -164,40 +153,6 @@ class TestIsPsd:
             is_psd(np.eye(2), tol=-1.0)
 
 
-class TestFloorOne:
-    def test_hand_example(self):
-        d = np.ones((3, 3))
-        d[0, 1], d[0, 2] = 1.0, 2.0
-        d[1, 1], d[1, 2] = 1.0, 2.0
-        out = floor_one(d, [0, 1], [1, 2])
-        expected = np.array([[1, 1, 2], [1, 1, 2], [2, 2, 1]], dtype=float)
-        np.testing.assert_array_equal(out, expected)
-
-    def test_empty_sets_give_all_ones(self):
-        np.testing.assert_array_equal(floor_one(np.full((3, 3), 9.0), [], []), np.ones((3, 3)))
-
-    def test_idempotent(self, rng):
-        d = rng.uniform(0.5, 2, size=(4, 4))
-        d = (d + d.T) / 2
-        once = floor_one(d, [0, 2], [1, 2])
-        twice = floor_one(once, [0, 2], [1, 2])
-        np.testing.assert_array_equal(once, twice)
-
-    def test_symmetric_output_agreeing_on_block(self, rng):
-        d = rng.uniform(0.5, 2, size=(5, 5))
-        d = (d + d.T) / 2
-        out = floor_one(d, [1, 3], [0, 3, 4])
-        np.testing.assert_array_equal(out, out.T)
-        np.testing.assert_array_equal(out[np.ix_([1, 3], [0, 3, 4])], d[np.ix_([1, 3], [0, 3, 4])])
-
-    def test_conflicting_mirror_raises(self):
-        d = np.ones((3, 3))
-        d[0, 1] = 2.0
-        d[1, 0] = 3.0  # both inside the {0,1} x {0,1} region
-        with pytest.raises(BlockConsistencyError):
-            floor_one(d, [0, 1], [0, 1])
-
-
 class TestOnesBlock:
     def test_value_one_is_all_ones(self):
         np.testing.assert_array_equal(ones_block(4, [0, 1], [2], 1.0), np.ones((4, 4)))
@@ -210,6 +165,17 @@ class TestOnesBlock:
         expected = np.ones((4, 4))
         expected[1, 0] = expected[0, 1] = expected[1, 1] = 2.0
         np.testing.assert_array_equal(out, expected)
+
+    def test_empty_sets_give_all_ones(self):
+        np.testing.assert_array_equal(ones_block(3, [], [], 9.0), np.ones((3, 3)))
+
+    def test_symmetric_output_agreeing_on_block(self):
+        # overlapping row and column sets: the mirror lands partly inside
+        # the block
+        out = ones_block(5, [1, 3], [0, 3, 4], 2.0)
+        np.testing.assert_array_equal(out, out.T)
+        np.testing.assert_array_equal(out[np.ix_([1, 3], [0, 3, 4])], np.full((2, 3), 2.0))
+        assert out[0, 0] == out[2, 2] == out[4, 4] == 1.0
 
 
 class TestTolerancePolicy:
