@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from .conditioning import Evidence, condition
 from .covariation import Variation, build_plan, verify_preserving
 from .divergence import evaluate, scheme_ordering
 from .errors import GsensError, SingularMatrixError
-from .matcore import TolerancePolicy
+from .matcore import DEFAULT_TOL, TolerancePolicy
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -75,13 +76,12 @@ def _plan_json(model: Model, plan) -> str:
 
 def _cmd_check(args) -> int:
     model = load_model(args.model)
-    tol = TolerancePolicy(args.tol)
     if not model.statements:
         print("no conditional-independence statements to check")
         return EXIT_OK
     ok = True
     for k, stmt in enumerate(model.statements):
-        res = ci_holds(model.covariance, stmt, tol)
+        res = ci_holds(model.covariance, stmt, args.tol)
         label = stmt.describe(model.names)
         if res.holds:
             print(f"ok    {label}")
@@ -106,18 +106,17 @@ def _cmd_build_cov(args) -> int:
 
 def _cmd_covary(args) -> int:
     model = load_model(args.model)
-    tol = TolerancePolicy(args.tol)
     i, j = model.resolve_position(args.pos)
     entry = {"kind": args.scheme, "E": _names(args.E), "F": _names(args.F)}
     scheme = resolve_scheme(model, {**entry, "statement_index": args.statement})
     plan = build_plan(Variation(model.n, ((i, j, args.delta),)), scheme, model.statements)
     print(f"plan: {_plan_json(model, plan)}")
-    verdict = verify_preserving(plan, model.covariance, model.statements, tol)
+    verdict = verify_preserving(plan, model.covariance, model.statements, args.tol)
     if verdict.preserving:
         print("verdict: preserving")
     else:
         print(f"verdict: NOT preserving  witness {verdict.witness.describe(model.names)}")
-    _, report = evaluate(args.scheme, model.covariance, plan, tol)
+    _, report = evaluate(args.scheme, model.covariance, plan, args.tol)
     print(f"admissible: {'yes' if report.admissible else 'no'}")
     print(f"frobenius: {report.frobenius:.12g}")
     if report.admissible:
@@ -125,6 +124,14 @@ def _cmd_covary(args) -> int:
     else:
         print("kl: unavailable (perturbed covariance not admissible)")
     return EXIT_OK if report.admissible else EXIT_INADMISSIBLE
+
+
+# Sweep flags that describe what a --config file describes; they default to
+# None so that giving one next to --config can be detected.
+_REQUEST_FLAGS = (
+    "pos", "pos2", "deltas", "deltas2", "delta_min", "delta_max", "delta_step",
+    "delta_min2", "delta_max2", "delta_step2", "schemes", "E", "F",
+)
 
 
 def _sweep_request(args, positions: list[str]) -> dict:
@@ -135,13 +142,17 @@ def _sweep_request(args, positions: list[str]) -> dict:
             return [float(x) for x in deltas.split(",")]
         return {"min": lo, "max": hi, "step": step}
 
+    lo = 0.75 if args.delta_min is None else args.delta_min
+    hi = 1.25 if args.delta_max is None else args.delta_max
+    step = 0.01 if args.delta_step is None else args.delta_step
+    kinds = "standard,total,partial,row,column" if args.schemes is None else args.schemes
     request = {
         "model": args.model,
         "positions": [p.split(",") for p in positions],
-        "deltas": grid(args.deltas, args.delta_min, args.delta_max, args.delta_step),
+        "deltas": grid(args.deltas, lo, hi, step),
         "schemes": [
             {"kind": kind.strip(), "E": _names(args.E), "F": _names(args.F)}
-            for kind in args.schemes.split(",")
+            for kind in kinds.split(",")
         ],
         "format": args.format or "csv",
         "output": args.output,
@@ -151,9 +162,9 @@ def _sweep_request(args, positions: list[str]) -> dict:
     ):
         request["deltas2"] = grid(
             args.deltas2,
-            args.delta_min if args.delta_min2 is None else args.delta_min2,
-            args.delta_max if args.delta_max2 is None else args.delta_max2,
-            args.delta_step if args.delta_step2 is None else args.delta_step2,
+            lo if args.delta_min2 is None else args.delta_min2,
+            hi if args.delta_max2 is None else args.delta_max2,
+            step if args.delta_step2 is None else args.delta_step2,
         )
     return request
 
@@ -179,6 +190,10 @@ def _emit_records(records, fmt: str, output, summary: bool) -> None:
 def _cmd_sweep(args) -> int:
     count = 2 if args.command == "sweep2" else 1
     if args.config:
+        given = ["model"] if args.model else []
+        given += ["--" + f.replace("_", "-") for f in _REQUEST_FLAGS if getattr(args, f, None) is not None]
+        if given:
+            return _fail(f"--config cannot be combined with {', '.join(given)}")
         cfg = load_sweep_config(args.config)
     else:
         positions = [p for p in (args.pos, getattr(args, "pos2", None)) if p]
@@ -190,11 +205,10 @@ def _cmd_sweep(args) -> int:
         return _fail(f"{args.command} config needs exactly {count} position{'s' * (count - 1)}")
     model = load_model(cfg.model_path)
     positions = tuple(model.resolve_position(p) for p in cfg.positions)
-    tol = TolerancePolicy(args.tol)
     if count == 1:
-        records = one_way_sweep(model, positions[0], cfg.deltas1, cfg.schemes, tol)
+        records = one_way_sweep(model, positions[0], cfg.deltas1, cfg.schemes, args.tol)
     else:
-        records = two_way_sweep(model, positions, cfg.deltas1, cfg.deltas2, cfg.schemes, tol)
+        records = two_way_sweep(model, positions, cfg.deltas1, cfg.deltas2, cfg.schemes, args.tol)
     # --format and -o override a config file's choice
     _emit_records(records, args.format or cfg.fmt, args.output or cfg.output, args.summary)
     return EXIT_OK
@@ -225,11 +239,10 @@ def _cmd_condition(args) -> int:
 
 def _cmd_compare(args) -> int:
     model = load_model(args.model)
-    tol = TolerancePolicy(args.tol)
     i, j = model.resolve_position(args.pos)
     if len(model.statements) != 1:
         return _fail("compare needs a model with exactly one CI statement")
-    reports = scheme_ordering(model.covariance, (i, j), args.delta, model.statements[0], tol)
+    reports = scheme_ordering(model.covariance, (i, j), args.delta, model.statements[0], args.tol)
     print(f"{'scheme':<10} {'frobenius':>16} {'kl':>16} {'admissible':>11}")
     for r in reports:
         kl_text = f"{r.kl:.10g}" if r.kl is not None else "-"
@@ -237,8 +250,17 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
+def _tolerance(text: str) -> TolerancePolicy:
+    try:
+        return TolerancePolicy(float(text))
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
 def _add_tol(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=1e-9, help="scale-relative tolerance (default 1e-9)")
+    p.add_argument(
+        "--tol", type=_tolerance, default=DEFAULT_TOL, help="scale-relative tolerance (default 1e-9)"
+    )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -288,19 +310,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="sweep config file (alternative to flags)")
         p.add_argument("--pos", help="varied position")
         p.add_argument("--deltas", help="explicit comma-separated factors")
-        p.add_argument("--delta-min", type=float, default=0.75)
-        p.add_argument("--delta-max", type=float, default=1.25)
-        p.add_argument("--delta-step", type=float, default=0.01)
+        p.add_argument("--delta-min", type=float, help="grid start (default 0.75)")
+        p.add_argument("--delta-max", type=float, help="grid end (default 1.25)")
+        p.add_argument("--delta-step", type=float, help="grid step (default 0.01)")
         if two:
             p.add_argument("--pos2", help="second varied position")
             p.add_argument("--deltas2")
-            p.add_argument("--delta-min2", type=float, default=None)
-            p.add_argument("--delta-max2", type=float, default=None)
-            p.add_argument("--delta-step2", type=float, default=None)
+            p.add_argument("--delta-min2", type=float)
+            p.add_argument("--delta-max2", type=float)
+            p.add_argument("--delta-step2", type=float)
         p.add_argument(
-            "--schemes",
-            default="standard,total,partial,row,column",
-            help="comma-separated scheme list",
+            "--schemes", help="comma-separated scheme list (default standard,total,partial,row,column)"
         )
         p.add_argument("--E", help="row set for row schemes")
         p.add_argument("--F", help="column set for column schemes")
@@ -328,12 +348,25 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except GsensError as e:
-        return _fail(str(e))
-    except (ValueError, KeyError, IndexError) as e:
-        return _fail(str(e))
+    shown: set[str] = set()
+
+    def show(message, category, filename, lineno, file=None, line=None):
+        # "warning: <message>", once per distinct message and command, with
+        # no source location: the text must not move with the code
+        text = str(message)
+        if text not in shown:
+            shown.add(text)
+            print(f"warning: {text}", file=sys.stderr)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = show
+        try:
+            return args.func(args)
+        except GsensError as e:
+            return _fail(str(e))
+        except (ValueError, KeyError, IndexError) as e:
+            return _fail(str(e))
 
 
 if __name__ == "__main__":

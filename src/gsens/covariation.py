@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cimodel import CIStatement, model_holds, nonempty_conditioning, require_model
+from .cimodel import CIStatement, ModelCheck, model_holds, nonempty_conditioning, require_model
 from .errors import FactorError, SchemeError
 from .matcore import (
     DEFAULT_TOL,
@@ -500,18 +500,27 @@ def compose(p1: PerturbationPlan, p2: PerturbationPlan) -> PerturbationPlan:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of a preservation check; failures pair statement index with
-    the first non-vanishing minor."""
+    """Outcome of a preservation check: the per-statement verdicts on the
+    perturbed matrix."""
 
-    preserving: bool
-    failures: tuple[tuple[int, Minor], ...] = ()
+    check: ModelCheck
 
     def __bool__(self) -> bool:
         return self.preserving
 
     @property
+    def preserving(self) -> bool:
+        return self.check.holds
+
+    @property
+    def failures(self) -> tuple[tuple[int, Minor], ...]:
+        """(statement index, first non-vanishing minor) per failing statement."""
+        return self.check.failures
+
+    @property
     def witness(self) -> Minor | None:
-        return self.failures[0][1] if self.failures else None
+        failure = self.check.first_failure
+        return None if failure is None else failure[1]
 
 
 def verify_preserving(
@@ -530,5 +539,4 @@ def verify_preserving(
     """
     cov = check_symmetric(as_matrix(cov))
     require_model(cov, statements, tol, None)
-    after = model_holds(plan.apply(cov), statements, tol)
-    return Verdict(after.holds, after.failures)
+    return Verdict(model_holds(plan.apply(cov), statements, tol))

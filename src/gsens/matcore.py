@@ -2,14 +2,14 @@
 
 Submatrices, exhaustive minor enumeration, inverses, Schur (entrywise)
 products, positive-semidefiniteness and the ones-filled block embedding
-used by covariation schemes. Everything here is a pure
-function on small dense arrays; nothing is optimized beyond desk scale
-(n up to a few dozen).
+used by covariation schemes. Everything here is a pure function on dense
+arrays.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -151,15 +151,25 @@ def iter_minors(block: Block, k: int) -> Iterator[Minor]:
             )
 
 
+def rcond(a: np.ndarray) -> float:
+    """Reciprocal 2-norm condition number, 1 / numpy.linalg.cond(a); 0.0
+    when the matrix is singular."""
+    s = np.linalg.svd(a, compute_uv=False)
+    if not s[-1] > 0:
+        return 0.0
+    cond = float(s[0]) / float(s[-1])
+    return 1.0 / cond if math.isfinite(cond) else 0.0
+
+
 def inverse(m) -> np.ndarray:
     """Inverse of a symmetric matrix; raises SingularMatrixError when the
     reciprocal condition estimate falls below RCOND_LIMIT."""
     a = check_symmetric(as_matrix(m))
-    cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or 1.0 / cond < RCOND_LIMIT:
+    estimate = rcond(a)
+    if estimate < RCOND_LIMIT:
         raise SingularMatrixError(
             f"matrix is numerically singular (reciprocal condition estimate "
-            f"{0.0 if not np.isfinite(cond) else 1.0 / cond:.3g} < {RCOND_LIMIT:g})"
+            f"{estimate:.3g} < {RCOND_LIMIT:g})"
         )
     inv = np.linalg.inv(a)
     # inverse of a symmetric matrix is symmetric; average out LU round-off
@@ -198,6 +208,11 @@ class TolerancePolicy:
     """
 
     rel: float = DEFAULT_REL_TOL
+
+    def __post_init__(self):
+        # with rel = inf every minor vanishes; with NaN or rel < 0 none does
+        if not (math.isfinite(self.rel) and self.rel >= 0):
+            raise ValueError(f"tolerance must be a finite number >= 0, got {self.rel!r}")
 
     def minor_is_zero(self, minor: Minor) -> bool:
         return abs(minor.value) <= self.rel * max(1.0, minor.scale)

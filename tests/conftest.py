@@ -45,16 +45,18 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-def random_dag(rng: np.random.Generator, n: int | None = None, edge_prob: float = 0.5) -> GaussianDag:
-    """Random DAG with natural topological order, coefficients in [-2, 2] and
-    conditional variances in [0.5, 2]."""
+def random_dag(
+    rng: np.random.Generator, n: int | None = None, edge_prob: float = 0.5, beta_max: float = 2.0
+) -> GaussianDag:
+    """Random DAG with natural topological order, coefficients in
+    [-beta_max, beta_max] and conditional variances in [0.5, 2]."""
     if n is None:
         n = int(rng.integers(2, 7))
     edges = []
     for child in range(1, n):
         for parent in range(child):
             if rng.random() < edge_prob:
-                beta = float(rng.uniform(-2.0, 2.0))
+                beta = float(rng.uniform(-beta_max, beta_max))
                 edges.append((parent, child, beta))
     cond_vars = tuple(float(v) for v in rng.uniform(0.5, 2.0, size=n))
     return GaussianDag.from_edges(n, edges, cond_vars=cond_vars)

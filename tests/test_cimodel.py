@@ -1,18 +1,34 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import STMT5_A, STMT5_B, random_dag
+from conftest import STMT5_A, STMT5_B, random_dag, random_dag_with_statement
 from gsens import (
+    DEFAULT_TOL,
     CIStatement,
+    GsensError,
+    Scheme,
+    TolerancePolicy,
+    Variation,
+    build_plan,
     ci_holds,
     dag_ci_statements,
     dag_to_gaussian,
     is_separable,
+    iter_minors,
     model_holds,
     nonempty_conditioning,
     separated,
+    statement_block,
+    submatrix,
     union_sets,
 )
+from gsens import cimodel
+from gsens.cli import main
 
 
 class TestCIStatement:
@@ -148,3 +164,135 @@ def test_union_sets():
     assert left == (1, 3)
     assert right == (0, 1, 4)
     assert given == (2,)
+
+
+def minor_witness(cov, stmt, tol):
+    """Reference verdict: the definition itself, every minor enumerated.
+    Returns the first non-vanishing minor, or None when the statement holds."""
+    block = statement_block(np.asarray(cov, dtype=float), stmt)
+    return next((m for m in iter_minors(block, stmt.minor_order) if not tol.minor_is_zero(m)), None)
+
+
+def _boundary_change(cov, stmt, rel, ratio):
+    """cov with the (a, b) entry of stmt shifted so that the minor on rows
+    {a}+C and columns {b}+C is about ratio times its tolerance."""
+    a, b = stmt.left[0], stmt.right[0]
+    rows = tuple(sorted(stmt.given + (a,)))
+    cols = tuple(sorted(stmt.given + (b,)))
+    minor = next(iter_minors(submatrix(cov, rows, cols), stmt.minor_order))
+    cofactor = abs(np.linalg.det(cov[np.ix_(stmt.given, stmt.given)]))
+    t = (ratio * rel * max(1.0, minor.scale) + abs(minor.value)) / cofactor
+    out = cov.copy()
+    out[a, b] += t
+    out[b, a] += t
+    return out
+
+
+class TestDecisionPath:
+    """ci_holds decides most statements from the Schur residual; whatever
+    path it takes, the verdict and the witness are those of the minor
+    definition."""
+
+    CHANGES = ("none", "total", "partial", "row", "column", "additive", "boundary")
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 10),
+        beta_max=st.sampled_from([0.5, 1.0, 2.0]),
+        scale=st.integers(-3, 6).map(lambda e: 10.0**e),
+        rel=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]),
+        change=st.sampled_from(CHANGES),
+        delta=st.floats(0.8, 1.25),
+        ratio=st.sampled_from([0.5, 0.99, 1.01, 2.0]),
+    )
+    def test_verdicts_match_minor_definition(self, seed, n, beta_max, scale, rel, change, delta, ratio):
+        rng = np.random.default_rng(seed)
+        dag = random_dag(rng, n, beta_max=beta_max)
+        statements = dag_ci_statements(dag)
+        if not statements:
+            return
+        _, cov = dag_to_gaussian(dag)
+        cov = cov * scale
+        conditional = [s for s in statements if s.given]
+        target = conditional[int(rng.integers(len(conditional)))] if conditional else statements[0]
+        rows, cols = target.block_rows, target.block_cols
+        i, j = int(rng.choice(rows)), int(rng.choice(cols))
+        if change == "additive":
+            cov = cov.copy()
+            cov[i, j] *= delta
+            cov[j, i] = cov[i, j]
+        elif change == "boundary" and target.given:
+            cov = _boundary_change(cov, target, rel, ratio)
+        elif change in ("total", "partial", "row", "column"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    plan = build_plan(Variation(n, ((i, j, delta),)), Scheme(change), statements)
+                except GsensError:
+                    return
+            cov = plan.apply(cov)
+        tol = TolerancePolicy(rel)
+        expected = [minor_witness(cov, s, tol) for s in statements]
+        checks = [ci_holds(cov, s, tol) for s in statements]
+        assert [c.holds for c in checks] == [w is None for w in expected]
+        assert [c.witness for c in checks] == expected
+        assert model_holds(cov, statements, tol).holds == all(w is None for w in expected)
+
+    def test_singular_conditioning_block_falls_back(self, rng, monkeypatch):
+        # a duplicated variable makes Sigma_CC singular, so no residual exists
+        for _ in range(10):
+            cov, statements = random_dag_with_statement(rng)
+            stmt = next((s for s in statements if s.given), None)
+            if stmt is None:
+                continue
+            n = cov.shape[0]
+            dup = np.zeros((n + 1, n + 1))
+            dup[:n, :n] = cov
+            dup[n, :n] = dup[:n, n] = cov[stmt.given[0]]
+            dup[n, n] = cov[stmt.given[0], stmt.given[0]]
+            calls = []
+            monkeypatch.setattr(cimodel, "iter_minors", lambda *a: calls.append(a) or iter_minors(*a))
+            wide = CIStatement(stmt.left, stmt.right, stmt.given + (n,))
+            got = ci_holds(dup, wide)
+            assert calls, "a singular Sigma_CC must enumerate"
+            assert got.holds == (minor_witness(dup, wide, DEFAULT_TOL) is None)
+            monkeypatch.undo()
+            broken = dup.copy()
+            broken[stmt.left[0], stmt.right[0]] = broken[stmt.right[0], stmt.left[0]] = 5.0
+            assert ci_holds(broken, wide).witness == minor_witness(broken, wide, DEFAULT_TOL)
+
+    def test_confirmed_failure_reads_one_minor(self, sigma4, stmt4, monkeypatch):
+        broken = sigma4.copy()
+        broken[1, 0] = broken[0, 1] = 2.5
+        calls = []
+        monkeypatch.setattr(cimodel, "iter_minors", lambda *a: calls.append(a) or iter_minors(*a))
+        assert not model_holds(broken, [stmt4]).holds
+        assert len(calls) == 1 and calls[0][0].values.shape == (2, 2)
+
+
+def _scaled_dag_model(n: int, seed: int) -> dict:
+    """Model file of a DAG whose vertex k has 1 + k % 3 parents and
+    coefficients scaled by 1/sqrt(parents), so variances stay of order one."""
+    rng = np.random.default_rng(seed)
+    names = [f"X{k + 1}" for k in range(n)]
+    edges = []
+    for k in range(1, n):
+        count = min(k, 1 + k % 3)
+        for p in rng.choice(k, size=count, replace=False):
+            beta = float(rng.uniform(0.3, 0.9)) / count**0.5 * float(rng.choice([-1.0, 1.0]))
+            edges.append({"from": names[p], "to": names[k], "beta": beta})
+    return {"variables": names, "dag": {"order": names, "edges": edges}}
+
+
+@pytest.mark.parametrize("n", [40, 100])
+def test_large_dag_checks_without_enumerating(n, tmp_path, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("enumerated minors")
+
+    path = tmp_path / "dag.json"
+    path.write_text(json.dumps(_scaled_dag_model(n, seed=n)))
+    monkeypatch.setattr(cimodel, "iter_minors", refuse)
+    assert main(["check", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) >= n - 5 and all(line.startswith("ok ") for line in out)

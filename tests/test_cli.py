@@ -251,6 +251,7 @@ def test_non_finite_factor_rejected(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "finite" in captured.err
+    assert "warning:" not in captured.err  # main reports warnings itself
 
 
 @pytest.mark.parametrize(
@@ -316,3 +317,112 @@ def test_sweep2_config_needs_two_positions(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"model": SYNTH, "positions": [["Y2", "Y1"]], "deltas": [1.0]})
     assert main(["sweep2", "--config", cfg]) == 1
     assert "exactly 2 positions" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", SYNTH],
+        ["covary", SYNTH, "--pos", "Y2,Y1", "--delta", "1.05"],
+        ["sweep", SYNTH, "--pos", "Y2,Y1", "--deltas", "0.9"],
+        ["sweep2", SYNTH, "--pos", "Y2,Y1", "--pos2", "Y3,Y2", "--deltas", "0.9"],
+        ["compare", SYNTH, "--pos", "Y2,Y1", "--delta", "1.05"],
+    ],
+    ids=lambda a: a[0],
+)
+def test_bad_tolerance_rejected(argv, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--tol", value])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = [x for x in captured.err.splitlines() if "error:" in x]
+    assert "--tol" in line and "finite number >= 0" in line
+
+
+def test_sweep_config_refuses_request_flags(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"model": SYNTH, "positions": [["Y2", "Y1"]], "deltas": [1.0]})
+    assert main(["sweep", "--config", cfg, "--deltas", "0.5", "--schemes", "total"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --config cannot be combined with --deltas, --schemes\n"
+    assert main(["sweep", SYNTH, "--config", cfg, "--delta-min", "0.9", "--E", "Y2"]) == 1
+    assert "with model, --delta-min, --E" in capsys.readouterr().err
+    # output options still apply to a config
+    assert main(["sweep", "--config", cfg, "--format", "json", "--tol", "1e-8", "--summary"]) == 0
+    captured = capsys.readouterr()
+    assert len(json.loads(captured.out)) == 5 and "summary total" in captured.err
+
+
+def test_warnings_have_a_stable_format(capsys):
+    # the position lies outside the statement block: every scheme warns
+    argv = ["covary", SYNTH, "--pos", "Y4,Y1", "--delta", "1.001", "--scheme", "row"]
+    for _ in range(2):
+        assert main(argv) == 0
+        assert capsys.readouterr().err == (
+            "warning: position (1,4) lies outside the statement block; "
+            "no covariation is needed and none is applied\n"
+        )
+
+
+def _synthetic(edit):
+    model = json.loads(fixture_path("synthetic4").read_text())
+    edit(model)
+    return model
+
+
+def _break_entry(model):
+    del model["dag"]
+    model["covariance"][0][1] = model["covariance"][1][0] = 2.5
+
+
+def _add_false_statements(model):
+    model["ci"] += [{"A": ["Y4"], "B": ["Y1"], "C": ["Y2", "Y3"]},
+                    {"A": ["Y3"], "B": ["Y1", "Y4"], "C": ["Y2"]}]
+
+
+def _control_entries():
+    model = json.loads(fixture_path("cachexia_control").read_text())
+    model["covariance"][0][2] = model["covariance"][2][0] = 3.0
+    model["covariance"][1][2] = model["covariance"][2][1] = -1e-6
+    return model
+
+
+_DAG5 = {
+    "variables": ["X1", "X2", "X3", "X4", "X5"],
+    "dag": {
+        "order": ["X1", "X2", "X3", "X4", "X5"],
+        "edges": [{"from": a, "to": b, "beta": beta} for a, b, beta in (
+            ("X1", "X2", 0.5), ("X1", "X3", -0.4), ("X2", "X4", 0.7), ("X3", "X4", 0.3),
+            ("X1", "X5", 0.2), ("X2", "X5", 0.6), ("X3", "X5", -0.5), ("X4", "X5", 0.4))],
+    },
+    "ci": [{"A": ["X5"], "B": ["X1"], "C": ["X2", "X3", "X4"]}, {"A": ["X4"], "B": ["X1"], "C": ["X2", "X3"]}],
+}
+
+
+# Expected texts are the output of the exhaustive minor enumeration that
+# decided every statement before the residual test: the witness is still the
+# first non-vanishing minor in enumeration order, to the byte.
+@pytest.mark.parametrize(
+    "model, expected",
+    [
+        (_synthetic(_break_entry),
+         "FAIL  {Y3} _||_ {Y1} | {Y2}  witness minor rows {Y2,Y3} x cols {Y1,Y2} = 2.5\n"),
+        (_synthetic(_add_false_statements),
+         "ok    {Y3} _||_ {Y1} | {Y2}\n"
+         "FAIL  {Y4} _||_ {Y1} | {Y2,Y3}  witness minor rows {Y2,Y3,Y4} x cols {Y1,Y2,Y3} = 1\n"
+         "FAIL  {Y3} _||_ {Y1,Y4} | {Y2}  witness minor rows {Y2,Y3} x cols {Y1,Y4} = 4\n"),
+        (_control_entries(),
+         "FAIL  {B} _||_ {GC}  witness minor rows {B} x cols {GC} = 3\n"
+         "FAIL  {V} _||_ {GC}  witness minor rows {V} x cols {GC} = -1e-06\n"
+         "ok    {A} _||_ {GC}\n"),
+        (_DAG5,
+         "FAIL  {X5} _||_ {X1} | {X2,X3,X4}  witness minor rows {X2,X3,X4,X5} x cols {X1,X2,X3,X4} = -0.2\n"
+         "ok    {X4} _||_ {X1} | {X2,X3}\n"),
+    ],
+    ids=["entry", "false-statements", "marginal", "lu-minor"],
+)
+def test_check_witness_text(model, expected, tmp_path, capsys):
+    assert main(["check", _write_config(tmp_path, model)]) == 1
+    assert capsys.readouterr().out == expected
