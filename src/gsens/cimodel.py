@@ -34,22 +34,25 @@ Write A, B, C for left, right and given.
    The minors are evaluated by cofactor formulas up to k = 3 and by LU
    with partial pivoting above, and the certificate covers the computed
    values:
-   - k <= 3. The exact minor (X = the k x k submatrix, Y = its part of E)
-     is at most bound(s, mu) <= rel/2. The cofactor sum has k! products,
+   - k <= 3. The exact minor (X = the k x k submatrix, Y = E_X, its part
+     of E) is at most bound(s, mu) <= rel/2. The cofactor sum has k! products,
      each at most scale = product of row maxima in magnitude, and rounds
      at most 2k-1 times along each, so the computed minor is off by at
-     most k! gamma_{2k-1} scale <= rel/2 * scale. Hence |computed| <=
+     most k! gamma_{2k-1} scale. Requiring k! gamma_{3k} <= rel/2 also
+     covers the rounding of scale and of rel * scale. Hence |computed| <=
      rel * max(1, scale).
    - k >= 4. LU returns L U = X + D with |D| <= gamma_k |L| |U| (Higham,
      Thm 9.3); partial pivoting keeps |l| <= 1 and the p-th row of U
-     below 2^(p-1) mu, so |D| <= d = gamma_k 2^k mu. X + D minus (its
-     part of E) + D is the singular part of N, so |det(X + D)| <=
-     bound(s + d, mu + d) <= rel, and numpy's determinant, formed as
-     sign * exp(sum of ln|u_ii|), adds a relative error below
-     1000 k (k+2) u, since |ln x| < 745 for every positive double.
+     below 2^(p-1) mu, so |D| <= d = gamma_k 2^k mu. (X + D) - (E_X + D)
+     is N_X, the k x k part of N, which is singular, so the lemma gives
+     |det(X + D)| <= bound(s + d, mu + d) <= rel. numpy forms the
+     determinant as sign * exp(sum of ln|u_ii|), which adds a relative
+     error below 1000 k (k+2) u, since |ln x| < 745 for every positive
+     double.
    Every bound is multiplied by (1 + 1000 k (k+2) u), which also covers
-   the rounding of evaluating it, and floating-point underflow is covered
-   by adding the smallest normal double.
+   the rounding of evaluating it and of the tolerance test, and
+   floating-point underflow is covered by adding the smallest normal
+   double.
 
 3. Confirmed failure. The largest |Sigma_AB - Sigma_AC Y| entry (a, b)
    names the minor on rows {a}+C and columns {b}+C; iter_minors computes
@@ -206,7 +209,7 @@ def _bound(k: int, sigma: float, nu: float) -> float:
 def _certified(k: int, s: float, mu: float, rel: float) -> bool:
     """True when every computed k-minor provably passes the tolerance."""
     if k <= 3:
-        return math.factorial(k) * _gamma(2 * k - 1) <= rel / 2 and _bound(k, s, mu) <= rel / 2
+        return math.factorial(k) * _gamma(3 * k) <= rel / 2 and _bound(k, s, mu) <= rel / 2
     d = _gamma(k) * 2**k * mu
     return _bound(k, s + d, mu + d) <= rel
 
