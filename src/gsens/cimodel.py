@@ -91,7 +91,7 @@ from .matcore import (
     submatrix,
 )
 
-_U = np.finfo(float).eps / 2
+_U = float(np.finfo(float).eps) / 2
 _TINY = float(np.finfo(float).tiny)
 
 
@@ -203,7 +203,10 @@ def _gamma(n: int) -> float:
 def _bound(k: int, sigma: float, nu: float) -> float:
     """The lemma's bound on a k x k determinant, padded for rounding."""
     pad = 1 + 1000 * k * (k + 2) * _U
-    return pad * k ** ((k + 2) / 2) * sigma * (nu + sigma) ** (k - 1) + _TINY
+    try:
+        return pad * k ** ((k + 2) / 2) * sigma * (nu + sigma) ** (k - 1) + _TINY
+    except OverflowError:  # float ** raises where float * gives inf
+        return math.inf
 
 
 def _certified(k: int, s: float, mu: float, rel: float) -> bool:

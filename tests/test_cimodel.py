@@ -10,6 +10,7 @@ from conftest import STMT5_A, STMT5_B, random_dag, random_dag_with_statement
 from gsens import (
     DEFAULT_TOL,
     CIStatement,
+    GaussianDag,
     GsensError,
     Scheme,
     TolerancePolicy,
@@ -188,6 +189,9 @@ def _boundary_change(cov, stmt, rel, ratio):
     return out
 
 
+_DAG5_EDGES = ((0, 1, 0.5), (0, 2, -0.4), (1, 3, 0.7), (2, 3, 0.3), (1, 4, 0.6), (2, 4, -0.5), (3, 4, 0.4))
+
+
 class TestDecisionPath:
     """ci_holds decides most statements from the Schur residual; whatever
     path it takes, the verdict and the witness are those of the minor
@@ -261,6 +265,20 @@ class TestDecisionPath:
             broken = dup.copy()
             broken[stmt.left[0], stmt.right[0]] = broken[stmt.right[0], stmt.left[0]] = 5.0
             assert ci_holds(broken, wide).witness == minor_witness(broken, wide, DEFAULT_TOL)
+
+    @pytest.mark.parametrize("scale", [1e100, 1e160])
+    def test_huge_entries(self, scale):
+        # the bound overflows; the statements must still get the definition's verdict
+        _, cov = dag_to_gaussian(GaussianDag.from_edges(5, _DAG5_EDGES))
+        cov = cov * scale
+        for stmt in (CIStatement((4,), (0,), (1, 2, 3)), CIStatement((3,), (0,), (1, 2))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the enumeration itself overflows
+                expected = minor_witness(cov, stmt, DEFAULT_TOL)
+                got = ci_holds(cov, stmt)
+                witness = got.witness
+            assert got.holds == (expected is None)
+            assert repr(witness) == repr(expected)  # the value may be NaN
 
     def test_confirmed_failure_reads_one_minor(self, sigma4, stmt4, monkeypatch):
         broken = sigma4.copy()
