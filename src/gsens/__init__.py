@@ -16,7 +16,6 @@ from .analysis import (
     emit,
     load_model,
     load_sweep_config,
-    model_to_dict,
     one_way_sweep,
     two_way_sweep,
 )
@@ -25,12 +24,9 @@ from .cimodel import (
     CIStatement,
     ModelCheck,
     ci_holds,
-    is_separable,
     model_holds,
     nonempty_conditioning,
-    separated,
     statement_block,
-    union_sets,
 )
 from .conditioning import Evidence, condition, condition_perturbed
 from .covariation import (
@@ -38,12 +34,10 @@ from .covariation import (
     PlanStep,
     Scheme,
     Variation,
-    Verdict,
     build_plan,
     build_scheme,
     compose,
     make_variation,
-    validate_multi,
     verify_preserving,
 )
 from .divergence import (
@@ -67,12 +61,8 @@ from .errors import (
 )
 from .graphmodels import (
     GaussianDag,
-    UndirectedGraph,
-    UgCheck,
     dag_ci_statements,
     dag_to_gaussian,
-    ug_check,
-    ug_ci_statements,
 )
 from .matcore import (
     Block,
@@ -83,7 +73,6 @@ from .matcore import (
     is_psd,
     iter_minors,
     ones_block,
-    schur,
     submatrix,
 )
 

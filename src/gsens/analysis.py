@@ -309,24 +309,6 @@ def load_model(path) -> Model:
     return Model(names=names, mean=mean, covariance=cov, statements=statements, dag=dag)
 
 
-def model_to_dict(model: Model) -> dict:
-    """JSON-ready form of a model (names, mean, covariance, ci)."""
-    out = {
-        "variables": list(model.names),
-        "mean": [float(v) for v in model.mean],
-        "covariance": [[float(v) for v in row] for row in model.covariance],
-        "ci": [
-            {
-                "A": [model.names[i] for i in s.left],
-                "B": [model.names[i] for i in s.right],
-                "C": [model.names[i] for i in s.given],
-            }
-            for s in model.statements
-        ],
-    }
-    return out
-
-
 @dataclass(frozen=True)
 class SweepRecord:
     """One grid point of a sweep. kl is present exactly when the row is

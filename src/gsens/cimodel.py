@@ -289,44 +289,7 @@ def require_model(
         )
 
 
-def _block_positions(stmt: CIStatement) -> set[tuple[int, int]]:
-    return {(r, c) for r in stmt.block_rows for c in stmt.block_cols}
-
-
-def separated(s1: CIStatement, s2: CIStatement) -> bool:
-    """True iff no covariance entry (or its transpose) appears in both
-    statements' defining submatrices."""
-    p1 = _block_positions(s1)
-    p2 = _block_positions(s2)
-    return all((r, c) not in p2 and (c, r) not in p2 for r, c in p1)
-
-
-def is_separable(statements: Sequence[CIStatement]) -> bool:
-    """True iff all unordered pairs of statements are separated."""
-    return all(
-        separated(statements[i], statements[j])
-        for i in range(len(statements))
-        for j in range(i + 1, len(statements))
-    )
-
-
 def nonempty_conditioning(statements: Sequence[CIStatement]) -> tuple[CIStatement, ...]:
     """The sub-list of statements with a non-empty conditioning set, in order."""
     return tuple(s for s in statements if s.given)
 
-
-def union_sets(
-    statements: Sequence[CIStatement],
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Unions of the left/right/given sets across statements.
-
-    Unlike a single statement's sets these need not be disjoint.
-    """
-    left: set[int] = set()
-    right: set[int] = set()
-    given: set[int] = set()
-    for s in statements:
-        left |= set(s.left)
-        right |= set(s.right)
-        given |= set(s.given)
-    return tuple(sorted(left)), tuple(sorted(right)), tuple(sorted(given))

@@ -111,11 +111,11 @@ def _cmd_covary(args) -> int:
     scheme = resolve_scheme(model, {**entry, "statement_index": args.statement})
     plan = build_plan(Variation(model.n, ((i, j, args.delta),)), scheme, model.statements)
     print(f"plan: {_plan_json(model, plan)}")
-    verdict = verify_preserving(plan, model.covariance, model.statements, args.tol)
-    if verdict.preserving:
+    failure = verify_preserving(plan, model.covariance, model.statements, args.tol).first_failure
+    if failure is None:
         print("verdict: preserving")
     else:
-        print(f"verdict: NOT preserving  witness {verdict.witness.describe(model.names)}")
+        print(f"verdict: NOT preserving  witness {failure[1].describe(model.names)}")
     _, report = evaluate(args.scheme, model.covariance, plan, args.tol)
     print(f"admissible: {'yes' if report.admissible else 'no'}")
     print(f"frobenius: {report.frobenius:.12g}")

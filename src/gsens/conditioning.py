@@ -13,13 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InadmissibleError
+from .errors import GsensError, InadmissibleError
 from .matcore import DEFAULT_REL_TOL, as_matrix, check_symmetric, inverse, is_psd
 
 
 @dataclass(frozen=True, eq=False)
 class Evidence:
-    """Observed values for a non-empty subset of variables (0-based indices).
+    """Observed finite values for a non-empty subset of variables (0-based
+    indices).
 
     Pairs are sorted by index at construction.
     """
@@ -36,6 +37,9 @@ class Evidence:
             raise ValueError("evidence indices contain duplicates")
         if vals.shape[0] != len(idx):
             raise ValueError(f"{len(idx)} evidence indices but {vals.shape[0]} values")
+        for i, v in zip(idx, vals):
+            if not np.isfinite(v):
+                raise GsensError(f"evidence value for variable {i + 1} is {v}, not finite")
         order = np.argsort(idx)
         object.__setattr__(self, "indices", tuple(idx[k] for k in order))
         object.__setattr__(self, "values", vals[order])

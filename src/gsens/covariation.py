@@ -11,9 +11,11 @@ zero. Four fill shapes are supported:
   row      fill rows E of the block, E a subset of the block rows
   column   fill columns F of the block, F a subset of the block columns
 
-plus "none" (no covariation at all). Multi-parameter variations are
-decomposed into single-parameter factors which are covaried individually
-and composed by entrywise product.
+plus "none" (no covariation at all). A single-position plan is
+1 + (delta-1)*M for a 0/1 mask M that the scheme fixes and delta does not
+touch, so whether a scheme keeps the model valid is decided on M alone.
+Multi-parameter variations are decomposed into single-parameter factors
+which are covaried individually and composed by entrywise product.
 """
 
 from __future__ import annotations
@@ -27,14 +29,7 @@ import numpy as np
 
 from .cimodel import CIStatement, ModelCheck, model_holds, nonempty_conditioning, require_model
 from .errors import FactorError, SchemeError
-from .matcore import (
-    DEFAULT_TOL,
-    Minor,
-    TolerancePolicy,
-    as_matrix,
-    check_symmetric,
-    ones_block,
-)
+from .matcore import DEFAULT_TOL, TolerancePolicy, as_matrix, check_symmetric, ones_block
 
 SCHEME_KINDS = ("total", "partial", "row", "column", "none")
 
@@ -63,26 +58,6 @@ class Scheme:
             object.__setattr__(self, "subset", tuple(sorted(int(v) for v in self.subset)))
             if len(set(self.subset)) != len(self.subset):
                 raise SchemeError("scheme subset contains duplicates")
-
-    @classmethod
-    def total(cls):
-        return cls("total")
-
-    @classmethod
-    def partial(cls, statement_index: int | None = None):
-        return cls("partial", statement_index=statement_index)
-
-    @classmethod
-    def row(cls, subset=None, statement_index: int | None = None):
-        return cls("row", None if subset is None else tuple(subset), statement_index)
-
-    @classmethod
-    def column(cls, subset=None, statement_index: int | None = None):
-        return cls("column", None if subset is None else tuple(subset), statement_index)
-
-    @classmethod
-    def none(cls):
-        return cls("none")
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,7 +125,6 @@ class PerturbationPlan:
     """A variation with its covariation: perturbs cov to product * cov."""
 
     variation: Variation
-    covariation: np.ndarray
     product: np.ndarray
     steps: tuple[PlanStep, ...]
 
@@ -163,6 +137,11 @@ class PerturbationPlan:
     def n(self) -> int:
         return self.variation.n
 
+    @property
+    def covariation(self) -> np.ndarray:
+        """The factors the scheme adds to the variation's own."""
+        return self.product / self.variation.matrix
+
     def apply(self, cov) -> np.ndarray:
         """Perturbed covariance: entrywise product with the plan."""
         cov = as_matrix(cov)
@@ -170,34 +149,14 @@ class PerturbationPlan:
             raise ValueError(f"dimension mismatch: plan is {self.n}, matrix is {cov.shape[0]}")
         return self.product * cov
 
-    def is_total(self) -> bool:
-        return bool(self.steps) and all(s.scheme.kind == "total" for s in self.steps)
-
-    def total_factor(self) -> float:
-        """Product of the factors of a plan composed of total schemes only."""
-        if not self.is_total():
-            raise ValueError("plan is not composed of total schemes")
-        return float(np.prod([s.delta for s in self.steps]))
-
-
-def _ones_plan(variation: Variation) -> PerturbationPlan:
-    i, j, delta = variation.factors[0]
-    return PerturbationPlan(
-        variation=variation,
-        covariation=np.ones((variation.n, variation.n)),
-        product=variation.matrix,
-        steps=(PlanStep(i, j, delta, Scheme("none")),),
-    )
-
 
 def _finish_plan(variation: Variation, product: np.ndarray, scheme: Scheme) -> PerturbationPlan:
     i, j, delta = variation.factors[0]
-    return PerturbationPlan(
-        variation=variation,
-        covariation=product / variation.matrix,
-        product=product,
-        steps=(PlanStep(i, j, delta, scheme),),
-    )
+    return PerturbationPlan(variation=variation, product=product, steps=(PlanStep(i, j, delta, scheme),))
+
+
+def _ones_plan(variation: Variation) -> PerturbationPlan:
+    return _finish_plan(variation, variation.matrix, Scheme("none"))
 
 
 def _classify(i: int, j: int, stmt: CIStatement) -> tuple[str, int, int] | None:
@@ -320,66 +279,23 @@ def _union_block(statements: Sequence[CIStatement]) -> tuple[tuple[int, ...], tu
     return tuple(sorted(rows)), tuple(sorted(cols))
 
 
-def _step_fill(
-    step: PlanStep, rows: tuple[int, ...], cols: tuple[int, ...]
-) -> np.ndarray:
-    """The block content over rows x cols that the step's scheme prescribes."""
-    fill = np.ones((len(rows), len(cols)))
-    kind = step.scheme.kind
-    if kind in ("total", "partial"):
-        fill[:, :] = step.delta
-    elif kind == "row":
-        for a, r in enumerate(rows):
-            if r in step.scheme.subset:
-                fill[a, :] = step.delta
-    elif kind == "column":
-        for b, c in enumerate(cols):
-            if c in step.scheme.subset:
-                fill[:, b] = step.delta
-    else:  # none: only the varied position itself (where it falls in the block)
-        for x, y in ((step.i, step.j), (step.j, step.i)):
-            if x in rows and y in cols:
-                fill[rows.index(x), cols.index(y)] = step.delta
-    return fill
-
-
-def _fill_fixed_point(fill: np.ndarray, rows: tuple[int, ...], cols: tuple[int, ...]) -> bool:
-    """Embed-then-restrict fixed point: symmetrizing the prescribed block must
-    not alter any entry inside the block."""
-    rpos = {r: a for a, r in enumerate(rows)}
-    cpos = {c: b for b, c in enumerate(cols)}
-    for a, r in enumerate(rows):
-        for b, c in enumerate(cols):
-            # mirror of (r, c) is (c, r); it is inside the block iff c is a
-            # block row and r a block column
-            if c in rpos and r in cpos:
-                if fill[a, b] != fill[rpos[c], cpos[r]]:
-                    return False
-    return True
-
-
-def validate_multi(plan: PerturbationPlan, statements: Sequence[CIStatement]) -> bool:
-    """Check the symmetrization fixed point of every plan factor over the
-    union block of the statements with non-empty conditioning set.
-
-    Assumes the plan's row/column fills were prescribed against the union
-    block (the way build_plan constructs them).
-    """
-    work = nonempty_conditioning(statements)
-    if not work:
-        return True
-    rows, cols = _union_block(work)
-    return all(_fill_fixed_point(_step_fill(s, rows, cols), rows, cols) for s in plan.steps)
-
-
 def _build_union(
     variation: Variation, scheme: Scheme, statements: Sequence[CIStatement]
 ) -> PerturbationPlan:
     """Row/column/partial construction against the union block of several
-    statements, guarded by the symmetrization fixed point."""
+    statements.
+
+    The scheme prescribes a fill rows x cols inside the union block; the
+    plan is that fill and its mirror. It is valid only when mirroring adds
+    no entry of the union block, so that inside the block the plan scales
+    exactly the prescribed rows or columns. The test reads the 0/1 fill mask
+    and never the factor.
+    """
     n = variation.n
     i, j, delta = variation.factors[0]
     rows, cols = _union_block(statements)
+    if max(rows + cols) >= n:
+        raise IndexError(f"statement index {max(rows + cols) + 1} out of range for dimension {n}")
 
     inside = (i in rows and j in cols) or (j in rows and i in cols)
     if not inside:
@@ -392,8 +308,7 @@ def _build_union(
     _warn_negative(delta, scheme.kind)
 
     if scheme.kind == "partial":
-        built = Scheme("partial")
-        product = ones_block(n, rows, cols, delta)
+        built, fill = Scheme("partial"), (rows, cols)
     elif scheme.kind == "row":
         overlap = set(rows) & set(cols)
         ii = i if (i in rows and j in cols) else j
@@ -405,8 +320,7 @@ def _build_union(
                 raise SchemeError("row set must lie within the union block rows")
             if not ((i in subset and j in cols) or (j in subset and i in cols)):
                 raise SchemeError("row set does not cover the varied position")
-        built = Scheme("row", subset)
-        product = ones_block(n, subset, cols, delta)
+        built, fill = Scheme("row", subset), (subset, cols)
     else:  # column
         overlap = set(rows) & set(cols)
         jj = j if (i in rows and j in cols) else i
@@ -418,16 +332,18 @@ def _build_union(
                 raise SchemeError("column set must lie within the union block columns")
             if not ((j in subset and i in rows) or (i in subset and j in rows)):
                 raise SchemeError("column set does not cover the varied position")
-        built = Scheme("column", subset)
-        product = ones_block(n, rows, subset, delta)
+        built, fill = Scheme("column", subset), (rows, subset)
 
-    plan = _finish_plan(variation, product, built)
-    if not validate_multi(plan, statements):
+    mask = np.zeros((n, n), dtype=bool)
+    mask[np.ix_(*fill)] = True
+    mirrored = mask | mask.T
+    block = np.ix_(rows, cols)
+    if not np.array_equal(mirrored[block], mask[block]):
         raise SchemeError(
             f"{scheme.kind} covariation with set {sorted(s + 1 for s in (built.subset or ()))} "
             "is not symmetrizable without altering the union block; widen the set"
         )
-    return plan
+    return _finish_plan(variation, np.where(mirrored, delta, 1.0), built)
 
 
 def build_plan(
@@ -441,12 +357,7 @@ def build_plan(
     statements are zeros of the covariance and survive any entrywise scaling.
     """
     if len(variation.factors) == 0:
-        return PerturbationPlan(
-            variation=variation,
-            covariation=np.ones((variation.n, variation.n)),
-            product=np.ones((variation.n, variation.n)),
-            steps=(),
-        )
+        return PerturbationPlan(variation=variation, product=np.ones((variation.n, variation.n)), steps=())
     if len(variation.factors) > 1:
         plan = None
         for single in variation.split():
@@ -490,37 +401,7 @@ def compose(p1: PerturbationPlan, p2: PerturbationPlan) -> PerturbationPlan:
     for i, j, delta in p1.variation.factors + p2.variation.factors:
         merged[(i, j)] = merged.get((i, j), 1.0) * delta
     variation = Variation(p1.n, tuple((i, j, d) for (i, j), d in merged.items()))
-    return PerturbationPlan(
-        variation=variation,
-        covariation=p1.covariation * p2.covariation,
-        product=p1.product * p2.product,
-        steps=p1.steps + p2.steps,
-    )
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of a preservation check: the per-statement verdicts on the
-    perturbed matrix."""
-
-    check: ModelCheck
-
-    def __bool__(self) -> bool:
-        return self.preserving
-
-    @property
-    def preserving(self) -> bool:
-        return self.check.holds
-
-    @property
-    def failures(self) -> tuple[tuple[int, Minor], ...]:
-        """(statement index, first non-vanishing minor) per failing statement."""
-        return self.check.failures
-
-    @property
-    def witness(self) -> Minor | None:
-        failure = self.check.first_failure
-        return None if failure is None else failure[1]
+    return PerturbationPlan(variation=variation, product=p1.product * p2.product, steps=p1.steps + p2.steps)
 
 
 def verify_preserving(
@@ -528,7 +409,7 @@ def verify_preserving(
     cov,
     statements: Sequence[CIStatement],
     tol: TolerancePolicy = DEFAULT_TOL,
-) -> Verdict:
+) -> ModelCheck:
     """Apply the plan and re-check every statement on the perturbed matrix.
 
     Raises ModelPreconditionError when the input matrix does not satisfy the
@@ -539,4 +420,4 @@ def verify_preserving(
     """
     cov = check_symmetric(as_matrix(cov))
     require_model(cov, statements, tol, None)
-    return Verdict(model_holds(plan.apply(cov), statements, tol))
+    return model_holds(plan.apply(cov), statements, tol)

@@ -100,8 +100,8 @@ def kl_total_closed(n: int, delta: float) -> float:
     """Closed form for a total covariation, which rescales the whole
     covariance by delta: 0.5 * n * (delta - ln(delta) - 1).
 
-    For a composition of total factors, delta is the product of the factors
-    (PerturbationPlan.total_factor). Zero exactly at delta = 1.
+    For a composition of total factors, delta is the product of the
+    factors. Zero exactly at delta = 1.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")

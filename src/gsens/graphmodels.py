@@ -1,15 +1,15 @@
-"""Gaussian joints from DAG parameters, and graph-implied CI statements.
+"""Gaussian joints from DAG parameters, and the CI statements a DAG implies.
 
 A Gaussian DAG assigns each vertex a univariate conditional
 y_i = b0_i + sum_{j in pa(i)} beta_ji * y_j + noise(var_i). Stacking the
 regressions gives the joint mean (I-B)^-T b0 and covariance
 (I-B)^-T diag(var) (I-B)^-1, which satisfies every per-vertex statement
 "i independent of its non-parent predecessors given its parents".
-Undirected graphs encode them instead as zeros of the precision matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -17,7 +17,6 @@ import numpy as np
 
 from .cimodel import CIStatement
 from .errors import GsensError
-from .matcore import DEFAULT_TOL, TolerancePolicy, as_matrix, check_symmetric, inverse
 
 
 class GraphModelError(GsensError):
@@ -30,7 +29,8 @@ class GaussianDag:
 
     edges are (parent, child, coefficient) with 0-based vertices; every
     parent must precede its child in the topological order. intercepts
-    default to zero, conditional variances to one.
+    default to zero, conditional variances to one. Every number must be
+    finite.
     """
 
     n: int
@@ -46,6 +46,10 @@ class GaussianDag:
             raise GraphModelError(f"order must be a permutation of 0..{self.n - 1}")
         if len(self.intercepts) != self.n or len(self.cond_vars) != self.n:
             raise GraphModelError("intercepts and cond_vars must have length n")
+        for name, values in (("intercept", self.intercepts), ("conditional variance", self.cond_vars)):
+            for k, v in enumerate(values):
+                if not math.isfinite(v):
+                    raise GraphModelError(f"{name} of vertex {k + 1} is {v}, not finite")
         if any(v <= 0 for v in self.cond_vars):
             raise GraphModelError("conditional variances must be positive")
         pos = {v: k for k, v in enumerate(self.order)}
@@ -62,7 +66,8 @@ class GaussianDag:
                 raise GraphModelError(
                     f"edge ({parent + 1}->{child + 1}) violates the topological order"
                 )
-            _ = float(beta)
+            if not math.isfinite(beta):
+                raise GraphModelError(f"edge ({parent + 1}->{child + 1}) coefficient is {beta}, not finite")
 
     @classmethod
     def from_edges(
@@ -120,71 +125,3 @@ def dag_ci_statements(dag: GaussianDag) -> tuple[CIStatement, ...]:
             )
     return tuple(out)
 
-
-@dataclass(frozen=True)
-class UndirectedGraph:
-    """Simple undirected graph on 0-based vertices."""
-
-    n: int
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise GraphModelError("dimension must be >= 1")
-        norm = []
-        seen = set()
-        for i, j in self.edges:
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise GraphModelError(f"edge ({i},{j}) out of range")
-            if i == j:
-                raise GraphModelError(f"self-loop at vertex {i}")
-            e = (min(i, j), max(i, j))
-            if e in seen:
-                raise GraphModelError(f"duplicate edge {e}")
-            seen.add(e)
-            norm.append(e)
-        object.__setattr__(self, "edges", tuple(sorted(norm)))
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in set(self.edges)
-
-
-def ug_ci_statements(graph: UndirectedGraph) -> tuple[CIStatement, ...]:
-    """Pairwise Markov statements: one per missing edge, conditioning on all
-    remaining vertices."""
-    out = []
-    for i in range(graph.n):
-        for j in range(i + 1, graph.n):
-            if not graph.has_edge(i, j):
-                rest = tuple(v for v in range(graph.n) if v not in (i, j))
-                out.append(CIStatement(left=(i,), right=(j,), given=rest))
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class UgCheck:
-    ok: bool
-    # (i, j, kind, precision value); kind is "nonzero-on-missing-edge" or
-    # "zero-on-edge"
-    violations: tuple[tuple[int, int, str, float], ...]
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def ug_check(cov, graph: UndirectedGraph, tol: TolerancePolicy = DEFAULT_TOL) -> UgCheck:
-    """Verify both directions of the precision-zero/missing-edge
-    correspondence under the tolerance policy."""
-    cov = check_symmetric(as_matrix(cov))
-    if cov.shape[0] != graph.n:
-        raise ValueError(f"covariance dimension {cov.shape[0]} != graph size {graph.n}")
-    prec = inverse(cov)
-    violations = []
-    for i in range(graph.n):
-        for j in range(i + 1, graph.n):
-            zero = tol.entry_is_zero(prec[i, j])
-            if graph.has_edge(i, j) and zero:
-                violations.append((i, j, "zero-on-edge", float(prec[i, j])))
-            elif not graph.has_edge(i, j) and not zero:
-                violations.append((i, j, "nonzero-on-missing-edge", float(prec[i, j])))
-    return UgCheck(not violations, tuple(violations))

@@ -1,9 +1,8 @@
 """Dense symmetric-matrix kernel.
 
-Submatrices, exhaustive minor enumeration, inverses, Schur (entrywise)
-products, positive-semidefiniteness and the ones-filled block embedding
-used by covariation schemes. Everything here is a pure function on dense
-arrays.
+Submatrices, exhaustive minor enumeration, inverses,
+positive-semidefiniteness and the ones-filled block embedding used by
+covariation schemes. Everything here is a pure function on dense arrays.
 """
 
 from __future__ import annotations
@@ -79,15 +78,6 @@ def submatrix(m: np.ndarray, rows: Sequence[int], cols: Sequence[int]) -> Block:
     r = as_index_set(rows, n, "row index set")
     c = as_index_set(cols, m.shape[1], "column index set")
     return Block(r, c, m[np.ix_(r, c)])
-
-
-def schur(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entrywise (Schur) product of two equal-dimension matrices."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a * b
 
 
 @dataclass(frozen=True)
@@ -199,7 +189,7 @@ def ones_block(n: int, rows: Sequence[int], cols: Sequence[int], value: float) -
 
 @dataclass(frozen=True)
 class TolerancePolicy:
-    """Scale-relative vanishing test shared by minors and precision zeros.
+    """Scale-relative vanishing test for minors and, as 1x1 minors, entries.
 
     A minor m of a k x k submatrix S counts as zero iff
     |m| <= rel * max(1, product over rows of max|entry of S|); the product

@@ -101,8 +101,8 @@ def test_criterion_03_preservation_property_suite():
             continue
         kind = kinds[done % 4]
         plan = build_plan(make_variation(dag.n, [(i, j, delta)]), Scheme(kind), statements)
-        verdict = verify_preserving(plan, cov, statements)
-        assert verdict.preserving, (
+        check = verify_preserving(plan, cov, statements)
+        assert check.holds, (
             f"instance {done}: {kind} scheme broke the model "
             f"(n={dag.n}, position=({i + 1},{j + 1}), delta={delta:.4f})"
         )
@@ -122,9 +122,9 @@ def test_criterion_04_negative_control():
         build_scheme(v, Scheme("column", statement_index=0), STMT5_A),
         build_scheme(v, Scheme("column", statement_index=1), STMT5_B),
     )
-    assert not verify_preserving(naive, cov, statements).preserving
+    assert not verify_preserving(naive, cov, statements).holds
     corrected = build_plan(v, Scheme("column", subset=(1, 2)), statements)
-    assert verify_preserving(corrected, cov, statements).preserving
+    assert verify_preserving(corrected, cov, statements).holds
     _report(4, "naive per-statement columns break the model; widened column preserves")
 
 

@@ -13,7 +13,6 @@ from gsens import (
     emit,
     load_model,
     load_sweep_config,
-    model_to_dict,
     one_way_sweep,
     two_way_sweep,
 )
@@ -134,7 +133,16 @@ class TestLoadModel:
         assert load_model(path).statements == ()
 
     def test_round_trip_through_dict(self, toy_model, tmp_path):
-        payload = model_to_dict(toy_model)
+        names = toy_model.names
+        payload = {
+            "variables": list(names),
+            "mean": toy_model.mean.tolist(),
+            "covariance": toy_model.covariance.tolist(),
+            "ci": [
+                {key: [names[i] for i in side] for key, side in zip("ABC", (s.left, s.right, s.given))}
+                for s in toy_model.statements
+            ],
+        }
         reloaded = load_model(write_model(tmp_path, payload, "round.json"))
         np.testing.assert_array_equal(reloaded.covariance, toy_model.covariance)
         np.testing.assert_array_equal(reloaded.mean, toy_model.mean)

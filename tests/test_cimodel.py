@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import STMT5_A, STMT5_B, random_dag, random_dag_with_statement
+from conftest import STMT5_A, random_dag, random_dag_with_statement
 from gsens import (
     DEFAULT_TOL,
     CIStatement,
@@ -19,14 +19,11 @@ from gsens import (
     ci_holds,
     dag_ci_statements,
     dag_to_gaussian,
-    is_separable,
     iter_minors,
     model_holds,
     nonempty_conditioning,
-    separated,
     statement_block,
     submatrix,
-    union_sets,
 )
 from gsens import cimodel
 from gsens.cli import main
@@ -119,34 +116,6 @@ class TestModelHolds:
             assert full.holds == (reduced.holds and marginals_ok)
 
 
-class TestSeparation:
-    def test_shared_entry_is_not_separated(self):
-        # both blocks contain the (3,3) entry
-        assert not separated(STMT5_A, STMT5_B)
-
-    def test_disjoint_supports_are_separated(self):
-        s1 = CIStatement(left=(0, 1), right=(2,))
-        s2 = CIStatement(left=(3, 4), right=(5,))
-        assert separated(s1, s2)
-
-    def test_statement_overlaps_itself(self, stmt4):
-        assert not separated(stmt4, stmt4)
-
-    def test_transposed_entry_counts_as_shared(self):
-        # (0,1) in the first block, (1,0) in the second
-        s1 = CIStatement(left=(0,), right=(1,))
-        s2 = CIStatement(left=(1,), right=(0,))
-        assert not separated(s1, s2)
-
-    def test_separable_set(self):
-        s1 = CIStatement(left=(0,), right=(1,), given=(2,))
-        s2 = CIStatement(left=(3,), right=(4,), given=(5,))
-        s3 = CIStatement(left=(6,), right=(7,))
-        assert is_separable([s1, s2, s3])
-        assert is_separable([s1])
-        assert not is_separable([STMT5_A, STMT5_B])
-
-
 class TestNonemptyConditioning:
     def test_mixed(self):
         marginal = CIStatement(left=(0,), right=(1,))
@@ -158,13 +127,6 @@ class TestNonemptyConditioning:
 
     def test_all_conditional_unchanged(self, stmt4):
         assert nonempty_conditioning([stmt4, STMT5_A]) == (stmt4, STMT5_A)
-
-
-def test_union_sets():
-    left, right, given = union_sets([STMT5_A, STMT5_B])
-    assert left == (1, 3)
-    assert right == (0, 1, 4)
-    assert given == (2,)
 
 
 def minor_witness(cov, stmt, tol):

@@ -3,6 +3,7 @@ import warnings
 
 import pytest
 
+from conftest import model5
 from gsens.cli import main
 from gsens.fixtures import fixture_path
 
@@ -76,6 +77,27 @@ def test_covary_row_with_explicit_set(capsys):
     )
     assert code == 0
     assert '"E": ["Y3"]' in capsys.readouterr().out
+
+
+def test_union_validity_does_not_depend_on_the_factor(tmp_path, rng, capsys):
+    # two statements sharing the (3,3) entry; a lone column Y3 at (4,3)
+    # cannot be mirrored without altering their union block, at any factor
+    path = tmp_path / "m5.json"
+    names = ["Y1", "Y2", "Y3", "Y4", "Y5"]
+    path.write_text(json.dumps({
+        "variables": names,
+        "covariance": model5(rng).tolist(),
+        "ci": [{"A": ["Y4"], "B": ["Y1", "Y2"], "C": ["Y3"]},
+               {"A": ["Y2", "Y4"], "B": ["Y5"], "C": ["Y3"]}],
+    }))
+    for delta in ("0.9", "1.0", "1.1"):
+        argv = ["covary", str(path), "--pos", "Y4,Y3", "--scheme", "column", "--F", "Y3", "--delta", delta]
+        assert main(argv) == 1
+        assert "not symmetrizable" in capsys.readouterr().err
+    assert main(["sweep", str(path), "--pos", "Y4,Y3", "--schemes", "column", "--F", "Y3",
+                 "--deltas", "0.9,1.0,1.1"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert rows == [f"{d},,column,,,false,false" for d in ("0.9", "1.0", "1.1")]
 
 
 def test_covary_invalid_scheme_set(capsys):
@@ -170,6 +192,15 @@ def test_condition(capsys):
 
 def test_condition_unknown_variable(capsys):
     assert main(["condition", SYNTH, "--evidence", "Zed=1"]) == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+def test_condition_non_finite_evidence_exits_one(value, capsys):
+    assert main(["condition", SYNTH, "--evidence", f"Y2={value}"]) == 1
+    captured = capsys.readouterr()
+    shown = "nan" if value == "nan" else "inf"
+    assert captured.out == ""
+    assert captured.err == f"error: evidence value for variable 2 is {shown}, not finite\n"
 
 
 def test_condition_singular_evidence_block_exits_two(tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 from conftest import SIGMA4, random_dag
 from gsens import (
     Evidence,
+    GsensError,
     InadmissibleError,
     SingularMatrixError,
     condition,
@@ -41,6 +42,11 @@ class TestEvidence:
     def test_duplicate_rejected(self):
         with pytest.raises(ValueError):
             Evidence((0, 0), np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_value_rejected(self, value):
+        with pytest.raises(GsensError, match="variable 3 is .*, not finite"):
+            Evidence.from_pairs([(0, 1.0), (2, value)])
 
 
 class TestCondition:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from gsens import (
     CIStatement,
     FactorError,
     ModelPreconditionError,
-    PerturbationPlan,
     Scheme,
     SchemeError,
     Variation,
@@ -25,10 +26,8 @@ from gsens import (
     make_variation,
     model_holds,
     ones_block,
-    validate_multi,
     verify_preserving,
 )
-from gsens.covariation import PlanStep
 
 
 class TestVariation:
@@ -151,14 +150,12 @@ class TestUnionConstruction:
         np.testing.assert_array_equal(
             p.product, ones_block(5, (3,), (0, 1, 2, 4), 1.5)
         )
-        assert validate_multi(p, [STMT5_A, STMT5_B])
 
     def test_default_column_widens_to_the_overlap(self):
         p = build_plan(self.variation(), Scheme("column"), [STMT5_A, STMT5_B])
         np.testing.assert_array_equal(
             p.product, ones_block(5, (1, 2, 3), (1, 2), 1.5)
         )
-        assert validate_multi(p, [STMT5_A, STMT5_B])
 
     def test_single_column_fill_is_rejected(self):
         with pytest.raises(SchemeError, match="not symmetrizable"):
@@ -166,7 +163,11 @@ class TestUnionConstruction:
 
     def test_explicit_widened_column_is_accepted(self):
         p = build_plan(self.variation(), Scheme("column", subset=(1, 2)), [STMT5_A, STMT5_B])
-        assert validate_multi(p, [STMT5_A, STMT5_B])
+        assert p.steps[0].scheme == Scheme("column", (1, 2))
+
+    def test_statement_beyond_the_dimension_rejected(self):
+        with pytest.raises(IndexError, match="statement index 5 out of range for dimension 4"):
+            build_plan(make_variation(4, [(3, 2, 1.5)]), Scheme("row"), [STMT5_A, STMT5_B])
 
     def test_position_outside_every_block(self):
         v = make_variation(5, [(0, 0, 2.0)])
@@ -176,33 +177,36 @@ class TestUnionConstruction:
 
 
 class TestValidateMulti:
-    def _manual_plan(self, subset):
-        v = make_variation(5, [(3, 2, 1.5)])
-        product = ones_block(5, (1, 2, 3), subset, 1.5)
-        return PerturbationPlan(
-            variation=v,
-            covariation=product / v.matrix,
-            product=product,
-            steps=(PlanStep(3, 2, 1.5, Scheme("column", subset)),),
-        )
+    """Validity of a plan against several statements is decided on the fill
+    mask, so the verdict is the same at every factor, 1 included."""
+
+    STATEMENTS = [STMT5_A, STMT5_B]
+    DELTAS = (1.0, 0.5, -1.0, 1.5)
+
+    def _build(self, scheme, delta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # negative factors warn
+            return build_plan(make_variation(5, [(3, 2, delta)]), scheme, self.STATEMENTS)
 
     def test_single_column_fails_fixed_point(self):
-        plan = self._manual_plan((2,))
-        assert not validate_multi(plan, [STMT5_A, STMT5_B])
+        for delta in self.DELTAS:
+            with pytest.raises(SchemeError, match="not symmetrizable"):
+                self._build(Scheme("column", subset=(2,)), delta)
 
     def test_filled_column_passes(self):
-        plan = self._manual_plan((1, 2))
-        assert validate_multi(plan, [STMT5_A, STMT5_B])
+        for delta in self.DELTAS:
+            plan = self._build(Scheme("column", subset=(1, 2)), delta)
+            np.testing.assert_array_equal(plan.product, ones_block(5, (1, 2, 3), (1, 2), delta))
 
     def test_all_ones_plan_passes(self):
         v = make_variation(5, [(0, 0, 2.0)])
-        plan = build_plan(v, Scheme("none"), [STMT5_A, STMT5_B])
-        assert validate_multi(plan, [STMT5_A, STMT5_B])
+        plan = build_plan(v, Scheme("none"), self.STATEMENTS)
+        np.testing.assert_array_equal(plan.product, v.matrix)
 
     def test_no_conditional_statements_is_trivially_valid(self):
         v = make_variation(3, [(0, 1, 2.0)])
         plan = build_plan(v, Scheme("partial"), [])
-        assert validate_multi(plan, [])
+        np.testing.assert_array_equal(plan.covariation, np.ones((3, 3)))
 
 
 class TestCompose:
@@ -256,13 +260,13 @@ class TestCompose:
 class TestVerifyPreserving:
     def test_partial_preserves(self, sigma4, stmt4):
         plan = build_scheme(make_variation(4, [(1, 0, 1.25)]), Scheme("partial"), stmt4)
-        assert verify_preserving(plan, sigma4, [stmt4]).preserving
+        assert verify_preserving(plan, sigma4, [stmt4]).holds
 
     def test_bare_variation_breaks_with_hand_witness(self, sigma4, stmt4):
         plan = build_plan(make_variation(4, [(1, 0, 1.25)]), Scheme("none"), [stmt4])
-        verdict = verify_preserving(plan, sigma4, [stmt4])
-        assert not verdict.preserving
-        assert verdict.witness.value == pytest.approx(2.5)  # (1.25*2)*5 - 5*2
+        check = verify_preserving(plan, sigma4, [stmt4])
+        assert not check.holds
+        assert check.first_failure[1].value == pytest.approx(2.5)  # (1.25*2)*5 - 5*2
 
     def test_input_not_in_model_raises(self, sigma4, stmt4):
         broken = sigma4.copy()
@@ -281,14 +285,14 @@ class TestVerifyPreserving:
             build_scheme(v, Scheme("column", statement_index=1), STMT5_B),
         )
         assert naive.product[2, 2] == pytest.approx(1.5 * 1.5)
-        assert not verify_preserving(naive, cov, statements).preserving
+        assert not verify_preserving(naive, cov, statements).holds
 
     def test_corrected_union_column_preserves(self, rng):
         cov = model5(rng)
         plan = build_plan(
             make_variation(5, [(3, 2, 1.5)]), Scheme("column", subset=(1, 2)), [STMT5_A, STMT5_B]
         )
-        assert verify_preserving(plan, cov, [STMT5_A, STMT5_B]).preserving
+        assert verify_preserving(plan, cov, [STMT5_A, STMT5_B]).holds
 
 
 def _position_inside_block(rng, statements):
@@ -315,7 +319,7 @@ class TestSchemeSoundness:
                 continue
             kind = kinds[done % 4]
             plan = build_plan(make_variation(dag.n, [(i, j, delta)]), Scheme(kind), statements)
-            assert verify_preserving(plan, cov, statements).preserving, (
+            assert verify_preserving(plan, cov, statements).holds, (
                 f"{kind} scheme failed for n={dag.n}, position ({i},{j}), delta={delta}"
             )
             done += 1
@@ -328,12 +332,12 @@ class TestSchemeSoundness:
         assert model_holds(cov, statements).holds
         plan = build_plan(make_variation(4, [(0, 1, 1.7)]), Scheme("partial"), statements)
         np.testing.assert_array_equal(plan.covariation, np.ones((4, 4)))
-        assert verify_preserving(plan, cov, statements).preserving
+        assert verify_preserving(plan, cov, statements).holds
 
     def test_separable_statements_compose_per_statement(self, rng):
         # block-diagonal joint of two chains: the two chain statements have
         # disjoint supports, so per-statement plans compose safely
-        from gsens import GaussianDag, is_separable
+        from gsens import GaussianDag
 
         def chain_cov():
             betas = rng.uniform(0.5, 2.0, size=2)
@@ -347,18 +351,17 @@ class TestSchemeSoundness:
         cov[3:, 3:] = cov_b
         s1 = CIStatement(left=(2,), right=(0,), given=(1,))
         s2 = CIStatement(left=(5,), right=(3,), given=(4,))
-        assert is_separable([s1, s2])
         assert model_holds(cov, [s1, s2]).holds
         p1 = build_scheme(make_variation(6, [(1, 0, 1.5)]), Scheme("row", statement_index=0), s1)
         p2 = build_scheme(make_variation(6, [(4, 3, 0.7)]), Scheme("column", statement_index=1), s2)
-        assert verify_preserving(compose(p1, p2), cov, [s1, s2]).preserving
+        assert verify_preserving(compose(p1, p2), cov, [s1, s2]).holds
 
     def test_composition_of_preserving_plans_preserves(self, rng, sigma4, stmt4):
         for _ in range(10):
             d1, d2 = rng.uniform(0.25, 2, size=2)
             p1 = build_scheme(make_variation(4, [(1, 0, d1)]), Scheme("partial"), stmt4)
             p2 = build_scheme(make_variation(4, [(1, 1, d2)]), Scheme("row"), stmt4)
-            assert verify_preserving(compose(p1, p2), sigma4, [stmt4]).preserving
+            assert verify_preserving(compose(p1, p2), sigma4, [stmt4]).holds
 
     def test_total_keeps_positive_semidefiniteness(self, rng):
         for _ in range(20):
@@ -394,12 +397,12 @@ class TestMultiPositionVariation:
         ]
         np.testing.assert_array_equal(plan.product, compose(*singles).product)
         assert len(plan.steps) == 2
-        assert verify_preserving(plan, sigma4, [stmt4]).preserving
+        assert verify_preserving(plan, sigma4, [stmt4]).holds
 
     def test_total_multi_position_multiplies_factors(self, sigma4, stmt4):
         v = make_variation(4, [(1, 0, 1.2), (2, 1, 1.1)])
         plan = build_plan(v, Scheme("total"), [stmt4])
-        assert plan.is_total()
+        assert [s.scheme.kind for s in plan.steps] == ["total", "total"]
         np.testing.assert_allclose(plan.product, np.full((4, 4), 1.2 * 1.1), rtol=1e-15)
 
 
@@ -416,7 +419,5 @@ class TestPlanInvariants:
     def test_total_factor_bookkeeping(self, stmt4):
         p1 = build_scheme(make_variation(4, [(1, 0, 1.25)]), Scheme("total"), stmt4)
         p2 = build_scheme(make_variation(4, [(2, 1, 0.8)]), Scheme("total"), stmt4)
-        combined = compose(p1, p2)
-        assert combined.is_total()
-        assert combined.total_factor() == pytest.approx(1.0)
-        assert not p1.is_total() or p1.total_factor() == 1.25
+        np.testing.assert_array_equal(p1.product, np.full((4, 4), 1.25))
+        np.testing.assert_array_equal(compose(p1, p2).product, np.full((4, 4), 1.25 * 0.8))

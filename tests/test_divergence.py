@@ -142,7 +142,7 @@ class TestKlMp:
         p1 = build_scheme(make_variation(4, [(1, 0, 1.2)]), Scheme("total"), stmt4)
         p2 = build_scheme(make_variation(4, [(2, 1, 1.1)]), Scheme("total"), stmt4)
         combined = compose(p1, p2)
-        want = kl_total_closed(4, combined.total_factor())
+        want = kl_total_closed(4, 1.2 * 1.1)
         assert kl_mp(sigma4, combined) == pytest.approx(want, rel=1e-10)
 
 
@@ -254,7 +254,7 @@ class TestSchemeOrdering:
         real = divergence.frobenius_mp
 
         def broken(cov, plan):
-            return 0.0 if plan.is_total() else real(cov, plan)
+            return 0.0 if plan.steps[0].scheme.kind == "total" else real(cov, plan)
 
         monkeypatch.setattr(divergence, "frobenius_mp", broken)
         with pytest.raises(GsensError, match="total < partial"):

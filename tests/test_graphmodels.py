@@ -5,15 +5,11 @@ from conftest import SIGMA4, random_dag
 from gsens import (
     CIStatement,
     GaussianDag,
-    SingularMatrixError,
-    UndirectedGraph,
     dag_ci_statements,
     dag_to_gaussian,
     inverse,
     is_psd,
     model_holds,
-    ug_check,
-    ug_ci_statements,
 )
 from gsens.graphmodels import GraphModelError
 
@@ -72,6 +68,15 @@ class TestDagValidation:
         with pytest.raises(GraphModelError):
             GaussianDag.from_edges(2, [(0, 0, 1.0)])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_parameters_rejected(self, bad):
+        with pytest.raises(GraphModelError, match="coefficient is"):
+            GaussianDag.from_edges(2, [(0, 1, bad)])
+        with pytest.raises(GraphModelError, match="intercept of vertex 2"):
+            GaussianDag.from_edges(2, [], intercepts=(0.0, bad))
+        with pytest.raises(GraphModelError, match="conditional variance of vertex 1"):
+            GaussianDag.from_edges(2, [], cond_vars=(bad, 1.0))
+
 
 class TestDagCiStatements:
     def test_chain(self):
@@ -94,39 +99,30 @@ class TestDagCiStatements:
             assert model_holds(cov, dag_ci_statements(dag)).holds
 
 
-class TestUndirectedGraph:
-    def test_pairwise_markov_statements(self):
-        # diamond on 4 vertices, missing edges (1,2) and (2,3)
-        g = UndirectedGraph(4, ((1, 3), (2, 3), (0, 2), (0, 3)))
-        statements = ug_ci_statements(g)
-        assert statements == (
-            CIStatement(left=(0,), right=(1,), given=(2, 3)),
-            CIStatement(left=(1,), right=(2,), given=(0, 3)),
-        )
-
-    def test_complete_graph_has_no_statements(self):
-        g = UndirectedGraph(3, ((0, 1), (0, 2), (1, 2)))
-        assert ug_ci_statements(g) == ()
-
-    def test_empty_graph_has_all_pairs(self):
-        assert len(ug_ci_statements(UndirectedGraph(3, ()))) == 3
-
-    def test_self_loop_rejected(self):
-        with pytest.raises(GraphModelError):
-            UndirectedGraph(3, ((1, 1),))
+def _pairwise(n, edges):
+    """Pairwise Markov statements of an undirected graph: one per missing
+    edge i-j, i _||_ j given every other vertex."""
+    return [
+        CIStatement(left=(i,), right=(j,), given=tuple(v for v in range(n) if v not in (i, j)))
+        for i in range(n)
+        for j in range(i + 1, n)
+        if (i, j) not in edges
+    ]
 
 
 class TestUgCheck:
+    """An undirected Gaussian graphical model is checked through its pairwise
+    Markov statements, listed as ordinary CI statements."""
+
     def test_identity_matches_empty_graph(self):
-        assert ug_check(np.eye(3), UndirectedGraph(3, ())).ok
+        assert model_holds(np.eye(3), _pairwise(3, ())).holds
 
     def test_two_variable_edge(self):
         cov = np.array([[1.0, 2.0], [2.0, 5.0]])
         # precision [[5,-2],[-2,1]]: off-diagonal nonzero, edge required
-        assert ug_check(cov, UndirectedGraph(2, ((0, 1),))).ok
-        res = ug_check(cov, UndirectedGraph(2, ()))
-        assert not res.ok
-        assert res.violations[0][:3] == (0, 1, "nonzero-on-missing-edge")
+        assert model_holds(cov, _pairwise(2, {(0, 1)})).holds
+        res = model_holds(cov, _pairwise(2, ()))
+        assert [k for k, _ in res.failures] == [0]
 
     def test_constructed_precision_zero_pattern(self):
         # build a covariance from a precision matrix with chosen zeros
@@ -139,16 +135,11 @@ class TestUgCheck:
             ]
         )
         cov = inverse(prec)
-        good = UndirectedGraph(4, ((0, 1), (1, 2)))
-        assert ug_check(cov, good).ok
-        # an extra edge is reported as a zero-precision edge
-        res = ug_check(cov, UndirectedGraph(4, ((0, 1), (1, 2), (2, 3))))
-        assert not res.ok
-        assert res.violations[0][:3] == (2, 3, "zero-on-edge")
-
-    def test_singular_covariance_raises(self):
-        with pytest.raises(SingularMatrixError):
-            ug_check(np.ones((3, 3)), UndirectedGraph(3, ()))
+        assert model_holds(cov, _pairwise(4, {(0, 1), (1, 2)})).holds
+        # dropping the (1,2) edge asserts a precision zero that is not there
+        statements = _pairwise(4, {(0, 1)})
+        failing = [statements[k] for k, _ in model_holds(cov, statements).failures]
+        assert failing == [CIStatement(left=(1,), right=(2,), given=(0, 3))]
 
     def test_marginal_zero_is_not_a_precision_zero(self):
         # the control-group covariance has an exact zero at (B,GC), but its
@@ -159,9 +150,5 @@ class TestUgCheck:
         model = load_model(fixture_path("cachexia_control"))
         b, gc = model.index("B"), model.index("GC")
         assert model.covariance[b, gc] == 0.0
-        edges = tuple(
-            (i, j) for i in range(6) for j in range(i + 1, 6) if (i, j) != (b, gc)
-        )
-        res = ug_check(model.covariance, UndirectedGraph(6, edges))
-        assert not res.ok
-        assert res.violations[0][:3] == (b, gc, "nonzero-on-missing-edge")
+        edges = {(i, j) for i in range(6) for j in range(i + 1, 6) if (i, j) != (min(b, gc), max(b, gc))}
+        assert not model_holds(model.covariance, _pairwise(6, edges)).holds

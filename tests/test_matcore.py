@@ -1,8 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from gsens import (
     Block,
@@ -13,7 +10,6 @@ from gsens import (
     is_psd,
     iter_minors,
     ones_block,
-    schur,
     submatrix,
 )
 
@@ -44,27 +40,6 @@ class TestSubmatrix:
 
 
 class TestSchur:
-    def test_ones_identity(self, sigma4):
-        np.testing.assert_array_equal(schur(sigma4, np.ones((4, 4))), sigma4)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            schur(np.ones((2, 2)), np.ones((3, 3)))
-
-    # magnitudes bounded away from zero so triple products cannot underflow
-    _elements = st.floats(1e-3, 5.0) | st.floats(-5.0, -1e-3)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        a=arrays(np.float64, (4, 4), elements=_elements),
-        b=arrays(np.float64, (4, 4), elements=_elements),
-        c=arrays(np.float64, (4, 4), elements=_elements),
-    )
-    def test_commutative_associative(self, a, b, c):
-        np.testing.assert_array_equal(schur(a, b), schur(b, a))
-        # associativity holds up to one rounding of the products
-        np.testing.assert_allclose(schur(schur(a, b), c), schur(a, schur(b, c)), rtol=1e-15)
-
     def test_column_factors_compose_with_squared_center(self):
         # two one-column covariations sharing the (3,3) entry, times the
         # variation at (4,3): the shared entry picks up delta^2
@@ -72,7 +47,7 @@ class TestSchur:
         cov1 = ones_block(5, [2], [2], d)  # covaries the (3,3) entry
         cov2 = ones_block(5, [1, 2], [2], d)  # covaries (2,3),(3,2),(3,3)
         variation = ones_block(5, [3], [2], d)  # the varied entry itself
-        product = schur(schur(cov1, cov2), variation)
+        product = cov1 * cov2 * variation
         expected = np.ones((5, 5))
         expected[1, 2] = expected[2, 1] = d
         expected[2, 2] = d * d

@@ -1,5 +1,8 @@
-"""The README's CLI examples and sweep config example run as written."""
+"""The README's CLI examples, sweep config example and library tour run as
+written."""
 
+import contextlib
+import io
 import json
 import re
 import shlex
@@ -39,3 +42,11 @@ def test_config_example(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["sweep", "--config", str(path)]) == 0
     assert (tmp_path / config["output"]).read_text().startswith("delta1,delta2,scheme,")
+
+
+def test_library_tour():
+    (block,) = _blocks("python")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    assert out.getvalue().splitlines()[0] == "True"
