@@ -35,7 +35,6 @@ from .covariation import (
     Scheme,
     Variation,
     build_plan,
-    build_scheme,
     compose,
     make_variation,
     verify_preserving,
@@ -72,7 +71,6 @@ from .matcore import (
     inverse,
     is_psd,
     iter_minors,
-    ones_block,
     submatrix,
 )
 

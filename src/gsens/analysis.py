@@ -140,12 +140,14 @@ def _num(value, where: str) -> float:
 
 
 def _read_json(path: Path) -> dict:
-    """The top-level object of a JSON file; a missing file, malformed JSON or
-    another top level is a ModelFormatError."""
+    """The top-level object of a JSON file; a missing or unreadable file,
+    malformed JSON or another top level is a ModelFormatError."""
     try:
         raw = json.loads(path.read_text())
     except FileNotFoundError:
         raise ModelFormatError(f"{path}: no such file") from None
+    except OSError as e:
+        raise ModelFormatError(f"{path}: cannot read ({e.strerror})") from None
     except json.JSONDecodeError as e:
         raise ModelFormatError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
     if not isinstance(raw, dict):
@@ -493,7 +495,7 @@ def _fmt(value) -> str:
 
 def emit(records: Sequence[SweepRecord], fmt: str = "csv", path=None) -> str:
     """Serialize records as CSV (fixed columns) or JSON; returns the text and
-    writes it to path when given."""
+    writes it to path when given (a GsensError when it cannot be written)."""
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -534,7 +536,10 @@ def emit(records: Sequence[SweepRecord], fmt: str = "csv", path=None) -> str:
     else:
         raise ValueError(f"unknown output format {fmt!r}; expected csv or json")
     if path is not None:
-        Path(path).write_text(text)
+        try:
+            Path(path).write_text(text)
+        except OSError as e:
+            raise GsensError(f"{path}: cannot write ({e.strerror})") from None
     return text
 
 
@@ -563,7 +568,10 @@ def _parse_grid(raw, where: str) -> tuple[float, ...]:
             raise ModelFormatError(f"{where}.step must be > 0")
         if hi < lo:
             raise ModelFormatError(f"{where}: max < min")
-        count = int(round((hi - lo) / step)) + 1
+        span = (hi - lo) / step
+        if not math.isfinite(span):
+            raise ModelFormatError(f"{where}: too many factors from min to max by step")
+        count = int(round(span)) + 1
         return tuple(round(lo + k * step, 12) for k in range(count) if lo + k * step <= hi + 1e-12)
     raise ModelFormatError(f"{where}: expected a list or a min/max/step object")
 

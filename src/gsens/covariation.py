@@ -11,9 +11,12 @@ zero. Four fill shapes are supported:
   row      fill rows E of the block, E a subset of the block rows
   column   fill columns F of the block, F a subset of the block columns
 
-plus "none" (no covariation at all). A single-position plan is
-1 + (delta-1)*M for a 0/1 mask M that the scheme fixes and delta does not
-touch, so whether a scheme keeps the model valid is decided on M alone.
+plus "none" (no covariation at all). One builder makes every partial, row
+and column fill; its block is the union of the blocks of the statements it
+targets, and one statement is the one-element case. A single-position plan
+is 1 + (delta-1)*M for a 0/1 mask M that the scheme fixes and delta does
+not touch, so whether a scheme keeps the model valid is decided on the sets
+E and F alone.
 Multi-parameter variations are decomposed into single-parameter factors
 which are covaried individually and composed by entrywise product.
 """
@@ -29,7 +32,7 @@ import numpy as np
 
 from .cimodel import CIStatement, ModelCheck, model_holds, nonempty_conditioning, require_model
 from .errors import FactorError, SchemeError
-from .matcore import DEFAULT_TOL, TolerancePolicy, as_matrix, check_symmetric, ones_block
+from .matcore import DEFAULT_TOL, TolerancePolicy, as_matrix, check_symmetric
 
 SCHEME_KINDS = ("total", "partial", "row", "column", "none")
 
@@ -159,202 +162,94 @@ def _ones_plan(variation: Variation) -> PerturbationPlan:
     return _finish_plan(variation, variation.matrix, Scheme("none"))
 
 
-def _classify(i: int, j: int, stmt: CIStatement) -> tuple[str, int, int] | None:
-    """Locate (i, j) in the statement block; returns (case, row-side index,
-    col-side index) or None when the position misses the block entirely.
+def _one_based(indices) -> list[int]:
+    return sorted(k + 1 for k in indices)
 
-    Cases: "ab" left x right, "ac" left x given, "cb" given x right,
-    "cc" given x given.
+
+def _fill_set(
+    scheme: Scheme, i: int, j: int, varied: int, own: set[int], other: set[int]
+) -> tuple[int, ...]:
+    """The row set E (own = block rows, other = block columns) or, mirrored,
+    the column set F of a row or column fill at position (i, j).
+
+    The fill is E x cols and its mirror cols x E. Inside the block the
+    mirror adds (rows & cols) x (E & cols), which the fill already holds iff
+    E misses the columns or contains rows & cols; otherwise mirroring would
+    scale part of a row the scheme leaves alone. The default set is the
+    varied row alone, or all of rows & cols when the varied row lies there.
     """
-    a, b, c = set(stmt.left), set(stmt.right), set(stmt.given)
-    for x, y in ((i, j), (j, i)):
-        if x in a | c and y in b | c:
-            if x in c and y in c:
-                return ("cc", x, y)
-            if x in a and y in b:
-                return ("ab", x, y)
-            if x in a and y in c:
-                return ("ac", x, y)
-            return ("cb", x, y)
-    return None
+    overlap = own & other
+    if scheme.subset is None:
+        return tuple(sorted(overlap)) if varied in overlap else (varied,)
+    subset = set(scheme.subset)
+    covers = (i in subset and j in other) or (j in subset and i in other)
+    if subset <= own and covers and (overlap <= subset or not subset & other):
+        return scheme.subset
+    side, opposite = ("row", "column") if scheme.kind == "row" else ("column", "row")
+    raise SchemeError(
+        f"{side} set {_one_based(subset)} does not fit position ({i + 1},{j + 1}): a {side} set "
+        f"must lie within the block {side}s {_one_based(own)} and cover the position, and one "
+        f"that meets the block {opposite}s must contain {_one_based(overlap)} (else its fill is "
+        "not symmetrizable without altering the block)"
+    )
 
 
-def _warn_negative(delta: float, kind: str):
+def _covary(
+    variation: Variation, scheme: Scheme, statements: Sequence[CIStatement]
+) -> PerturbationPlan:
+    """Partial, row or column fill of a single-position variation inside the
+    block rows x cols, the union of the statements' blocks (one statement's
+    own block when there is one).
+
+    The plan is the factor on the fill and its mirror, ones elsewhere; inside
+    the block it scales exactly the prescribed rows or columns, so every
+    minor of each statement block is scaled by a power of the factor. A
+    position outside the block needs no covariation.
+    """
+    n = variation.n
+    i, j, delta = variation.factors[0]
+    rows = {k for s in statements for k in s.block_rows}
+    cols = {k for s in statements for k in s.block_cols}
+    if i in rows and j in cols:
+        ii, jj = i, j
+    elif j in rows and i in cols:
+        ii, jj = j, i
+    else:
+        warnings.warn(
+            f"position ({i + 1},{j + 1}) lies outside the statement block; "
+            "no covariation is needed and none is applied",
+            stacklevel=3,
+        )
+        return _ones_plan(variation)
     if delta < 0:
         warnings.warn(
-            f"negative factor {delta} under a {kind} covariation flips the sign "
+            f"negative factor {delta} under a {scheme.kind} covariation flips the sign "
             "of the covaried entries; allowed, but rarely intended",
             stacklevel=3,
         )
 
-
-def build_scheme(variation: Variation, scheme: Scheme, stmt: CIStatement) -> PerturbationPlan:
-    """Plan for a single-position variation against one statement.
-
-    Row/column subsets are validated against the position's location in the
-    statement block: positions in left x right admit any row set within
-    "left" containing the row (column set within "right" containing the
-    column); positions touching the conditioning set force the corresponding
-    set to be exactly the conditioning set. A position outside the block
-    needs no covariation at all and degrades to ones with a warning.
-    """
-    if len(variation.factors) != 1:
-        raise SchemeError("build_scheme takes a single-position variation; compose factors instead")
-    n = variation.n
-    if stmt.max_index >= n:
-        raise IndexError(f"statement index {stmt.max_index + 1} out of range for dimension {n}")
-    i, j, delta = variation.factors[0]
-
-    if scheme.kind == "none":
-        return _ones_plan(variation)
-    if scheme.kind == "total":
-        if delta <= 0:
-            raise SchemeError("total covariation requires delta > 0: variances would change sign")
-        return _finish_plan(variation, np.full((n, n), delta), Scheme("total"))
-
-    where = _classify(i, j, stmt)
-    if where is None:
-        warnings.warn(
-            f"position ({i + 1},{j + 1}) lies outside the statement block; "
-            "no covariation is needed and none is applied",
-            stacklevel=2,
-        )
-        return _ones_plan(variation)
-    case, ii, jj = where
-    rows, cols = stmt.block_rows, stmt.block_cols
-    _warn_negative(delta, scheme.kind)
-
-    if scheme.kind == "partial":
-        return _finish_plan(
-            variation, ones_block(n, rows, cols, delta), Scheme("partial", None, scheme.statement_index)
-        )
-
+    r, c, subset = sorted(rows), sorted(cols), None
     if scheme.kind == "row":
-        if case in ("ab", "ac"):
-            subset = scheme.subset if scheme.subset is not None else (ii,)
-            if ii not in subset or not set(subset) <= set(stmt.left):
-                raise SchemeError(
-                    f"row covariation for a position in "
-                    f"{'left x right' if case == 'ab' else 'left x given'} needs a row set "
-                    f"within the left set and containing row {ii + 1}; got {sorted(subset)}"
-                )
-        else:  # cb, cc
-            subset = scheme.subset if scheme.subset is not None else stmt.given
-            if tuple(sorted(subset)) != stmt.given:
-                raise SchemeError(
-                    "row covariation for a position touching the conditioning set "
-                    "must cover exactly the conditioning rows"
-                )
-        return _finish_plan(
-            variation, ones_block(n, subset, cols, delta), Scheme("row", tuple(subset), scheme.statement_index)
-        )
-
-    # column
-    if case in ("ab", "cb"):
-        subset = scheme.subset if scheme.subset is not None else (jj,)
-        if jj not in subset or not set(subset) <= set(stmt.right):
-            raise SchemeError(
-                f"column covariation for a position in "
-                f"{'left x right' if case == 'ab' else 'given x right'} needs a column set "
-                f"within the right set and containing column {jj + 1}; got {sorted(subset)}"
-            )
-    else:  # ac, cc
-        subset = scheme.subset if scheme.subset is not None else stmt.given
-        if tuple(sorted(subset)) != stmt.given:
-            raise SchemeError(
-                "column covariation for a position touching the conditioning set "
-                "must cover exactly the conditioning columns"
-            )
-    return _finish_plan(
-        variation, ones_block(n, rows, subset, delta), Scheme("column", tuple(subset), scheme.statement_index)
-    )
-
-
-def _union_block(statements: Sequence[CIStatement]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    rows: set[int] = set()
-    cols: set[int] = set()
-    for s in statements:
-        rows |= set(s.block_rows)
-        cols |= set(s.block_cols)
-    return tuple(sorted(rows)), tuple(sorted(cols))
-
-
-def _build_union(
-    variation: Variation, scheme: Scheme, statements: Sequence[CIStatement]
-) -> PerturbationPlan:
-    """Row/column/partial construction against the union block of several
-    statements.
-
-    The scheme prescribes a fill rows x cols inside the union block; the
-    plan is that fill and its mirror. It is valid only when mirroring adds
-    no entry of the union block, so that inside the block the plan scales
-    exactly the prescribed rows or columns. The test reads the 0/1 fill mask
-    and never the factor.
-    """
-    n = variation.n
-    i, j, delta = variation.factors[0]
-    rows, cols = _union_block(statements)
-    if max(rows + cols) >= n:
-        raise IndexError(f"statement index {max(rows + cols) + 1} out of range for dimension {n}")
-
-    inside = (i in rows and j in cols) or (j in rows and i in cols)
-    if not inside:
-        warnings.warn(
-            f"position ({i + 1},{j + 1}) lies outside every statement block; "
-            "no covariation is needed and none is applied",
-            stacklevel=3,
-        )
-        return _ones_plan(variation)
-    _warn_negative(delta, scheme.kind)
-
-    if scheme.kind == "partial":
-        built, fill = Scheme("partial"), (rows, cols)
-    elif scheme.kind == "row":
-        overlap = set(rows) & set(cols)
-        ii = i if (i in rows and j in cols) else j
-        if scheme.subset is None:
-            subset = tuple(sorted(overlap | {ii})) if ii in overlap else (ii,)
-        else:
-            subset = scheme.subset
-            if not set(subset) <= set(rows):
-                raise SchemeError("row set must lie within the union block rows")
-            if not ((i in subset and j in cols) or (j in subset and i in cols)):
-                raise SchemeError("row set does not cover the varied position")
-        built, fill = Scheme("row", subset), (subset, cols)
-    else:  # column
-        overlap = set(rows) & set(cols)
-        jj = j if (i in rows and j in cols) else i
-        if scheme.subset is None:
-            subset = tuple(sorted(overlap | {jj})) if jj in overlap else (jj,)
-        else:
-            subset = scheme.subset
-            if not set(subset) <= set(cols):
-                raise SchemeError("column set must lie within the union block columns")
-            if not ((j in subset and i in rows) or (i in subset and j in rows)):
-                raise SchemeError("column set does not cover the varied position")
-        built, fill = Scheme("column", subset), (rows, subset)
-
-    mask = np.zeros((n, n), dtype=bool)
-    mask[np.ix_(*fill)] = True
-    mirrored = mask | mask.T
-    block = np.ix_(rows, cols)
-    if not np.array_equal(mirrored[block], mask[block]):
-        raise SchemeError(
-            f"{scheme.kind} covariation with set {sorted(s + 1 for s in (built.subset or ()))} "
-            "is not symmetrizable without altering the union block; widen the set"
-        )
-    return _finish_plan(variation, np.where(mirrored, delta, 1.0), built)
+        r = subset = _fill_set(scheme, i, j, ii, rows, cols)
+    elif scheme.kind == "column":
+        c = subset = _fill_set(scheme, i, j, jj, cols, rows)
+    product = np.ones((n, n))
+    product[np.ix_(r, c)] = delta
+    product[np.ix_(c, r)] = delta
+    return _finish_plan(variation, product, Scheme(scheme.kind, subset, scheme.statement_index))
 
 
 def build_plan(
     variation: Variation, scheme: Scheme, statements: Sequence[CIStatement]
 ) -> PerturbationPlan:
-    """Plan for a variation against a whole model (list of statements).
+    """Plan for a variation against a model (list of statements).
 
     Multi-position variations are split into single-position factors, each
-    covaried with the requested scheme, and composed. Only the statements
-    with non-empty conditioning set constrain the construction; marginal
-    statements are zeros of the covariance and survive any entrywise scaling.
+    covaried with the requested scheme, and composed. With statement_index
+    set, the scheme is built against that one statement, marginal or not.
+    Otherwise only the statements with non-empty conditioning set constrain
+    the construction: marginal statements are zeros of the covariance and
+    survive any entrywise scaling.
     """
     if len(variation.factors) == 0:
         return PerturbationPlan(variation=variation, product=np.ones((variation.n, variation.n)), steps=())
@@ -365,15 +260,17 @@ def build_plan(
             plan = p if plan is None else compose(plan, p)
         return plan
 
-    if scheme.statement_index is not None:
-        try:
-            stmt = statements[scheme.statement_index]
-        except IndexError:
-            raise SchemeError(
-                f"statement index {scheme.statement_index + 1} out of range "
-                f"({len(statements)} statements)"
-            ) from None
-        return build_scheme(variation, scheme, stmt)
+    k = scheme.statement_index
+    if k is None:
+        targets = nonempty_conditioning(statements)
+    elif 0 <= k < len(statements):
+        targets = (statements[k],)
+    else:
+        raise SchemeError(f"statement index {k + 1} out of range ({len(statements)} statements)")
+    n = variation.n
+    top = max((s.max_index for s in targets), default=-1)
+    if top >= n:
+        raise IndexError(f"statement index {top + 1} out of range for dimension {n}")
 
     if scheme.kind == "none":
         return _ones_plan(variation)
@@ -381,16 +278,12 @@ def build_plan(
         delta = variation.factors[0][2]
         if delta <= 0:
             raise SchemeError("total covariation requires delta > 0: variances would change sign")
-        return _finish_plan(variation, np.full((variation.n,) * 2, delta), Scheme("total"))
-
-    work = nonempty_conditioning(statements)
-    if not work:
+        return _finish_plan(variation, np.full((n, n), delta), Scheme("total"))
+    if not targets:
         # nothing constrains the variation: marginal statements are zeros and
         # zeros stay zeros under scaling
         return _ones_plan(variation)
-    if len(work) == 1:
-        return build_scheme(variation, scheme, work[0])
-    return _build_union(variation, scheme, work)
+    return _covary(variation, scheme, targets)
 
 
 def compose(p1: PerturbationPlan, p2: PerturbationPlan) -> PerturbationPlan:

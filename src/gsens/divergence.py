@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cimodel import CIStatement
-from .covariation import PerturbationPlan, Scheme, Variation, build_scheme
+from .covariation import PerturbationPlan, Scheme, Variation, build_plan
 from .errors import GsensError, InadmissibleError, SingularMatrixError
 from .matcore import DEFAULT_TOL, TolerancePolicy, as_matrix, check_symmetric, inverse, is_psd
 
@@ -207,7 +207,7 @@ def scheme_ordering(
     i, j = position
     variation = Variation(cov.shape[0], ((i, j, float(delta)),))
     reports = {
-        kind: evaluate(kind, cov, build_scheme(variation, Scheme(kind), stmt), tol)[1]
+        kind: evaluate(kind, cov, build_plan(variation, Scheme(kind, None, 0), (stmt,)), tol)[1]
         for kind in ("total", "partial", "row", "column")
     }
     shift = additive_shift(cov, (position,), (delta,))

@@ -1,8 +1,8 @@
 """Dense symmetric-matrix kernel.
 
-Submatrices, exhaustive minor enumeration, inverses,
-positive-semidefiniteness and the ones-filled block embedding used by
-covariation schemes. Everything here is a pure function on dense arrays.
+Submatrices, exhaustive minor enumeration, inverses and
+positive-semidefiniteness. Everything here is a pure function on dense
+arrays.
 """
 
 from __future__ import annotations
@@ -175,21 +175,9 @@ def is_psd(m, tol: float = DEFAULT_REL_TOL) -> bool:
     return smallest >= -tol * max(1.0, float(np.abs(a).max()))
 
 
-def ones_block(n: int, rows: Sequence[int], cols: Sequence[int], value: float) -> np.ndarray:
-    """Symmetric matrix with value on rows x cols (and its mirror), ones
-    elsewhere."""
-    r = as_index_set(rows, n, "row index set")
-    c = as_index_set(cols, n, "column index set")
-    out = np.ones((n, n))
-    if r and c:
-        out[np.ix_(r, c)] = value
-        out[np.ix_(c, r)] = value
-    return out
-
-
 @dataclass(frozen=True)
 class TolerancePolicy:
-    """Scale-relative vanishing test for minors and, as 1x1 minors, entries.
+    """Scale-relative vanishing test for minors.
 
     A minor m of a k x k submatrix S counts as zero iff
     |m| <= rel * max(1, product over rows of max|entry of S|); the product
@@ -206,10 +194,6 @@ class TolerancePolicy:
 
     def minor_is_zero(self, minor: Minor) -> bool:
         return abs(minor.value) <= self.rel * max(1.0, minor.scale)
-
-    def entry_is_zero(self, value: float) -> bool:
-        # 1x1-minor rule: the submatrix is the entry itself.
-        return abs(value) <= self.rel * max(1.0, abs(value))
 
 
 DEFAULT_TOL = TolerancePolicy()

@@ -25,6 +25,16 @@ STMT5_A = CIStatement(left=(3,), right=(0, 1), given=(2,))
 STMT5_B = CIStatement(left=(1, 3), right=(4,), given=(2,))
 
 
+def filled(n: int, rows, cols, value: float) -> np.ndarray:
+    """Expected plan product: value on rows x cols and on its mirror, ones
+    elsewhere, set cell by cell."""
+    out = np.ones((n, n))
+    for r in rows:
+        for c in cols:
+            out[r, c] = out[c, r] = value
+    return out
+
+
 @pytest.fixture
 def sigma4():
     return SIGMA4.copy()

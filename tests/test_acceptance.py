@@ -17,7 +17,6 @@ from gsens import (
     Scheme,
     admissible_region,
     build_plan,
-    build_scheme,
     ci_holds,
     compose,
     condition,
@@ -119,8 +118,8 @@ def test_criterion_04_negative_control():
     assert model_holds(cov, statements).holds
     v = make_variation(5, [(3, 2, 1.5)])
     naive = compose(
-        build_scheme(v, Scheme("column", statement_index=0), STMT5_A),
-        build_scheme(v, Scheme("column", statement_index=1), STMT5_B),
+        build_plan(v, Scheme("column", statement_index=0), [STMT5_A, STMT5_B]),
+        build_plan(v, Scheme("column", statement_index=1), [STMT5_A, STMT5_B]),
     )
     assert not verify_preserving(naive, cov, statements).holds
     corrected = build_plan(v, Scheme("column", subset=(1, 2)), statements)

@@ -33,7 +33,6 @@ PUBLIC = [
     "Variation",
     "admissible_region",
     "build_plan",
-    "build_scheme",
     "ci_holds",
     "compose",
     "condition",
@@ -56,7 +55,6 @@ PUBLIC = [
     "model_holds",
     "nonempty_conditioning",
     "one_way_sweep",
-    "ones_block",
     "scheme_ordering",
     "statement_block",
     "submatrix",

@@ -108,6 +108,22 @@ def test_covary_invalid_scheme_set(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_covary_row_set_may_add_left_rows_to_the_conditioning_rows(capsys):
+    # rows {Y2} u {Y3} of the block of Y3 _||_ Y1 | Y2: scaling whole rows
+    # scales every minor by a power of the factor
+    argv = ["covary", SYNTH, "--pos", "Y2,Y1", "--delta", "1.1", "--scheme", "row", "--E", "Y2,Y3"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert '"E": ["Y2", "Y3"]' in out
+    assert "verdict: preserving" in out
+
+
+def test_covary_bad_set_is_named_one_based(capsys):
+    argv = ["covary", SYNTH, "--pos", "Y3,Y1", "--delta", "1.1", "--scheme", "column", "--F", "Y1,Y3"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: column set [1, 3] does not fit position (1,3): ")
+
+
 def test_sweep_csv_to_stdout(capsys):
     code = main(["sweep", SYNTH, "--pos", "Y2,Y1", "--deltas", "0.99,1.0,1.01"])
     assert code == 0
@@ -247,6 +263,24 @@ def test_compare_table(capsys):
 def test_missing_model_file(capsys):
     assert main(["check", "/nonexistent/model.json"]) == 1
     assert "no such file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "{tmp}"],
+        ["sweep", "--config", "{tmp}"],
+        ["sweep", SYNTH, "--pos", "Y2,Y1", "--deltas", "1.0", "-o", "{tmp}/missing/out.csv"],
+        ["sweep", SYNTH, "--pos", "Y2,Y1", "--delta-min", "0.5", "--delta-max", "1e308",
+         "--delta-step", "1e-308"],
+    ],
+    ids=["check-directory", "config-directory", "output-in-missing-directory", "uncountable-grid"],
+)
+def test_bad_path_or_grid_gives_one_error_line(argv, tmp_path, capsys):
+    assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_usage_error_exits_with_one(capsys):

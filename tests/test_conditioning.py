@@ -140,9 +140,9 @@ class TestConditionPerturbed:
         np.testing.assert_array_equal(cov_c, base_cov)
 
     def test_matches_conditioning_the_perturbed_matrix(self, sigma4, stmt4):
-        from gsens import Scheme, build_scheme, make_variation
+        from gsens import Scheme, build_plan, make_variation
 
-        plan = build_scheme(make_variation(4, [(1, 0, 1.02)]), Scheme("partial"), stmt4)
+        plan = build_plan(make_variation(4, [(1, 0, 1.02)]), Scheme("partial"), [stmt4])
         target = plan.apply(sigma4)
         assert is_psd(target)
         ev = Evidence((3,), [1.0])

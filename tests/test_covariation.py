@@ -7,6 +7,7 @@ from conftest import (
     SIGMA4,
     STMT5_A,
     STMT5_B,
+    filled,
     model5,
     random_dag,
 )
@@ -18,14 +19,12 @@ from gsens import (
     SchemeError,
     Variation,
     build_plan,
-    build_scheme,
     compose,
     dag_ci_statements,
     dag_to_gaussian,
     is_psd,
     make_variation,
     model_holds,
-    ones_block,
     verify_preserving,
 )
 
@@ -59,15 +58,15 @@ class TestVariation:
 
 
 class TestBuildScheme:
-    """Single-statement construction; the three-variable model conditions on
-    variable 2 (1-based), with the varied entry at (2,1)."""
+    """Plans against a single statement; the three-variable model conditions
+    on variable 2 (1-based), with the varied entry at (2,1)."""
 
     STMT = CIStatement(left=(2,), right=(0,), given=(1,))
 
     def plans(self, delta=2.0):
         v = make_variation(3, [(1, 0, delta)])
         return {
-            kind: build_scheme(v, Scheme(kind), self.STMT)
+            kind: build_plan(v, Scheme(kind), [self.STMT])
             for kind in ("total", "partial", "row", "column")
         }
 
@@ -99,43 +98,38 @@ class TestBuildScheme:
     def test_position_outside_block_needs_no_covariation(self):
         v = make_variation(3, [(0, 0, 5.0)])
         with pytest.warns(UserWarning, match="outside the statement block"):
-            p = build_scheme(v, Scheme("partial"), self.STMT)
+            p = build_plan(v, Scheme("partial"), [self.STMT])
         np.testing.assert_array_equal(p.covariation, np.ones((3, 3)))
         assert p.product[0, 0] == 5.0
 
     def test_total_with_nonpositive_factor_rejected(self):
         v = make_variation(3, [(1, 0, -0.5)])
         with pytest.raises(SchemeError, match="delta > 0"):
-            build_scheme(v, Scheme("total"), self.STMT)
+            build_plan(v, Scheme("total"), [self.STMT])
 
     def test_negative_factor_warns_for_partial(self):
         v = make_variation(3, [(1, 0, -0.5)])
         with pytest.warns(UserWarning, match="negative factor"):
-            build_scheme(v, Scheme("partial"), self.STMT)
-
-    def test_multi_position_variation_rejected(self):
-        v = make_variation(3, [(1, 0, 2.0), (2, 1, 3.0)])
-        with pytest.raises(SchemeError, match="single-position"):
-            build_scheme(v, Scheme("partial"), self.STMT)
+            build_plan(v, Scheme("partial"), [self.STMT])
 
     def test_row_set_for_conditioned_position_must_be_the_conditioning_set(self):
         v = make_variation(3, [(1, 0, 2.0)])  # position in given x right
-        with pytest.raises(SchemeError, match="conditioning"):
-            build_scheme(v, Scheme("row", subset=(2,)), self.STMT)
+        with pytest.raises(SchemeError, match=r"row set \[3\] does not fit position \(1,2\)"):
+            build_plan(v, Scheme("row", subset=(2,)), [self.STMT])
 
     def test_column_superset_within_right_side_is_accepted(self):
         stmt = CIStatement(left=(3,), right=(0, 1), given=(2,))
         v = make_variation(4, [(3, 0, 1.5)])  # left x right position
-        p = build_scheme(v, Scheme("column", subset=(0, 1)), stmt)
+        p = build_plan(v, Scheme("column", subset=(0, 1)), [stmt])
         np.testing.assert_array_equal(
-            p.product, ones_block(4, (2, 3), (0, 1), 1.5)
+            p.product, filled(4, (2, 3), (0, 1), 1.5)
         )
 
     def test_column_set_must_contain_the_varied_column(self):
         stmt = CIStatement(left=(3,), right=(0, 1), given=(2,))
         v = make_variation(4, [(3, 0, 1.5)])
-        with pytest.raises(SchemeError, match="containing column"):
-            build_scheme(v, Scheme("column", subset=(1,)), stmt)
+        with pytest.raises(SchemeError, match=r"column set \[2\] does not fit position \(1,4\)"):
+            build_plan(v, Scheme("column", subset=(1,)), [stmt])
 
 
 class TestUnionConstruction:
@@ -148,13 +142,13 @@ class TestUnionConstruction:
     def test_default_row_fills_the_bottom_row(self):
         p = build_plan(self.variation(), Scheme("row"), [STMT5_A, STMT5_B])
         np.testing.assert_array_equal(
-            p.product, ones_block(5, (3,), (0, 1, 2, 4), 1.5)
+            p.product, filled(5, (3,), (0, 1, 2, 4), 1.5)
         )
 
     def test_default_column_widens_to_the_overlap(self):
         p = build_plan(self.variation(), Scheme("column"), [STMT5_A, STMT5_B])
         np.testing.assert_array_equal(
-            p.product, ones_block(5, (1, 2, 3), (1, 2), 1.5)
+            p.product, filled(5, (1, 2, 3), (1, 2), 1.5)
         )
 
     def test_single_column_fill_is_rejected(self):
@@ -169,9 +163,14 @@ class TestUnionConstruction:
         with pytest.raises(IndexError, match="statement index 5 out of range for dimension 4"):
             build_plan(make_variation(4, [(3, 2, 1.5)]), Scheme("row"), [STMT5_A, STMT5_B])
 
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_statement_index_out_of_range_rejected(self, index):
+        with pytest.raises(SchemeError, match=r"statement index -?\d+ out of range \(2 statements\)"):
+            build_plan(self.variation(), Scheme("row", None, index), [STMT5_A, STMT5_B])
+
     def test_position_outside_every_block(self):
         v = make_variation(5, [(0, 0, 2.0)])
-        with pytest.warns(UserWarning, match="outside every statement block"):
+        with pytest.warns(UserWarning, match="outside the statement block"):
             p = build_plan(v, Scheme("partial"), [STMT5_A, STMT5_B])
         np.testing.assert_array_equal(p.covariation, np.ones((5, 5)))
 
@@ -196,7 +195,7 @@ class TestValidateMulti:
     def test_filled_column_passes(self):
         for delta in self.DELTAS:
             plan = self._build(Scheme("column", subset=(1, 2)), delta)
-            np.testing.assert_array_equal(plan.product, ones_block(5, (1, 2, 3), (1, 2), delta))
+            np.testing.assert_array_equal(plan.product, filled(5, (1, 2, 3), (1, 2), delta))
 
     def test_all_ones_plan_passes(self):
         v = make_variation(5, [(0, 0, 2.0)])
@@ -225,23 +224,23 @@ class TestCompose:
         np.testing.assert_array_equal(combined.product, expected)
 
     def test_identity_composition(self, sigma4, stmt4):
-        p = build_scheme(make_variation(4, [(1, 0, 1.25)]), Scheme("partial"), stmt4)
+        p = build_plan(make_variation(4, [(1, 0, 1.25)]), Scheme("partial"), [stmt4])
         ones = build_plan(make_variation(4, [(0, 0, 1.0)]), Scheme("none"), [stmt4])
         np.testing.assert_array_equal(compose(p, ones).product, p.product)
 
     def test_self_composition_squares_factors(self, stmt4):
-        p = build_scheme(make_variation(4, [(1, 0, 1.25)]), Scheme("partial"), stmt4)
+        p = build_plan(make_variation(4, [(1, 0, 1.25)]), Scheme("partial"), [stmt4])
         squared = compose(p, p)
         np.testing.assert_array_equal(squared.product, p.product * p.product)
         assert squared.variation.factors == ((0, 1, 1.25 * 1.25),)
 
     def test_commutative(self, stmt4):
-        p1 = build_scheme(make_variation(4, [(1, 0, 1.25)]), Scheme("row"), stmt4)
-        p2 = build_scheme(make_variation(4, [(2, 1, 0.8)]), Scheme("column"), stmt4)
+        p1 = build_plan(make_variation(4, [(1, 0, 1.25)]), Scheme("row"), [stmt4])
+        p2 = build_plan(make_variation(4, [(2, 1, 0.8)]), Scheme("column"), [stmt4])
         np.testing.assert_array_equal(compose(p1, p2).product, compose(p2, p1).product)
 
     def test_dimension_mismatch(self, stmt4):
-        p1 = build_scheme(make_variation(4, [(1, 0, 1.25)]), Scheme("row"), stmt4)
+        p1 = build_plan(make_variation(4, [(1, 0, 1.25)]), Scheme("row"), [stmt4])
         p2 = build_plan(make_variation(3, [(0, 1, 2.0)]), Scheme("none"), [])
         with pytest.raises(ValueError):
             compose(p1, p2)
@@ -250,8 +249,8 @@ class TestCompose:
         cov = SIGMA4
         for _ in range(20):
             d1, d2 = rng.uniform(0.25, 2, size=2)
-            p1 = build_scheme(make_variation(4, [(1, 0, d1)]), Scheme("partial"), stmt4)
-            p2 = build_scheme(make_variation(4, [(2, 1, d2)]), Scheme("row"), stmt4)
+            p1 = build_plan(make_variation(4, [(1, 0, d1)]), Scheme("partial"), [stmt4])
+            p2 = build_plan(make_variation(4, [(2, 1, d2)]), Scheme("row"), [stmt4])
             sequential = p1.apply(p2.apply(cov))
             at_once = compose(p1, p2).apply(cov)
             np.testing.assert_allclose(at_once, sequential, rtol=1e-12)
@@ -259,7 +258,7 @@ class TestCompose:
 
 class TestVerifyPreserving:
     def test_partial_preserves(self, sigma4, stmt4):
-        plan = build_scheme(make_variation(4, [(1, 0, 1.25)]), Scheme("partial"), stmt4)
+        plan = build_plan(make_variation(4, [(1, 0, 1.25)]), Scheme("partial"), [stmt4])
         assert verify_preserving(plan, sigma4, [stmt4]).holds
 
     def test_bare_variation_breaks_with_hand_witness(self, sigma4, stmt4):
@@ -271,7 +270,7 @@ class TestVerifyPreserving:
     def test_input_not_in_model_raises(self, sigma4, stmt4):
         broken = sigma4.copy()
         broken[1, 0] = broken[0, 1] = 2.5
-        plan = build_scheme(make_variation(4, [(1, 0, 1.25)]), Scheme("partial"), stmt4)
+        plan = build_plan(make_variation(4, [(1, 0, 1.25)]), Scheme("partial"), [stmt4])
         with pytest.raises(ModelPreconditionError):
             verify_preserving(plan, broken, [stmt4])
 
@@ -281,8 +280,8 @@ class TestVerifyPreserving:
         assert model_holds(cov, statements).holds
         v = make_variation(5, [(3, 2, 1.5)])
         naive = compose(
-            build_scheme(v, Scheme("column", statement_index=0), STMT5_A),
-            build_scheme(v, Scheme("column", statement_index=1), STMT5_B),
+            build_plan(v, Scheme("column", statement_index=0), [STMT5_A, STMT5_B]),
+            build_plan(v, Scheme("column", statement_index=1), [STMT5_A, STMT5_B]),
         )
         assert naive.product[2, 2] == pytest.approx(1.5 * 1.5)
         assert not verify_preserving(naive, cov, statements).holds
@@ -304,23 +303,37 @@ def _position_inside_block(rng, statements):
 
 class TestSchemeSoundness:
     def test_random_instances_all_preserve(self, rng):
+        # Odd draws take a default set under each kind in turn; even draws
+        # take a row or column set drawn from the block, and a quarter of
+        # all draws target one statement, marginal ones included. A refused
+        # set is skipped; every plan that builds keeps its target statements.
         kinds = ("total", "partial", "row", "column")
         done = 0
         while done < 60:
             dag = random_dag(rng)
             statements = dag_ci_statements(dag)
-            statements = [s for s in statements if s.given]
-            if not statements:
+            if not any(s.given for s in statements):
                 continue
             _, cov = dag_to_gaussian(dag)
-            i, j = _position_inside_block(rng, statements)
+            index = int(rng.integers(len(statements))) if rng.random() < 0.25 else None
+            targets = [s for s in statements if s.given] if index is None else [statements[index]]
+            i, j = _position_inside_block(rng, targets)
             delta = float(rng.uniform(0.25, 2.0))
             if abs(delta - 1.0) < 0.05:
                 continue
-            kind = kinds[done % 4]
-            plan = build_plan(make_variation(dag.n, [(i, j, delta)]), Scheme(kind), statements)
-            assert verify_preserving(plan, cov, statements).holds, (
-                f"{kind} scheme failed for n={dag.n}, position ({i},{j}), delta={delta}"
+            if done % 2:
+                scheme = Scheme(kinds[done // 2 % 4], None, index)
+            else:
+                kind = ("row", "column")[done // 2 % 2]
+                side = sorted({k for s in targets for k in (s.block_rows if kind == "row" else s.block_cols)})
+                subset = rng.choice(side, size=int(rng.integers(1, len(side) + 1)), replace=False)
+                scheme = Scheme(kind, tuple(int(k) for k in subset), index)
+            try:
+                plan = build_plan(make_variation(dag.n, [(i, j, delta)]), scheme, statements)
+            except SchemeError:
+                continue
+            assert verify_preserving(plan, cov, targets).holds, (
+                f"{scheme} failed for n={dag.n}, position ({i},{j}), delta={delta}"
             )
             done += 1
 
@@ -352,15 +365,15 @@ class TestSchemeSoundness:
         s1 = CIStatement(left=(2,), right=(0,), given=(1,))
         s2 = CIStatement(left=(5,), right=(3,), given=(4,))
         assert model_holds(cov, [s1, s2]).holds
-        p1 = build_scheme(make_variation(6, [(1, 0, 1.5)]), Scheme("row", statement_index=0), s1)
-        p2 = build_scheme(make_variation(6, [(4, 3, 0.7)]), Scheme("column", statement_index=1), s2)
+        p1 = build_plan(make_variation(6, [(1, 0, 1.5)]), Scheme("row", statement_index=0), [s1, s2])
+        p2 = build_plan(make_variation(6, [(4, 3, 0.7)]), Scheme("column", statement_index=1), [s1, s2])
         assert verify_preserving(compose(p1, p2), cov, [s1, s2]).holds
 
     def test_composition_of_preserving_plans_preserves(self, rng, sigma4, stmt4):
         for _ in range(10):
             d1, d2 = rng.uniform(0.25, 2, size=2)
-            p1 = build_scheme(make_variation(4, [(1, 0, d1)]), Scheme("partial"), stmt4)
-            p2 = build_scheme(make_variation(4, [(1, 1, d2)]), Scheme("row"), stmt4)
+            p1 = build_plan(make_variation(4, [(1, 0, d1)]), Scheme("partial"), [stmt4])
+            p2 = build_plan(make_variation(4, [(1, 1, d2)]), Scheme("row"), [stmt4])
             assert verify_preserving(compose(p1, p2), sigma4, [stmt4]).holds
 
     def test_total_keeps_positive_semidefiniteness(self, rng):
@@ -383,7 +396,7 @@ class TestThreeVariableInstance:
         assert model_holds(self.COV, [self.STMT]).holds
         v = make_variation(3, [(1, 0, 1.4)])
         for kind in ("row", "column", "partial"):
-            plan = build_scheme(v, Scheme(kind), self.STMT)
+            plan = build_plan(v, Scheme(kind), [self.STMT])
             assert model_holds(plan.apply(self.COV), [self.STMT]).holds, kind
 
 
@@ -392,7 +405,7 @@ class TestMultiPositionVariation:
         v = make_variation(4, [(1, 0, 1.2), (2, 1, 0.9)])
         plan = build_plan(v, Scheme("partial"), [stmt4])
         singles = [
-            build_scheme(make_variation(4, [f]), Scheme("partial"), stmt4)
+            build_plan(make_variation(4, [f]), Scheme("partial"), [stmt4])
             for f in v.factors
         ]
         np.testing.assert_array_equal(plan.product, compose(*singles).product)
@@ -408,16 +421,16 @@ class TestMultiPositionVariation:
 
 class TestPlanInvariants:
     def test_product_entries_never_zero(self, stmt4):
-        plan = build_scheme(make_variation(4, [(1, 0, 0.25)]), Scheme("partial"), stmt4)
+        plan = build_plan(make_variation(4, [(1, 0, 0.25)]), Scheme("partial"), [stmt4])
         assert np.all(plan.product != 0)
 
     def test_varied_entry_carries_requested_factor(self, stmt4):
-        plan = build_scheme(make_variation(4, [(1, 0, 1.25)]), Scheme("partial"), stmt4)
+        plan = build_plan(make_variation(4, [(1, 0, 1.25)]), Scheme("partial"), [stmt4])
         assert plan.product[1, 0] == 1.25
         assert plan.covariation[1, 0] == 1.0
 
     def test_total_factor_bookkeeping(self, stmt4):
-        p1 = build_scheme(make_variation(4, [(1, 0, 1.25)]), Scheme("total"), stmt4)
-        p2 = build_scheme(make_variation(4, [(2, 1, 0.8)]), Scheme("total"), stmt4)
+        p1 = build_plan(make_variation(4, [(1, 0, 1.25)]), Scheme("total"), [stmt4])
+        p2 = build_plan(make_variation(4, [(2, 1, 0.8)]), Scheme("total"), [stmt4])
         np.testing.assert_array_equal(p1.product, np.full((4, 4), 1.25))
         np.testing.assert_array_equal(compose(p1, p2).product, np.full((4, 4), 1.25 * 0.8))

@@ -10,7 +10,6 @@ from gsens import (
     Scheme,
     SingularMatrixError,
     build_plan,
-    build_scheme,
     compose,
     dag_ci_statements,
     dag_to_gaussian,
@@ -68,7 +67,7 @@ class TestKlGaussian:
     def test_computable_outside_the_cone(self, sigma4, stmt4):
         # the partial plan at 1.25 leaves the PSD cone but keeps det > 0;
         # the trace/log-det expression is still a number
-        plan = build_scheme(make_variation(4, [(1, 0, 1.25)]), Scheme("partial"), stmt4)
+        plan = build_plan(make_variation(4, [(1, 0, 1.25)]), Scheme("partial"), [stmt4])
         target = plan.apply(sigma4)
         assert not is_psd(target)
         value = kl_gaussian(None, sigma4, None, target)
@@ -125,22 +124,22 @@ class TestKlMp:
         assert kl_mp(sigma4, plan) == 0.0
 
     def test_total_plan_matches_closed_form(self, sigma4, stmt4):
-        plan = build_scheme(make_variation(4, [(1, 0, 1.25)]), Scheme("total"), stmt4)
+        plan = build_plan(make_variation(4, [(1, 0, 1.25)]), Scheme("total"), [stmt4])
         assert kl_mp(sigma4, plan) == pytest.approx(KL_TOTAL_125_N4, rel=1e-10)
 
     def test_partial_plan_agrees_with_general_form(self, sigma4, stmt4):
-        plan = build_scheme(make_variation(4, [(1, 0, 1.25)]), Scheme("partial"), stmt4)
+        plan = build_plan(make_variation(4, [(1, 0, 1.25)]), Scheme("partial"), [stmt4])
         want = kl_gaussian(None, sigma4, None, plan.apply(sigma4))
         assert kl_mp(sigma4, plan) == pytest.approx(want, rel=1e-10)
 
     def test_negative_determinant_raises(self, sigma4, stmt4):
-        plan = build_scheme(make_variation(4, [(1, 0, 1.25)]), Scheme("row"), stmt4)
+        plan = build_plan(make_variation(4, [(1, 0, 1.25)]), Scheme("row"), [stmt4])
         with pytest.raises(InadmissibleError):
             kl_mp(sigma4, plan)
 
     def test_composed_totals_match_product_closed_form(self, sigma4, stmt4):
-        p1 = build_scheme(make_variation(4, [(1, 0, 1.2)]), Scheme("total"), stmt4)
-        p2 = build_scheme(make_variation(4, [(2, 1, 1.1)]), Scheme("total"), stmt4)
+        p1 = build_plan(make_variation(4, [(1, 0, 1.2)]), Scheme("total"), [stmt4])
+        p2 = build_plan(make_variation(4, [(2, 1, 1.1)]), Scheme("total"), [stmt4])
         combined = compose(p1, p2)
         want = kl_total_closed(4, 1.2 * 1.1)
         assert kl_mp(sigma4, combined) == pytest.approx(want, rel=1e-10)
@@ -203,7 +202,7 @@ class TestFrobeniusMp:
         for _ in range(20):
             delta = float(rng.uniform(0.25, 2.0))
             kind = ("total", "partial", "row", "column")[int(rng.integers(4))]
-            plan = build_scheme(make_variation(4, [(1, 0, delta)]), Scheme(kind), stmt4)
+            plan = build_plan(make_variation(4, [(1, 0, delta)]), Scheme(kind), [stmt4])
             assert frobenius_mp(SIGMA4, plan) == frobenius(SIGMA4, plan.apply(SIGMA4))
 
     def test_composed_plan_both_ways(self, stmt4):

@@ -9,7 +9,6 @@ from gsens import (
     inverse,
     is_psd,
     iter_minors,
-    ones_block,
     submatrix,
 )
 
@@ -37,22 +36,6 @@ class TestSubmatrix:
     def test_duplicate_rejected(self, sigma4):
         with pytest.raises(ValueError):
             submatrix(sigma4, [1, 1], [0])
-
-
-class TestSchur:
-    def test_column_factors_compose_with_squared_center(self):
-        # two one-column covariations sharing the (3,3) entry, times the
-        # variation at (4,3): the shared entry picks up delta^2
-        d = 1.3
-        cov1 = ones_block(5, [2], [2], d)  # covaries the (3,3) entry
-        cov2 = ones_block(5, [1, 2], [2], d)  # covaries (2,3),(3,2),(3,3)
-        variation = ones_block(5, [3], [2], d)  # the varied entry itself
-        product = cov1 * cov2 * variation
-        expected = np.ones((5, 5))
-        expected[1, 2] = expected[2, 1] = d
-        expected[2, 2] = d * d
-        expected[2, 3] = expected[3, 2] = d
-        np.testing.assert_array_equal(product, expected)
 
 
 def minor_values(block, k):
@@ -128,31 +111,6 @@ class TestIsPsd:
             is_psd(np.eye(2), tol=-1.0)
 
 
-class TestOnesBlock:
-    def test_value_one_is_all_ones(self):
-        np.testing.assert_array_equal(ones_block(4, [0, 1], [2], 1.0), np.ones((4, 4)))
-
-    def test_full_fill_is_constant(self):
-        np.testing.assert_array_equal(ones_block(3, range(3), range(3), 2.5), np.full((3, 3), 2.5))
-
-    def test_embeds_block_and_mirror(self):
-        out = ones_block(4, [1], [0, 1], 2.0)
-        expected = np.ones((4, 4))
-        expected[1, 0] = expected[0, 1] = expected[1, 1] = 2.0
-        np.testing.assert_array_equal(out, expected)
-
-    def test_empty_sets_give_all_ones(self):
-        np.testing.assert_array_equal(ones_block(3, [], [], 9.0), np.ones((3, 3)))
-
-    def test_symmetric_output_agreeing_on_block(self):
-        # overlapping row and column sets: the mirror lands partly inside
-        # the block
-        out = ones_block(5, [1, 3], [0, 3, 4], 2.0)
-        np.testing.assert_array_equal(out, out.T)
-        np.testing.assert_array_equal(out[np.ix_([1, 3], [0, 3, 4])], np.full((2, 3), 2.0))
-        assert out[0, 0] == out[2, 2] == out[4, 4] == 1.0
-
-
 class TestTolerancePolicy:
     def test_scale_relative(self):
         tol = TolerancePolicy(1e-9)
@@ -166,9 +124,3 @@ class TestTolerancePolicy:
         tol = TolerancePolicy(1e-9)
         minor = Minor((0,), (1,), value=50.0, scale=3.05e6 * 9.8e4)
         assert tol.minor_is_zero(minor)
-
-    def test_entry_rule_is_absolute_for_small_values(self):
-        tol = TolerancePolicy(1e-9)
-        assert tol.entry_is_zero(5e-10)
-        assert not tol.entry_is_zero(5e-9)
-        assert not tol.entry_is_zero(2.0)
