@@ -28,7 +28,7 @@ from .cimodel import (
     nonempty_conditioning,
     statement_block,
 )
-from .conditioning import Evidence, condition, condition_perturbed
+from .conditioning import Evidence, condition
 from .covariation import (
     PerturbationPlan,
     PlanStep,
@@ -36,17 +36,12 @@ from .covariation import (
     Variation,
     build_plan,
     compose,
-    make_variation,
     verify_preserving,
 )
 from .divergence import (
     DivergenceReport,
     frobenius,
-    frobenius_mp,
-    kl_additive,
-    kl_gaussian,
-    kl_mp,
-    kl_total_closed,
+    kl,
     scheme_ordering,
 )
 from .errors import (
@@ -69,7 +64,6 @@ from .matcore import (
     Minor,
     TolerancePolicy,
     inverse,
-    is_psd,
     iter_minors,
     submatrix,
 )

@@ -40,9 +40,9 @@ names one statement of the model, 1-based. Factors must be finite and
 nonzero.
 
 Sweeps evaluate, per grid factor and scheme, the perturbed covariance, its
-admissibility (divergence.evaluate: PSD, then a computable KL; KL is
-reported only for admissible rows), the Frobenius norm, and a re-checked
-preservation flag.
+admissibility (divergence.evaluate: a well-conditioned base and a positive
+definite perturbed covariance; KL is reported only for admissible rows),
+the Frobenius norm, and a re-checked preservation flag.
 """
 
 from __future__ import annotations
@@ -314,8 +314,8 @@ def load_model(path) -> Model:
 @dataclass(frozen=True)
 class SweepRecord:
     """One grid point of a sweep. kl is present exactly when the row is
-    admissible (perturbed matrix PSD with positive determinant); frobenius is
-    absent only when the scheme itself failed to construct."""
+    admissible (perturbed covariance positive definite); frobenius is absent
+    only when the scheme itself failed to construct."""
 
     delta1: float
     delta2: float | None
@@ -390,7 +390,7 @@ def _row(
             change = build_plan(Variation(model.n, factors), scheme, model.statements)
         except GsensError as e:
             return SweepRecord(d1, d2, label, None, None, False, False, str(e))
-    target, report = evaluate(label, cov, change, tol)
+    target, report = evaluate(label, cov, change)
     preserving = model_holds(target, model.statements, tol).holds
     return SweepRecord(d1, d2, label, report.kl, report.frobenius, report.admissible, preserving)
 
@@ -445,11 +445,10 @@ def two_way_sweep(
 
 @dataclass(frozen=True)
 class RegionSummary:
-    """Admissibility masks per scheme, with the widest admissible factor
-    interval around 1 (one-way) or admissible cell counts (two-way)."""
+    """Admissible cell counts per scheme, with the widest admissible factor
+    interval around 1 (one-way)."""
 
     two_way: bool
-    masks: dict[str, list[bool]] = field(default_factory=dict)
     intervals: dict[str, tuple[float, float] | None] = field(default_factory=dict)
     cell_counts: dict[str, tuple[int, int]] = field(default_factory=dict)
 
@@ -461,12 +460,10 @@ def admissible_region(records: Sequence[SweepRecord]) -> RegionSummary:
     for r in records:
         if r.scheme not in schemes:
             schemes.append(r.scheme)
-    masks: dict[str, list[bool]] = {}
     intervals: dict[str, tuple[float, float] | None] = {}
     counts: dict[str, tuple[int, int]] = {}
     for s in schemes:
         rows = [r for r in records if r.scheme == s]
-        masks[s] = [r.admissible for r in rows]
         counts[s] = (sum(r.admissible for r in rows), len(rows))
         if not two_way:
             rows = sorted(rows, key=lambda r: r.delta1)
@@ -480,7 +477,7 @@ def admissible_region(records: Sequence[SweepRecord]) -> RegionSummary:
                     best = (run[0].delta1, run[-1].delta1)
                 run = []
             intervals[s] = best
-    return RegionSummary(two_way=two_way, masks=masks, intervals=intervals, cell_counts=counts)
+    return RegionSummary(two_way=two_way, intervals=intervals, cell_counts=counts)
 
 
 def _fmt(value) -> str:

@@ -116,7 +116,7 @@ def _cmd_covary(args) -> int:
         print("verdict: preserving")
     else:
         print(f"verdict: NOT preserving  witness {failure[1].describe(model.names)}")
-    _, report = evaluate(args.scheme, model.covariance, plan, args.tol)
+    _, report = evaluate(args.scheme, model.covariance, plan)
     print(f"admissible: {'yes' if report.admissible else 'no'}")
     print(f"frobenius: {report.frobenius:.12g}")
     if report.admissible:
@@ -242,7 +242,7 @@ def _cmd_compare(args) -> int:
     i, j = model.resolve_position(args.pos)
     if len(model.statements) != 1:
         return _fail("compare needs a model with exactly one CI statement")
-    reports = scheme_ordering(model.covariance, (i, j), args.delta, model.statements[0], args.tol)
+    reports = scheme_ordering(model.covariance, (i, j), args.delta, model.statements[0])
     print(f"{'scheme':<10} {'frobenius':>16} {'kl':>16} {'admissible':>11}")
     for r in reports:
         kl_text = f"{r.kl:.10g}" if r.kl is not None else "-"
@@ -259,7 +259,7 @@ def _tolerance(text: str) -> TolerancePolicy:
 
 def _add_tol(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--tol", type=_tolerance, default=DEFAULT_TOL, help="scale-relative tolerance (default 1e-9)"
+        "--tol", type=_tolerance, default=DEFAULT_TOL, help="scale-relative minor-vanishing tolerance (default 1e-9)"
     )
 
 
@@ -339,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("--pos", required=True)
     p.add_argument("--delta", type=float, required=True)
-    _add_tol(p)
     p.set_defaults(func=_cmd_compare)
 
     return parser

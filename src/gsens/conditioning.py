@@ -1,10 +1,8 @@
-"""Conditional Gaussian moments for original and additively perturbed models.
+"""Conditional Gaussian moments.
 
 Conditioning on observed values y_E leaves the remaining variables Gaussian
 with mean mu_O + S_OE S_EE^-1 (y_E - mu_E) and covariance
-S_OO - S_OE S_EE^-1 S_EO. The perturbed version is the same formula applied
-to (mean + d, cov + D), so a zero perturbation reproduces the original
-moments bit for bit.
+S_OO - S_OE S_EE^-1 S_EO.
 """
 
 from __future__ import annotations
@@ -13,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GsensError, InadmissibleError
-from .matcore import DEFAULT_REL_TOL, as_matrix, check_symmetric, inverse, is_psd
+from .errors import GsensError
+from .matcore import as_matrix, check_symmetric, inverse
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,32 +69,3 @@ def condition(mean, cov, evidence: Evidence) -> tuple[np.ndarray, np.ndarray]:
     mean_cond = mean[out] + gain @ (evidence.values - mean[obs])
     cov_cond = cov[np.ix_(out, out)] - gain @ cov[np.ix_(obs, out)]
     return mean_cond, (cov_cond + cov_cond.T) / 2.0
-
-
-def condition_perturbed(
-    mean, cov, mean_shift, cov_shift, evidence: Evidence
-) -> tuple[np.ndarray, np.ndarray]:
-    """Conditional moments after an additive perturbation (mean+d, cov+D).
-
-    Zero shifts reduce exactly to condition(); the perturbed covariance must
-    stay positive semidefinite.
-    """
-    cov = check_symmetric(as_matrix(cov, "cov"), "cov")
-    n = cov.shape[0]
-    if mean is None:
-        mean = np.zeros(n)
-    mean = np.asarray(mean, dtype=float).reshape(-1)
-    d = np.zeros(n) if mean_shift is None else np.asarray(mean_shift, dtype=float).reshape(-1)
-    if d.shape[0] != n:
-        raise ValueError(f"mean shift has length {d.shape[0]}, expected {n}")
-    shift = (
-        np.zeros((n, n))
-        if cov_shift is None
-        else check_symmetric(as_matrix(cov_shift, "cov shift"), "cov shift")
-    )
-    if shift.shape[0] != n:
-        raise ValueError(f"cov shift dimension {shift.shape[0]}, expected {n}")
-    perturbed = cov + shift
-    if not is_psd(perturbed, DEFAULT_REL_TOL):
-        raise InadmissibleError("perturbed covariance is not positive semidefinite")
-    return condition(mean + d, perturbed, evidence)

@@ -107,11 +107,6 @@ class Variation:
         return tuple(Variation(self.n, (f,)) for f in self.factors)
 
 
-def make_variation(n: int, positions_with_factors) -> Variation:
-    """Variation from (i, j, delta) triples (0-based positions)."""
-    return Variation(n, tuple(positions_with_factors))
-
-
 @dataclass(frozen=True)
 class PlanStep:
     """One single-position factor of a plan, with the scheme as actually built
@@ -139,11 +134,6 @@ class PerturbationPlan:
     @property
     def n(self) -> int:
         return self.variation.n
-
-    @property
-    def covariation(self) -> np.ndarray:
-        """The factors the scheme adds to the variation's own."""
-        return self.product / self.variation.matrix
 
     def apply(self, cov) -> np.ndarray:
         """Perturbed covariance: entrywise product with the plan."""
@@ -307,7 +297,7 @@ def verify_preserving(
 
     Raises ModelPreconditionError when the input matrix does not satisfy the
     model, so "input was never in the model" is never reported as "the
-    perturbation broke the model". Positive semidefiniteness of the result is
+    perturbation broke the model". Positive definiteness of the result is
     deliberately not part of the verdict; it is the separate admissibility
     flag reported by sweeps.
     """

@@ -1,8 +1,7 @@
 """Dense symmetric-matrix kernel.
 
-Submatrices, exhaustive minor enumeration, inverses and
-positive-semidefiniteness. Everything here is a pure function on dense
-arrays.
+Submatrices, exhaustive minor enumeration, the reciprocal-condition rule and
+inverses. Everything here is a pure function on dense arrays.
 """
 
 from __future__ import annotations
@@ -16,10 +15,10 @@ import numpy as np
 
 from .errors import SingularMatrixError
 
-# Reciprocal condition estimate below this means "singular" for inverse().
+# Reciprocal condition estimate below this means "singular" (check_invertible).
 RCOND_LIMIT = 1e-12
 
-# Default scale-relative tolerance used for minor vanishing and PSD checks.
+# Default scale-relative tolerance used for minor vanishing.
 DEFAULT_REL_TOL = 1e-9
 
 
@@ -151,28 +150,23 @@ def rcond(a: np.ndarray) -> float:
     return 1.0 / cond if math.isfinite(cond) else 0.0
 
 
-def inverse(m) -> np.ndarray:
-    """Inverse of a symmetric matrix; raises SingularMatrixError when the
-    reciprocal condition estimate falls below RCOND_LIMIT."""
-    a = check_symmetric(as_matrix(m))
+def check_invertible(a: np.ndarray) -> np.ndarray:
+    """Require a reciprocal condition estimate of at least RCOND_LIMIT;
+    raises SingularMatrixError otherwise."""
     estimate = rcond(a)
     if estimate < RCOND_LIMIT:
         raise SingularMatrixError(
             f"matrix is numerically singular (reciprocal condition estimate "
             f"{estimate:.3g} < {RCOND_LIMIT:g})"
         )
-    inv = np.linalg.inv(a)
+    return a
+
+
+def inverse(m) -> np.ndarray:
+    """Inverse of a symmetric matrix that passes check_invertible."""
+    inv = np.linalg.inv(check_invertible(check_symmetric(as_matrix(m))))
     # inverse of a symmetric matrix is symmetric; average out LU round-off
     return (inv + inv.T) / 2.0
-
-
-def is_psd(m, tol: float = DEFAULT_REL_TOL) -> bool:
-    """True iff the smallest eigenvalue is >= -tol * max(1, max|entry|)."""
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    a = check_symmetric(as_matrix(m))
-    smallest = float(np.linalg.eigvalsh(a)[0])
-    return smallest >= -tol * max(1.0, float(np.abs(a).max()))
 
 
 @dataclass(frozen=True)

@@ -9,28 +9,22 @@ import time
 import numpy as np
 import pytest
 
-from conftest import SIGMA4, STMT5_A, STMT5_B, model5, random_dag
+from conftest import SIGMA4, STMT5_A, STMT5_B, is_psd, kl_dense, model5, random_dag
 from gsens import (
     CIStatement,
     GaussianDag,
     InadmissibleError,
     Scheme,
-    admissible_region,
+    Variation,
     build_plan,
     ci_holds,
     compose,
     condition,
-    condition_perturbed,
     dag_ci_statements,
     dag_to_gaussian,
-    is_psd,
     iter_minors,
-    kl_additive,
-    kl_gaussian,
-    kl_mp,
-    kl_total_closed,
+    kl,
     load_model,
-    make_variation,
     model_holds,
     one_way_sweep,
     statement_block,
@@ -99,7 +93,7 @@ def test_criterion_03_preservation_property_suite():
         if abs(delta - 1.0) < 0.02:
             continue
         kind = kinds[done % 4]
-        plan = build_plan(make_variation(dag.n, [(i, j, delta)]), Scheme(kind), statements)
+        plan = build_plan(Variation(dag.n, ((i, j, delta),)), Scheme(kind), statements)
         check = verify_preserving(plan, cov, statements)
         assert check.holds, (
             f"instance {done}: {kind} scheme broke the model "
@@ -116,7 +110,7 @@ def test_criterion_04_negative_control():
     cov = model5(rng)
     statements = [STMT5_A, STMT5_B]
     assert model_holds(cov, statements).holds
-    v = make_variation(5, [(3, 2, 1.5)])
+    v = Variation(5, ((3, 2, 1.5),))
     naive = compose(
         build_plan(v, Scheme("column", statement_index=0), [STMT5_A, STMT5_B]),
         build_plan(v, Scheme("column", statement_index=1), [STMT5_A, STMT5_B]),
@@ -144,31 +138,30 @@ def test_criterion_05_kl_consistency():
         if abs(delta - 1.0) < 0.1:
             continue
         kind = ("total", "partial", "row", "column")[checked % 4]
-        plan = build_plan(make_variation(n, [(i, j, delta)]), Scheme(kind), statements)
+        plan = build_plan(Variation(n, ((i, j, delta),)), Scheme(kind), statements)
         target = plan.apply(cov)
         if not is_psd(target):
             continue
-        assert kl_mp(cov, plan) == pytest.approx(
-            kl_gaussian(np.zeros(n), cov, np.zeros(n), target), rel=1e-10, abs=1e-13
+        assert kl(cov, (plan.product - 1.0) * cov) == pytest.approx(
+            kl_dense(cov, target), rel=1e-10, abs=1e-13
         )
         shift = rng.uniform(-0.15, 0.15, size=(n, n))
         shift = (shift + shift.T) / 2 * float(np.abs(cov).max())
-        d = rng.uniform(-1.0, 1.0, size=n)
         if not is_psd(cov + shift):
             continue
         try:
-            got = kl_additive(cov, shift, d)
+            got = kl(cov, shift)
         except InadmissibleError:
             continue
-        want = kl_gaussian(np.zeros(n), cov, -d, cov + shift)
-        assert got == pytest.approx(want, rel=1e-10, abs=1e-13)
+        assert got == pytest.approx(kl_dense(cov, cov + shift), rel=1e-10, abs=1e-13)
         checked += 1
     for n in range(2, 7):
         cov = _random_spd(np.random.default_rng(100 + n), n)
         for delta in (0.5, 0.8, 1.25, 2.0):
-            want = kl_gaussian(np.zeros(n), cov, np.zeros(n), delta * cov)
-            assert kl_total_closed(n, delta) == pytest.approx(want, rel=1e-10)
-    _report(5, "kl_additive/kl_mp/kl_total_closed all agree with the general form")
+            closed = 0.5 * n * (delta - 1.0 - np.log(delta))
+            assert kl(cov, (delta - 1.0) * cov) == pytest.approx(closed, rel=1e-12)
+            assert kl_dense(cov, delta * cov) == pytest.approx(closed, rel=1e-10)
+    _report(5, "kl agrees with the trace/log-det form on plans, shifts and totals")
 
 
 def test_criterion_06_zero_point():
@@ -212,12 +205,12 @@ def test_criterion_08_composition(stmt4, sigma4):
         picks = rng.integers(0, n, size=4)
         d1, d2 = rng.uniform(0.25, 2.0, size=2)
         p1 = build_plan(
-            make_variation(n, [(int(picks[0]), int(picks[1]), float(d1))]),
+            Variation(n, ((int(picks[0]), int(picks[1]), float(d1)),)),
             Scheme("partial"),
             statements,
         )
         p2 = build_plan(
-            make_variation(n, [(int(picks[2]), int(picks[3]), float(d2))]),
+            Variation(n, ((int(picks[2]), int(picks[3]), float(d2)),)),
             Scheme("total"),
             statements,
         )
@@ -227,8 +220,8 @@ def test_criterion_08_composition(stmt4, sigma4):
         np.testing.assert_allclose(combined.apply(cov), sequential, rtol=1e-12)
     # the two-factor worked example: bottom-row fill times two-column fill
     d1, d2 = 1.5, 0.8
-    q1 = build_plan(make_variation(5, [(3, 2, d1)]), Scheme("row"), [STMT5_A, STMT5_B])
-    q2 = build_plan(make_variation(5, [(2, 1, d2)]), Scheme("column"), [STMT5_A, STMT5_B])
+    q1 = build_plan(Variation(5, ((3, 2, d1),)), Scheme("row"), [STMT5_A, STMT5_B])
+    q2 = build_plan(Variation(5, ((2, 1, d2),)), Scheme("column"), [STMT5_A, STMT5_B])
     expected = np.ones((5, 5))
     expected[3, 0] = expected[0, 3] = d1
     expected[3, 4] = expected[4, 3] = d1
@@ -284,23 +277,20 @@ def test_criterion_10_cachexia_fixtures():
 def test_criterion_11_figure_shape():
     model = load_model(fixture_path("synthetic4"))
 
-    # at the +25% edge, total is below every other covariation whose KL is
-    # defined (partial keeps a positive determinant there; row/column do not)
+    # at the +25% edge only the total covariation keeps the covariance
+    # positive definite, and its KL is the closed form n/2 (d - 1 - ln d)
+    cov = model.covariance
     for position in POSITIONS_71:
-        v = make_variation(4, [(position[0], position[1], 1.25)])
-        total = kl_mp(model.covariance, build_plan(v, Scheme("total"), model.statements))
-        defined = {}
+        v = Variation(4, ((position[0], position[1], 1.25),))
         for kind in ("partial", "row", "column"):
             plan = build_plan(v, Scheme(kind), model.statements)
-            try:
-                defined[kind] = kl_mp(model.covariance, plan)
-            except InadmissibleError:
-                continue
-        assert defined, "no comparison scheme has a defined KL at 1.25"
-        assert "partial" in defined
-        assert total < min(defined.values())
+            with pytest.raises(InadmissibleError):
+                kl(cov, (plan.product - 1.0) * cov)
+        plan = build_plan(v, Scheme("total"), model.statements)
+        closed = 0.5 * 4 * (0.25 - np.log(1.25))
+        assert kl(cov, (plan.product - 1.0) * cov) == pytest.approx(closed, rel=1e-12)
 
-    # and throughout the admissible bands of the default grid
+    # total KL is the smallest throughout the admissible bands of the grid
     for position in POSITIONS_71:
         records = one_way_sweep(model, position, GRID)
         by_delta = {}
@@ -314,26 +304,16 @@ def test_criterion_11_figure_shape():
                     assert row["total"].kl < row[kind].kl
 
     records = two_way_sweep(model, ((1, 1), (2, 1)), GRID, GRID, schemes=["standard", "partial"])
-    region = admissible_region(records)
-    assert region.masks["standard"] != region.masks["partial"], "masks must differ"
-    _report(11, "total KL smallest wherever defined; two-way masks differ")
+    flags = {
+        scheme: [r.admissible for r in records if r.scheme == scheme]
+        for scheme in ("standard", "partial")
+    }
+    assert flags["standard"] != flags["partial"], "admissible cells must differ"
+    _report(11, "only total admissible at 1.25, smallest KL wherever defined; two-way cells differ")
 
 
 def test_criterion_12_conditioning():
     mean_c, cov_c = condition(np.zeros(2), [[1.0, 2.0], [2.0, 5.0]], Evidence((1,), [1.0]))
     assert abs(mean_c[0] - 0.4) < 1e-12
     assert abs(cov_c[0, 0] - 0.2) < 1e-12
-
-    rng = np.random.default_rng(23)
-    for _ in range(50):
-        dag = random_dag(rng)
-        n = dag.n
-        mean = rng.uniform(-1, 1, size=n)
-        _, cov = dag_to_gaussian(dag)
-        count = int(rng.integers(1, n))
-        obs = tuple(int(v) for v in rng.choice(n, size=count, replace=False))
-        ev = Evidence(obs, rng.uniform(-2, 2, size=count))
-        base = condition(mean, cov, ev)
-        pert = condition_perturbed(mean, cov, np.zeros(n), np.zeros((n, n)), ev)
-        assert np.array_equal(base[0], pert[0]) and np.array_equal(base[1], pert[1])
-    _report(12, "hand conditional (0.4, 0.2) exact; zero perturbation bit-for-bit x50")
+    _report(12, "hand conditional (0.4, 0.2) exact")

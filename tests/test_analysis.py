@@ -298,7 +298,11 @@ class TestTwoWaySweep:
         )
         region = admissible_region(records)
         assert region.two_way
-        assert region.masks["standard"] != region.masks["partial"]
+        flags = {
+            scheme: [r.admissible for r in records if r.scheme == scheme]
+            for scheme in ("standard", "partial")
+        }
+        assert flags["standard"] != flags["partial"]
 
     def test_total_cells_all_admissible(self, toy_model):
         grid = [0.5, 1.0, 2.0]

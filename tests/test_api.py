@@ -36,22 +36,15 @@ PUBLIC = [
     "ci_holds",
     "compose",
     "condition",
-    "condition_perturbed",
     "dag_ci_statements",
     "dag_to_gaussian",
     "emit",
     "frobenius",
-    "frobenius_mp",
     "inverse",
-    "is_psd",
     "iter_minors",
-    "kl_additive",
-    "kl_gaussian",
-    "kl_mp",
-    "kl_total_closed",
+    "kl",
     "load_model",
     "load_sweep_config",
-    "make_variation",
     "model_holds",
     "nonempty_conditioning",
     "one_way_sweep",

@@ -133,6 +133,17 @@ def test_sweep_csv_to_stdout(capsys):
     assert len(lines) == 1 + 3 * 5
 
 
+def test_sweep_total_kl_keeps_its_digits_near_one(capsys):
+    # the total scheme's KL is n/2 (x - log1p(x)) with x = delta - 1; for
+    # n = 4 and x near 1e-8 the series x^2 (1 - 2x/3) is exact to rounding
+    delta = 1.00000001
+    assert main(["sweep", SYNTH, "--pos", "Y2,Y1", "--deltas", repr(delta)]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    (total,) = [row for row in rows if row[2] == "total"]
+    x = delta - 1.0
+    assert float(total[3]) == pytest.approx(x * x * (1.0 - 2.0 * x / 3.0), rel=1e-12)
+
+
 def test_sweep_writes_file_and_summary(tmp_path, capsys):
     out_path = tmp_path / "records.csv"
     code = main(
@@ -258,6 +269,14 @@ def test_compare_table(capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0].split() == ["scheme", "frobenius", "kl", "admissible"]
     assert "total" in out and "standard" in out
+
+
+def test_compare_takes_no_tolerance(capsys):
+    # compare decides nothing by tolerance: admissibility is exact
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", SYNTH, "--pos", "Y2,Y1", "--delta", "1.02", "--tol", "1e-9"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 def test_missing_model_file(capsys):
@@ -392,7 +411,6 @@ def test_sweep2_config_needs_two_positions(tmp_path, capsys):
         ["covary", SYNTH, "--pos", "Y2,Y1", "--delta", "1.05"],
         ["sweep", SYNTH, "--pos", "Y2,Y1", "--deltas", "0.9"],
         ["sweep2", SYNTH, "--pos", "Y2,Y1", "--pos2", "Y3,Y2", "--deltas", "0.9"],
-        ["compare", SYNTH, "--pos", "Y2,Y1", "--delta", "1.05"],
     ],
     ids=lambda a: a[0],
 )

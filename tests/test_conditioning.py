@@ -1,17 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import SIGMA4, random_dag
+from conftest import SIGMA4, is_psd, random_dag
 from gsens import (
     Evidence,
     GsensError,
-    InadmissibleError,
     SingularMatrixError,
     condition,
-    condition_perturbed,
     dag_to_gaussian,
-    inverse,
-    is_psd,
 )
 
 
@@ -113,46 +109,3 @@ class TestCondition:
         with pytest.raises(ValueError):
             condition(np.zeros(2), np.eye(2), Evidence((0, 1), [1.0, 2.0]))
 
-
-class TestConditionPerturbed:
-    def test_zero_perturbation_is_bit_for_bit(self, rng):
-        for _ in range(50):
-            dag = random_dag(rng)
-            n = dag.n
-            mean = rng.uniform(-1, 1, size=n)
-            _, cov = dag_to_gaussian(dag)
-            k = int(rng.integers(0, n))
-            ev = Evidence((k,), [float(rng.uniform(-2, 2))])
-            base = condition(mean, cov, ev)
-            pert = condition_perturbed(mean, cov, np.zeros(n), np.zeros((n, n)), ev)
-            assert np.array_equal(base[0], pert[0])
-            assert np.array_equal(base[1], pert[1])
-
-    def test_pure_mean_shift_formula(self, sigma4):
-        d = np.array([0.5, -1.0, 2.0, 0.0])
-        ev = Evidence((1,), [1.0])
-        mean_c, cov_c = condition_perturbed(np.zeros(4), sigma4, d, np.zeros((4, 4)), ev)
-        base_mean, base_cov = condition(np.zeros(4), sigma4, ev)
-        out = [0, 2, 3]
-        gain = sigma4[np.ix_(out, [1])] @ inverse(sigma4[np.ix_([1], [1])])
-        expected_shift = d[out] - (gain @ d[[1]].reshape(1)).reshape(-1)
-        np.testing.assert_allclose(mean_c - base_mean, expected_shift, rtol=1e-12)
-        np.testing.assert_array_equal(cov_c, base_cov)
-
-    def test_matches_conditioning_the_perturbed_matrix(self, sigma4, stmt4):
-        from gsens import Scheme, build_plan, make_variation
-
-        plan = build_plan(make_variation(4, [(1, 0, 1.02)]), Scheme("partial"), [stmt4])
-        target = plan.apply(sigma4)
-        assert is_psd(target)
-        ev = Evidence((3,), [1.0])
-        direct = condition(np.zeros(4), target, ev)
-        via_shift = condition_perturbed(np.zeros(4), sigma4, None, target - sigma4, ev)
-        np.testing.assert_allclose(via_shift[0], direct[0], rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(via_shift[1], direct[1], rtol=1e-10, atol=1e-12)
-
-    def test_inadmissible_perturbation_rejected(self, sigma4):
-        shift = np.zeros((4, 4))
-        shift[0, 0] = -10.0
-        with pytest.raises(InadmissibleError):
-            condition_perturbed(np.zeros(4), sigma4, None, shift, Evidence((1,), [0.0]))

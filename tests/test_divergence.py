@@ -3,32 +3,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SIGMA4, random_dag
+from conftest import SIGMA4, kl_dense, random_dag, random_dag_with_statement
 from gsens import (
     GsensError,
     InadmissibleError,
     Scheme,
     SingularMatrixError,
+    Variation,
     build_plan,
     compose,
     dag_ci_statements,
     dag_to_gaussian,
     frobenius,
-    frobenius_mp,
-    is_psd,
-    kl_additive,
-    kl_gaussian,
-    kl_mp,
-    kl_total_closed,
-    make_variation,
+    kl,
+    load_model,
+    one_way_sweep,
     scheme_ordering,
 )
 from gsens import divergence
+from gsens.divergence import additive_shift, evaluate
+from gsens.fixtures import fixture_path
 
 # 0.5 * 4 * (1.25 - ln 1.25 - 1), frozen from direct evaluation
 KL_TOTAL_125_N4 = 0.05371289737158048
 # 0.5 * 4 * (0.8 - ln 0.8 - 1)
 KL_TOTAL_08_N4 = 0.04628710262841952
+
+# fixture positions of the accuracy checks, and |delta - 1| from 1e-12 to 0.2
+ORACLE_POSITIONS = (
+    ("synthetic4", "Y2,Y1"),
+    ("synthetic4", "Y3,Y2"),
+    ("cachexia", "GM,V"),
+    ("cachexia_control", "V,B"),
+)
+ORACLE_STEPS = (1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 0.05, 0.2)
 
 
 def _random_spd(rng, n):
@@ -37,127 +45,210 @@ def _random_spd(rng, n):
     return (m + m.T) / 2
 
 
+def _plan_shift(cov, plan):
+    return (plan.product - 1.0) * cov
+
+
+class TestKl:
+    """kl on every kind of change: input checks, exactness against a
+    50-digit oracle, and the sign and zero properties."""
+
+    def test_input_checks(self, sigma4):
+        with pytest.raises(ValueError, match="not symmetric"):
+            kl(np.triu(sigma4), np.zeros((4, 4)))
+        with pytest.raises(ValueError, match="not symmetric"):
+            kl(sigma4, np.triu(np.ones((4, 4))))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            kl(sigma4, np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="square"):
+            kl(np.ones((2, 3)), np.zeros((2, 3)))
+
+    def test_indefinite_base_is_inadmissible(self):
+        with pytest.raises(InadmissibleError, match="base covariance"):
+            kl(np.diag([1.0, -1.0]), np.zeros((2, 2)))
+
+    def test_matches_exact_change_at_fixture_points(self):
+        # the reference is the KL of the exact change T = P o cov (T = cov +
+        # D for the standard row), with trace and determinants at 50 digits
+        mp = pytest.importorskip("mpmath")
+        deltas = [1.0 + s for s in ORACLE_STEPS] + [1.0 - s for s in ORACLE_STEPS]
+        checked = 0
+        for name, position in ORACLE_POSITIONS:
+            model = load_model(fixture_path(name))
+            cov, n = model.covariance, model.n
+            i, j = model.resolve_position(position)
+            with mp.workdps(50):
+                base = mp.matrix(cov.tolist())
+                prec, logdet = mp.inverse(base), mp.log(mp.det(base))
+                for r in one_way_sweep(model, (i, j), deltas):
+                    if not r.admissible:
+                        continue
+                    if r.scheme == "standard":
+                        product = Variation(n, ((i, j, r.delta1),)).matrix
+                    else:
+                        v = Variation(n, ((i, j, r.delta1),))
+                        product = build_plan(v, Scheme(r.scheme), model.statements).product
+                    target = mp.matrix(n, n)
+                    for a in range(n):
+                        for b in range(n):
+                            target[a, b] = mp.mpf(product[a, b]) * cov[a, b]
+                    trace = mp.fsum(prec[a, b] * target[b, a] for a in range(n) for b in range(n))
+                    want = (trace - n + logdet - mp.log(mp.det(target))) / 2
+                    assert abs(r.kl - want) <= 1e-12 * want, (name, position, r.scheme, r.delta1)
+                    checked += 1
+        assert checked > 200
+
+    @pytest.mark.parametrize("name", ["synthetic4", "cachexia", "cachexia_control"])
+    def test_total_closed_form_on_fixtures(self, name):
+        # n/2 (x - ln(1 + x)) with x = delta - 1, at 50 digits
+        mp = pytest.importorskip("mpmath")
+        model = load_model(fixture_path(name))
+        for delta in np.concatenate([np.logspace(-3, 3, 61), 1.0 + np.array(ORACLE_STEPS)]):
+            v = Variation(model.n, ((1, 0, float(delta)),))
+            plan = build_plan(v, Scheme("total"), model.statements)
+            got = evaluate("total", model.covariance, plan)[1].kl
+            if delta == 1.0:
+                assert got == 0.0
+                continue
+            with mp.workdps(50):
+                x = mp.mpf(float(delta)) - 1
+                want = model.n * (x - mp.log1p(x)) / 2
+            assert abs(got - want) <= 1e-12 * want, delta
+
+    @pytest.mark.filterwarnings("ignore:position .* lies outside")
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["standard", "total", "partial", "row", "column"]),
+        deltas=st.lists(st.just(1.0) | st.floats(0.5, 2.0), min_size=1, max_size=2),
+    )
+    def test_nonnegative_and_zero_exactly_without_change(self, seed, kind, deltas):
+        rng = np.random.default_rng(seed)
+        cov, statements = random_dag_with_statement(rng)
+        n = cov.shape[0]
+        keys = [(i, j) for i in range(n) for j in range(i + 1)]
+        picks = rng.choice(len(keys), size=min(len(deltas), len(keys)), replace=False)
+        positions = [keys[k] for k in picks]
+        deltas = deltas[: len(positions)]
+        if kind == "standard":
+            change = shift = additive_shift(cov, positions, deltas)
+        else:
+            factors = tuple((i, j, d) for (i, j), d in zip(positions, deltas))
+            change = build_plan(Variation(n, factors), Scheme(kind), statements)
+            shift = _plan_shift(cov, change)
+        _, report = evaluate(kind, cov, change)
+        if all(d == 1.0 for d in deltas):
+            assert report.admissible and report.kl == 0.0
+        if report.admissible:
+            assert report.kl >= 0.0
+            assert (report.kl == 0.0) == (not shift.any())
+
+
 class TestKlGaussian:
+    """kl against the dense trace/log-det oracle and its error cases."""
+
     def test_identical_inputs_are_exactly_zero(self, sigma4):
-        assert kl_gaussian(np.zeros(4), sigma4, np.zeros(4), sigma4) == 0.0
+        assert kl(sigma4, np.zeros((4, 4))) == 0.0
 
     def test_rescaled_covariance_matches_closed_form(self, sigma4):
-        got = kl_gaussian(None, sigma4, None, 1.25 * sigma4)
-        assert got == pytest.approx(KL_TOTAL_125_N4, rel=1e-9)
-
-    def test_one_dimensional_mean_shift(self):
-        assert kl_gaussian([0.0], [[1.0]], [1.0], [[1.0]]) == pytest.approx(0.5)
+        assert kl(sigma4, 0.25 * sigma4) == pytest.approx(KL_TOTAL_125_N4, rel=1e-12)
 
     def test_asymmetry_on_a_fixture(self):
         cov1 = np.diag([1.0, 2.0])
         cov2 = np.diag([2.0, 5.0])
-        assert kl_gaussian(None, cov1, None, cov2) != pytest.approx(
-            kl_gaussian(None, cov2, None, cov1)
-        )
+        assert kl(cov1, cov2 - cov1) != pytest.approx(kl(cov2, cov1 - cov2))
 
     def test_singular_base_raises(self):
         with pytest.raises(SingularMatrixError):
-            kl_gaussian(None, np.ones((2, 2)), None, np.eye(2))
+            kl(np.ones((2, 2)), np.eye(2) - np.ones((2, 2)))
 
     def test_nonpositive_determinant_raises(self):
-        flipped = np.diag([1.0, -1.0])
         with pytest.raises(InadmissibleError):
-            kl_gaussian(None, np.eye(2), None, flipped)
-
-    def test_computable_outside_the_cone(self, sigma4, stmt4):
-        # the partial plan at 1.25 leaves the PSD cone but keeps det > 0;
-        # the trace/log-det expression is still a number
-        plan = build_plan(make_variation(4, [(1, 0, 1.25)]), Scheme("partial"), [stmt4])
-        target = plan.apply(sigma4)
-        assert not is_psd(target)
-        value = kl_gaussian(None, sigma4, None, target)
-        assert value > 0
+            kl(np.eye(2), np.diag([0.0, -2.0]))
 
 
 class TestKlAdditive:
+    """kl of additive changes, the standard method."""
+
     def test_zero_shifts_give_exact_zero(self, sigma4):
-        assert kl_additive(sigma4, np.zeros((4, 4)), np.zeros(4)) == 0.0
+        shift = additive_shift(sigma4, ((1, 0),), (1.0,))
+        assert not shift.any()
+        assert kl(sigma4, shift) == 0.0
 
     def test_agrees_with_general_form(self, sigma4):
         # matched additive change for a 5% multiplicative variation of the
         # (2,1) entry; larger factors push this matrix past det = 0
-        shift = np.zeros((4, 4))
-        shift[1, 0] = shift[0, 1] = (1.05 - 1.0) * sigma4[1, 0]
-        expected = kl_gaussian(np.zeros(4), sigma4, np.zeros(4), sigma4 + shift)
-        assert kl_additive(sigma4, shift) == pytest.approx(expected, rel=1e-10)
+        shift = additive_shift(sigma4, ((1, 0),), (1.05,))
+        assert kl(sigma4, shift) == pytest.approx(kl_dense(sigma4, sigma4 + shift), rel=1e-10)
 
     def test_agrees_with_general_form_in_error_too(self, sigma4):
-        shift = np.zeros((4, 4))
-        shift[1, 0] = shift[0, 1] = (1.25 - 1.0) * sigma4[1, 0]
+        shift = additive_shift(sigma4, ((1, 0),), (1.25,))
         with pytest.raises(InadmissibleError):
-            kl_additive(sigma4, shift)
-        with pytest.raises(InadmissibleError):
-            kl_gaussian(np.zeros(4), sigma4, np.zeros(4), sigma4 + shift)
-
-    def test_pure_mean_shift_is_the_quadratic_term(self, rng):
-        cov = _random_spd(rng, 3)
-        d = rng.uniform(-1, 1, size=3)
-        expected = 0.5 * d @ np.linalg.inv(cov) @ d
-        assert kl_additive(cov, np.zeros((3, 3)), d) == pytest.approx(expected, rel=1e-9)
+            kl(sigma4, shift)
+        assert np.linalg.slogdet(sigma4 + shift)[0] <= 0
 
     def test_oracle_agreement_on_random_admissible_instances(self, rng):
+        checked = 0
         for _ in range(40):
             n = int(rng.integers(2, 6))
             cov = _random_spd(rng, n)
             shift = rng.uniform(-0.2, 0.2, size=(n, n))
             shift = (shift + shift.T) / 2
-            if not is_psd(cov + shift):
+            if np.linalg.eigvalsh(cov + shift)[0] <= 0:
                 continue
-            d = rng.uniform(-1, 1, size=n)
-            got = kl_additive(cov, shift, d)
-            want = kl_gaussian(np.zeros(n), cov, -d, cov + shift)
-            assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+            assert kl(cov, shift) == pytest.approx(kl_dense(cov, cov + shift), rel=1e-10, abs=1e-12)
+            checked += 1
+        assert checked > 20
 
     def test_inadmissible_shift_raises(self):
         with pytest.raises(InadmissibleError):
-            kl_additive(np.eye(2), np.diag([-2.0, 0.0]))
+            kl(np.eye(2), np.diag([-2.0, 0.0]))
 
 
 class TestKlMp:
+    """kl of plan changes, with shift (P - 1) o cov."""
+
     def test_all_ones_plan_is_exactly_zero(self, sigma4, stmt4):
-        plan = build_plan(make_variation(4, [(0, 0, 1.0)]), Scheme("none"), [stmt4])
-        assert kl_mp(sigma4, plan) == 0.0
+        plan = build_plan(Variation(4, ((0, 0, 1.0),)), Scheme("none"), [stmt4])
+        assert kl(sigma4, _plan_shift(sigma4, plan)) == 0.0
 
     def test_total_plan_matches_closed_form(self, sigma4, stmt4):
-        plan = build_plan(make_variation(4, [(1, 0, 1.25)]), Scheme("total"), [stmt4])
-        assert kl_mp(sigma4, plan) == pytest.approx(KL_TOTAL_125_N4, rel=1e-10)
+        plan = build_plan(Variation(4, ((1, 0, 1.25),)), Scheme("total"), [stmt4])
+        assert kl(sigma4, _plan_shift(sigma4, plan)) == pytest.approx(KL_TOTAL_125_N4, rel=1e-12)
 
     def test_partial_plan_agrees_with_general_form(self, sigma4, stmt4):
-        plan = build_plan(make_variation(4, [(1, 0, 1.25)]), Scheme("partial"), [stmt4])
-        want = kl_gaussian(None, sigma4, None, plan.apply(sigma4))
-        assert kl_mp(sigma4, plan) == pytest.approx(want, rel=1e-10)
+        plan = build_plan(Variation(4, ((1, 0, 1.02),)), Scheme("partial"), [stmt4])
+        want = kl_dense(sigma4, plan.apply(sigma4))
+        assert kl(sigma4, _plan_shift(sigma4, plan)) == pytest.approx(want, rel=1e-10)
 
     def test_negative_determinant_raises(self, sigma4, stmt4):
-        plan = build_plan(make_variation(4, [(1, 0, 1.25)]), Scheme("row"), [stmt4])
+        plan = build_plan(Variation(4, ((1, 0, 1.25),)), Scheme("row"), [stmt4])
         with pytest.raises(InadmissibleError):
-            kl_mp(sigma4, plan)
+            kl(sigma4, _plan_shift(sigma4, plan))
 
     def test_composed_totals_match_product_closed_form(self, sigma4, stmt4):
-        p1 = build_plan(make_variation(4, [(1, 0, 1.2)]), Scheme("total"), [stmt4])
-        p2 = build_plan(make_variation(4, [(2, 1, 1.1)]), Scheme("total"), [stmt4])
+        p1 = build_plan(Variation(4, ((1, 0, 1.2),)), Scheme("total"), [stmt4])
+        p2 = build_plan(Variation(4, ((2, 1, 1.1),)), Scheme("total"), [stmt4])
         combined = compose(p1, p2)
-        want = kl_total_closed(4, 1.2 * 1.1)
-        assert kl_mp(sigma4, combined) == pytest.approx(want, rel=1e-10)
+        delta = 1.2 * 1.1
+        want = 0.5 * 4 * (delta - 1.0 - np.log(delta))
+        assert kl(sigma4, _plan_shift(sigma4, combined)) == pytest.approx(want, rel=1e-12)
 
 
 class TestKlTotalClosed:
-    def test_unit_factor_is_zero(self):
-        assert kl_total_closed(4, 1.0) == 0.0
+    """kl of a total rescaling by delta is n/2 (delta - 1 - ln delta)."""
 
-    def test_frozen_values(self):
-        assert kl_total_closed(4, 1.25) == pytest.approx(KL_TOTAL_125_N4, rel=1e-12)
-        assert kl_total_closed(4, 0.8) == pytest.approx(KL_TOTAL_08_N4, rel=1e-12)
+    def test_unit_factor_is_zero(self, sigma4):
+        assert kl(sigma4, (1.0 - 1.0) * sigma4) == 0.0
 
-    def test_nonpositive_factor_rejected(self):
-        with pytest.raises(ValueError):
-            kl_total_closed(3, 0.0)
-        with pytest.raises(ValueError):
-            kl_total_closed(3, -1.0)
+    def test_frozen_values(self, sigma4):
+        assert kl(sigma4, (1.25 - 1.0) * sigma4) == pytest.approx(KL_TOTAL_125_N4, rel=1e-12)
+        assert kl(sigma4, (0.8 - 1.0) * sigma4) == pytest.approx(KL_TOTAL_08_N4, rel=1e-12)
+
+    def test_nonpositive_factor_rejected(self, sigma4):
+        for delta in (0.0, -1.0):
+            with pytest.raises(InadmissibleError):
+                kl(sigma4, (delta - 1.0) * sigma4)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -165,17 +256,17 @@ class TestKlTotalClosed:
         delta=st.floats(1e-6, 10.0, allow_nan=False, allow_infinity=False),
     )
     def test_nonnegative_with_zero_only_at_one(self, n, delta):
-        value = kl_total_closed(n, delta)
+        cov = np.eye(n) + 0.5 * np.ones((n, n))
+        value = kl(cov, (delta - 1.0) * cov)
         assert value >= 0.0
-        if abs(delta - 1.0) > 1e-6:
-            assert value > 0.0
+        assert (value == 0.0) == (delta == 1.0)
 
     def test_agrees_with_general_form_across_dimensions(self, rng):
         for n in range(2, 7):
             cov = _random_spd(rng, n)
             for delta in (0.5, 0.8, 1.25, 2.0):
-                want = kl_gaussian(np.zeros(n), cov, np.zeros(n), delta * cov)
-                assert kl_total_closed(n, delta) == pytest.approx(want, rel=1e-10)
+                want = kl_dense(cov, delta * cov)
+                assert kl(cov, (delta - 1.0) * cov) == pytest.approx(want, rel=1e-10)
 
 
 class TestFrobenius:
@@ -198,19 +289,23 @@ class TestFrobenius:
 
 
 class TestFrobeniusMp:
+    """evaluate reports a plan's Frobenius norm as frobenius(cov, P o cov)."""
+
     def test_bitwise_equal_to_direct_form(self, rng, stmt4):
         for _ in range(20):
             delta = float(rng.uniform(0.25, 2.0))
             kind = ("total", "partial", "row", "column")[int(rng.integers(4))]
-            plan = build_plan(make_variation(4, [(1, 0, delta)]), Scheme(kind), [stmt4])
-            assert frobenius_mp(SIGMA4, plan) == frobenius(SIGMA4, plan.apply(SIGMA4))
+            plan = build_plan(Variation(4, ((1, 0, delta),)), Scheme(kind), [stmt4])
+            report = evaluate(kind, SIGMA4, plan)[1]
+            assert report.frobenius == frobenius(SIGMA4, plan.apply(SIGMA4))
 
     def test_composed_plan_both_ways(self, stmt4):
-        p1 = build_plan(make_variation(5, [(3, 2, 1.5)]), Scheme("row"), [])
-        p2 = build_plan(make_variation(5, [(2, 1, 0.8)]), Scheme("none"), [])
+        p1 = build_plan(Variation(5, ((3, 2, 1.5),)), Scheme("row"), [])
+        p2 = build_plan(Variation(5, ((2, 1, 0.8),)), Scheme("none"), [])
         combined = compose(p1, p2)
         cov = np.eye(5) + 0.1 * np.ones((5, 5))
-        assert frobenius_mp(cov, combined) == frobenius(cov, combined.apply(cov))
+        report = evaluate("row", cov, combined)[1]
+        assert report.frobenius == frobenius(cov, combined.apply(cov))
 
 
 class TestSchemeOrdering:
@@ -250,11 +345,11 @@ class TestSchemeOrdering:
 
     def test_ordering_violation_is_a_gsens_error(self, monkeypatch, sigma4, stmt4):
         # the check must survive python -O and reach the CLI as exit 1
-        real = divergence.frobenius_mp
+        real = divergence.frobenius
 
-        def broken(cov, plan):
-            return 0.0 if plan.steps[0].scheme.kind == "total" else real(cov, plan)
+        def broken(cov, target):
+            return 0.0 if np.array_equal(target, 1.05 * cov) else real(cov, target)
 
-        monkeypatch.setattr(divergence, "frobenius_mp", broken)
+        monkeypatch.setattr(divergence, "frobenius", broken)
         with pytest.raises(GsensError, match="total < partial"):
             scheme_ordering(sigma4, (1, 0), 1.05, stmt4)

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import SIGMA4, random_dag
+from conftest import SIGMA4, is_psd, random_dag
 from gsens import (
     CIStatement,
     GaussianDag,
     dag_ci_statements,
     dag_to_gaussian,
     inverse,
-    is_psd,
     model_holds,
 )
 from gsens.graphmodels import GraphModelError

@@ -14,7 +14,12 @@ stderr, the tree's source directory reads ``<src>`` and the temporary
 directory ``<inputs>``.
 
 Prints each job whose exit code, stdout or stderr differs, with the streams
-that differ, and exits 1 if any job differs; 0 otherwise.
+that differ, and exits 1 if any job differs; 0 otherwise. A job whose
+stdout differs only in KL values (the sweep ``kl`` field, covary's ``kl:``
+line or compare's kl column, compared cell by cell so that column widths
+do not matter) is reported as such, with its largest relative KL
+difference; the last line counts these jobs and gives the largest relative
+KL difference over all of them.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+from checker import split_kl  # noqa: E402
 from workloads import WORKLOADS, generate  # noqa: E402
 
 # Runs in the subprocess: argv lists on stdin, one JSON result per job on stdout.
@@ -80,6 +86,24 @@ def run_tree(src: Path, jobs, workdir: Path) -> list[dict]:
     return results
 
 
+def kl_gap(job, parent: str, change: str) -> tuple[float, float, float] | None:
+    """(largest relative difference, parent value, change value) over the KL
+    values of two outputs that differ in nothing else; None when anything
+    else differs."""
+    try:
+        (rest_a, kls_a), (rest_b, kls_b) = split_kl(job, parent), split_kl(job, change)
+    except (ValueError, IndexError):
+        return None
+    if rest_a != rest_b or [a is None for a in kls_a] != [b is None for b in kls_b]:
+        return None
+    gaps = [
+        (abs(a - b) / max(abs(a), abs(b)), a, b)
+        for a, b in zip(kls_a, kls_b)
+        if a is not None and a != b
+    ]
+    return max(gaps, default=(0.0, 0.0, 0.0))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_src", type=Path)
@@ -91,7 +115,8 @@ def main(argv=None) -> int:
         if not (src / "gsens" / "cli.py").is_file():
             parser.error(f"{src} holds no gsens package")
 
-    compared = differing = 0
+    compared = differing = kl_only = 0
+    worst = 0.0
     for workload in WORKLOADS:
         for seed in args.seeds:
             inputs = generate(workload, seed)
@@ -103,13 +128,26 @@ def main(argv=None) -> int:
             for job, a, b in zip(inputs.jobs, parent, change):
                 compared += 1
                 streams = [s for s in ("code", "stdout", "stderr") if a[s] != b[s]]
-                if streams:
-                    differing += 1
-                    print(f"DIFF {workload} seed={seed} [{job.key}]: {', '.join(streams)}")
-                    for s in streams:
-                        print(f"  parent {s}: {a[s]!r:.400}")
-                        print(f"  change {s}: {b[s]!r:.400}")
-    print(f"{compared} jobs compared, {differing} differ")
+                if not streams:
+                    continue
+                differing += 1
+                gap = kl_gap(job, a["stdout"], b["stdout"]) if streams == ["stdout"] else None
+                if gap is not None:
+                    kl_only += 1
+                    worst = max(worst, gap[0])
+                    print(
+                        f"DIFF {workload} seed={seed} [{job.key}]: kl only, largest relative "
+                        f"difference {gap[0]:.3g} (parent {gap[1]!r}, change {gap[2]!r})"
+                    )
+                    continue
+                print(f"DIFF {workload} seed={seed} [{job.key}]: {', '.join(streams)}")
+                for s in streams:
+                    print(f"  parent {s}: {a[s]!r:.400}")
+                    print(f"  change {s}: {b[s]!r:.400}")
+    print(
+        f"{compared} jobs compared, {differing} differ, {kl_only} of them only in KL values "
+        f"(largest relative KL difference {worst:.3g})"
+    )
     return 1 if differing else 0
 
 
