@@ -11,8 +11,8 @@ L^-1 D L^-T, the perturbed covariance is L (I + L^-1 D L^-T) L', so
 in nats; each term is >= 0, and every one is exactly 0 when D is 0. A
 change is admissible iff Sigma passes the reciprocal-condition rule of
 matcore.check_invertible and every 1 + nu_i > 0, i.e. Sigma + D is
-positive definite. The Frobenius norm is the sum of squared entrywise
-covariance differences.
+positive definite. kl_additive, kl_mp and frobenius_mp only form D or
+P o Sigma, under the layer names the benchmark's per-layer trace times.
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ from .errors import GsensError, InadmissibleError, SingularMatrixError
 from .matcore import as_matrix, check_invertible, check_symmetric
 
 # Below this |nu|, nu - log1p(nu) would lose up to log10(2 / |nu|) digits to
-# cancellation; the Taylor series of (nu - log1p(nu)) / nu^2, 1/2 - nu/3 +
-# nu^2/4 - ..., cut after 15 terms (highest power first, for Horner) is
-# exact to below 1e-16 relative there.
+# cancellation; the series (nu - log1p(nu)) / nu^2 = 1/2 - nu/3 + nu^2/4 - ...,
+# cut after 15 terms (highest power first, for Horner), is exact to 1e-16 there.
 SERIES_RADIUS = 0.1
 _SERIES = tuple((-1) ** k / (k + 2) for k in reversed(range(15)))
 
@@ -66,6 +65,16 @@ def kl(cov, shift) -> float:
     return 0.5 * sum(_excess(v) for v in nu.tolist())
 
 
+def kl_additive(cov, cov_shift) -> float:
+    """kl of the standard method's additive change cov + cov_shift."""
+    return kl(cov, cov_shift)
+
+
+def kl_mp(cov, plan: PerturbationPlan) -> float:
+    """kl of a plan's change (P - 1) o cov, for the model-preserving schemes."""
+    return kl(cov, (plan.product - 1.0) * as_matrix(cov, "cov"))
+
+
 def frobenius(cov, cov_new) -> float:
     """Sum of squared entrywise differences of the two covariance matrices."""
     a = as_matrix(cov, "cov")
@@ -73,6 +82,11 @@ def frobenius(cov, cov_new) -> float:
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return float(((a - b) ** 2).sum())
+
+
+def frobenius_mp(cov, plan: PerturbationPlan) -> float:
+    """frobenius of a plan's target P o cov, bitwise what evaluate reports."""
+    return frobenius(cov, plan.apply(as_matrix(cov, "cov")))
 
 
 def additive_shift(cov: np.ndarray, positions, deltas) -> np.ndarray:
@@ -98,21 +112,19 @@ class DivergenceReport:
 
 def evaluate(label: str, cov: np.ndarray, change) -> tuple[np.ndarray, DivergenceReport]:
     """The perturbed covariance and its report, for a change that is either a
-    PerturbationPlan with product P (target P o cov, shift (P - 1) o cov) or
-    an additive shift D (target cov + D).
+    PerturbationPlan with product P (target P o cov, KL by kl_mp) or an
+    additive shift D (target cov + D, KL by kl_additive).
 
     The point is admissible iff kl is defined there (see the module
     docstring), and KL is reported exactly for admissible points.
     """
     if isinstance(change, PerturbationPlan):
-        target = change.apply(cov)
-        shift = (change.product - 1.0) * cov
+        target, kl_of = change.apply(cov), kl_mp
     else:
-        target = cov + change
-        shift = change
+        target, kl_of = cov + change, kl_additive
     frob = frobenius(cov, target)
     try:
-        return target, DivergenceReport(label, kl(cov, shift), frob, True)
+        return target, DivergenceReport(label, kl_of(cov, change), frob, True)
     except (InadmissibleError, SingularMatrixError):
         return target, DivergenceReport(label, None, frob, False)
 

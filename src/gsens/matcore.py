@@ -1,7 +1,7 @@
 """Dense symmetric-matrix kernel.
 
-Submatrices, exhaustive minor enumeration, the reciprocal-condition rule and
-inverses. Everything here is a pure function on dense arrays.
+Submatrices, minor enumeration, the reciprocal-condition rule, inverses and
+positive-semidefiniteness. Everything here is a pure function on dense arrays.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .errors import SingularMatrixError
 # Reciprocal condition estimate below this means "singular" (check_invertible).
 RCOND_LIMIT = 1e-12
 
-# Default scale-relative tolerance used for minor vanishing.
+# Default scale-relative tolerance used for minor vanishing and is_psd.
 DEFAULT_REL_TOL = 1e-9
 
 
@@ -167,6 +167,15 @@ def inverse(m) -> np.ndarray:
     inv = np.linalg.inv(check_invertible(check_symmetric(as_matrix(m))))
     # inverse of a symmetric matrix is symmetric; average out LU round-off
     return (inv + inv.T) / 2.0
+
+
+# Tests use this as an oracle, and the benchmark's per-layer trace binds it.
+def is_psd(m, tol: float = DEFAULT_REL_TOL) -> bool:
+    """True iff the smallest eigenvalue is >= -tol * max(1, max|entry|)."""
+    if tol < 0:
+        raise ValueError("tolerance must be nonnegative")
+    a = check_symmetric(as_matrix(m))
+    return float(np.linalg.eigvalsh(a)[0]) >= -tol * max(1.0, float(np.abs(a).max()))
 
 
 @dataclass(frozen=True)

@@ -35,11 +35,6 @@ def filled(n: int, rows, cols, value: float) -> np.ndarray:
     return out
 
 
-def is_psd(m, tol: float = 1e-9) -> bool:
-    """Smallest eigenvalue >= -tol * max(1, max|entry|)."""
-    return float(np.linalg.eigvalsh(m)[0]) >= -tol * max(1.0, float(np.abs(m).max()))
-
-
 def kl_dense(cov, target) -> float:
     """Dense trace/log-det KL of N(0, target) from N(0, cov):
     0.5 * (tr(cov^-1 target) - n + ln det cov - ln det target); both

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import SIGMA4, STMT5_A, STMT5_B, is_psd, kl_dense, model5, random_dag
+from conftest import SIGMA4, STMT5_A, STMT5_B, kl_dense, model5, random_dag
 from gsens import (
     CIStatement,
     GaussianDag,
@@ -33,6 +33,7 @@ from gsens import (
 )
 from gsens.conditioning import Evidence
 from gsens.fixtures import fixture_path
+from gsens.matcore import is_psd
 
 GRID = tuple(round(0.75 + k * 0.01, 10) for k in range(51))
 POSITIONS_71 = ((1, 0), (1, 1), (2, 0), (2, 1))  # sigma 21, 22, 31, 32

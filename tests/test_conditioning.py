@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import SIGMA4, is_psd, random_dag
+from conftest import SIGMA4, random_dag
 from gsens import (
     Evidence,
     GsensError,
@@ -9,6 +9,7 @@ from gsens import (
     condition,
     dag_to_gaussian,
 )
+from gsens.matcore import is_psd
 
 
 def _direct_moments(mean, cov, obs_idx, out_idx, y):

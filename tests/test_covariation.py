@@ -8,7 +8,6 @@ from conftest import (
     STMT5_A,
     STMT5_B,
     filled,
-    is_psd,
     model5,
     random_dag,
 )
@@ -26,6 +25,7 @@ from gsens import (
     model_holds,
     verify_preserving,
 )
+from gsens.matcore import is_psd
 
 
 class TestVariation:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,8 +23,9 @@ from gsens import (
     scheme_ordering,
 )
 from gsens import divergence
-from gsens.divergence import additive_shift, evaluate
+from gsens.divergence import additive_shift, evaluate, frobenius_mp, kl_additive, kl_mp
 from gsens.fixtures import fixture_path
+from gsens.matcore import is_psd
 
 # 0.5 * 4 * (1.25 - ln 1.25 - 1), frozen from direct evaluation
 KL_TOTAL_125_N4 = 0.05371289737158048
@@ -98,23 +101,6 @@ class TestKl:
                     checked += 1
         assert checked > 200
 
-    @pytest.mark.parametrize("name", ["synthetic4", "cachexia", "cachexia_control"])
-    def test_total_closed_form_on_fixtures(self, name):
-        # n/2 (x - ln(1 + x)) with x = delta - 1, at 50 digits
-        mp = pytest.importorskip("mpmath")
-        model = load_model(fixture_path(name))
-        for delta in np.concatenate([np.logspace(-3, 3, 61), 1.0 + np.array(ORACLE_STEPS)]):
-            v = Variation(model.n, ((1, 0, float(delta)),))
-            plan = build_plan(v, Scheme("total"), model.statements)
-            got = evaluate("total", model.covariance, plan)[1].kl
-            if delta == 1.0:
-                assert got == 0.0
-                continue
-            with mp.workdps(50):
-                x = mp.mpf(float(delta)) - 1
-                want = model.n * (x - mp.log1p(x)) / 2
-            assert abs(got - want) <= 1e-12 * want, delta
-
     @pytest.mark.filterwarnings("ignore:position .* lies outside")
     @settings(max_examples=80, deadline=None)
     @given(
@@ -145,7 +131,8 @@ class TestKl:
 
 
 class TestKlGaussian:
-    """kl against the dense trace/log-det oracle and its error cases."""
+    """kl of N(0, cov + D) from N(0, cov): exact zero, a rescale, asymmetry
+    and the error cases."""
 
     def test_identical_inputs_are_exactly_zero(self, sigma4):
         assert kl(sigma4, np.zeros((4, 4))) == 0.0
@@ -168,23 +155,23 @@ class TestKlGaussian:
 
 
 class TestKlAdditive:
-    """kl of additive changes, the standard method."""
+    """kl_additive, the standard method's KL, against the dense oracle."""
 
     def test_zero_shifts_give_exact_zero(self, sigma4):
         shift = additive_shift(sigma4, ((1, 0),), (1.0,))
         assert not shift.any()
-        assert kl(sigma4, shift) == 0.0
+        assert kl_additive(sigma4, shift) == 0.0
 
     def test_agrees_with_general_form(self, sigma4):
         # matched additive change for a 5% multiplicative variation of the
         # (2,1) entry; larger factors push this matrix past det = 0
         shift = additive_shift(sigma4, ((1, 0),), (1.05,))
-        assert kl(sigma4, shift) == pytest.approx(kl_dense(sigma4, sigma4 + shift), rel=1e-10)
+        assert kl_additive(sigma4, shift) == pytest.approx(kl_dense(sigma4, sigma4 + shift), rel=1e-10)
 
     def test_agrees_with_general_form_in_error_too(self, sigma4):
         shift = additive_shift(sigma4, ((1, 0),), (1.25,))
         with pytest.raises(InadmissibleError):
-            kl(sigma4, shift)
+            kl_additive(sigma4, shift)
         assert np.linalg.slogdet(sigma4 + shift)[0] <= 0
 
     def test_oracle_agreement_on_random_admissible_instances(self, rng):
@@ -194,37 +181,39 @@ class TestKlAdditive:
             cov = _random_spd(rng, n)
             shift = rng.uniform(-0.2, 0.2, size=(n, n))
             shift = (shift + shift.T) / 2
-            if np.linalg.eigvalsh(cov + shift)[0] <= 0:
+            if not is_psd(cov + shift):
                 continue
-            assert kl(cov, shift) == pytest.approx(kl_dense(cov, cov + shift), rel=1e-10, abs=1e-12)
+            got = kl_additive(cov, shift)
+            assert got == pytest.approx(kl_dense(cov, cov + shift), rel=1e-10, abs=1e-12)
             checked += 1
         assert checked > 20
 
     def test_inadmissible_shift_raises(self):
         with pytest.raises(InadmissibleError):
-            kl(np.eye(2), np.diag([-2.0, 0.0]))
+            kl_additive(np.eye(2), np.diag([-2.0, 0.0]))
 
 
 class TestKlMp:
-    """kl of plan changes, with shift (P - 1) o cov."""
+    """kl_mp, the model-preserving schemes' KL, with shift (P - 1) o cov."""
 
     def test_all_ones_plan_is_exactly_zero(self, sigma4, stmt4):
         plan = build_plan(Variation(4, ((0, 0, 1.0),)), Scheme("none"), [stmt4])
-        assert kl(sigma4, _plan_shift(sigma4, plan)) == 0.0
+        assert kl_mp(sigma4, plan) == 0.0
 
     def test_total_plan_matches_closed_form(self, sigma4, stmt4):
+        # the total plan's shift is 0.25 * cov exactly
         plan = build_plan(Variation(4, ((1, 0, 1.25),)), Scheme("total"), [stmt4])
-        assert kl(sigma4, _plan_shift(sigma4, plan)) == pytest.approx(KL_TOTAL_125_N4, rel=1e-12)
+        assert kl_mp(sigma4, plan) == kl(sigma4, 0.25 * sigma4)
 
     def test_partial_plan_agrees_with_general_form(self, sigma4, stmt4):
         plan = build_plan(Variation(4, ((1, 0, 1.02),)), Scheme("partial"), [stmt4])
         want = kl_dense(sigma4, plan.apply(sigma4))
-        assert kl(sigma4, _plan_shift(sigma4, plan)) == pytest.approx(want, rel=1e-10)
+        assert kl_mp(sigma4, plan) == pytest.approx(want, rel=1e-10)
 
     def test_negative_determinant_raises(self, sigma4, stmt4):
         plan = build_plan(Variation(4, ((1, 0, 1.25),)), Scheme("row"), [stmt4])
         with pytest.raises(InadmissibleError):
-            kl(sigma4, _plan_shift(sigma4, plan))
+            kl_mp(sigma4, plan)
 
     def test_composed_totals_match_product_closed_form(self, sigma4, stmt4):
         p1 = build_plan(Variation(4, ((1, 0, 1.2),)), Scheme("total"), [stmt4])
@@ -232,17 +221,22 @@ class TestKlMp:
         combined = compose(p1, p2)
         delta = 1.2 * 1.1
         want = 0.5 * 4 * (delta - 1.0 - np.log(delta))
-        assert kl(sigma4, _plan_shift(sigma4, combined)) == pytest.approx(want, rel=1e-12)
+        assert kl_mp(sigma4, combined) == pytest.approx(want, rel=1e-12)
 
 
 class TestKlTotalClosed:
-    """kl of a total rescaling by delta is n/2 (delta - 1 - ln delta)."""
+    """A total covariation by delta has KL n/2 (delta - 1 - ln delta),
+    whatever the covariance."""
 
-    def test_unit_factor_is_zero(self, sigma4):
-        assert kl(sigma4, (1.0 - 1.0) * sigma4) == 0.0
+    def test_unit_factor_is_zero(self, sigma4, stmt4):
+        # composed factors 2 and 0.5 multiply to exactly 1
+        p1 = build_plan(Variation(4, ((1, 0, 2.0),)), Scheme("total"), [stmt4])
+        p2 = build_plan(Variation(4, ((2, 1, 0.5),)), Scheme("total"), [stmt4])
+        assert kl_mp(sigma4, compose(p1, p2)) == 0.0
 
     def test_frozen_values(self, sigma4):
-        assert kl(sigma4, (1.25 - 1.0) * sigma4) == pytest.approx(KL_TOTAL_125_N4, rel=1e-12)
+        for delta, frozen in ((1.25, KL_TOTAL_125_N4), (0.8, KL_TOTAL_08_N4)):
+            assert 2 * (delta - 1.0 - math.log(delta)) == pytest.approx(frozen, rel=1e-12)
         assert kl(sigma4, (0.8 - 1.0) * sigma4) == pytest.approx(KL_TOTAL_08_N4, rel=1e-12)
 
     def test_nonpositive_factor_rejected(self, sigma4):
@@ -262,11 +256,30 @@ class TestKlTotalClosed:
         assert (value == 0.0) == (delta == 1.0)
 
     def test_agrees_with_general_form_across_dimensions(self, rng):
+        # the sweep path: a total plan on a random DAG of each size, through evaluate
         for n in range(2, 7):
-            cov = _random_spd(rng, n)
+            _, cov = dag_to_gaussian(random_dag(rng, n))
             for delta in (0.5, 0.8, 1.25, 2.0):
-                want = kl_dense(cov, delta * cov)
-                assert kl(cov, (delta - 1.0) * cov) == pytest.approx(want, rel=1e-10)
+                plan = build_plan(Variation(n, ((n - 1, 0, delta),)), Scheme("total"), [])
+                closed = 0.5 * n * (delta - 1.0 - math.log(delta))
+                assert evaluate("total", cov, plan)[1].kl == pytest.approx(closed, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["synthetic4", "cachexia", "cachexia_control"])
+    def test_total_closed_form_on_fixtures(self, name):
+        # n/2 (x - ln(1 + x)) with x = delta - 1, at 50 digits
+        mp = pytest.importorskip("mpmath")
+        model = load_model(fixture_path(name))
+        for delta in np.concatenate([np.logspace(-3, 3, 61), 1.0 + np.array(ORACLE_STEPS)]):
+            v = Variation(model.n, ((1, 0, float(delta)),))
+            plan = build_plan(v, Scheme("total"), model.statements)
+            got = evaluate("total", model.covariance, plan)[1].kl
+            if delta == 1.0:
+                assert got == 0.0
+                continue
+            with mp.workdps(50):
+                x = mp.mpf(float(delta)) - 1
+                want = model.n * (x - mp.log1p(x)) / 2
+            assert abs(got - want) <= 1e-12 * want, delta
 
 
 class TestFrobenius:
@@ -289,23 +302,21 @@ class TestFrobenius:
 
 
 class TestFrobeniusMp:
-    """evaluate reports a plan's Frobenius norm as frobenius(cov, P o cov)."""
+    """frobenius_mp is frobenius(cov, P o cov), bitwise what evaluate reports."""
 
     def test_bitwise_equal_to_direct_form(self, rng, stmt4):
         for _ in range(20):
             delta = float(rng.uniform(0.25, 2.0))
             kind = ("total", "partial", "row", "column")[int(rng.integers(4))]
             plan = build_plan(Variation(4, ((1, 0, delta),)), Scheme(kind), [stmt4])
-            report = evaluate(kind, SIGMA4, plan)[1]
-            assert report.frobenius == frobenius(SIGMA4, plan.apply(SIGMA4))
+            assert frobenius_mp(SIGMA4, plan) == frobenius(SIGMA4, plan.apply(SIGMA4))
 
     def test_composed_plan_both_ways(self, stmt4):
         p1 = build_plan(Variation(5, ((3, 2, 1.5),)), Scheme("row"), [])
         p2 = build_plan(Variation(5, ((2, 1, 0.8),)), Scheme("none"), [])
         combined = compose(p1, p2)
         cov = np.eye(5) + 0.1 * np.ones((5, 5))
-        report = evaluate("row", cov, combined)[1]
-        assert report.frobenius == frobenius(cov, combined.apply(cov))
+        assert frobenius_mp(cov, combined) == evaluate("row", cov, combined)[1].frobenius
 
 
 class TestSchemeOrdering:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import SIGMA4, is_psd, random_dag
+from conftest import SIGMA4, random_dag
 from gsens import (
     CIStatement,
     GaussianDag,
@@ -11,6 +11,7 @@ from gsens import (
     model_holds,
 )
 from gsens.graphmodels import GraphModelError
+from gsens.matcore import is_psd
 
 
 class TestDagToGaussian:

@@ -10,6 +10,7 @@ from gsens import (
     iter_minors,
     submatrix,
 )
+from gsens.matcore import is_psd
 
 
 class TestSubmatrix:
@@ -93,6 +94,21 @@ class TestDetInverse:
     def test_singular_raises(self):
         with pytest.raises(SingularMatrixError):
             inverse(np.ones((3, 3)))
+
+
+class TestIsPsd:
+    def test_fixture_matrix(self, sigma4):
+        assert is_psd(sigma4)
+
+    def test_indefinite(self):
+        assert not is_psd([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues -1, 3
+
+    def test_zero_matrix_on_boundary(self):
+        assert is_psd(np.zeros((3, 3)))
+
+    def test_negative_tolerance_rejected(self):
+        with pytest.raises(ValueError):
+            is_psd(np.eye(2), tol=-1.0)
 
 
 class TestTolerancePolicy:
