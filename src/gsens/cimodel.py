@@ -63,6 +63,31 @@ Write A, B, C for left, right and given.
    tolerance with a vanishing confirming minor, rel = 0) enumerates the
    minors as the definition states.
 
+5. Transported certificate. A covariation scales whole rows or columns of a
+   statement block, so a swept block is T = D_r M D_c with diagonal D_r,
+   D_c whose entries are products of factors. With the base's Y, put
+   Y_T = D_c,C^-1 Y D_c,B (D_c,C and D_c,B the C and B parts of D_c) and
+   N_T = T_{:,C} [Y_T, I]. Then N_T = D_r M_{:,C} D_c,C [D_c,C^-1 Y D_c,B, I]
+   = D_r N D_c, which has rank <= |C| because N has, and T - N_T =
+   D_r E D_c. With d = max|D_r| max|D_c| (moduli, so negative factors
+   count), |D_r E D_c| <= d s and |T| <= d mu entrywise. The matrix the
+   check sees is fl(p sigma) with p the rounded product of at most two
+   factors: it differs from T by at most gamma_2 |T| <= gamma_2 d mu, plus
+   an absolute underflow error below 2 eta (1 + mu), eta the smallest
+   subnormal, on each entry. Hence step 2's lemma and rounding analysis
+   hold for the computed block with
+       s_T = d (s + gamma_2 mu) + tiny (1 + mu),
+       mu_T = d mu (1 + gamma_2) + tiny (1 + mu),
+   and _certified(k, s_T, mu_T, rel) proves every computed minor passes.
+   Each scale entry is a factor product rounded at most once and d one
+   more product, so the exact d is at most the computed one times
+   (1 + gamma_3) when that is a normal double, and below the smallest
+   normal double otherwise; d is taken as at least that, and s_T and mu_T
+   carry a (1 + gamma_12) pad for these roundings and their own. The
+   exact bound grows with d, and the computed one covers the exact one,
+   so one certified d certifies every smaller d: a sweep bisects its
+   sorted scales instead of testing each.
+
 A failing statement's witness is the first non-vanishing minor in
 enumeration order. It is found by early-exit enumeration when it is first
 read, so a verdict that is only tested for truth costs no enumeration.
@@ -70,6 +95,7 @@ read, so a verdict that is only tested for truth costs no enumeration.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from functools import cached_property
 import math
@@ -217,19 +243,46 @@ def _certified(k: int, s: float, mu: float, rel: float) -> bool:
     return _bound(k, s + d, mu + d) <= rel
 
 
-def _first_witness(cov: np.ndarray, stmt: CIStatement, tol: TolerancePolicy) -> Minor | None:
-    for minor in iter_minors(statement_block(cov, stmt), stmt.minor_order):
-        if not tol.minor_is_zero(minor):
-            return minor
-    return None
+# Covers the rounding of the scale d and of s_T and mu_T (step 5).
+_TRANSPORT_PAD = 1 + _gamma(12)
 
 
-def _decide(cov: np.ndarray, stmt: CIStatement, tol: TolerancePolicy) -> bool | None:
-    """The verdict when steps 1-3 of the module docstring decide it, else None."""
+@dataclass(frozen=True, eq=False)
+class Certificate:
+    """Step 2's bounds on one statement's block: every residual is at most s
+    and every entry at most mu in magnitude; residual is the computed
+    Sigma_AB - Sigma_AC Y, whose largest entry names step 3's minor."""
+
+    order: int
+    s: float
+    mu: float
+    residual: np.ndarray
+
+    def holds(self, rel: float) -> bool:
+        return _certified(self.order, self.s, self.mu, rel)
+
+    def holds_scaled(self, row_scales: np.ndarray, col_scales: np.ndarray, rel: float) -> np.ndarray:
+        """Step 5 for a stack of scalings D_r M D_c, given as moduli of
+        their diagonals (one row per scaling, each entry a factor product
+        rounded at most once): True where the scaled block is certified."""
+        d = np.maximum(row_scales.max(axis=1) * col_scales.max(axis=1), _TINY)
+        scales = sorted(set(d.tolist()))
+        lift = _TINY * (1 + self.mu)
+
+        def fails(x) -> bool:
+            x = float(x) * (1 + _gamma(3))
+            s = x * (self.s + _gamma(2) * self.mu) * _TRANSPORT_PAD + lift
+            mu = x * self.mu * (1 + _gamma(2)) * _TRANSPORT_PAD + lift
+            return not _certified(self.order, s, mu, rel)
+
+        cut = bisect.bisect_left(scales, True, key=fails)
+        return d <= scales[cut - 1] if cut else np.zeros(len(d), dtype=bool)
+
+
+def certificate(cov: np.ndarray, stmt: CIStatement) -> Certificate | None:
+    """Step 2's certificate of a statement with non-empty C on cov, or None
+    when Sigma_CC fails the RCOND_LIMIT rule or a bound is not finite."""
     a, b, c = stmt.left, stmt.right, stmt.given
-    if not c:
-        v = np.abs(cov.take(a, 0).take(b, 1))
-        return bool(np.all(v <= tol.rel * np.maximum(1.0, v)))
     # the statement block with rows A then C and columns B then C
     block = cov.take(a + c, 0).take(b + c, 1)
     na, nb = len(a), len(b)
@@ -243,9 +296,34 @@ def _decide(cov: np.ndarray, stmt: CIStatement, tol: TolerancePolicy) -> bool | 
     s = float((np.abs(residual) + allowance).max())
     if not math.isfinite(s):
         return None
-    if _certified(len(c) + 1, s, mu, tol.rel):
+    return Certificate(len(c) + 1, s, mu, residual[:na])
+
+
+def marginal_holds(covs: np.ndarray, stmt: CIStatement, tol: TolerancePolicy) -> np.ndarray:
+    """Step 1 on a matrix or a stack of them (..., n, n): the verdict of a
+    statement with empty C on each."""
+    v = np.abs(covs.take(stmt.left, axis=-2).take(stmt.right, axis=-1))
+    return (v <= tol.rel * np.maximum(1.0, v)).all(axis=(-2, -1))
+
+
+def _first_witness(cov: np.ndarray, stmt: CIStatement, tol: TolerancePolicy) -> Minor | None:
+    for minor in iter_minors(statement_block(cov, stmt), stmt.minor_order):
+        if not tol.minor_is_zero(minor):
+            return minor
+    return None
+
+
+def _decide(cov: np.ndarray, stmt: CIStatement, tol: TolerancePolicy) -> bool | None:
+    """The verdict when steps 1-3 of the module docstring decide it, else None."""
+    a, b, c = stmt.left, stmt.right, stmt.given
+    if not c:
+        return bool(marginal_holds(cov, stmt, tol))
+    cert = certificate(cov, stmt)
+    if cert is None:
+        return None
+    if cert.holds(tol.rel):
         return True
-    i, j = np.unravel_index(np.argmax(np.abs(residual[:na])), (na, nb))
+    i, j = np.unravel_index(np.argmax(np.abs(cert.residual)), cert.residual.shape)
     rows = tuple(sorted(c + (a[i],)))
     cols = tuple(sorted(c + (b[j],)))
     minor = next(iter_minors(submatrix(cov, rows, cols), len(c) + 1))

@@ -357,7 +357,9 @@ def main(argv=None) -> int:
             shown.add(text)
             print(f"warning: {text}", file=sys.stderr)
 
-    with warnings.catch_warnings():
+    # extreme factors overflow to inf by design; numpy's RuntimeWarnings
+    # about it would only clutter stderr
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("always")
         warnings.showwarning = show
         try:

@@ -11,8 +11,12 @@ L^-1 D L^-T, the perturbed covariance is L (I + L^-1 D L^-T) L', so
 in nats; each term is >= 0, and every one is exactly 0 when D is 0. A
 change is admissible iff Sigma passes the reciprocal-condition rule of
 matcore.check_invertible and every 1 + nu_i > 0, i.e. Sigma + D is
-positive definite. kl_additive, kl_mp and frobenius_mp only form D or
-P o Sigma, under the layer names the benchmark's per-layer trace times.
+positive definite. kl_stack gives kl's result for a whole stack of
+changes of one Sigma: it factors Sigma once (whitener, L^-1 after the
+condition rule), takes nu from one batched eigvalsh and sums the terms
+column by column (kl_of_spectrum).
+kl_additive, kl_mp and frobenius_mp only form D or P o Sigma, under the
+layer names the benchmark's per-layer trace times.
 """
 
 from __future__ import annotations
@@ -44,6 +48,35 @@ def _excess(nu: float) -> float:
     return acc * nu * nu
 
 
+def kl_of_spectrum(nu: np.ndarray) -> np.ndarray:
+    """kl's 0.5 * sum_i _excess(nu_i) for every spectrum of a stack (m, n),
+    with nu > -1: the same operations on whole columns, so each row gets
+    exactly kl's value. kl keeps the scalar loop, which is ten times faster
+    on a single spectrum."""
+    excess = np.empty_like(nu)
+    big = np.abs(nu) >= SERIES_RADIUS
+    values = nu[big]
+    excess[big] = values - np.array([math.log1p(v) for v in values.tolist()])
+    small = nu[~big]
+    series = np.zeros_like(small)
+    for c in _SERIES:
+        series = series * small + c
+    excess[~big] = series * small * small
+    total = np.zeros(len(nu))
+    for k in range(nu.shape[1]):
+        total = total + excess[:, k]
+    return 0.5 * total
+
+
+def whitener(cov: np.ndarray) -> np.ndarray:
+    """L^-1 for cov = L L'. Raises SingularMatrixError when cov fails
+    check_invertible and InadmissibleError when it is not positive definite."""
+    try:
+        return np.linalg.inv(np.linalg.cholesky(check_invertible(cov)))
+    except np.linalg.LinAlgError:
+        raise InadmissibleError("base covariance is not positive definite; KL is undefined") from None
+
+
 def kl(cov, shift) -> float:
     """KL divergence (nats) of N(0, cov + shift) from N(0, cov), from the
     eigenvalues nu of L^-1 shift L^-T with cov = L L'.
@@ -55,14 +88,40 @@ def kl(cov, shift) -> float:
     shift = check_symmetric(as_matrix(shift, "shift"), "shift")
     if shift.shape != cov.shape:
         raise ValueError(f"dimension mismatch: {cov.shape} vs {shift.shape}")
-    try:
-        whiten = np.linalg.inv(np.linalg.cholesky(check_invertible(cov)))
-    except np.linalg.LinAlgError:
-        raise InadmissibleError("base covariance is not positive definite; KL is undefined") from None
+    whiten = whitener(cov)
     nu = np.linalg.eigvalsh(whiten @ shift @ whiten.T)
     if not (nu > -1.0).all():
         raise InadmissibleError("perturbed covariance is not positive definite; KL is undefined")
     return 0.5 * sum(_excess(v) for v in nu.tolist())
+
+
+def kl_stack(cov: np.ndarray, whiten: np.ndarray | None, shifts: np.ndarray):
+    """kl for a stack of changes (m, n, n) of one symmetric cov, given its
+    whitener (None where whitener raised): the KL values (NaN where
+    inadmissible), the admissible flags, and the ValueError kl raises, by
+    row. Changes whose whitened form is finite share one batched eigvalsh;
+    the others go through kl itself, so every row gets exactly kl's result."""
+    nu = np.full(shifts.shape[:-1], np.nan)
+    single = ~np.isfinite(shifts).all(axis=(1, 2))
+    if whiten is not None:
+        batch = np.flatnonzero(~single)
+        changes = whiten @ shifts[batch] @ whiten.T
+        finite = np.isfinite(changes).all(axis=(1, 2))
+        if finite.any():
+            nu[batch[finite]] = np.linalg.eigvalsh(changes[finite])
+        single[batch[~finite]] = True
+    admissible = (nu > -1.0).all(axis=1)
+    values = np.full(len(shifts), np.nan)
+    values[admissible] = kl_of_spectrum(nu[admissible])
+    raised: dict[int, ValueError] = {}
+    for b in np.flatnonzero(single):
+        try:
+            values[b], admissible[b] = kl(cov, shifts[b]), True
+        except (InadmissibleError, SingularMatrixError):
+            pass
+        except ValueError as e:
+            raised[int(b)] = e
+    return values, admissible, raised
 
 
 def kl_additive(cov, cov_shift) -> float:
@@ -91,12 +150,14 @@ def frobenius_mp(cov, plan: PerturbationPlan) -> float:
 
 def additive_shift(cov: np.ndarray, positions, deltas) -> np.ndarray:
     """The standard method's change matched to a multiplicative variation:
-    d_ij = d_ji = (delta - 1) s_ij at each varied position, zero elsewhere."""
-    shift = np.zeros_like(cov)
+    d_ij = d_ji = (delta - 1) s_ij at each varied position, zero elsewhere.
+    With an array of factors per position, a stack of changes, one per
+    array entry."""
+    shift = np.zeros(np.shape(deltas[0]) + cov.shape)
     for (i, j), d in zip(positions, deltas):
-        shift[i, j] += (d - 1.0) * cov[i, j]
+        shift[..., i, j] += (d - 1.0) * cov[i, j]
         if i != j:
-            shift[j, i] += (d - 1.0) * cov[j, i]
+            shift[..., j, i] += (d - 1.0) * cov[j, i]
     return shift
 
 

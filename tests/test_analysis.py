@@ -1,23 +1,41 @@
+import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import SIGMA4
+from conftest import SIGMA4, random_dag
 from gsens import (
+    CIStatement,
     FactorError,
+    GaussianDag,
+    GsensError,
     ModelFormatError,
     ModelPreconditionError,
     Scheme,
+    TolerancePolicy,
+    Variation,
     admissible_region,
+    analysis,
+    build_plan,
+    covariation,
+    dag_ci_statements,
+    dag_to_gaussian,
     emit,
     load_model,
     load_sweep_config,
+    model_holds,
     one_way_sweep,
     two_way_sweep,
 )
-from gsens.analysis import resolve_scheme
+from gsens.analysis import Model, SweepRecord, resolve_scheme
+from gsens.cimodel import require_model
+from gsens.divergence import additive_shift, evaluate
 from gsens.fixtures import fixture_path
+from gsens.matcore import DEFAULT_TOL
 
 
 @pytest.fixture
@@ -469,3 +487,186 @@ class TestSweepConfig:
         records = one_way_sweep(model, position, cfg.deltas1, cfg.schemes)
         assert [r.error for r in records] == [None, None]
         assert all(r.preserving for r in records)
+
+
+def _per_row(model, positions, grids, schemes, tol):
+    """The sweep by its definition: every row builds its own plan (or
+    additive change), evaluates it and re-checks the model on the target."""
+    require_model(model.covariance, model.statements, tol, model.names)
+    cov, records = model.covariance, []
+    for deltas in itertools.product(*(sorted(g) for g in grids)):
+        d1, d2 = deltas if len(deltas) == 2 else (deltas[0], None)
+        for entry in schemes:
+            scheme = resolve_scheme(model, entry)
+            label = "standard" if scheme is None else scheme.kind
+            if scheme is None:
+                change = additive_shift(cov, positions, deltas)
+            else:
+                factors = tuple((i, j, d) for (i, j), d in zip(positions, deltas))
+                try:
+                    change = build_plan(Variation(model.n, factors), scheme, model.statements)
+                except GsensError as e:
+                    records.append(SweepRecord(d1, d2, label, None, None, False, False, str(e)))
+                    continue
+            target, report = evaluate(label, cov, change)
+            holds = model_holds(target, model.statements, tol).holds
+            records.append(SweepRecord(d1, d2, label, report.kl, report.frobenius, report.admissible, holds))
+    return records
+
+
+def _run(sweep):
+    """(records or the exception raised, distinct warnings in order)."""
+    with warnings.catch_warnings(record=True) as caught, np.errstate(all="ignore"):
+        warnings.simplefilter("always")
+        try:
+            out = sweep()
+        except Exception as e:
+            out = (type(e), str(e))
+    notes = []
+    for w in caught:
+        if issubclass(w.category, UserWarning) and str(w.message) not in notes:
+            notes.append(str(w.message))
+    return out, notes
+
+
+def _same(a: float | None, b: float | None, rel: float = 0.0) -> bool:
+    if a is None or b is None:
+        return a is b
+    return a == b or (a != a and b != b) or abs(a - b) <= rel * max(abs(a), abs(b))
+
+
+def assert_matches_definition(model, positions, grids, schemes, tol=DEFAULT_TOL):
+    if len(positions) == 1:
+        engine = _run(lambda: one_way_sweep(model, positions[0], grids[0], schemes, tol))
+    else:
+        engine = _run(lambda: two_way_sweep(model, positions, grids[0], grids[1], schemes, tol))
+    reference = _run(lambda: _per_row(model, positions, grids, schemes, tol))
+    assert engine[1] == reference[1]  # the same warnings, in the same order
+    got, want = engine[0], reference[0]
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        assert got == want
+        return
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.delta1, g.delta2, g.scheme, g.error) == (w.delta1, w.delta2, w.scheme, w.error)
+        assert (g.admissible, g.preserving) == (w.admissible, w.preserving), w
+        assert _same(g.frobenius, w.frobenius), w
+        assert _same(g.kl, w.kl, 1e-13), w
+
+
+FACTORS = st.sampled_from([-2.0, -0.5, 1e-300, 1e-160, 0.3, 1.0, 1.7, 1e160, 1e300]) | st.floats(0.5, 1.5)
+
+
+def _random_model(rng) -> Model:
+    dag = random_dag(rng, int(rng.integers(2, 8)), edge_prob=float(rng.uniform(0.2, 0.7)))
+    mean, cov = dag_to_gaussian(dag)
+    names = tuple(f"v{k}" for k in range(dag.n))
+    return Model(names, mean, cov, dag_ci_statements(dag), dag)
+
+
+def _random_scheme(rng, model: Model):
+    kind = str(rng.choice(["standard", "total", "partial", "row", "column", "none"]))
+    if kind == "standard":
+        return kind
+    size = int(rng.integers(1, model.n + 1))
+    subset = tuple(int(k) for k in rng.choice(model.n, size=size, replace=False))
+    pick = rng.integers(3)
+    if kind in ("row", "column") and pick == 0:
+        return Scheme(kind, subset)
+    if pick == 1:
+        return Scheme(kind, None, int(rng.integers(len(model.statements) + 1)))
+    return kind
+
+
+def _edge_model(name: str) -> Model:
+    """A bundled fixture, or one of two models written out here: integer5
+    has an integer covariance, so its minors vanish exactly, and singular3
+    a singular covariance that satisfies its statements."""
+    if name == "integer5":
+        edges = ((0, 1, 1.0), (0, 2, 2.0), (1, 2, 1.0), (2, 3, 1.0), (2, 4, -1.0), (1, 4, 1.0))
+        dag = GaussianDag.from_edges(5, edges)
+        mean, cov = dag_to_gaussian(dag)
+        return Model(tuple("abcde"), mean, cov, dag_ci_statements(dag), dag)
+    if name == "singular3":
+        cov = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        statements = (CIStatement((0,), (2,)), CIStatement((0,), (2,), (1,)))
+        return Model(tuple("abc"), np.zeros(3), cov, statements)
+    return load_model(fixture_path(name))
+
+
+class TestSweepEngine:
+    """The mask-batched sweep against the per-row definition."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        grid1=st.lists(FACTORS, min_size=1, max_size=3),
+        grid2=st.none() | st.lists(FACTORS, min_size=1, max_size=3),
+    )
+    def test_rows_match_the_per_row_definition(self, seed, grid1, grid2):
+        rng = np.random.default_rng(seed)
+        model = _random_model(rng)
+        try:
+            require_model(model.covariance, model.statements, DEFAULT_TOL, None)
+        except ModelPreconditionError:
+            assume(False)
+        keys = [(i, j) for i in range(model.n) for j in range(model.n) if i >= j]
+        count = 1 if grid2 is None else 2
+        picks = rng.choice(len(keys), size=count, replace=False)
+        positions = tuple(keys[k][:: int(rng.choice([1, -1]))] for k in picks)
+        schemes = [_random_scheme(rng, model) for _ in range(int(rng.integers(1, 5)))]
+        grids = [grid1] if grid2 is None else [grid1, grid2]
+        assert_matches_definition(model, positions, grids, schemes)
+
+    @pytest.mark.parametrize("name,positions,grids,schemes", [
+        # negative factors: warnings in row order, total error rows
+        ("synthetic4", ((1, 0),), [[-2.0, -0.5, 1.1]], ["total", "partial", "row", "column"]),
+        # a position outside the block next to negative factors
+        ("synthetic4", ((3, 0), (1, 0)), [[-1.0, 2.0], [-0.5, 1.5]], ["partial", "standard", "row"]),
+        # products that underflow to zero raise after the earlier warnings
+        ("synthetic4", ((1, 0), (2, 1)), [[-1.0, 1e-200], [1e-200]], ["row", "total"]),
+        # products that overflow over zero covariances raise
+        ("cachexia_control", ((1, 0), (2, 1)), [[0.5, 1e300], [1e300]], ["standard", "total"]),
+        # a singular base: every row is inadmissible, and still checked
+        ("singular3", ((1, 0), (2, 1)), [[-1.0, 0.5, 1.5], [2.0]], ["standard", "total", "partial", "row"]),
+    ])
+    def test_edge_grids_match_the_definition(self, name, positions, grids, schemes):
+        assert_matches_definition(_edge_model(name), positions, grids, schemes)
+
+    @pytest.mark.parametrize("name,positions", [
+        ("synthetic4", ((1, 0), (2, 1))),
+        ("synthetic4", ((2, 0),)),
+        ("integer5", ((2, 1), (4, 3))),
+    ])
+    def test_forced_fallback_matches_the_definition(self, name, positions, monkeypatch):
+        # at rel = 1e-30 no certificate passes, so every touched statement
+        # goes to model_holds on its row's target; both models have integer
+        # covariances, whose minors vanish exactly
+        calls = []
+        monkeypatch.setattr(analysis, "model_holds", lambda *a: calls.append(1) or model_holds(*a))
+        model = _edge_model(name)
+        grid = [-0.5, 0.8, 1.0, 1.3]
+        grids = [grid] * len(positions)
+        schemes = ["standard", "total", "partial", "row", "column"]
+        assert_matches_definition(model, positions, grids, schemes, TolerancePolicy(1e-30))
+        assert len(calls) > len(grid) ** len(positions)
+
+    def test_builds_each_fill_once_and_rechecks_only_standard_rows(self, toy_model, monkeypatch):
+        counts = {"fill": 0, "build": 0, "holds": 0}
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(analysis, "plan_fill", counting("fill", covariation.plan_fill))
+        monkeypatch.setattr(covariation, "build_plan", counting("build", covariation.build_plan))
+        monkeypatch.setattr(analysis, "model_holds", counting("holds", model_holds))
+        grid = [round(0.75 + 0.05 * k, 10) for k in range(11)]
+        records = two_way_sweep(toy_model, ((1, 0), (2, 1)), grid, grid)
+        assert counts["fill"] == 5 * 2  # one fill per scheme and position
+        assert counts["build"] == 0
+        standard = sum(r.scheme == "standard" for r in records)
+        assert counts["holds"] <= standard
+        assert all(r.preserving for r in records if r.scheme != "standard")

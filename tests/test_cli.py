@@ -449,6 +449,27 @@ def test_warnings_have_a_stable_format(capsys):
         )
 
 
+def test_extreme_factors_print_no_numpy_warnings(capsys):
+    # the products overflow to inf; the rows keep their values and stderr
+    # stays empty
+    assert main(["sweep", SYNTH, "--pos", "Y2,Y1", "--deltas", "1e200,1e300"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (
+        "delta1,delta2,scheme,kl,frobenius,admissible,preserving\n"
+        "1e+200,,standard,,inf,false,false\n"
+        "1e+200,,total,1.999999999999998e+200,inf,true,false\n"
+        "1e+200,,partial,,inf,false,false\n"
+        "1e+200,,row,,inf,false,true\n"
+        "1e+200,,column,,inf,false,true\n"
+        "1e+300,,standard,,inf,false,false\n"
+        "1e+300,,total,2.0000000000000007e+300,inf,true,false\n"
+        "1e+300,,partial,,inf,false,false\n"
+        "1e+300,,row,,inf,false,true\n"
+        "1e+300,,column,,inf,false,true\n"
+    )
+
+
 def _synthetic(edit):
     model = json.loads(fixture_path("synthetic4").read_text())
     edit(model)
