@@ -43,13 +43,15 @@ Sweeps report, per grid point and scheme, the Frobenius norm of the change,
 its admissibility (a well-conditioned base and a positive definite
 perturbed covariance; KL is reported only for admissible rows) and whether
 the perturbed covariance still satisfies every statement. A single-position
-plan is where(M, delta, 1) for a mask M that delta does not touch, so a
-sweep builds each scheme's fill once per position (covariation.plan_fill)
-and evaluates the grid as stacked arrays, in blocks of at most
-BLOCK_ENTRIES matrix entries: products, targets P o Sigma and changes
-(P - 1) o Sigma (Sigma + D for the standard scheme), Frobenius norms, and
-KL and admissibility from divergence.kl_stack, with Sigma factored once
-per sweep and one batched eigvalsh per block.
+plan is where(M, delta, 1) for a mask M that delta does not touch, and a
+grid point's plan is the product of its positions' plans. So a sweep
+builds each scheme's plan once per position and axis factor (build_plan,
+whose warnings and construction errors each grid point then meets in row
+order), keeps the mask, and evaluates the grid as stacked arrays, in
+blocks of at most BLOCK_ENTRIES matrix entries: products, targets P o Sigma
+and changes (P - 1) o Sigma (Sigma + D for the standard scheme), Frobenius
+norms, and KL and admissibility from divergence.kl_stack, with Sigma
+factored once per sweep and one batched eigvalsh per block.
 
 Preservation is decided per statement from how the masks meet its block:
 - untouched: the block is bitwise the base's, which holds (require_model);
@@ -66,7 +68,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
 import sys
@@ -78,7 +79,7 @@ from typing import Sequence
 import numpy as np
 
 from .cimodel import CIStatement, certificate, marginal_holds, model_holds, require_model
-from .covariation import Scheme, check_product, plan_fill
+from .covariation import Scheme, Variation, build_plan, check_product
 from .divergence import additive_shift, kl_stack, whitener
 from .errors import (
     FactorError,
@@ -429,28 +430,46 @@ def _scales(sets, factors: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def _outcomes(fills, points, grid: np.ndarray):
+def _axis(model: Model, position, deltas, spec: Scheme):
+    """Build the plan of every factor of one grid axis at one position: the
+    entries some plan scales (a plan is where(mask, delta, 1), see
+    covariation), and each factor's warnings and construction error (None
+    when the plan builds)."""
+    (i, j), n = position, model.n
+    mask = np.zeros((n, n), dtype=bool)
+    notes, errors = [], []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for delta in deltas:
+            before = len(caught)
+            try:
+                mask |= build_plan(Variation(n, ((i, j, delta),)), spec, model.statements).product != 1.0
+                errors.append(None)
+            except GsensError as e:
+                errors.append(str(e))
+            notes.append(tuple(str(w.message) for w in caught[before:]))
+    return mask, notes, errors
+
+
+def _outcomes(axes, index: np.ndarray):
     """Each grid point's construction error (None when its plan builds) and
-    the (grid index, warnings) of the points that warn, in grid order. Only
-    negative factors warn, and only factors <= 0 under total fail, beyond
-    what a fill does at every factor; so point 0 and the points with a
-    factor <= 0 are visited, and every point when a fill always fails."""
-    errors: list[str | None] = [None] * len(points)
+    the (grid index, warnings) of the points that warn, in grid order. A
+    point's plan is built position by position, so it meets each axis's
+    warnings in turn, up to the first error."""
+    errors: list[str | None] = [None] * index.shape[1]
+    marked = np.zeros(index.shape[1], dtype=bool)
+    for (_, found, failed), at in zip(axes, index):
+        marked |= np.array([bool(f) or e is not None for f, e in zip(found, failed)])[at]
     notes = []
-    if any(f.error is not None for f in fills):
-        visit = range(len(points))
-    else:
-        visit = sorted({0, *np.flatnonzero((grid <= 0).any(axis=1)).tolist()})
-    for g in visit:
-        found: list[str] = []
-        for fill, delta in zip(fills, points[g]):
-            more, error = fill.outcome(delta)
-            found += more
-            if error is not None:
-                errors[g] = str(error)
+    for g in np.flatnonzero(marked).tolist():
+        seen: tuple[str, ...] = ()
+        for (_, found, failed), v in zip(axes, index[:, g].tolist()):
+            seen += found[v]
+            if failed[v] is not None:
+                errors[g] = failed[v]
                 break
-        if found:
-            notes.append((g, tuple(found)))
+        if seen:
+            notes.append((g, seen))
     return errors, notes
 
 
@@ -465,14 +484,22 @@ class _Column:
     failure: tuple[int, Exception] | None
 
 
-def _scheme_rows(model: Model, positions, points, spec, whiten, certs: dict, tol) -> _Column:
-    """Every grid point under one scheme (None for standard)."""
+def _scheme_rows(model: Model, positions, grids, index, spec, whiten, certs: dict, tol) -> _Column:
+    """Every grid point under one scheme (None for standard); index holds
+    each point's factor index on every axis."""
     n, cov = model.n, model.covariance
-    grid = np.array(points, dtype=float)
-    # the standard change varies the entries a "none" plan varies
-    fills = [plan_fill(n, i, j, spec or Scheme("none"), model.statements) for i, j in positions]
-    masks = [f.mask for f in fills]
-    errors, notes = _outcomes(fills, points, grid)
+    grid = np.stack([np.asarray(g)[at] for g, at in zip(grids, index)], axis=1)
+    points = grid.tolist()
+    if spec is None:
+        # the standard change varies the position entries alone
+        masks = [np.zeros((n, n), dtype=bool) for _ in positions]
+        for mask, (i, j) in zip(masks, positions):
+            mask[i, j] = mask[j, i] = True
+        errors, notes = [None] * len(points), []
+    else:
+        axes = [_axis(model, position, deltas, spec) for position, deltas in zip(positions, grids)]
+        masks = [mask for mask, _, _ in axes]
+        errors, notes = _outcomes(axes, index)
     live = np.array([g for g, e in enumerate(errors) if e is None], dtype=int)
 
     marginal, checks = [], []
@@ -577,13 +604,13 @@ def _sweep(model: Model, positions, grids, schemes, tol: TolerancePolicy) -> lis
             raise IndexError(f"position ({i + 1},{j + 1}) out of range for dimension {model.n}")
     grids = [_as_grid(g) for g in grids]
     specs = [resolve_scheme(model, s) for s in schemes]
-    points = list(itertools.product(*grids))
+    index = np.indices([len(g) for g in grids]).reshape(len(grids), -1)
     try:
         whiten = whitener(model.covariance)
     except (InadmissibleError, SingularMatrixError):
         whiten = None
     certs: dict = {}
-    columns = [_scheme_rows(model, positions, points, spec, whiten, certs, tol) for spec in specs]
+    columns = [_scheme_rows(model, positions, grids, index, spec, whiten, certs, tol) for spec in specs]
     _replay(columns)
     return [r for row in zip(*(col.records for col in columns)) for r in row]
 

@@ -16,8 +16,7 @@ and column fill; its block is the union of the blocks of the statements it
 targets, and one statement is the one-element case. A single-position plan
 is 1 + (delta-1)*M for a 0/1 mask M that the scheme fixes and delta does
 not touch, so whether a scheme keeps the model valid is decided on the sets
-E and F alone. plan_fill builds that mask (a Fill), and build_plan applies
-a factor to it; sweeps build each fill once and vary only delta.
+E and F alone.
 Multi-parameter variations are decomposed into single-parameter factors
 which are covaried individually and composed by entrywise product.
 """
@@ -150,6 +149,15 @@ class PerturbationPlan:
         return self.product * cov
 
 
+def _finish_plan(variation: Variation, product: np.ndarray, scheme: Scheme) -> PerturbationPlan:
+    i, j, delta = variation.factors[0]
+    return PerturbationPlan(variation=variation, product=product, steps=(PlanStep(i, j, delta, scheme),))
+
+
+def _ones_plan(variation: Variation) -> PerturbationPlan:
+    return _finish_plan(variation, variation.matrix, Scheme("none"))
+
+
 def _one_based(indices) -> list[int]:
     return sorted(k + 1 for k in indices)
 
@@ -182,101 +190,49 @@ def _fill_set(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class Fill:
-    """The factor-free half of a single-position plan at (i, j), i <= j: at
-    every factor delta the plan's product is where(mask, delta, 1).
+def _covary(
+    variation: Variation, scheme: Scheme, statements: Sequence[CIStatement]
+) -> PerturbationPlan:
+    """Partial, row or column fill of a single-position variation inside the
+    block rows x cols, the union of the statements' blocks (one statement's
+    own block when there is one).
 
-    scheme is the scheme as built (row/column subsets resolved; "none" when
-    nothing is covaried). error is the SchemeError that building meets at
-    every factor, and then mask is None. outside marks a position outside
-    the targeted block; covaries marks a partial, row or column fill inside
-    it, which warns about negative factors.
+    The plan is the factor on the fill and its mirror, ones elsewhere; inside
+    the block it scales exactly the prescribed rows or columns, so every
+    minor of each statement block is scaled by a power of the factor. A
+    position outside the block needs no covariation.
     """
-
-    i: int
-    j: int
-    scheme: Scheme
-    mask: np.ndarray | None
-    error: SchemeError | None = None
-    outside: bool = False
-    covaries: bool = False
-
-    def outcome(self, delta: float) -> tuple[tuple[str, ...], SchemeError | None]:
-        """The warnings that building at delta issues, in order, and the
-        SchemeError it then meets (None when the plan builds)."""
-        notes: tuple[str, ...] = ()
-        if self.outside:
-            notes = (
-                f"position ({self.i + 1},{self.j + 1}) lies outside the statement block; "
-                "no covariation is needed and none is applied",
-            )
-        elif self.covaries and delta < 0:
-            notes = (
-                f"negative factor {delta} under a {self.scheme.kind} covariation flips the sign "
-                "of the covaried entries; allowed, but rarely intended",
-            )
-        if self.error is None and self.scheme.kind == "total" and delta <= 0:
-            return notes, SchemeError("total covariation requires delta > 0: variances would change sign")
-        return notes, self.error
-
-
-def plan_fill(
-    n: int, i: int, j: int, scheme: Scheme, statements: Sequence[CIStatement]
-) -> Fill:
-    """The fill of a single-position variation at (i, j) of an n x n matrix.
-
-    With statement_index set, the scheme is built against that one
-    statement, marginal or not. Otherwise only the statements with non-empty
-    conditioning set constrain the construction: marginal statements are
-    zeros of the covariance and survive any entrywise scaling. Partial, row
-    and column fills lie inside the block rows x cols, the union of the
-    targeted statements' blocks, and scale exactly the prescribed rows or
-    columns there, so every minor of each statement block is scaled by a
-    power of the factor. A position outside the block needs no covariation.
-    """
-    i, j = min(i, j), max(i, j)
-    position = np.zeros((n, n), dtype=bool)
-    position[i, j] = position[j, i] = True
-    k = scheme.statement_index
-    if k is None:
-        targets = nonempty_conditioning(statements)
-    elif 0 <= k < len(statements):
-        targets = (statements[k],)
-    else:
-        error = SchemeError(f"statement index {k + 1} out of range ({len(statements)} statements)")
-        return Fill(i, j, scheme, None, error)
-    top = max((s.max_index for s in targets), default=-1)
-    if top >= n:
-        raise IndexError(f"statement index {top + 1} out of range for dimension {n}")
-
-    if scheme.kind == "total":
-        return Fill(i, j, Scheme("total"), np.ones((n, n), dtype=bool))
-    if scheme.kind == "none" or not targets:
-        # nothing constrains the variation: marginal statements are zeros and
-        # zeros stay zeros under scaling
-        return Fill(i, j, Scheme("none"), position)
-    rows = {k for s in targets for k in s.block_rows}
-    cols = {k for s in targets for k in s.block_cols}
+    n = variation.n
+    i, j, delta = variation.factors[0]
+    rows = {k for s in statements for k in s.block_rows}
+    cols = {k for s in statements for k in s.block_cols}
     if i in rows and j in cols:
         ii, jj = i, j
     elif j in rows and i in cols:
         ii, jj = j, i
     else:
-        return Fill(i, j, Scheme("none"), position, outside=True)
+        warnings.warn(
+            f"position ({i + 1},{j + 1}) lies outside the statement block; "
+            "no covariation is needed and none is applied",
+            stacklevel=3,
+        )
+        return _ones_plan(variation)
+    if delta < 0:
+        warnings.warn(
+            f"negative factor {delta} under a {scheme.kind} covariation flips the sign "
+            "of the covaried entries; allowed, but rarely intended",
+            stacklevel=3,
+        )
 
     r, c, subset = sorted(rows), sorted(cols), None
-    try:
-        if scheme.kind == "row":
-            r = subset = _fill_set(scheme, i, j, ii, rows, cols)
-        elif scheme.kind == "column":
-            c = subset = _fill_set(scheme, i, j, jj, cols, rows)
-    except SchemeError as e:
-        return Fill(i, j, scheme, None, e, covaries=True)
-    mask = np.zeros((n, n), dtype=bool)
-    mask[np.ix_(r, c)] = True
-    mask[np.ix_(c, r)] = True
-    return Fill(i, j, Scheme(scheme.kind, subset, scheme.statement_index), mask, covaries=True)
+    if scheme.kind == "row":
+        r = subset = _fill_set(scheme, i, j, ii, rows, cols)
+    elif scheme.kind == "column":
+        c = subset = _fill_set(scheme, i, j, jj, cols, rows)
+    product = np.ones((n, n))
+    product[np.ix_(r, c)] = delta
+    product[np.ix_(c, r)] = delta
+    return _finish_plan(variation, product, Scheme(scheme.kind, subset, scheme.statement_index))
 
 
 def build_plan(
@@ -285,7 +241,11 @@ def build_plan(
     """Plan for a variation against a model (list of statements).
 
     Multi-position variations are split into single-position factors, each
-    covaried with the requested scheme (see plan_fill), and composed.
+    covaried with the requested scheme, and composed. With statement_index
+    set, the scheme is built against that one statement, marginal or not.
+    Otherwise only the statements with non-empty conditioning set constrain
+    the construction: marginal statements are zeros of the covariance and
+    survive any entrywise scaling.
     """
     if len(variation.factors) == 0:
         return PerturbationPlan(variation=variation, product=np.ones((variation.n, variation.n)), steps=())
@@ -296,15 +256,30 @@ def build_plan(
             plan = p if plan is None else compose(plan, p)
         return plan
 
-    i, j, delta = variation.factors[0]
-    fill = plan_fill(variation.n, i, j, scheme, statements)
-    notes, error = fill.outcome(delta)
-    for note in notes:
-        warnings.warn(note, stacklevel=2)
-    if error is not None:
-        raise error
-    product = np.where(fill.mask, delta, 1.0)
-    return PerturbationPlan(variation=variation, product=product, steps=(PlanStep(i, j, delta, fill.scheme),))
+    k = scheme.statement_index
+    if k is None:
+        targets = nonempty_conditioning(statements)
+    elif 0 <= k < len(statements):
+        targets = (statements[k],)
+    else:
+        raise SchemeError(f"statement index {k + 1} out of range ({len(statements)} statements)")
+    n = variation.n
+    top = max((s.max_index for s in targets), default=-1)
+    if top >= n:
+        raise IndexError(f"statement index {top + 1} out of range for dimension {n}")
+
+    if scheme.kind == "none":
+        return _ones_plan(variation)
+    if scheme.kind == "total":
+        delta = variation.factors[0][2]
+        if delta <= 0:
+            raise SchemeError("total covariation requires delta > 0: variances would change sign")
+        return _finish_plan(variation, np.full((n, n), delta), Scheme("total"))
+    if not targets:
+        # nothing constrains the variation: marginal statements are zeros and
+        # zeros stay zeros under scaling
+        return _ones_plan(variation)
+    return _covary(variation, scheme, targets)
 
 
 def compose(p1: PerturbationPlan, p2: PerturbationPlan) -> PerturbationPlan:

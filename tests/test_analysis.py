@@ -21,7 +21,6 @@ from gsens import (
     admissible_region,
     analysis,
     build_plan,
-    covariation,
     dag_ci_statements,
     dag_to_gaussian,
     emit,
@@ -651,8 +650,8 @@ class TestSweepEngine:
         assert_matches_definition(model, positions, grids, schemes, TolerancePolicy(1e-30))
         assert len(calls) > len(grid) ** len(positions)
 
-    def test_builds_each_fill_once_and_rechecks_only_standard_rows(self, toy_model, monkeypatch):
-        counts = {"fill": 0, "build": 0, "holds": 0}
+    def test_builds_each_axis_plan_once_and_rechecks_only_standard_rows(self, toy_model, monkeypatch):
+        counts = {"build": 0, "holds": 0}
 
         def counting(key, fn):
             def wrapped(*args, **kwargs):
@@ -660,13 +659,12 @@ class TestSweepEngine:
                 return fn(*args, **kwargs)
             return wrapped
 
-        monkeypatch.setattr(analysis, "plan_fill", counting("fill", covariation.plan_fill))
-        monkeypatch.setattr(covariation, "build_plan", counting("build", covariation.build_plan))
+        monkeypatch.setattr(analysis, "build_plan", counting("build", build_plan))
         monkeypatch.setattr(analysis, "model_holds", counting("holds", model_holds))
         grid = [round(0.75 + 0.05 * k, 10) for k in range(11)]
         records = two_way_sweep(toy_model, ((1, 0), (2, 1)), grid, grid)
-        assert counts["fill"] == 5 * 2  # one fill per scheme and position
-        assert counts["build"] == 0
+        # one plan per plan scheme, position and factor, not two per row
+        assert counts["build"] == 4 * 2 * len(grid)
         standard = sum(r.scheme == "standard" for r in records)
         assert counts["holds"] <= standard
         assert all(r.preserving for r in records if r.scheme != "standard")

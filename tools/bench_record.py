@@ -3,15 +3,19 @@
 Usage (from the repository root):
 
     python3 tools/bench_record.py --out BENCH_8.json [--parent PARENT_CHECKOUT]
-        [--seconds 36] [--seed 1] [--pairs 10] [--pair-workload grid-sweeps]
+        [--seconds 36] [--seed 1] [--pairs 10]
+        [--pair-workload grid-sweeps ci-scale point-queries]
 
 Each checkout's own, unchanged ``perfbench/run.py`` runs every workload twice,
 untraced (``--trace 0``: the end-to-end metrics of BENCHMARK.json) and traced
 (``--trace 1``: the per-layer metrics), in a fresh interpreter each time. With
 ``--parent``, the parent runs each workload just before this checkout does.
-``--pairs N`` then adds N more untraced pairs on one workload, alternating which
-side runs first, and reports each side's values, median and quartiles and the
-pairs the change wins on each end-to-end metric.
+``--pairs N`` then adds N more untraced pairs on each workload named by
+``--pair-workload`` (grid-sweeps by default), alternating which side runs
+first, and reports for each end-to-end metric each side's values, median and
+quartiles, the pairs the change wins, the change of the median relative to
+the parent's (positive is worse) and a verdict against the metric's bound in
+BENCHMARK.json (see judge).
 
 The file also holds each checkout's ``src/gsens`` line count, the wall time of
 ``gsens sweep2 synthetic4 --pos Y2,Y1 --pos2 Y3,Y2`` (the default 51 x 51 grid,
@@ -89,6 +93,18 @@ def summary(values: list[float]) -> dict:
     return {"values": values, "median": median, "q1": q1, "q3": q3}
 
 
+def judge(old: dict, new: dict, bound: float, higher: bool) -> tuple[float, str]:
+    """The change's median worsening relative to the parent's (negative when
+    better) and its verdict: "better" when every change run beats every parent
+    run; else "unresolved" when either side's quartiles spread wider than the
+    bound, relative to its median; else "worse" past the bound or "within bound"."""
+    worse = (new["median"] - old["median"]) / old["median"] * (-1 if higher else 1)
+    if (min(new["values"]) > max(old["values"])) if higher else (max(new["values"]) < min(old["values"])):
+        return worse, "better"
+    spread = max((side["q3"] - side["q1"]) / side["median"] for side in (old, new))
+    return worse, "unresolved" if spread > bound else "worse" if worse > bound else "within bound"
+
+
 def pairs(parent: Path, change: Path, workload: str, seed: int, seconds: float, count: int) -> dict:
     """count untraced pairs, alternating the side that runs first."""
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
@@ -96,8 +112,8 @@ def pairs(parent: Path, change: Path, workload: str, seed: int, seconds: float, 
         order = (("parent", parent), ("change", change))
         for side, checkout in order if k % 2 == 0 else order[::-1]:
             runs[side].append(bench(checkout, workload, seed, seconds, 0))
-            print(f"pair {k + 1}/{count} {side}: rows_per_s "
-                  f"{runs[side][-1]['metrics']['rows_per_s']:.1f}", file=sys.stderr)
+            print(f"pair {k + 1}/{count} {side}: jobs_per_s "
+                  f"{runs[side][-1]['metrics']['jobs_per_s']:.1f}", file=sys.stderr)
     metrics = {}
     better = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     for spec in better:
@@ -105,7 +121,10 @@ def pairs(parent: Path, change: Path, workload: str, seed: int, seconds: float, 
         a = [r["metrics"][name] for r in runs["parent"]]
         b = [r["metrics"][name] for r in runs["change"]]
         wins = sum((y > x) if higher else (y < x) for x, y in zip(a, b))
-        metrics[name] = {"parent": summary(a), "change": summary(b), "change_wins": wins, "pairs": count}
+        old, new = summary(a), summary(b)
+        worse, verdict = judge(old, new, spec["bound"], higher)
+        metrics[name] = {"parent": old, "change": new, "change_wins": wins, "pairs": count,
+                         "relative_worsening": worse, "bound": spec["bound"], "verdict": verdict}
     return {"workload": workload, "seconds": seconds, "seed": seed, "metrics": metrics,
             "failed": sum(r["failed"] for side in runs.values() for r in side)}
 
@@ -117,7 +136,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=36.0)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=0)
-    parser.add_argument("--pair-workload", default="grid-sweeps", choices=WORKLOADS)
+    parser.add_argument("--pair-workload", nargs="+", default=["grid-sweeps"], choices=WORKLOADS)
     args = parser.parse_args(argv)
 
     trees = {"change": ROOT}
@@ -142,7 +161,8 @@ def main(argv=None) -> int:
             }
             print(f"{side} {workload}: {untraced['metrics']}", file=sys.stderr)
     if args.pairs and args.parent is not None:
-        record["pairs"] = pairs(trees["parent"], ROOT, args.pair_workload, args.seed, args.seconds, args.pairs)
+        record["pairs"] = [pairs(trees["parent"], ROOT, workload, args.seed, args.seconds, args.pairs)
+                           for workload in args.pair_workload]
     args.out.write_text(json.dumps(record, indent=2) + "\n")
     return 0
 
