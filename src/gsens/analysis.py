@@ -40,9 +40,12 @@ names one statement of the model, 1-based. Factors must be finite and
 nonzero.
 
 Sweeps report, per grid point and scheme, the Frobenius norm of the change,
-its admissibility (a well-conditioned base and a positive definite
-perturbed covariance; KL is reported only for admissible rows) and whether
-the perturbed covariance still satisfies every statement. A single-position
+its admissibility (a well-conditioned base, a finite change and a positive
+definite perturbed covariance; KL is reported only for admissible rows) and
+whether the perturbed covariance still satisfies every statement. Every
+grid point ends as a row: a scheme that fails to build there, or a plan
+product that underflows to zero, gives an error row with the message, and
+a change that is not finite an inadmissible row. A single-position
 plan is where(M, delta, 1) for a mask M that delta does not touch, and a
 grid point's plan is the product of its positions' plans. So a sweep
 builds each scheme's plan once per position and axis factor (build_plan,
@@ -59,7 +62,8 @@ Preservation is decided per statement from how the masks meet its block:
 - whole rows or columns scaled, T = D_r M D_c: the base certificate,
   transported (cimodel, step 5);
 - anything else, and any row the transport does not certify, goes to
-  model_holds on that row's target.
+  model_holds on that row's target (a NaN mirrored by a NaN counts as
+  symmetric there, so a block that holds a NaN fails).
 Every verdict is therefore the minor definition's. Warnings, construction
 errors and the row order are those of building every row's plan in turn.
 """
@@ -473,20 +477,10 @@ def _outcomes(axes, index: np.ndarray):
     return errors, notes
 
 
-@dataclass
-class _Column:
-    """One scheme's records over the grid points, in grid order; notes are
-    (grid index, warnings) and failure the first (grid index, exception)
-    that building or evaluating a point raises."""
-
-    records: list[SweepRecord]
-    notes: list
-    failure: tuple[int, Exception] | None
-
-
-def _scheme_rows(model: Model, positions, grids, index, spec, whiten, certs: dict, tol) -> _Column:
-    """Every grid point under one scheme (None for standard); index holds
-    each point's factor index on every axis."""
+def _scheme_rows(model: Model, positions, grids, index, spec, whiten, certs: dict, tol):
+    """Every grid point under one scheme (None for standard), as its records
+    in grid order and the (grid index, warnings) of the points that warn;
+    index holds each point's factor index on every axis."""
     n, cov = model.n, model.covariance
     grid = np.stack([np.asarray(g)[at] for g, at in zip(grids, index)], axis=1)
     points = grid.tolist()
@@ -526,31 +520,32 @@ def _scheme_rows(model: Model, positions, grids, index, spec, whiten, certs: dic
 
     kls, frob = np.full(len(points), np.nan), np.full(len(points), np.nan)
     admissible, preserving = np.zeros(len(points), dtype=bool), np.zeros(len(points), dtype=bool)
-    failure = None
     step = max(1, BLOCK_ENTRIES // (n * n))
     for start in range(0, live.size, step):
         at = live[start : start + step]
         factors = grid[at]
-        raised: dict[int, Exception] = {}
         if spec is None:
             shifts = additive_shift(cov, positions, factors.T)
             targets = cov + shifts
+            built = np.ones(len(at), dtype=bool)
         else:
             product = np.where(masks[0], factors[:, 0, None, None], 1.0)
             for p in range(1, len(masks)):
                 product = product * np.where(masks[p], factors[:, p, None, None], 1.0)
             targets = product * cov
             shifts = (product - 1.0) * cov
-            for b in np.flatnonzero((product == 0).any(axis=(1, 2))):
+            # a product that underflows to zero is an error row, as in build_plan
+            built = ~(product == 0).any(axis=(1, 2))
+            for b in np.flatnonzero(~built):
                 try:
                     check_product(product[b])
-                except ValueError as e:
-                    raised[int(b)] = e
+                except FactorError as e:
+                    errors[at[b]] = str(e)
         frob[at] = ((cov - targets) ** 2).reshape(len(at), -1).sum(axis=1)
-        kls[at], admissible[at], failed = kl_stack(cov, whiten, shifts)
-        raised = {**failed, **raised}  # a product error comes first
+        kls[at], admissible[at] = kl_stack(whiten, shifts)
+        admissible[at] &= built
 
-        holds = np.ones(len(at), dtype=bool)
+        holds = built.copy()
         for stmt in marginal:
             holds &= marginal_holds(targets, stmt, tol)
         pending: list[list[CIStatement]] = [[] for _ in at]
@@ -559,13 +554,9 @@ def _scheme_rows(model: Model, positions, grids, index, spec, whiten, certs: dic
             for b in np.flatnonzero(unsure):
                 pending[b].append(stmt)
         for b, stmts in enumerate(pending):
-            if stmts and holds[b] and b not in raised:
+            if stmts and holds[b]:
                 holds[b] = model_holds(targets[b], stmts, tol).holds
         preserving[at] = holds
-        if raised:
-            b = min(raised)
-            failure = (int(at[b]), raised[b])
-            break
 
     label = "standard" if spec is None else spec.kind
     fields = zip(points, kls.tolist(), frob.tolist(), admissible.tolist(), preserving.tolist(), errors)
@@ -573,26 +564,18 @@ def _scheme_rows(model: Model, positions, grids, index, spec, whiten, certs: dic
         SweepRecord(p[0], p[1] if len(p) == 2 else None, label, v if a else None, None if e else f, a, h, e)
         for p, v, f, a, h, e in fields
     ]
-    return _Column(records, notes, failure)
+    return records, notes
 
 
-def _replay(columns: list[_Column]) -> None:
-    """Issue each scheme's warnings once, in the row order of the sweep, and
-    raise the first failure after the warnings of the rows up to it."""
-    width = len(columns)
-    events = sorted((g * width + s, found) for s, col in enumerate(columns) for g, found in col.notes)
-    failures = [(g * width + s, e) for s, col in enumerate(columns) if col.failure for g, e in [col.failure]]
-    first = min(failures, key=lambda f: f[0], default=None)
+def _replay(notes: list[list]) -> None:
+    """Issue each scheme's warnings once, in the row order of the sweep."""
+    width = len(notes)
     shown: set[str] = set()
-    for row, found in events:
-        if first is not None and row > first[0]:
-            break
+    for _, found in sorted((g * width + s, found) for s, col in enumerate(notes) for g, found in col):
         for note in found:
             if note not in shown:
                 shown.add(note)
                 warnings.warn(note, stacklevel=4)
-    if first is not None:
-        raise first[1]
 
 
 def _sweep(model: Model, positions, grids, schemes, tol: TolerancePolicy) -> list[SweepRecord]:
@@ -611,8 +594,9 @@ def _sweep(model: Model, positions, grids, schemes, tol: TolerancePolicy) -> lis
         whiten = None
     certs: dict = {}
     columns = [_scheme_rows(model, positions, grids, index, spec, whiten, certs, tol) for spec in specs]
-    _replay(columns)
-    return [r for row in zip(*(col.records for col in columns)) for r in row]
+    records, notes = zip(*columns)
+    _replay(notes)
+    return [r for row in zip(*records) for r in row]
 
 
 def one_way_sweep(
@@ -624,8 +608,9 @@ def one_way_sweep(
 ) -> list[SweepRecord]:
     """Vary one covariance entry over a factor grid under each scheme.
 
-    Rows are ordered by factor ascending, schemes in declared order. Scheme
-    construction failures become per-row error records, never exceptions.
+    Rows are ordered by factor ascending, schemes in declared order. Every
+    grid point ends as a row, never as an exception: a scheme that fails to
+    build there gives an error record.
     """
     return _sweep(model, (position,), (deltas,), schemes, tol)
 
@@ -639,7 +624,9 @@ def two_way_sweep(
     tol: TolerancePolicy = DEFAULT_TOL,
 ) -> list[SweepRecord]:
     """Vary two entries over a factor grid; model-preserving schemes perturb
-    each position separately and compose the two plans."""
+    each position separately and compose the two plans. Rows are as in
+    one_way_sweep, and a grid point whose composed product underflows to
+    zero is an error record too."""
     (i1, j1), (i2, j2) = positions
     if sorted((i1, j1)) == sorted((i2, j2)):
         raise ValueError("two-way sweep needs two distinct positions")

@@ -58,20 +58,18 @@ def _names(text: str | None) -> list[str] | None:
 
 
 def _plan_json(model: Model, plan) -> str:
-    steps = []
-    scheme_obj: dict = {}
-    for s in plan.steps:
-        steps.append(
-            {"i": model.names[s.i], "j": model.names[s.j], "delta": s.delta}
-        )
-        scheme_obj = {"kind": s.scheme.kind}
-        if s.scheme.kind == "row" and s.scheme.subset is not None:
-            scheme_obj["E"] = [model.names[k] for k in s.scheme.subset]
-        if s.scheme.kind == "column" and s.scheme.subset is not None:
-            scheme_obj["F"] = [model.names[k] for k in s.scheme.subset]
-        if s.scheme.statement_index is not None:
-            scheme_obj["statement_index"] = s.scheme.statement_index + 1
-    return json.dumps({"positions": steps, "scheme": scheme_obj})
+    """A one-position plan's position, factor and scheme as built."""
+    (step,) = plan.steps
+    scheme = step.scheme
+    scheme_obj: dict = {"kind": scheme.kind}
+    if scheme.kind == "row" and scheme.subset is not None:
+        scheme_obj["E"] = [model.names[k] for k in scheme.subset]
+    if scheme.kind == "column" and scheme.subset is not None:
+        scheme_obj["F"] = [model.names[k] for k in scheme.subset]
+    if scheme.statement_index is not None:
+        scheme_obj["statement_index"] = scheme.statement_index + 1
+    position = {"i": model.names[step.i], "j": model.names[step.j], "delta": step.delta}
+    return json.dumps({"positions": [position], "scheme": scheme_obj})
 
 
 def _cmd_check(args) -> int:

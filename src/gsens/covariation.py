@@ -119,11 +119,12 @@ class PlanStep:
 
 
 def check_product(product: np.ndarray) -> None:
-    """Require a symmetric plan product without zero entries (a product of
-    factors that underflows to zero would force a spurious independence)."""
+    """Require a symmetric plan product without zero entries; a product of
+    factors that underflows to zero would force a spurious independence,
+    and is a FactorError."""
     check_symmetric(product, "plan product")
     if np.any(product == 0):
-        raise ValueError("plan product has zero entries")
+        raise FactorError("plan product has zero entries")
 
 
 @dataclass(frozen=True, eq=False)

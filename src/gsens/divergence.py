@@ -1,6 +1,6 @@
 """Dissimilarity between original and perturbed Gaussians.
 
-One spectral core, kl, serves every change D of a covariance Sigma: the
+One spectral core, kl_stack, serves every change D of a covariance Sigma: the
 standard additive change, where D is additive_shift itself, and every plan
 (total, partial, row, column or a composition), where D = (P - 1) o Sigma
 for the plan's product P. With Sigma = L L' and nu the eigenvalues of
@@ -11,10 +11,13 @@ L^-1 D L^-T, the perturbed covariance is L (I + L^-1 D L^-T) L', so
 in nats; each term is >= 0, and every one is exactly 0 when D is 0. A
 change is admissible iff Sigma passes the reciprocal-condition rule of
 matcore.check_invertible and every 1 + nu_i > 0, i.e. Sigma + D is
-positive definite. kl_stack gives kl's result for a whole stack of
-changes of one Sigma: it factors Sigma once (whitener, L^-1 after the
-condition rule) and takes nu from one batched eigvalsh; both sum the
-terms with kl_of_spectrum.
+positive definite. A change that is not finite, or whose whitened form
+is not finite, is inadmissible by rule; that is decided before eigvalsh,
+which reads only one triangle of its input. kl_stack is the one spectral
+path: for a stack of changes of one Sigma, factored once (whitener, L^-1
+after the condition rule), it takes nu from one batched eigvalsh and sums
+the terms with kl_of_spectrum; kl validates its input and evaluates a
+stack of one.
 kl_additive, kl_mp and frobenius_mp only form D or P o Sigma, under the
 layer names the benchmark's per-layer trace times.
 """
@@ -71,46 +74,37 @@ def kl(cov, shift) -> float:
     eigenvalues nu of L^-1 shift L^-T with cov = L L'.
 
     Raises SingularMatrixError when cov fails check_invertible, and
-    InadmissibleError when cov or cov + shift is not positive definite.
+    InadmissibleError when cov or cov + shift is not positive definite or
+    the change is not finite.
     """
     cov = check_symmetric(as_matrix(cov, "cov"), "cov")
     shift = check_symmetric(as_matrix(shift, "shift"), "shift")
     if shift.shape != cov.shape:
         raise ValueError(f"dimension mismatch: {cov.shape} vs {shift.shape}")
-    whiten = whitener(cov)
-    nu = np.linalg.eigvalsh(whiten @ shift @ whiten.T)
-    if not (nu > -1.0).all():
-        raise InadmissibleError("perturbed covariance is not positive definite; KL is undefined")
-    return float(kl_of_spectrum(nu[None])[0])
+    values, admissible = kl_stack(whitener(cov), shift[None])
+    if not admissible[0]:
+        raise InadmissibleError(
+            "perturbed covariance is not positive definite, or the change is not finite; KL is undefined"
+        )
+    return float(values[0])
 
 
-def kl_stack(cov: np.ndarray, whiten: np.ndarray | None, shifts: np.ndarray):
-    """kl for a stack of changes (m, n, n) of one symmetric cov, given its
+def kl_stack(whiten: np.ndarray | None, shifts: np.ndarray):
+    """kl for a stack of symmetric changes (m, n, n) of one cov, given its
     whitener (None where whitener raised): the KL values (NaN where
-    inadmissible), the admissible flags, and the ValueError kl raises, by
-    row. Changes whose whitened form is finite share one batched eigvalsh;
-    the others go through kl itself, so every row gets exactly kl's result."""
+    inadmissible) and the admissible flags, by row. A change is inadmissible
+    when it or its whitened form is not finite, and every row is when
+    whiten is None; the other changes share one batched eigvalsh."""
     nu = np.full(shifts.shape[:-1], np.nan)
-    single = ~np.isfinite(shifts).all(axis=(1, 2))
     if whiten is not None:
-        batch = np.flatnonzero(~single)
-        changes = whiten @ shifts[batch] @ whiten.T
-        finite = np.isfinite(changes).all(axis=(1, 2))
+        changes = whiten @ shifts @ whiten.T
+        finite = np.isfinite(shifts).all(axis=(1, 2)) & np.isfinite(changes).all(axis=(1, 2))
         if finite.any():
-            nu[batch[finite]] = np.linalg.eigvalsh(changes[finite])
-        single[batch[~finite]] = True
+            nu[finite] = np.linalg.eigvalsh(changes[finite])
     admissible = (nu > -1.0).all(axis=1)
     values = np.full(len(shifts), np.nan)
     values[admissible] = kl_of_spectrum(nu[admissible])
-    raised: dict[int, ValueError] = {}
-    for b in np.flatnonzero(single):
-        try:
-            values[b], admissible[b] = kl(cov, shifts[b]), True
-        except (InadmissibleError, SingularMatrixError):
-            pass
-        except ValueError as e:
-            raised[int(b)] = e
-    return values, admissible, raised
+    return values, admissible
 
 
 def kl_additive(cov, cov_shift) -> float:

@@ -10,7 +10,8 @@ class SingularMatrixError(GsensError):
 
 
 class FactorError(GsensError):
-    """Variation factor is zero or not finite."""
+    """Variation factor is zero or not finite, or a plan product of factors
+    has a zero entry."""
 
 
 class SchemeError(GsensError):

@@ -33,9 +33,11 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
 
 
 def check_symmetric(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Require exact (bitwise) symmetry."""
-    if not np.array_equal(m, m.T):
-        i, j = np.argwhere(m != m.T)[0]
+    """Require exact (bitwise) symmetry; a NaN mirrored by a NaN counts as
+    symmetric, so the checks downstream decide what a non-finite matrix
+    means."""
+    if not np.array_equal(m, m.T, equal_nan=True):
+        i, j = np.argwhere((m != m.T) & ~(np.isnan(m) & np.isnan(m.T)))[0]
         raise ValueError(
             f"{name} is not symmetric: entry ({i + 1},{j + 1}) = {m[i, j]!r} "
             f"but ({j + 1},{i + 1}) = {m[j, i]!r}"

@@ -622,12 +622,16 @@ class TestSweepEngine:
         ("synthetic4", ((1, 0),), [[-2.0, -0.5, 1.1]], ["total", "partial", "row", "column"]),
         # a position outside the block next to negative factors
         ("synthetic4", ((3, 0), (1, 0)), [[-1.0, 2.0], [-0.5, 1.5]], ["partial", "standard", "row"]),
-        # products that underflow to zero raise after the earlier warnings
+        # products that underflow to zero are error rows, after the earlier warnings
         ("synthetic4", ((1, 0), (2, 1)), [[-1.0, 1e-200], [1e-200]], ["row", "total"]),
-        # products that overflow over zero covariances raise
+        # products that overflow over zero covariances are inadmissible rows
         ("cachexia_control", ((1, 0), (2, 1)), [[0.5, 1e300], [1e300]], ["standard", "total"]),
         # a singular base: every row is inadmissible, and still checked
         ("singular3", ((1, 0), (2, 1)), [[-1.0, 0.5, 1.5], [2.0]], ["standard", "total", "partial", "row"]),
+        # a zero product between negative-factor warnings: the sweep goes on
+        ("synthetic4", ((1, 0), (2, 1)), [[-0.5, -1e-200], [1e-200, 1.1]], ["standard", "total", "partial", "row"]),
+        # a zero product off the diagonal, where the target would be positive definite
+        ("integer5", ((1, 0), (2, 0)), [[1e-200, 2.0], [1e-200]], ["column", "row"]),
     ])
     def test_edge_grids_match_the_definition(self, name, positions, grids, schemes):
         assert_matches_definition(_edge_model(name), positions, grids, schemes)

@@ -470,6 +470,42 @@ def test_extreme_factors_print_no_numpy_warnings(capsys):
     )
 
 
+def test_zero_product_grid_point_is_an_error_row(capsys):
+    # total and partial scale some entries by both factors, and
+    # 1e-200 * 1e-200 underflows to zero there: those rows carry the plan
+    # error, the others stay as the per-row definition gives them
+    argv = ["sweep2", SYNTH, "--pos", "Y2,Y1", "--pos2", "Y3,Y2", "--deltas", "1e-200", "--deltas2", "1e-200"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (
+        "delta1,delta2,scheme,kl,frobenius,admissible,preserving\n"
+        "1e-200,1e-200,standard,,58.0,false,false\n"
+        "1e-200,1e-200,total,,,false,false\n"
+        "1e-200,1e-200,partial,,,false,false\n"
+        "1e-200,1e-200,row,,91.0,false,true\n"
+        "1e-200,1e-200,column,,91.0,false,true\n"
+    )
+    assert main([*argv, "--format", "json"]) == 0
+    errors = [r["error"] for r in json.loads(capsys.readouterr().out)]
+    assert errors == [None, "plan product has zero entries", "plan product has zero entries", None, None]
+
+
+def test_non_finite_changes_are_inadmissible_rows(capsys):
+    # 1e300 * 1e300 overflows: the standard change holds inf entries and the
+    # total target inf * 0 = NaN over the zero covariances
+    control = str(fixture_path("cachexia_control"))
+    argv = ["sweep2", control, "--pos", "V,B", "--pos2", "GC,B", "--deltas", "1e300", "--schemes", "standard,total"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (
+        "delta1,delta2,scheme,kl,frobenius,admissible,preserving\n"
+        "1e+300,1e+300,standard,,inf,false,true\n"
+        "1e+300,1e+300,total,,nan,false,false\n"
+    )
+
+
 def _synthetic(edit):
     model = json.loads(fixture_path("synthetic4").read_text())
     edit(model)

@@ -245,6 +245,15 @@ class TestCompose:
         with pytest.raises(ValueError):
             compose(p1, p2)
 
+    def test_product_underflowing_to_zero_is_a_factor_error(self, stmt4):
+        # both total plans scale every entry; 1e-200 * 1e-200 underflows to 0
+        p1 = build_plan(Variation(4, ((1, 0, 1e-200),)), Scheme("total"), [stmt4])
+        p2 = build_plan(Variation(4, ((2, 1, 1e-200),)), Scheme("total"), [stmt4])
+        with pytest.raises(FactorError, match="plan product has zero entries"):
+            compose(p1, p2)
+        with pytest.raises(FactorError, match="plan product has zero entries"):
+            build_plan(Variation(4, ((1, 0, 1e-200), (2, 1, 1e-200))), Scheme("total"), [stmt4])
+
     def test_application_matches_sequential_perturbation(self, rng, stmt4):
         cov = SIGMA4
         for _ in range(20):

@@ -150,6 +150,36 @@ class TestKl:
             kl(np.eye(2), np.diag([0.0, -2.0]))
 
 
+class TestKlStack:
+    """kl_stack row by row against kl, on a stack that mixes every kind of
+    change: admissible, indefinite, infinite, NaN and finite but too large
+    to whiten."""
+
+    def _stack(self, sigma4):
+        nan_pair = np.zeros((4, 4))
+        nan_pair[0, 2] = nan_pair[2, 0] = np.nan
+        inf_pair = np.zeros((4, 4))
+        inf_pair[1, 3] = inf_pair[3, 1] = np.inf
+        # finite, and Sigma + D is positive definite, but L^-1 D L^-T overflows
+        overflow = 1e308 * np.eye(4)
+        return np.stack([0.25 * sigma4, -2.0 * sigma4, inf_pair, nan_pair, overflow])
+
+    def test_every_row_is_kl_or_its_inadmissible_error(self, sigma4):
+        shifts = self._stack(sigma4)
+        with np.errstate(all="ignore"):
+            values, admissible = divergence.kl_stack(divergence.whitener(sigma4), shifts)
+            assert admissible.tolist() == [True, False, False, False, False]
+            assert values[0] == kl(sigma4, shifts[0])
+            assert np.isnan(values[1:]).all()
+            for shift in shifts[1:]:
+                with pytest.raises(InadmissibleError):
+                    kl(sigma4, shift)
+
+    def test_no_whitener_makes_every_row_inadmissible(self, sigma4):
+        values, admissible = divergence.kl_stack(None, self._stack(sigma4))
+        assert not admissible.any() and np.isnan(values).all()
+
+
 class TestKlAdditive:
     """kl_additive, the standard method's KL, against the dense oracle."""
 

@@ -10,7 +10,7 @@ from gsens import (
     iter_minors,
     submatrix,
 )
-from gsens.matcore import is_psd
+from gsens.matcore import check_symmetric, is_psd
 
 
 class TestSubmatrix:
@@ -94,6 +94,17 @@ class TestDetInverse:
     def test_singular_raises(self):
         with pytest.raises(SingularMatrixError):
             inverse(np.ones((3, 3)))
+
+
+class TestCheckSymmetric:
+    def test_nan_mirrored_by_nan_is_symmetric(self):
+        m = np.array([[1.0, np.nan], [np.nan, 1.0]])
+        assert check_symmetric(m) is m
+
+    def test_names_the_first_asymmetric_pair_past_a_nan_pair(self):
+        m = np.array([[np.nan, 1.0], [np.nan, 2.0]])
+        with pytest.raises(ValueError, match=r"entry \(1,2\) = .*1\.0.* but \(2,1\) = .*nan"):
+            check_symmetric(m, "m")
 
 
 class TestIsPsd:

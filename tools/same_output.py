@@ -17,7 +17,8 @@ EDGE_JOBS, a fixed list of jobs the benchmark never runs, are compared once
 as well: negative factors (total error rows and the order of warnings),
 factors near 1e-300 and 1e300, a position outside every statement block,
 explicit --E/--F sets, a sweep config with statement_index, duplicate grid
-values, a singular base covariance and a sweep2 with one negative factor.
+values, a singular base covariance, a sweep2 with one negative factor and a
+sweep2 whose zero-product grid point sits between negative-factor warnings.
 
 Prints each job whose exit code, stdout or stderr differs, with the streams
 that differ, and exits 1 if any job differs; 0 otherwise. A job whose
@@ -87,6 +88,8 @@ EDGE_JOBS = [
     Job("sweep", SYNTH, ("--pos", "Y2,Y1", "--deltas", "1.1,0.9,1.1,0.9")),
     Job("sweep", "edge-singular.json", ("--pos", "a,b", "--deltas", "0.5,1,1.5")),
     Job("sweep2", "edge-singular.json", ("--pos", "a,b", "--pos2", "b,c", "--deltas=-1,2")),
+    Job("sweep2", SYNTH, ("--pos", "Y2,Y1", "--pos2", "Y3,Y2", "--deltas=-0.5,-1e-200",
+                          "--deltas2", "1e-200,1.1")),
 ]
 NUMPY_WARNING = re.compile(r"^warning: .* encountered in .*\n", re.MULTILINE)
 
