@@ -61,11 +61,15 @@ Preservation is decided per statement from how the masks meet its block:
 - a statement with empty C: the exact 1 x 1 rule over the grid;
 - whole rows or columns scaled, T = D_r M D_c: the base certificate,
   transported (cimodel, step 5);
-- anything else, and any row the transport does not certify, goes to
-  model_holds on that row's target (a NaN mirrored by a NaN counts as
-  symmetric there, so a block that holds a NaN fails).
+- anything else, and any row the transport does not certify: steps 1-3 of
+  cimodel on the stack of those rows' targets at once (decide_stack), and
+  only a row they leave undecided goes to model_holds on its target (a NaN
+  mirrored by a NaN counts as symmetric there, so a block that holds a NaN
+  fails).
 Every verdict is therefore the minor definition's. Warnings, construction
-errors and the row order are those of building every row's plan in turn.
+errors and the row order are those of building every row's plan in turn;
+numpy's floating-point warnings are off while a sweep evaluates, as in the
+CLI, so the warnings a sweep issues are build_plan's own.
 """
 
 from __future__ import annotations
@@ -82,7 +86,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cimodel import CIStatement, certificate, marginal_holds, model_holds, require_model
+from .cimodel import CIStatement, certificate, decide_stack, model_holds, require_model
 from .covariation import Scheme, Variation, build_plan, check_product
 from .divergence import additive_shift, kl_stack, whitener
 from .errors import (
@@ -296,7 +300,7 @@ def load_model(path) -> Model:
             i, j = np.argwhere(cov != cov.T)[0]
             raise ModelFormatError(
                 f"covariance is asymmetric at ({names[i]},{names[j]}): "
-                f"{cov[i, j]!r} vs {cov[j, i]!r}"
+                f"{float(cov[i, j])!r} vs {float(cov[j, i])!r}"
             )
 
     mean = None
@@ -496,17 +500,14 @@ def _scheme_rows(model: Model, positions, grids, index, spec, whiten, certs: dic
         errors, notes = _outcomes(axes, index)
     live = np.array([g for g, e in enumerate(errors) if e is None], dtype=int)
 
-    marginal, checks = [], []
+    checks = []
     for k, stmt in enumerate(model.statements if live.size else ()):
         how = _touch(masks, stmt)
         if how is None:
             continue  # the block is the base's, which holds
-        if not stmt.given:
-            marginal.append(stmt)
-            continue
         certified = None
         # the transport needs T = P o Sigma; the standard change is additive
-        if spec is not None and how != "other":
+        if stmt.given and spec is not None and how != "other":
             if k not in certs:
                 certs[k] = certificate(cov, stmt)
             if certs[k] is not None:
@@ -546,12 +547,15 @@ def _scheme_rows(model: Model, positions, grids, index, spec, whiten, certs: dic
         admissible[at] &= built
 
         holds = built.copy()
-        for stmt in marginal:
-            holds &= marginal_holds(targets, stmt, tol)
         pending: list[list[CIStatement]] = [[] for _ in at]
         for stmt, certified in checks:
             unsure = holds if certified is None else holds & ~certified[start : start + len(at)]
-            for b in np.flatnonzero(unsure):
+            rows = np.flatnonzero(unsure)
+            if not rows.size:
+                continue
+            verdict, decided = decide_stack(targets[rows], stmt, tol)
+            holds[rows[decided & ~verdict]] = False
+            for b in rows[~decided].tolist():
                 pending[b].append(stmt)
         for b, stmts in enumerate(pending):
             if stmts and holds[b]:
@@ -593,7 +597,8 @@ def _sweep(model: Model, positions, grids, schemes, tol: TolerancePolicy) -> lis
     except (InadmissibleError, SingularMatrixError):
         whiten = None
     certs: dict = {}
-    columns = [_scheme_rows(model, positions, grids, index, spec, whiten, certs, tol) for spec in specs]
+    with np.errstate(all="ignore"):
+        columns = [_scheme_rows(model, positions, grids, index, spec, whiten, certs, tol) for spec in specs]
     records, notes = zip(*columns)
     _replay(notes)
     return [r for row in zip(*records) for r in row]

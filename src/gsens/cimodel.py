@@ -55,9 +55,9 @@ Write A, B, C for left, right and given.
    double.
 
 3. Confirmed failure. The largest |Sigma_AB - Sigma_AC Y| entry (a, b)
-   names the minor on rows {a}+C and columns {b}+C; iter_minors computes
-   it exactly as it computes it within the block. If the tolerance
-   rejects it, the statement fails.
+   names the minor on rows {a}+C and columns {b}+C, computed exactly as
+   iter_minors computes it within the block (matcore.minor_parts). If the
+   tolerance rejects it, the statement fails.
 
 4. Anything else (singular Sigma_CC, non-finite entries, a bound above the
    tolerance with a vanishing confirming minor, rel = 0) enumerates the
@@ -88,6 +88,11 @@ Write A, B, C for left, right and given.
    so one certified d certifies every smaller d: a sweep bisects its
    sorted scales instead of testing each.
 
+Steps 1-3 run on a stack of matrices at once (decide_stack): one batched
+svd, solve and matmul give every matrix's certificate, _certified is
+applied to each, and the confirming minors are evaluated together. ci_holds
+and certificate are stacks of one, so this arithmetic exists once.
+
 A failing statement's witness is the first non-vanishing minor in
 enumeration order. It is found by early-exit enumeration when it is first
 read, so a verdict that is only tested for truth costs no enumeration.
@@ -113,6 +118,7 @@ from .matcore import (
     as_matrix,
     check_symmetric,
     iter_minors,
+    minor_parts,
     rcond,
     submatrix,
 )
@@ -250,16 +256,11 @@ _TRANSPORT_PAD = 1 + _gamma(12)
 @dataclass(frozen=True, eq=False)
 class Certificate:
     """Step 2's bounds on one statement's block: every residual is at most s
-    and every entry at most mu in magnitude; residual is the computed
-    Sigma_AB - Sigma_AC Y, whose largest entry names step 3's minor."""
+    and every entry at most mu in magnitude."""
 
     order: int
     s: float
     mu: float
-    residual: np.ndarray
-
-    def holds(self, rel: float) -> bool:
-        return _certified(self.order, self.s, self.mu, rel)
 
     def holds_scaled(self, row_scales: np.ndarray, col_scales: np.ndarray, rel: float) -> np.ndarray:
         """Step 5 for a stack of scalings D_r M D_c, given as moduli of
@@ -279,31 +280,77 @@ class Certificate:
         return d <= scales[cut - 1] if cut else np.zeros(len(d), dtype=bool)
 
 
-def certificate(cov: np.ndarray, stmt: CIStatement) -> Certificate | None:
-    """Step 2's certificate of a statement with non-empty C on cov, or None
-    when Sigma_CC fails the RCOND_LIMIT rule or a bound is not finite."""
-    a, b, c = stmt.left, stmt.right, stmt.given
-    # the statement block with rows A then C and columns B then C
-    block = cov.take(a + c, 0).take(b + c, 1)
-    na, nb = len(a), len(b)
-    size = np.abs(block)
-    mu = float(size.max())
-    if not math.isfinite(mu) or rcond(block[na:, nb:]) < RCOND_LIMIT:
-        return None
-    y = np.linalg.solve(block[na:, nb:], block[na:, :nb])
-    residual = block[:, :nb] - block[:, nb:] @ y
-    allowance = _gamma(2 * len(c) + 4) * (size[:, :nb] + size[:, nb:] @ np.abs(y))
-    s = float((np.abs(residual) + allowance).max())
-    if not math.isfinite(s):
-        return None
-    return Certificate(len(c) + 1, s, mu, residual[:na])
-
-
 def marginal_holds(covs: np.ndarray, stmt: CIStatement, tol: TolerancePolicy) -> np.ndarray:
     """Step 1 on a matrix or a stack of them (..., n, n): the verdict of a
     statement with empty C on each."""
     v = np.abs(covs.take(stmt.left, axis=-2).take(stmt.right, axis=-1))
     return (v <= tol.rel * np.maximum(1.0, v)).all(axis=(-2, -1))
+
+
+def _certify(covs: np.ndarray, stmt: CIStatement):
+    """Step 2 on a stack of matrices (m, n, n) for a statement with non-empty
+    C: the indices of the matrices that have a certificate (a finite block,
+    Sigma_CC passing the RCOND_LIMIT rule and a finite s), and their s, mu
+    and computed residuals Sigma_AB - Sigma_AC Y."""
+    a, b, c = stmt.left, stmt.right, stmt.given
+    na, nb = len(a), len(b)
+    # the statement blocks with rows A then C and columns B then C
+    blocks = covs.take(a + c, axis=-2).take(b + c, axis=-1)
+    mu = np.abs(blocks).max(axis=(1, 2))
+    live = np.flatnonzero(np.isfinite(mu))
+    good = rcond(blocks[live, na:, nb:]) >= RCOND_LIMIT
+    live, blocks = live[good], blocks[live[good]]
+    size = np.abs(blocks)
+    with np.errstate(all="ignore"):
+        y = np.linalg.solve(blocks[:, na:, nb:], blocks[:, na:, :nb])
+        residual = blocks[:, :, :nb] - blocks[:, :, nb:] @ y
+        allowance = _gamma(2 * len(c) + 4) * (size[:, :, :nb] + size[:, :, nb:] @ np.abs(y))
+        s = (np.abs(residual) + allowance).max(axis=(1, 2))
+    finite = np.isfinite(s)
+    return live[finite], s[finite], mu[live[finite]], residual[finite, :na]
+
+
+def certificate(cov: np.ndarray, stmt: CIStatement) -> Certificate | None:
+    """Step 2's certificate of a statement with non-empty C on cov, or None
+    when Sigma_CC fails the RCOND_LIMIT rule or a bound is not finite."""
+    live, s, mu, _ = _certify(cov[None], stmt)
+    return Certificate(stmt.minor_order, float(s[0]), float(mu[0])) if live.size else None
+
+
+def _confirming_minors(covs: np.ndarray, stmt: CIStatement, residual: np.ndarray):
+    """Step 3's minor of every matrix of a stack (m, n, n): the value and
+    scale, as iter_minors computes them, of the minor on rows {a}+C and
+    columns {b}+C, (a, b) the largest entry of the matrix's |residual|."""
+    m, _, nb = residual.shape
+    i, j = np.divmod(np.abs(residual).reshape(m, -1).argmax(axis=1), nb)
+    rows = np.empty((m, stmt.minor_order), dtype=int)
+    cols = np.empty((m, stmt.minor_order), dtype=int)
+    rows[:, 1:] = cols[:, 1:] = stmt.given
+    rows[:, 0], cols[:, 0] = np.take(stmt.left, i), np.take(stmt.right, j)
+    rows.sort(axis=1)
+    cols.sort(axis=1)
+    with np.errstate(all="ignore"):
+        return minor_parts(covs[np.arange(m)[:, None, None], rows[:, :, None], cols[:, None, :]])
+
+
+def decide_stack(covs: np.ndarray, stmt: CIStatement, tol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
+    """Steps 1-3 of the module docstring on a stack of matrices (m, n, n):
+    each matrix's verdict, and whether those steps decided it (the verdict
+    reads False where they did not)."""
+    if not stmt.given:
+        return marginal_holds(covs, stmt, tol), np.ones(len(covs), dtype=bool)
+    live, s, mu, residual = _certify(covs, stmt)
+    k = stmt.minor_order
+    certified = np.array([_certified(k, x, y, tol.rel) for x, y in zip(s.tolist(), mu.tolist())], dtype=bool)
+    holds = np.zeros(len(covs), dtype=bool)
+    holds[live[certified]] = True
+    decided = holds.copy()
+    confirm = live[~certified]
+    if confirm.size:
+        value, scale = _confirming_minors(covs[confirm], stmt, residual[~certified])
+        # TolerancePolicy.minor_is_zero on every confirming minor at once
+        decided[confirm] = ~(np.abs(value) <= tol.rel * np.fmax(1.0, scale))
+    return holds, decided
 
 
 def _first_witness(cov: np.ndarray, stmt: CIStatement, tol: TolerancePolicy) -> Minor | None:
@@ -315,19 +362,8 @@ def _first_witness(cov: np.ndarray, stmt: CIStatement, tol: TolerancePolicy) -> 
 
 def _decide(cov: np.ndarray, stmt: CIStatement, tol: TolerancePolicy) -> bool | None:
     """The verdict when steps 1-3 of the module docstring decide it, else None."""
-    a, b, c = stmt.left, stmt.right, stmt.given
-    if not c:
-        return bool(marginal_holds(cov, stmt, tol))
-    cert = certificate(cov, stmt)
-    if cert is None:
-        return None
-    if cert.holds(tol.rel):
-        return True
-    i, j = np.unravel_index(np.argmax(np.abs(cert.residual)), cert.residual.shape)
-    rows = tuple(sorted(c + (a[i],)))
-    cols = tuple(sorted(c + (b[j],)))
-    minor = next(iter_minors(submatrix(cov, rows, cols), len(c) + 1))
-    return False if not tol.minor_is_zero(minor) else None
+    holds, decided = decide_stack(cov[None], stmt, tol)
+    return bool(holds[0]) if decided[0] else None
 
 
 def _check(cov: np.ndarray, stmt: CIStatement, tol: TolerancePolicy) -> CICheck:

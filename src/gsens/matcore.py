@@ -39,8 +39,8 @@ def check_symmetric(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     if not np.array_equal(m, m.T, equal_nan=True):
         i, j = np.argwhere((m != m.T) & ~(np.isnan(m) & np.isnan(m.T)))[0]
         raise ValueError(
-            f"{name} is not symmetric: entry ({i + 1},{j + 1}) = {m[i, j]!r} "
-            f"but ({j + 1},{i + 1}) = {m[j, i]!r}"
+            f"{name} is not symmetric: entry ({i + 1},{j + 1}) = {float(m[i, j])!r} "
+            f"but ({j + 1},{i + 1}) = {float(m[j, i])!r}"
         )
     return m
 
@@ -104,21 +104,31 @@ class Minor:
         return f"minor rows {{{r}}} x cols {{{c}}} = {self.value:.6g}"
 
 
-def _small_det(s: np.ndarray) -> float:
+def _small_det(s: np.ndarray):
     # Direct cofactor formulas up to 3x3: exact for small-integer entries,
     # unlike LU which rounds e.g. det([[2.5,5],[2,5]]) to 2.4999999999999996.
-    k = s.shape[0]
+    # On a stack (m, k, k) each matrix's, by the same operations: t[j, i] is
+    # entry (i, j) of the matrix or of every matrix in the stack.
+    k = s.shape[-1]
+    if k > 3:
+        return np.linalg.det(s)
+    t = s.T
     if k == 1:
-        return float(s[0, 0])
+        return t[0, 0]
     if k == 2:
-        return float(s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0])
-    if k == 3:
-        return float(
-            s[0, 0] * (s[1, 1] * s[2, 2] - s[1, 2] * s[2, 1])
-            - s[0, 1] * (s[1, 0] * s[2, 2] - s[1, 2] * s[2, 0])
-            + s[0, 2] * (s[1, 0] * s[2, 1] - s[1, 1] * s[2, 0])
-        )
-    return float(np.linalg.det(s))
+        return t[0, 0] * t[1, 1] - t[1, 0] * t[0, 1]
+    return (
+        t[0, 0] * (t[1, 1] * t[2, 2] - t[2, 1] * t[1, 2])
+        - t[1, 0] * (t[0, 1] * t[2, 2] - t[2, 1] * t[0, 2])
+        + t[2, 0] * (t[0, 1] * t[1, 2] - t[1, 1] * t[0, 2])
+    )
+
+
+def minor_parts(subs: np.ndarray):
+    """Value and scale of a k x k submatrix, or of each matrix of a stack
+    (m, k, k): its determinant (cofactor formulas up to k = 3, LU above) and
+    the product, left to right, of its row maxima in magnitude."""
+    return _small_det(subs), np.prod(np.abs(subs).max(axis=-1), axis=-1)
 
 
 def iter_minors(block: Block, k: int) -> Iterator[Minor]:
@@ -132,24 +142,24 @@ def iter_minors(block: Block, k: int) -> Iterator[Minor]:
         raise ValueError(f"minor order {k} does not fit a {nr}x{nc} block")
     for ri in itertools.combinations(range(nr), k):
         for ci in itertools.combinations(range(nc), k):
-            sub = block.values[np.ix_(ri, ci)]
-            scale = float(np.prod(np.abs(sub).max(axis=1)))
+            value, scale = minor_parts(block.values[np.ix_(ri, ci)])
             yield Minor(
                 rows=tuple(block.rows[i] for i in ri),
                 cols=tuple(block.cols[j] for j in ci),
-                value=_small_det(sub),
-                scale=scale,
+                value=float(value),
+                scale=float(scale),
             )
 
 
-def rcond(a: np.ndarray) -> float:
-    """Reciprocal 2-norm condition number, 1 / numpy.linalg.cond(a); 0.0
-    when the matrix is singular."""
+def rcond(a: np.ndarray):
+    """Reciprocal 2-norm condition number, 1 / numpy.linalg.cond(a), of a
+    matrix (a float) or of each matrix of a stack (m, k, k) (an array); 0.0
+    where the matrix is singular."""
     s = np.linalg.svd(a, compute_uv=False)
-    if not s[-1] > 0:
-        return 0.0
-    cond = float(s[0]) / float(s[-1])
-    return 1.0 / cond if math.isfinite(cond) else 0.0
+    # s_min = 0 gives cond = inf and so 0.0; fmax maps a NaN (0/0, NaN entries) to 0.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = np.fmax(1.0 / (s[..., 0] / s[..., -1]), 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def check_invertible(a: np.ndarray) -> np.ndarray:

@@ -31,6 +31,7 @@ from gsens import (
     two_way_sweep,
 )
 from gsens.analysis import Model, SweepRecord, resolve_scheme
+from gsens.cli import main
 from gsens.cimodel import require_model
 from gsens.divergence import additive_shift, evaluate
 from gsens.fixtures import fixture_path
@@ -643,8 +644,9 @@ class TestSweepEngine:
     ])
     def test_forced_fallback_matches_the_definition(self, name, positions, monkeypatch):
         # at rel = 1e-30 no certificate passes, so every touched statement
-        # goes to model_holds on its row's target; both models have integer
-        # covariances, whose minors vanish exactly
+        # goes to model_holds on its row's target unless its confirming minor
+        # fails; both models have integer covariances, whose minors vanish
+        # exactly
         calls = []
         monkeypatch.setattr(analysis, "model_holds", lambda *a: calls.append(1) or model_holds(*a))
         model = _edge_model(name)
@@ -672,3 +674,20 @@ class TestSweepEngine:
         standard = sum(r.scheme == "standard" for r in records)
         assert counts["holds"] <= standard
         assert all(r.preserving for r in records if r.scheme != "standard")
+
+    def test_standard_sweep2_decides_every_row_without_model_holds(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(analysis, "model_holds", lambda *a: calls.append(1) or model_holds(*a))
+        path = str(fixture_path("synthetic4"))
+        assert main(["sweep2", path, "--pos", "Y2,Y1", "--pos2", "Y3,Y2", "--schemes", "standard"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 51 * 51
+        assert {row.rsplit(",", 1)[1] for row in rows} == {"true", "false"}
+        assert calls == []
+
+    def test_library_sweeps_at_extreme_factors_raise_no_runtime_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            cachexia = load_model(fixture_path("cachexia_control"))
+            two_way_sweep(cachexia, ((1, 0), (2, 1)), [1e300], [1e300], ["standard", "total"])
+            one_way_sweep(load_model(fixture_path("synthetic4")), (1, 0), [1e200, 1e300])

@@ -26,6 +26,7 @@ from gsens import (
     submatrix,
 )
 from gsens import cimodel
+from gsens.matcore import minor_parts
 from gsens.cli import main
 
 
@@ -245,10 +246,104 @@ class TestDecisionPath:
     def test_confirmed_failure_reads_one_minor(self, sigma4, stmt4, monkeypatch):
         broken = sigma4.copy()
         broken[1, 0] = broken[0, 1] = 2.5
-        calls = []
-        monkeypatch.setattr(cimodel, "iter_minors", lambda *a: calls.append(a) or iter_minors(*a))
+        calls, enumerated = [], []
+        monkeypatch.setattr(cimodel, "minor_parts", lambda s: calls.append(s.shape) or minor_parts(s))
+        monkeypatch.setattr(cimodel, "iter_minors", lambda *a: enumerated.append(a) or iter_minors(*a))
         assert not model_holds(broken, [stmt4]).holds
-        assert len(calls) == 1 and calls[0][0].values.shape == (2, 2)
+        assert calls == [(1, 2, 2)] and not enumerated
+
+
+def _statement_case(rng, k):
+    """A statement A _||_ B | C with |C| = k - 1 on shuffled variables, and a
+    covariance that satisfies it: X_C = W z, X_A = F_A X_C + e_A and
+    X_B = F_B X_C + e_B, scaled by a random power of ten."""
+    nc, na, nb = k - 1, int(rng.integers(1, 3)), int(rng.integers(1, 3))
+    w = rng.normal(size=(nc, nc))
+    loads = np.zeros((na + nb + nc, nc + na + nb))
+    loads[:na, :nc] = rng.normal(size=(na, nc)) @ w
+    loads[na : na + nb, :nc] = rng.normal(size=(nb, nc)) @ w
+    loads[na + nb :, :nc] = w
+    loads[:na, nc : nc + na] = np.diag(rng.uniform(0.5, 1.5, na))
+    loads[na : na + nb, nc + na :] = np.diag(rng.uniform(0.5, 1.5, nb))
+    joint = loads @ loads.T * 10.0 ** rng.uniform(-3, 3)
+    order = rng.permutation(na + nb + nc)
+    cov = np.empty_like(joint)
+    cov[np.ix_(order, order)] = (joint + joint.T) / 2
+    stmt = CIStatement(tuple(order[:na]), tuple(order[na : na + nb]), tuple(order[na + nb :]))
+    return stmt, cov
+
+
+def _variants(rng, stmt, cov):
+    """(matrix, uncovered) pairs: cov and standard changes in A x B, A x C
+    and C x C, then, uncovered by any certificate, a singular Sigma_CC and
+    NaN and inf entries."""
+    a, b, c = stmt.left, stmt.right, stmt.given
+
+    def changed(i, j, value):
+        out = cov.copy()
+        out[i, j] = out[j, i] = value
+        return out
+
+    def scaled(i, j):
+        return changed(i, j, cov[i, j] * rng.uniform(0.5, 1.5))
+
+    pick = lambda s: int(rng.choice(s))  # noqa: E731
+    out = [(cov, False), (scaled(pick(a), pick(b)), False)]
+    if c:
+        out += [(scaled(pick(a), pick(c)), False), (scaled(pick(c), pick(c)), False)]
+        singular = changed(c[0], c[0], 0.0)
+        if len(c) > 1:
+            singular = cov.copy()
+            singular[c[1], :] = singular[c[0], :]
+            singular[:, c[1]] = singular[:, c[0]]
+        out += [(singular, True), (changed(pick(c), pick(c), np.nan), True)]
+    out += [(changed(pick(a), pick(b), np.nan), True), (changed(pick(a), pick(b + c), np.inf), True)]
+    return out
+
+
+class TestDecideStack:
+    """Steps 1-3 on a stack give model_holds' verdict on every matrix they
+    decide, leave undecided every matrix no certificate covers, and warn
+    nowhere."""
+
+    @pytest.mark.parametrize("rel", [1e-9, 1e-30])
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_verdicts_match_model_holds(self, k, rel):
+        rng = np.random.default_rng(1000 * k + int(rel == 1e-9))
+        tol = TolerancePolicy(rel)
+        outcomes = set()
+        for _ in range(6):
+            stmt, cov = _statement_case(rng, k)
+            cases = _variants(rng, stmt, cov)
+            stack = np.stack([m for m, _ in cases])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                holds, decided = cimodel.decide_stack(stack, stmt, tol)
+            for (m, uncovered), h, d in zip(cases, holds.tolist(), decided.tolist()):
+                if uncovered and stmt.given:
+                    assert not d
+                if d:
+                    assert h == model_holds(m, [stmt], tol).holds
+                    outcomes.add(h)
+                else:
+                    assert not h
+        assert outcomes == ({True, False} if rel == 1e-9 else {False} if k > 1 else {True, False})
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_confirming_minors_are_iter_minors_bit_for_bit(self, k):
+        rng = np.random.default_rng(k)
+        stmt, cov = _statement_case(rng, k)
+        noise = rng.normal(size=(40,) + cov.shape) * 10.0 ** rng.uniform(-4, 4, size=(40, 1, 1))
+        stack = cov + noise + np.swapaxes(noise, 1, 2)
+        residual = rng.normal(size=(40, len(stmt.left), len(stmt.right)))
+        values, scales = cimodel._confirming_minors(stack, stmt, residual)
+        for m, r, value, scale in zip(stack, residual, values, scales):
+            i, j = np.unravel_index(np.argmax(np.abs(r)), r.shape)
+            rows = tuple(sorted(stmt.given + (stmt.left[i],)))
+            cols = tuple(sorted(stmt.given + (stmt.right[j],)))
+            minor = next(iter_minors(submatrix(m, rows, cols), k))
+            assert np.float64(value).tobytes() == np.float64(minor.value).tobytes()
+            assert np.float64(scale).tobytes() == np.float64(minor.scale).tobytes()
 
 
 def _scaled_dag_model(n: int, seed: int) -> dict:

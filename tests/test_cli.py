@@ -279,6 +279,13 @@ def test_compare_takes_no_tolerance(capsys):
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
+def test_asymmetric_covariance_prints_plain_floats(tmp_path, capsys):
+    path = tmp_path / "asym.json"
+    path.write_text(json.dumps({"variables": ["A", "B"], "covariance": [[1, 0.5], [0.25, 1]]}))
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err == "error: covariance is asymmetric at (A,B): 0.5 vs 0.25\n"
+
+
 def test_missing_model_file(capsys):
     assert main(["check", "/nonexistent/model.json"]) == 1
     assert "no such file" in capsys.readouterr().err

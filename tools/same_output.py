@@ -17,8 +17,10 @@ EDGE_JOBS, a fixed list of jobs the benchmark never runs, are compared once
 as well: negative factors (total error rows and the order of warnings),
 factors near 1e-300 and 1e300, a position outside every statement block,
 explicit --E/--F sets, a sweep config with statement_index, duplicate grid
-values, a singular base covariance, a sweep2 with one negative factor and a
-sweep2 whose zero-product grid point sits between negative-factor warnings.
+values, a singular base covariance, a sweep2 with one negative factor, a
+sweep2 whose zero-product grid point sits between negative-factor warnings
+and a standard sweep that makes a conditioning block exactly singular, whose
+rows the certificate cannot decide.
 
 Prints each job whose exit code, stdout or stderr differs, with the streams
 that differ, and exits 1 if any job differs; 0 otherwise. A job whose
@@ -56,6 +58,13 @@ EDGE_FILES = {
         "covariance": [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
         "ci": [{"A": ["a"], "B": ["c"]}, {"A": ["a"], "B": ["c"], "C": ["b"]}],
     }),
+    # a _||_ d | {b, c} holds; the standard change at (c, b) by 2 makes
+    # Sigma_CC exactly singular, so no certificate exists and model_holds decides
+    "edge-collinear.json": json.dumps({
+        "variables": ["a", "b", "c", "d"],
+        "covariance": [[2.0, 1.0, 0.5, 0.5], [1.0, 1.0, 0.5, 0.5], [0.5, 0.5, 1.0, 1.0], [0.5, 0.5, 1.0, 2.0]],
+        "ci": [{"A": ["a"], "B": ["d"], "C": ["b", "c"]}],
+    }),
     "edge-synthetic4.json": (ROOT / "src" / "gsens" / "fixtures" / "synthetic4.json").read_text(),
     "edge-config.json": json.dumps({
         "model": "edge-synthetic4.json",
@@ -90,6 +99,7 @@ EDGE_JOBS = [
     Job("sweep2", "edge-singular.json", ("--pos", "a,b", "--pos2", "b,c", "--deltas=-1,2")),
     Job("sweep2", SYNTH, ("--pos", "Y2,Y1", "--pos2", "Y3,Y2", "--deltas=-0.5,-1e-200",
                           "--deltas2", "1e-200,1.1")),
+    Job("sweep", "edge-collinear.json", ("--pos", "c,b", "--deltas", "0.5,1,2,3", "--schemes", "standard")),
 ]
 NUMPY_WARNING = re.compile(r"^warning: .* encountered in .*\n", re.MULTILINE)
 
