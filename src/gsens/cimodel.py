@@ -55,9 +55,9 @@ Write A, B, C for left, right and given.
    double.
 
 3. Confirmed failure. The largest |Sigma_AB - Sigma_AC Y| entry (a, b)
-   names the minor on rows {a}+C and columns {b}+C, computed exactly as
-   iter_minors computes it within the block (matcore.minor_parts). If the
-   tolerance rejects it, the statement fails.
+   names the minor on rows {a}+C and columns {b}+C, which iter_minors
+   evaluates as it does within the block. If the tolerance rejects it, the
+   statement fails.
 
 4. Anything else (singular Sigma_CC, non-finite entries, a bound above the
    tolerance with a vanishing confirming minor, rel = 0) enumerates the
@@ -90,8 +90,10 @@ Write A, B, C for left, right and given.
 
 Steps 1-3 run on a stack of matrices at once (decide_stack): one batched
 svd, solve and matmul give every matrix's certificate, _certified is
-applied to each, and the confirming minors are evaluated together. ci_holds
-and certificate are stacks of one, so this arithmetic exists once.
+applied to each, and iter_minors evaluates the confirming minors of the
+matrices that share (a, b) as one stack. ci_holds and certificate are stacks
+of one, so this arithmetic exists once, and every minor the check evaluates
+comes from iter_minors.
 
 A failing statement's witness is the first non-vanishing minor in
 enumeration order. It is found by early-exit enumeration when it is first
@@ -118,7 +120,6 @@ from .matcore import (
     as_matrix,
     check_symmetric,
     iter_minors,
-    minor_parts,
     rcond,
     submatrix,
 )
@@ -289,48 +290,53 @@ def marginal_holds(covs: np.ndarray, stmt: CIStatement, tol: TolerancePolicy) ->
 
 def _certify(covs: np.ndarray, stmt: CIStatement):
     """Step 2 on a stack of matrices (m, n, n) for a statement with non-empty
-    C: the indices of the matrices that have a certificate (a finite block,
-    Sigma_CC passing the RCOND_LIMIT rule and a finite s), and their s, mu
-    and computed residuals Sigma_AB - Sigma_AC Y."""
+    C: the indices of the matrices whose block is finite and whose Sigma_CC
+    passes the RCOND_LIMIT rule, and their s (not finite where the bound is
+    not), mu and computed residuals Sigma_AB - Sigma_AC Y. Callers turn
+    numpy's floating-point warnings off."""
     a, b, c = stmt.left, stmt.right, stmt.given
     na, nb = len(a), len(b)
     # the statement blocks with rows A then C and columns B then C
     blocks = covs.take(a + c, axis=-2).take(b + c, axis=-1)
-    mu = np.abs(blocks).max(axis=(1, 2))
-    live = np.flatnonzero(np.isfinite(mu))
-    good = rcond(blocks[live, na:, nb:]) >= RCOND_LIMIT
-    live, blocks = live[good], blocks[live[good]]
     size = np.abs(blocks)
-    with np.errstate(all="ignore"):
-        y = np.linalg.solve(blocks[:, na:, nb:], blocks[:, na:, :nb])
-        residual = blocks[:, :, :nb] - blocks[:, :, nb:] @ y
-        allowance = _gamma(2 * len(c) + 4) * (size[:, :, :nb] + size[:, :, nb:] @ np.abs(y))
-        s = (np.abs(residual) + allowance).max(axis=(1, 2))
-    finite = np.isfinite(s)
-    return live[finite], s[finite], mu[live[finite]], residual[finite, :na]
+    mu = size.max(axis=(1, 2))
+    live = np.isfinite(mu).nonzero()[0]
+    live = live[rcond(blocks[:, na:, nb:].take(live, axis=0)) >= RCOND_LIMIT]
+    blocks, size = blocks.take(live, axis=0), size.take(live, axis=0)
+    y = np.linalg.solve(blocks[:, na:, nb:], blocks[:, na:, :nb])
+    residual = blocks[:, :, :nb] - blocks[:, :, nb:] @ y
+    allowance = _gamma(2 * len(c) + 4) * (size[:, :, :nb] + size[:, :, nb:] @ np.abs(y))
+    s = (np.abs(residual) + allowance).max(axis=(1, 2))
+    return live, s, mu.take(live), residual[:, :na]
 
 
 def certificate(cov: np.ndarray, stmt: CIStatement) -> Certificate | None:
     """Step 2's certificate of a statement with non-empty C on cov, or None
     when Sigma_CC fails the RCOND_LIMIT rule or a bound is not finite."""
-    live, s, mu, _ = _certify(cov[None], stmt)
-    return Certificate(stmt.minor_order, float(s[0]), float(mu[0])) if live.size else None
+    with np.errstate(all="ignore"):
+        live, s, mu, _ = _certify(cov[None], stmt)
+    if not (live.size and math.isfinite(s[0])):
+        return None
+    return Certificate(stmt.minor_order, float(s[0]), float(mu[0]))
 
 
 def _confirming_minors(covs: np.ndarray, stmt: CIStatement, residual: np.ndarray):
     """Step 3's minor of every matrix of a stack (m, n, n): the value and
-    scale, as iter_minors computes them, of the minor on rows {a}+C and
-    columns {b}+C, (a, b) the largest entry of the matrix's |residual|."""
+    scale, from iter_minors, of the minor on rows {a}+C and columns {b}+C,
+    (a, b) the largest entry of the matrix's |residual|. Matrices that share
+    (a, b) go to iter_minors as one stack of blocks."""
     m, _, nb = residual.shape
-    i, j = np.divmod(np.abs(residual).reshape(m, -1).argmax(axis=1), nb)
-    rows = np.empty((m, stmt.minor_order), dtype=int)
-    cols = np.empty((m, stmt.minor_order), dtype=int)
-    rows[:, 1:] = cols[:, 1:] = stmt.given
-    rows[:, 0], cols[:, 0] = np.take(stmt.left, i), np.take(stmt.right, j)
-    rows.sort(axis=1)
-    cols.sort(axis=1)
-    with np.errstate(all="ignore"):
-        return minor_parts(covs[np.arange(m)[:, None, None], rows[:, :, None], cols[:, None, :]])
+    pick = np.abs(residual).reshape(m, -1).argmax(axis=1)
+    value, scale = np.empty(m), np.empty(m)
+    for p in set(pick.tolist()):
+        at = np.flatnonzero(pick == p)
+        rows = tuple(sorted(stmt.given + (stmt.left[p // nb],)))
+        cols = tuple(sorted(stmt.given + (stmt.right[p % nb],)))
+        block = Block(rows, cols, covs.take(at, axis=0).take(rows, axis=1).take(cols, axis=2))
+        minors = list(iter_minors(block, stmt.minor_order))
+        value[at] = [minor.value for minor in minors]
+        scale[at] = [minor.scale for minor in minors]
+    return value, scale
 
 
 def decide_stack(covs: np.ndarray, stmt: CIStatement, tol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
@@ -339,17 +345,17 @@ def decide_stack(covs: np.ndarray, stmt: CIStatement, tol: TolerancePolicy) -> t
     reads False where they did not)."""
     if not stmt.given:
         return marginal_holds(covs, stmt, tol), np.ones(len(covs), dtype=bool)
-    live, s, mu, residual = _certify(covs, stmt)
-    k = stmt.minor_order
-    certified = np.array([_certified(k, x, y, tol.rel) for x, y in zip(s.tolist(), mu.tolist())], dtype=bool)
-    holds = np.zeros(len(covs), dtype=bool)
-    holds[live[certified]] = True
-    decided = holds.copy()
-    confirm = live[~certified]
-    if confirm.size:
-        value, scale = _confirming_minors(covs[confirm], stmt, residual[~certified])
-        # TolerancePolicy.minor_is_zero on every confirming minor at once
-        decided[confirm] = ~(np.abs(value) <= tol.rel * np.fmax(1.0, scale))
+    with np.errstate(all="ignore"):
+        live, s, mu, residual = _certify(covs, stmt)
+        k = stmt.minor_order
+        certified = np.array([_certified(k, x, y, tol.rel) for x, y in zip(s.tolist(), mu.tolist())], dtype=bool)
+        holds = np.zeros(len(covs), dtype=bool)
+        holds[live[certified]] = True
+        decided = holds.copy()
+        confirm = live[~certified]
+        if confirm.size:
+            value, scale = _confirming_minors(covs.take(confirm, axis=0), stmt, residual[~certified])
+            decided[confirm] = ~tol.vanishes(value, scale)
     return holds, decided
 
 

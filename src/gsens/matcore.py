@@ -58,14 +58,15 @@ def as_index_set(indices: Iterable[int], n: int, name: str = "index set") -> tup
 
 @dataclass(frozen=True, eq=False)
 class Block:
-    """A rectangular submatrix together with the original indices it came from."""
+    """A rectangular submatrix together with the original indices it came
+    from, or a stack of such submatrices (..., rows, cols) sharing them."""
 
     rows: tuple[int, ...]
     cols: tuple[int, ...]
     values: np.ndarray
 
     def __post_init__(self):
-        if self.values.shape != (len(self.rows), len(self.cols)):
+        if self.values.ndim < 2 or self.values.shape[-2:] != (len(self.rows), len(self.cols)):
             raise ValueError(
                 f"block values have shape {self.values.shape}, expected "
                 f"({len(self.rows)}, {len(self.cols)})"
@@ -128,27 +129,27 @@ def minor_parts(subs: np.ndarray):
     """Value and scale of a k x k submatrix, or of each matrix of a stack
     (m, k, k): its determinant (cofactor formulas up to k = 3, LU above) and
     the product, left to right, of its row maxima in magnitude."""
-    return _small_det(subs), np.prod(np.abs(subs).max(axis=-1), axis=-1)
+    return _small_det(subs), np.abs(subs).max(axis=-1).prod(axis=-1)
 
 
 def iter_minors(block: Block, k: int) -> Iterator[Minor]:
-    """Every k x k minor of the block, row subsets outer, column subsets inner.
+    """Every k x k minor of the block, row subsets outer, column subsets inner;
+    of a stack of blocks, each pair of subsets gives its minor of every block
+    in stack order, evaluated together.
 
     Subsets are enumerated in lexicographic order of index positions, so the
     iteration order is deterministic and reproducible across runs.
     """
-    nr, nc = block.values.shape
+    nr, nc = block.values.shape[-2:]
     if k < 1 or k > min(nr, nc):
         raise ValueError(f"minor order {k} does not fit a {nr}x{nc} block")
     for ri in itertools.combinations(range(nr), k):
         for ci in itertools.combinations(range(nc), k):
-            value, scale = minor_parts(block.values[np.ix_(ri, ci)])
-            yield Minor(
-                rows=tuple(block.rows[i] for i in ri),
-                cols=tuple(block.cols[j] for j in ci),
-                value=float(value),
-                scale=float(scale),
-            )
+            value, scale = minor_parts(block.values.take(ri, axis=-2).take(ci, axis=-1))
+            rows = tuple(block.rows[i] for i in ri)
+            cols = tuple(block.cols[j] for j in ci)
+            for v, s in zip(value.reshape(-1).tolist(), scale.reshape(-1).tolist()):
+                yield Minor(rows=rows, cols=cols, value=v, scale=s)
 
 
 def rcond(a: np.ndarray):
@@ -207,8 +208,13 @@ class TolerancePolicy:
         if not (math.isfinite(self.rel) and self.rel >= 0):
             raise ValueError(f"tolerance must be a finite number >= 0, got {self.rel!r}")
 
+    def vanishes(self, value, scale):
+        """The test on a minor's value and scale, elementwise on floats or
+        arrays (a NaN scale counts as 1)."""
+        return np.abs(value) <= self.rel * np.fmax(1.0, scale)
+
     def minor_is_zero(self, minor: Minor) -> bool:
-        return abs(minor.value) <= self.rel * max(1.0, minor.scale)
+        return bool(self.vanishes(minor.value, minor.scale))
 
 
 DEFAULT_TOL = TolerancePolicy()

@@ -31,11 +31,12 @@ from gsens import (
     two_way_sweep,
 )
 from gsens.analysis import Model, SweepRecord, resolve_scheme
+from gsens import cimodel
 from gsens.cli import main
 from gsens.cimodel import require_model
 from gsens.divergence import additive_shift, evaluate
 from gsens.fixtures import fixture_path
-from gsens.matcore import DEFAULT_TOL
+from gsens.matcore import DEFAULT_TOL, iter_minors
 
 
 @pytest.fixture
@@ -684,6 +685,22 @@ class TestSweepEngine:
         assert len(rows) == 51 * 51
         assert {row.rsplit(",", 1)[1] for row in rows} == {"true", "false"}
         assert calls == []
+
+    def test_confirming_minors_come_from_iter_minors(self, monkeypatch):
+        # the two standard rows that break synthetic4's statement read one
+        # confirming minor each, and read it through cimodel.iter_minors
+        read = []
+
+        def counted(*args):
+            for minor in iter_minors(*args):
+                read.append(minor)
+                yield minor
+
+        monkeypatch.setattr(cimodel, "iter_minors", counted)
+        records = one_way_sweep(load_model(fixture_path("synthetic4")), (1, 0), [0.9, 1.0, 1.1])
+        assert [r.preserving for r in records if r.scheme == "standard"] == [False, True, False]
+        assert all(r.preserving for r in records if r.scheme != "standard")
+        assert len(read) == 2
 
     def test_library_sweeps_at_extreme_factors_raise_no_runtime_warning(self):
         with warnings.catch_warnings():

@@ -89,6 +89,21 @@ class TestMinors:
         (minor,) = iter_minors(block, 2)
         assert minor.rows == (1, 2) and minor.cols == (0, 1)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_stack_gives_every_blocks_minors_in_stack_order(self, rng, k):
+        stack = rng.normal(size=(3, 4, 5)) * 10.0 ** rng.uniform(-3, 3, size=(3, 1, 1))
+        rows, cols = (0, 2, 5, 6), (1, 3, 4, 6, 8)
+        got = list(iter_minors(Block(rows, cols, stack), k))
+        per_block = [list(iter_minors(Block(rows, cols, values), k)) for values in stack]
+        # bitwise equal, each pair of subsets giving its minor of every block in turn
+        assert got == [minor for minors in zip(*per_block) for minor in minors]
+
+    def test_stack_shape_must_match_the_indices(self):
+        with pytest.raises(ValueError):
+            Block((0, 1), (0, 1), np.zeros((3, 2, 3)))
+        with pytest.raises(ValueError):
+            Block((0,), (0,), np.zeros(1))
+
 
 class TestDetInverse:
     def test_scalar_inverse(self):
@@ -137,6 +152,14 @@ class TestTolerancePolicy:
         small = Minor((0,), (1,), value=1e-3, scale=1.0)
         assert tol.minor_is_zero(big)
         assert not tol.minor_is_zero(small)
+
+    def test_vanishes_is_minor_is_zero_elementwise(self):
+        tol = TolerancePolicy(1e-9)
+        values = np.array([1e-3, 1e-3, 5e-10, 2e-9, np.nan, 0.0, np.inf, 1.0])
+        scales = np.array([1e7, 1.0, np.nan, 1.0, 1.0, np.nan, np.inf, np.inf])
+        expected = [tol.minor_is_zero(Minor((0,), (1,), v, s)) for v, s in zip(values, scales)]
+        assert expected == [True, False, True, False, False, True, True, True]
+        assert tol.vanishes(values, scales).tolist() == expected
 
     def test_survives_huge_covariances(self):
         # product of row maxima for a 2x2 block drawn from the cachexia scale
