@@ -11,7 +11,7 @@ from .analysis import (
     Model,
     RegionSummary,
     SweepConfig,
-    SweepRecord,
+    SweepTable,
     admissible_region,
     emit,
     load_model,

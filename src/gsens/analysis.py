@@ -45,16 +45,20 @@ definite perturbed covariance; KL is reported only for admissible rows) and
 whether the perturbed covariance still satisfies every statement. Every
 grid point ends as a row: a scheme that fails to build there, or a plan
 product that underflows to zero, gives an error row with the message, and
-a change that is not finite an inadmissible row. A single-position
-plan is where(M, delta, 1) for a mask M that delta does not touch, and a
-grid point's plan is the product of its positions' plans. So a sweep
-builds each scheme's plan once per position and axis factor (build_plan,
-whose warnings and construction errors each grid point then meets in row
-order), keeps the mask, and evaluates the grid as stacked arrays, in
-blocks of at most BLOCK_ENTRIES matrix entries: products, targets P o Sigma
-and changes (P - 1) o Sigma (Sigma + D for the standard scheme), Frobenius
-norms, and KL and admissibility from divergence.kl_stack, with Sigma
-factored once per sweep and one batched eigvalsh per block.
+a change that is not finite an inadmissible row. A sweep returns its rows
+as one SweepTable of columns, and emit's reports leave delta2 empty in a
+one-way sweep, KL on an inadmissible row and Frobenius on an error row.
+
+A single-position plan is where(M, delta, 1) for a mask M that delta does
+not touch, and a grid point's plan is the product of its positions' plans.
+So a sweep builds each scheme's plan once per position and axis factor
+(build_plan, whose warnings and construction errors each grid point then
+meets in row order), keeps the mask, and evaluates the grid as stacked
+arrays, in blocks of at most BLOCK_ENTRIES matrix entries: products,
+targets P o Sigma and changes (P - 1) o Sigma (Sigma + D for the standard
+scheme), Frobenius norms, and KL and admissibility from
+divergence.kl_stack, with Sigma factored once per sweep and one batched
+eigvalsh per block.
 
 Preservation is decided per statement from how the masks meet its block:
 - untouched: the block is bitwise the base's, which holds (require_model);
@@ -74,8 +78,6 @@ CLI, so the warnings a sweep issues are build_plan's own.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import sys
@@ -348,20 +350,25 @@ def load_model(path) -> Model:
     return Model(names=names, mean=mean, covariance=cov, statements=statements, dag=dag)
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One grid point of a sweep. kl is present exactly when the row is
-    admissible (perturbed covariance positive definite); frobenius is absent
-    only when the scheme itself failed to construct."""
+@dataclass(frozen=True, eq=False)
+class SweepTable:
+    """A sweep's rows as columns: grid points in order (first grid
+    outermost), each with its schemes in declared order. factors holds a
+    row's factor at each varied position, shape (rows, positions); scheme
+    its scheme label. kl is NaN where the row is not admissible (perturbed
+    covariance not positive definite); an error row, whose error is the
+    message (None elsewhere), is inadmissible and has a NaN frobenius."""
 
-    delta1: float
-    delta2: float | None
-    scheme: str
-    kl: float | None
-    frobenius: float | None
-    admissible: bool
-    preserving: bool
-    error: str | None = None
+    factors: np.ndarray
+    scheme: tuple[str, ...]
+    kl: np.ndarray
+    frobenius: np.ndarray
+    admissible: np.ndarray
+    preserving: np.ndarray
+    error: tuple[str | None, ...]
+
+    def __len__(self) -> int:
+        return len(self.scheme)
 
 
 def resolve_scheme(model: Model, entry) -> Scheme | None:
@@ -481,19 +488,19 @@ def _outcomes(axes, index: np.ndarray):
     return errors, notes
 
 
-def _scheme_rows(model: Model, positions, grids, index, spec, whiten, certs: dict, tol):
-    """Every grid point under one scheme (None for standard), as its records
-    in grid order and the (grid index, warnings) of the points that warn;
-    index holds each point's factor index on every axis."""
+def _scheme_rows(model: Model, positions, grids, index, grid, spec, whiten, certs: dict, tol):
+    """Every grid point under one scheme (None for standard), as its KL,
+    Frobenius, admissible and preserving columns and errors in grid order,
+    and the (grid index, warnings) of the points that warn; index holds each
+    point's factor index on every axis and grid its factors."""
     n, cov = model.n, model.covariance
-    grid = np.stack([np.asarray(g)[at] for g, at in zip(grids, index)], axis=1)
-    points = grid.tolist()
+    count = len(grid)
     if spec is None:
         # the standard change varies the position entries alone
         masks = [np.zeros((n, n), dtype=bool) for _ in positions]
         for mask, (i, j) in zip(masks, positions):
             mask[i, j] = mask[j, i] = True
-        errors, notes = [None] * len(points), []
+        errors, notes = [None] * count, []
     else:
         axes = [_axis(model, position, deltas, spec) for position, deltas in zip(positions, grids)]
         masks = [mask for mask, _, _ in axes]
@@ -519,8 +526,8 @@ def _scheme_rows(model: Model, positions, grids, index, spec, whiten, certs: dic
                 )
         checks.append((stmt, certified))
 
-    kls, frob = np.full(len(points), np.nan), np.full(len(points), np.nan)
-    admissible, preserving = np.zeros(len(points), dtype=bool), np.zeros(len(points), dtype=bool)
+    kls, frob = np.full(count, np.nan), np.full(count, np.nan)
+    admissible, preserving = np.zeros(count, dtype=bool), np.zeros(count, dtype=bool)
     step = max(1, BLOCK_ENTRIES // (n * n))
     for start in range(0, live.size, step):
         at = live[start : start + step]
@@ -542,9 +549,10 @@ def _scheme_rows(model: Model, positions, grids, index, spec, whiten, certs: dic
                     check_product(product[b])
                 except FactorError as e:
                     errors[at[b]] = str(e)
-        frob[at] = ((cov - targets) ** 2).reshape(len(at), -1).sum(axis=1)
+        frob[at] = np.where(built, ((cov - targets) ** 2).reshape(len(at), -1).sum(axis=1), np.nan)
         kls[at], admissible[at] = kl_stack(whiten, shifts)
         admissible[at] &= built
+        kls[at[~built]] = np.nan
 
         holds = built.copy()
         pending: list[list[CIStatement]] = [[] for _ in at]
@@ -562,13 +570,7 @@ def _scheme_rows(model: Model, positions, grids, index, spec, whiten, certs: dic
                 holds[b] = model_holds(targets[b], stmts, tol).holds
         preserving[at] = holds
 
-    label = "standard" if spec is None else spec.kind
-    fields = zip(points, kls.tolist(), frob.tolist(), admissible.tolist(), preserving.tolist(), errors)
-    records = [
-        SweepRecord(p[0], p[1] if len(p) == 2 else None, label, v if a else None, None if e else f, a, h, e)
-        for p, v, f, a, h, e in fields
-    ]
-    return records, notes
+    return kls, frob, admissible, preserving, errors, notes
 
 
 def _replay(notes: list[list]) -> None:
@@ -582,7 +584,7 @@ def _replay(notes: list[list]) -> None:
                 warnings.warn(note, stacklevel=4)
 
 
-def _sweep(model: Model, positions, grids, schemes, tol: TolerancePolicy) -> list[SweepRecord]:
+def _sweep(model: Model, positions, grids, schemes, tol: TolerancePolicy) -> SweepTable:
     """Rows for every combination of grid factors (first grid outermost),
     schemes in declared order within each grid point."""
     require_model(model.covariance, model.statements, tol, model.names)
@@ -591,17 +593,30 @@ def _sweep(model: Model, positions, grids, schemes, tol: TolerancePolicy) -> lis
             raise IndexError(f"position ({i + 1},{j + 1}) out of range for dimension {model.n}")
     grids = [_as_grid(g) for g in grids]
     specs = [resolve_scheme(model, s) for s in schemes]
+    if not specs:
+        raise ValueError("a sweep needs at least one scheme")
     index = np.indices([len(g) for g in grids]).reshape(len(grids), -1)
+    grid = np.stack([np.asarray(g)[at] for g, at in zip(grids, index)], axis=1)
     try:
         whiten = whitener(model.covariance)
     except (InadmissibleError, SingularMatrixError):
         whiten = None
     certs: dict = {}
     with np.errstate(all="ignore"):
-        columns = [_scheme_rows(model, positions, grids, index, spec, whiten, certs, tol) for spec in specs]
-    records, notes = zip(*columns)
+        columns = [_scheme_rows(model, positions, grids, index, grid, spec, whiten, certs, tol) for spec in specs]
+    kls, frob, admissible, preserving, errors, notes = zip(*columns)
     _replay(notes)
-    return [r for row in zip(*records) for r in row]
+    labels = ["standard" if spec is None else spec.kind for spec in specs]
+    # grid points outer, schemes inner: row g * len(specs) + s
+    return SweepTable(
+        factors=np.repeat(grid, len(specs), axis=0),
+        scheme=tuple(labels * len(grid)),
+        kl=np.stack(kls, axis=1).ravel(),
+        frobenius=np.stack(frob, axis=1).ravel(),
+        admissible=np.stack(admissible, axis=1).ravel(),
+        preserving=np.stack(preserving, axis=1).ravel(),
+        error=tuple(e for row in zip(*errors) for e in row),
+    )
 
 
 def one_way_sweep(
@@ -610,12 +625,12 @@ def one_way_sweep(
     deltas,
     schemes=("standard", "total", "partial", "row", "column"),
     tol: TolerancePolicy = DEFAULT_TOL,
-) -> list[SweepRecord]:
+) -> SweepTable:
     """Vary one covariance entry over a factor grid under each scheme.
 
     Rows are ordered by factor ascending, schemes in declared order. Every
     grid point ends as a row, never as an exception: a scheme that fails to
-    build there gives an error record.
+    build there gives an error row.
     """
     return _sweep(model, (position,), (deltas,), schemes, tol)
 
@@ -627,11 +642,11 @@ def two_way_sweep(
     deltas2=None,
     schemes=("standard", "total", "partial", "row", "column"),
     tol: TolerancePolicy = DEFAULT_TOL,
-) -> list[SweepRecord]:
+) -> SweepTable:
     """Vary two entries over a factor grid; model-preserving schemes perturb
     each position separately and compose the two plans. Rows are as in
     one_way_sweep, and a grid point whose composed product underflows to
-    zero is an error record too."""
+    zero is an error row too."""
     (i1, j1), (i2, j2) = positions
     if sorted((i1, j1)) == sorted((i2, j2)):
         raise ValueError("two-way sweep needs two distinct positions")
@@ -649,85 +664,63 @@ class RegionSummary:
     cell_counts: dict[str, tuple[int, int]] = field(default_factory=dict)
 
 
-def admissible_region(records: Sequence[SweepRecord]) -> RegionSummary:
-    """Extract per-scheme admissibility structure from sweep records."""
-    two_way = any(r.delta2 is not None for r in records)
-    schemes = []
-    for r in records:
-        if r.scheme not in schemes:
-            schemes.append(r.scheme)
+def admissible_region(table: SweepTable) -> RegionSummary:
+    """Per-scheme admissible cell counts of a sweep and, one-way, the run of
+    admissible factors (in factor order) that contains 1."""
+    two_way = table.factors.shape[1] == 2
+    labels = np.array(table.scheme)
     intervals: dict[str, tuple[float, float] | None] = {}
     counts: dict[str, tuple[int, int]] = {}
-    for s in schemes:
-        rows = [r for r in records if r.scheme == s]
-        counts[s] = (sum(r.admissible for r in rows), len(rows))
+    for s in dict.fromkeys(table.scheme):
+        mask = labels == s
+        admissible = table.admissible[mask]
+        counts[s] = (int(admissible.sum()), int(mask.sum()))
         if not two_way:
-            rows = sorted(rows, key=lambda r: r.delta1)
-            best = None
-            run: list[SweepRecord] = []
-            for r in rows + [None]:
-                if r is not None and r.admissible:
-                    run.append(r)
-                    continue
-                if run and run[0].delta1 <= 1.0 <= run[-1].delta1:
-                    best = (run[0].delta1, run[-1].delta1)
-                run = []
-            intervals[s] = best
+            factors = table.factors[mask, 0]
+            order = np.argsort(factors, kind="stable")
+            factors, admissible = factors[order], admissible[order]
+            # each run of admissible rows starts at an even edge and stops before the next
+            edges = np.flatnonzero(np.diff(np.concatenate(([False], admissible, [False]))))
+            first, last = factors[edges[0::2]], factors[edges[1::2] - 1]
+            around = np.flatnonzero((first <= 1.0) & (1.0 <= last))
+            intervals[s] = (float(first[around[-1]]), float(last[around[-1]])) if around.size else None
     return RegionSummary(two_way=two_way, intervals=intervals, cell_counts=counts)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _columns(table: SweepTable) -> dict[str, list]:
+    """The report's columns by name, in output order, None in an empty
+    cell."""
+    factors = table.factors.T.tolist()
+    admissible = table.admissible.tolist()
+    return {
+        "delta1": factors[0],
+        "delta2": factors[1] if len(factors) == 2 else [None] * len(table),
+        "scheme": list(table.scheme),
+        "kl": [v if a else None for v, a in zip(table.kl.tolist(), admissible)],
+        "frobenius": [None if e is not None else v for v, e in zip(table.frobenius.tolist(), table.error)],
+        "admissible": admissible,
+        "preserving": table.preserving.tolist(),
+        "error": list(table.error),
+    }
 
 
-def emit(records: Sequence[SweepRecord], fmt: str = "csv", path=None) -> str:
-    """Serialize records as CSV (fixed columns) or JSON; returns the text and
-    writes it to path when given (a GsensError when it cannot be written)."""
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [
-                    _fmt(r.delta1),
-                    _fmt(r.delta2),
-                    r.scheme,
-                    _fmt(r.kl),
-                    _fmt(r.frobenius),
-                    _fmt(r.admissible),
-                    _fmt(r.preserving),
-                ]
-            )
-        text = buf.getvalue()
-    elif fmt == "json":
-        text = (
-            json.dumps(
-                [
-                    {
-                        "delta1": r.delta1,
-                        "delta2": r.delta2,
-                        "scheme": r.scheme,
-                        "kl": r.kl,
-                        "frobenius": r.frobenius,
-                        "admissible": r.admissible,
-                        "preserving": r.preserving,
-                        "error": r.error,
-                    }
-                    for r in records
-                ],
-                indent=2,
-            )
-            + "\n"
-        )
-    else:
+def emit(table: SweepTable, fmt: str = "csv", path=None) -> str:
+    """Serialize a sweep as CSV (CSV_COLUMNS, floats by repr, flags as
+    true/false, empty cells empty) or as JSON (one object per row, null in
+    an empty cell, with the error message); returns the text and writes it
+    to path when given (a GsensError when it cannot be written)."""
+    if fmt not in ("csv", "json"):
         raise ValueError(f"unknown output format {fmt!r}; expected csv or json")
+    columns = _columns(table)
+    if fmt == "csv":
+        for name in ("delta1", "delta2", "kl", "frobenius"):
+            columns[name] = ["" if v is None else repr(v) for v in columns[name]]
+        for name in ("admissible", "preserving"):
+            columns[name] = ["true" if v else "false" for v in columns[name]]
+        lines = map(",".join, zip(*(columns[name] for name in CSV_COLUMNS)))
+        text = "\n".join([",".join(CSV_COLUMNS), *lines]) + "\n"
+    else:
+        text = json.dumps([dict(zip(columns, row)) for row in zip(*columns.values())], indent=2) + "\n"
     if path is not None:
         try:
             Path(path).write_text(text)

@@ -167,12 +167,12 @@ def _sweep_request(args, positions: list[str]) -> dict:
     return request
 
 
-def _emit_records(records, fmt: str, output, summary: bool) -> None:
-    text = emit(records, fmt, output)
+def _emit_table(table, fmt: str, output, summary: bool) -> None:
+    text = emit(table, fmt, output)
     if output is None:
         sys.stdout.write(text)
     if summary:
-        region = admissible_region(records)
+        region = admissible_region(table)
         for scheme, (adm, total) in region.cell_counts.items():
             if region.two_way:
                 print(f"summary {scheme}: {adm}/{total} admissible cells", file=sys.stderr)
@@ -204,11 +204,11 @@ def _cmd_sweep(args) -> int:
     model = load_model(cfg.model_path)
     positions = tuple(model.resolve_position(p) for p in cfg.positions)
     if count == 1:
-        records = one_way_sweep(model, positions[0], cfg.deltas1, cfg.schemes, args.tol)
+        table = one_way_sweep(model, positions[0], cfg.deltas1, cfg.schemes, args.tol)
     else:
-        records = two_way_sweep(model, positions, cfg.deltas1, cfg.deltas2, cfg.schemes, args.tol)
+        table = two_way_sweep(model, positions, cfg.deltas1, cfg.deltas2, cfg.schemes, args.tol)
     # --format and -o override a config file's choice
-    _emit_records(records, args.format or cfg.fmt, args.output or cfg.output, args.summary)
+    _emit_table(table, args.format or cfg.fmt, args.output or cfg.output, args.summary)
     return EXIT_OK
 
 
@@ -362,10 +362,9 @@ def main(argv=None) -> int:
         warnings.showwarning = show
         try:
             return args.func(args)
-        except GsensError as e:
-            return _fail(str(e))
-        except (ValueError, KeyError, IndexError) as e:
-            return _fail(str(e))
+        except (GsensError, ValueError, KeyError, IndexError) as e:
+            # str() of a KeyError is the repr of its message
+            return _fail(e.args[0] if isinstance(e, KeyError) else str(e))
 
 
 if __name__ == "__main__":

@@ -35,6 +35,13 @@ def filled(n: int, rows, cols, value: float) -> np.ndarray:
     return out
 
 
+def by_scheme(table, column: str) -> dict[str, np.ndarray]:
+    """One column of a sweep table split by scheme label, each part in grid
+    order, schemes in declared order."""
+    labels = np.array(table.scheme)
+    return {s: getattr(table, column)[labels == s] for s in dict.fromkeys(table.scheme)}
+
+
 def kl_dense(cov, target) -> float:
     """Dense trace/log-det KL of N(0, target) from N(0, cov):
     0.5 * (tr(cov^-1 target) - n + ln det cov - ln det target); both

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import SIGMA4, STMT5_A, STMT5_B, kl_dense, model5, random_dag
+from conftest import SIGMA4, STMT5_A, STMT5_B, by_scheme, kl_dense, model5, random_dag
 from gsens import (
     CIStatement,
     GaussianDag,
@@ -168,30 +168,25 @@ def test_criterion_05_kl_consistency():
 def test_criterion_06_zero_point():
     for name, position in (("synthetic4", "Y2,Y1"), ("cachexia", "GM,B")):
         model = load_model(fixture_path(name))
-        records = one_way_sweep(model, model.resolve_position(position), [1.0])
-        assert len(records) == 5
-        for r in records:
-            assert r.kl == 0.0, f"{name}/{r.scheme}: kl not exactly zero"
-            assert r.frobenius == 0.0, f"{name}/{r.scheme}: frobenius not exactly zero"
-            assert r.admissible
+        table = one_way_sweep(model, model.resolve_position(position), [1.0])
+        assert len(table) == 5
+        for scheme, kl_value, frob, admissible in zip(table.scheme, table.kl, table.frobenius, table.admissible):
+            assert kl_value == 0.0, f"{name}/{scheme}: kl not exactly zero"
+            assert frob == 0.0, f"{name}/{scheme}: frobenius not exactly zero"
+            assert admissible
     _report(6, "unit factor gives exact zeros for every scheme on both fixtures")
 
 
 def test_criterion_07_frobenius_chain():
     model = load_model(fixture_path("synthetic4"))
     for position in POSITIONS_71:
-        records = one_way_sweep(model, position, GRID)
-        by_delta = {}
-        for r in records:
-            by_delta.setdefault(r.delta1, {})[r.scheme] = r
-        for delta, row in by_delta.items():
-            f = {s: row[s].frobenius for s in row}
-            slack = 1e-12 * max(1.0, f["total"])
-            assert f["total"] >= f["partial"] - slack
-            assert f["partial"] >= f["row"] - slack
-            assert f["partial"] >= f["column"] - slack
-            assert f["row"] >= f["standard"] - slack
-            assert f["column"] >= f["standard"] - slack
+        f = by_scheme(one_way_sweep(model, position, GRID), "frobenius")
+        slack = 1e-12 * np.maximum(1.0, f["total"])
+        assert (f["total"] >= f["partial"] - slack).all()
+        assert (f["partial"] >= f["row"] - slack).all()
+        assert (f["partial"] >= f["column"] - slack).all()
+        assert (f["row"] >= f["standard"] - slack).all()
+        assert (f["column"] >= f["standard"] - slack).all()
     _report(7, "Frobenius chain holds at all 51 grid points for all four positions")
 
 
@@ -267,11 +262,11 @@ def test_criterion_10_cachexia_fixtures():
     assert seen == expected_pairs
 
     for position in ("GM,B", "GM,V", "GC,B", "GC,V"):
-        records = one_way_sweep(ill, ill.resolve_position(position), GRID)
-        assert len(records) == len(GRID) * 5
-        bad = [r for r in records if not r.admissible]
-        assert not bad, f"{position}: {len(bad)} inadmissible rows"
-        assert all(r.error is None for r in records)
+        table = one_way_sweep(ill, ill.resolve_position(position), GRID)
+        assert len(table) == len(GRID) * 5
+        bad = int((~table.admissible).sum())
+        assert not bad, f"{position}: {bad} inadmissible rows"
+        assert table.error == (None,) * len(table)
     _report(10, "cachexia fixtures load; zeros check out; all sweep rows admissible")
 
 
@@ -293,23 +288,16 @@ def test_criterion_11_figure_shape():
 
     # total KL is the smallest throughout the admissible bands of the grid
     for position in POSITIONS_71:
-        records = one_way_sweep(model, position, GRID)
-        by_delta = {}
-        for r in records:
-            by_delta.setdefault(r.delta1, {})[r.scheme] = r
-        for delta, row in by_delta.items():
-            if delta == 1.0:
-                continue
-            for kind in ("partial", "row", "column"):
-                if row[kind].admissible:
-                    assert row["total"].kl < row[kind].kl
+        table = one_way_sweep(model, position, GRID)
+        kl_values, admissible = by_scheme(table, "kl"), by_scheme(table, "admissible")
+        away = np.array(GRID) != 1.0
+        for kind in ("partial", "row", "column"):
+            both = away & admissible[kind]
+            assert (kl_values["total"][both] < kl_values[kind][both]).all()
 
-    records = two_way_sweep(model, ((1, 1), (2, 1)), GRID, GRID, schemes=["standard", "partial"])
-    flags = {
-        scheme: [r.admissible for r in records if r.scheme == scheme]
-        for scheme in ("standard", "partial")
-    }
-    assert flags["standard"] != flags["partial"], "admissible cells must differ"
+    table = two_way_sweep(model, ((1, 1), (2, 1)), GRID, GRID, schemes=["standard", "partial"])
+    flags = by_scheme(table, "admissible")
+    assert (flags["standard"] != flags["partial"]).any(), "admissible cells must differ"
     _report(11, "only total admissible at 1.25, smallest KL wherever defined; two-way cells differ")
 
 

@@ -1,13 +1,16 @@
+import csv
+import io
 import itertools
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import SIGMA4, random_dag
+from conftest import SIGMA4, by_scheme, random_dag
 from gsens import (
     CIStatement,
     FactorError,
@@ -15,6 +18,7 @@ from gsens import (
     GsensError,
     ModelFormatError,
     ModelPreconditionError,
+    RegionSummary,
     Scheme,
     TolerancePolicy,
     Variation,
@@ -30,7 +34,7 @@ from gsens import (
     one_way_sweep,
     two_way_sweep,
 )
-from gsens.analysis import Model, SweepRecord, resolve_scheme
+from gsens.analysis import Model, SweepTable, resolve_scheme
 from gsens import cimodel
 from gsens.cli import main
 from gsens.cimodel import require_model
@@ -218,36 +222,29 @@ class TestResolveScheme:
 
 class TestOneWaySweep:
     def test_unit_factor_rows_are_exact_zero(self, toy_model):
-        records = one_way_sweep(toy_model, (1, 0), [1.0])
-        assert len(records) == 5
-        for r in records:
-            assert r.kl == 0.0 and r.frobenius == 0.0
-            assert r.admissible and r.preserving
+        table = one_way_sweep(toy_model, (1, 0), [1.0])
+        assert len(table) == 5
+        assert (table.kl == 0.0).all() and (table.frobenius == 0.0).all()
+        assert table.admissible.all() and table.preserving.all()
 
     def test_standard_frobenius_matches_hand_formula(self, toy_model):
-        records = one_way_sweep(toy_model, (1, 0), [0.9, 1.1], schemes=["standard"])
-        for r in records:
-            expected = 2 * ((r.delta1 - 1.0) * SIGMA4[1, 0]) ** 2
-            assert r.frobenius == pytest.approx(expected, rel=1e-12)
+        table = one_way_sweep(toy_model, (1, 0), [0.9, 1.1], schemes=["standard"])
+        expected = 2 * ((table.factors[:, 0] - 1.0) * SIGMA4[1, 0]) ** 2
+        np.testing.assert_allclose(table.frobenius, expected, rtol=1e-12)
 
     def test_total_kl_smallest_at_every_common_point(self, toy_model):
         grid = [round(0.75 + k * 0.01, 10) for k in range(51)]
-        records = one_way_sweep(toy_model, (1, 0), grid)
-        by_delta = {}
-        for r in records:
-            by_delta.setdefault(r.delta1, {})[r.scheme] = r
-        for delta, row in by_delta.items():
-            if delta == 1.0:
-                continue
-            total = row["total"]
-            assert total.admissible
-            for scheme in ("partial", "row", "column"):
-                if row[scheme].admissible:
-                    assert total.kl < row[scheme].kl
+        table = one_way_sweep(toy_model, (1, 0), grid)
+        kl, admissible = by_scheme(table, "kl"), by_scheme(table, "admissible")
+        away = np.array(grid) != 1.0
+        assert admissible["total"].all()
+        for scheme in ("partial", "row", "column"):
+            both = away & admissible[scheme]
+            assert (kl["total"][both] < kl[scheme][both]).all()
 
     def test_preserving_flags(self, toy_model):
-        records = one_way_sweep(toy_model, (1, 0), [1.05])
-        flags = {r.scheme: r.preserving for r in records}
+        table = one_way_sweep(toy_model, (1, 0), [1.05])
+        flags = dict(zip(table.scheme, table.preserving.tolist()))
         assert flags == {
             "standard": False,
             "total": True,
@@ -257,18 +254,16 @@ class TestOneWaySweep:
         }
 
     def test_scheme_rows_kl_present_iff_admissible(self, toy_model):
-        records = one_way_sweep(toy_model, (1, 0), [0.75, 1.0, 1.25])
-        for r in records:
-            assert (r.kl is not None) == r.admissible
+        table = one_way_sweep(toy_model, (1, 0), [0.75, 1.0, 1.25])
+        np.testing.assert_array_equal(~np.isnan(table.kl), table.admissible)
 
     @pytest.mark.filterwarnings("ignore:negative factor")
     def test_construction_error_recorded_per_row(self, toy_model):
-        records = one_way_sweep(toy_model, (1, 0), [-0.5], schemes=["total", "partial"])
-        total_row = next(r for r in records if r.scheme == "total")
-        assert total_row.error is not None and not total_row.admissible
-        assert total_row.kl is None and total_row.frobenius is None
-        partial_row = next(r for r in records if r.scheme == "partial")
-        assert partial_row.error is None  # negative factors are legal here
+        table = one_way_sweep(toy_model, (1, 0), [-0.5], schemes=["total", "partial"])
+        assert table.scheme == ("total", "partial")
+        assert table.error[0] is not None and not table.admissible[0]
+        assert np.isnan(table.kl[0]) and np.isnan(table.frobenius[0])
+        assert table.error[1] is None  # negative factors are legal here
 
     def test_model_must_satisfy_its_statements(self, tmp_path):
         path = write_model(
@@ -298,65 +293,122 @@ class TestOneWaySweep:
         assert a == b
 
     def test_row_scheme_with_explicit_subset(self, toy_model):
-        records = one_way_sweep(
+        table = one_way_sweep(
             toy_model, (2, 0), [1.05], schemes=[Scheme("row", subset=(2,))]
         )
-        assert records[0].preserving
+        assert table.preserving[0]
 
 
 class TestTwoWaySweep:
     def test_unit_cell_is_zero(self, toy_model):
-        records = two_way_sweep(toy_model, ((1, 1), (2, 1)), [1.0], [1.0])
-        for r in records:
-            assert r.kl == 0.0 and r.frobenius == 0.0 and r.admissible
+        table = two_way_sweep(toy_model, ((1, 1), (2, 1)), [1.0], [1.0])
+        assert (table.kl == 0.0).all() and (table.frobenius == 0.0).all() and table.admissible.all()
 
     def test_masks_differ_between_standard_and_partial(self, toy_model):
         grid = [round(0.75 + k * 0.05, 10) for k in range(11)]
-        records = two_way_sweep(
+        table = two_way_sweep(
             toy_model, ((1, 1), (2, 1)), grid, grid, schemes=["standard", "partial"]
         )
-        region = admissible_region(records)
+        region = admissible_region(table)
         assert region.two_way
-        flags = {
-            scheme: [r.admissible for r in records if r.scheme == scheme]
-            for scheme in ("standard", "partial")
-        }
-        assert flags["standard"] != flags["partial"]
+        flags = by_scheme(table, "admissible")
+        assert (flags["standard"] != flags["partial"]).any()
 
     def test_total_cells_all_admissible(self, toy_model):
         grid = [0.5, 1.0, 2.0]
-        records = two_way_sweep(toy_model, ((1, 1), (2, 1)), grid, grid, schemes=["total"])
-        assert all(r.admissible for r in records)
-        assert all(r.preserving for r in records)
+        table = two_way_sweep(toy_model, ((1, 1), (2, 1)), grid, grid, schemes=["total"])
+        assert table.admissible.all()
+        assert table.preserving.all()
 
     def test_grid_order(self, toy_model):
-        records = two_way_sweep(
-            toy_model, ((1, 1), (2, 1)), [1.0, 1.1], [0.9, 1.0], schemes=["total"]
+        table = two_way_sweep(
+            toy_model, ((1, 1), (2, 1)), [1.0, 1.1], [0.9, 1.0], schemes=["total", "partial"]
         )
-        assert [(r.delta1, r.delta2) for r in records] == [
-            (1.0, 0.9),
-            (1.0, 1.0),
-            (1.1, 0.9),
-            (1.1, 1.0),
+        assert table.factors.tolist() == [
+            [1.0, 0.9], [1.0, 0.9],
+            [1.0, 1.0], [1.0, 1.0],
+            [1.1, 0.9], [1.1, 0.9],
+            [1.1, 1.0], [1.1, 1.0],
         ]
+        assert table.scheme == ("total", "partial") * 4
 
     def test_same_position_twice_rejected(self, toy_model):
         with pytest.raises(ValueError, match="distinct"):
             two_way_sweep(toy_model, ((1, 0), (0, 1)), [1.0])
 
 
+def _region_by_rows(rows) -> RegionSummary:
+    """The per-row scan admissible_region made over (delta1, delta2, scheme,
+    admissible) rows, kept as the reference for the column version."""
+    two_way = any(delta2 is not None for _, delta2, _, _ in rows)
+    schemes = []
+    for _, _, scheme, _ in rows:
+        if scheme not in schemes:
+            schemes.append(scheme)
+    intervals, counts = {}, {}
+    for s in schemes:
+        mine = [r for r in rows if r[2] == s]
+        counts[s] = (sum(r[3] for r in mine), len(mine))
+        if not two_way:
+            mine = sorted(mine, key=lambda r: r[0])
+            best, run = None, []
+            for r in mine + [None]:
+                if r is not None and r[3]:
+                    run.append(r)
+                    continue
+                if run and run[0][0] <= 1.0 <= run[-1][0]:
+                    best = (run[0][0], run[-1][0])
+                run = []
+            intervals[s] = best
+    return RegionSummary(two_way=two_way, intervals=intervals, cell_counts=counts)
+
+
+REGION_FACTORS = st.sampled_from([-1.0, 0.5, 0.9, 1.0, 1.0, 1.1, 2.0])
+
+
 class TestAdmissibleRegion:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        grid1=st.lists(REGION_FACTORS, min_size=1, max_size=8),
+        grid2=st.none() | st.lists(REGION_FACTORS, min_size=1, max_size=3),
+        schemes=st.lists(st.sampled_from(["standard", "total", "row"]), min_size=1, max_size=3, unique=True),
+        pattern=st.lists(st.booleans(), min_size=72, max_size=72),
+    )
+    # two admissible runs contain 1; the later one is the interval
+    @example(grid1=[1.0, 0.9, 1.0, 1.1, 1.0], grid2=None, schemes=["total"],
+             pattern=[True, True, False, True, True] * 15)
+    def test_columns_match_the_per_row_scan(self, grid1, grid2, schemes, pattern):
+        # unsorted grids with duplicates, with and without a 1.0 point, and
+        # any admissibility pattern
+        points = [(d,) for d in grid1] if grid2 is None else list(itertools.product(grid1, grid2))
+        rows = len(points) * len(schemes)
+        admissible = pattern[:rows]
+        table = SweepTable(
+            factors=np.repeat(np.array(points), len(schemes), axis=0),
+            scheme=tuple(schemes) * len(points),
+            kl=np.zeros(rows),
+            frobenius=np.zeros(rows),
+            admissible=np.array(admissible),
+            preserving=np.ones(rows, dtype=bool),
+            error=(None,) * rows,
+        )
+        reference = [
+            (p[0], p[1] if len(p) == 2 else None, s, a)
+            for (p, s), a in zip(itertools.product(points, schemes), admissible)
+        ]
+        assert admissible_region(table) == _region_by_rows(reference)
+
     def test_total_interval_covers_the_grid(self, toy_model):
         grid = [round(0.75 + k * 0.05, 10) for k in range(11)]
-        records = one_way_sweep(toy_model, (1, 0), grid, schemes=["total"])
-        region = admissible_region(records)
+        table = one_way_sweep(toy_model, (1, 0), grid, schemes=["total"])
+        region = admissible_region(table)
         assert region.intervals["total"] == (0.75, 1.25)
 
     def test_interval_strictly_inside_grid(self, toy_model):
         # partial on this matrix loses admissibility around [0.98, 1.13]
         grid = [round(0.75 + k * 0.01, 10) for k in range(51)]
-        records = one_way_sweep(toy_model, (1, 0), grid, schemes=["partial"])
-        region = admissible_region(records)
+        table = one_way_sweep(toy_model, (1, 0), grid, schemes=["partial"])
+        region = admissible_region(table)
         lo, hi = region.intervals["partial"]
         assert 0.75 < lo <= 1.0 <= hi < 1.25
 
@@ -368,16 +420,16 @@ class TestAdmissibleRegion:
             "covariance": [[1.0, 1.0], [1.0, 1.0]],
         }
         model = load_model(write_model(tmp_path, payload))
-        records = one_way_sweep(model, (0, 1), [1.5, 2.0], schemes=["partial"])
-        region = admissible_region(records)
+        table = one_way_sweep(model, (0, 1), [1.5, 2.0], schemes=["partial"])
+        region = admissible_region(table)
         assert region.intervals["partial"] is None
         assert region.cell_counts["partial"][0] == 0
 
 
 class TestEmit:
     def test_csv_columns_and_empty_kl(self, toy_model):
-        records = one_way_sweep(toy_model, (1, 0), [0.75], schemes=["partial"])
-        text = emit(records, "csv")
+        table = one_way_sweep(toy_model, (1, 0), [0.75], schemes=["partial"])
+        text = emit(table, "csv")
         lines = text.strip().split("\n")
         assert lines[0] == "delta1,delta2,scheme,kl,frobenius,admissible,preserving"
         fields = lines[1].split(",")
@@ -386,25 +438,54 @@ class TestEmit:
         assert fields[5] == "false" and fields[6] == "true"
 
     def test_csv_floats_round_trip(self, toy_model):
-        records = one_way_sweep(toy_model, (1, 0), [1.05], schemes=["total"])
-        text = emit(records, "csv")
+        table = one_way_sweep(toy_model, (1, 0), [1.05], schemes=["total"])
+        text = emit(table, "csv")
         fields = text.strip().split("\n")[1].split(",")
-        assert float(fields[3]) == records[0].kl
-        assert float(fields[4]) == records[0].frobenius
+        assert float(fields[3]) == table.kl[0]
+        assert float(fields[4]) == table.frobenius[0]
 
     def test_json_round_trip(self, toy_model, tmp_path):
-        records = one_way_sweep(toy_model, (1, 0), [0.9, 1.1])
+        table = one_way_sweep(toy_model, (1, 0), [0.9, 1.1])
         path = tmp_path / "out.json"
-        text = emit(records, "json", path)
+        text = emit(table, "json", path)
         assert path.read_text() == text
         parsed = json.loads(text)
-        assert len(parsed) == len(records)
-        assert parsed[0]["scheme"] == records[0].scheme
-        assert parsed[0]["kl"] == records[0].kl
+        assert len(parsed) == len(table)
+        assert parsed[0]["scheme"] == table.scheme[0]
+        assert parsed[0]["kl"] == table.kl[0]
+
+    @pytest.mark.filterwarnings("ignore:negative factor")
+    @pytest.mark.parametrize("positions", [((1, 0),), ((1, 0), (2, 1))])
+    def test_csv_and_json_agree_field_by_field(self, toy_model, positions):
+        # error rows (total at negative factors, zero products at 1e-300 x
+        # 1e-300), inadmissible rows and non-finite changes (1e300)
+        grid = [-2.0, -0.5, 1e-300, 0.9, 1.0, 1e300]
+        if len(positions) == 1:
+            table = one_way_sweep(toy_model, positions[0], grid)
+        else:
+            table = two_way_sweep(toy_model, positions, grid)
+        header, *body = csv.reader(io.StringIO(emit(table, "csv")))
+        rows = json.loads(emit(table, "json"))
+        assert len(body) == len(rows) == len(grid) ** len(positions) * 5
+        assert header == list(analysis.CSV_COLUMNS)
+        assert list(rows[0]) == [*analysis.CSV_COLUMNS, "error"]
+        for fields, row in zip(body, rows):
+            for name, field in zip(header, fields):
+                value = row[name]
+                if name == "scheme":
+                    assert field == value
+                elif name in ("admissible", "preserving"):
+                    assert field == ("true" if value else "false")
+                else:
+                    assert field == ("" if value is None else repr(value)), (name, row)
+            assert (row["kl"] is None) == (not row["admissible"])
+            assert (row["frobenius"] is None) == (row["error"] is not None)
+        assert any(r["error"] for r in rows) and not all(r["admissible"] for r in rows)
+        assert any(r["frobenius"] is not None and not math.isfinite(r["frobenius"]) for r in rows)
 
     def test_unknown_format(self, toy_model):
         with pytest.raises(ValueError):
-            emit([], "xml")
+            emit(one_way_sweep(toy_model, (1, 0), [1.0]), "xml")
 
 
 class TestSweepConfig:
@@ -432,10 +513,10 @@ class TestSweepConfig:
         assert cfg.model_path == model_path.resolve()
         assert cfg.deltas1 == (0.9, 1.0, 1.1)
         model = load_model(cfg.model_path)
-        records = one_way_sweep(
+        table = one_way_sweep(
             model, model.resolve_position(cfg.positions[0]), cfg.deltas1, cfg.schemes
         )
-        assert len(records) == 6
+        assert len(table) == 6
 
     def test_bad_positions_rejected(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -485,18 +566,19 @@ class TestSweepConfig:
         cfg = load_sweep_config(cfg_path)
         model = load_model(cfg.model_path)
         position = model.resolve_position(cfg.positions[0])
-        records = one_way_sweep(model, position, cfg.deltas1, cfg.schemes)
-        assert [r.error for r in records] == [None, None]
-        assert all(r.preserving for r in records)
+        table = one_way_sweep(model, position, cfg.deltas1, cfg.schemes)
+        assert table.error == (None, None)
+        assert table.preserving.all()
 
 
 def _per_row(model, positions, grids, schemes, tol):
     """The sweep by its definition: every row builds its own plan (or
-    additive change), evaluates it and re-checks the model on the target."""
+    additive change), evaluates it and re-checks the model on the target.
+    A row is (factors, scheme, kl, frobenius, admissible, preserving,
+    error), None standing for an absent value."""
     require_model(model.covariance, model.statements, tol, model.names)
-    cov, records = model.covariance, []
+    cov, rows = model.covariance, []
     for deltas in itertools.product(*(sorted(g) for g in grids)):
-        d1, d2 = deltas if len(deltas) == 2 else (deltas[0], None)
         for entry in schemes:
             scheme = resolve_scheme(model, entry)
             label = "standard" if scheme is None else scheme.kind
@@ -507,16 +589,16 @@ def _per_row(model, positions, grids, schemes, tol):
                 try:
                     change = build_plan(Variation(model.n, factors), scheme, model.statements)
                 except GsensError as e:
-                    records.append(SweepRecord(d1, d2, label, None, None, False, False, str(e)))
+                    rows.append((deltas, label, None, None, False, False, str(e)))
                     continue
             target, report = evaluate(label, cov, change)
             holds = model_holds(target, model.statements, tol).holds
-            records.append(SweepRecord(d1, d2, label, report.kl, report.frobenius, report.admissible, holds))
-    return records
+            rows.append((deltas, label, report.kl, report.frobenius, report.admissible, holds, None))
+    return rows
 
 
 def _run(sweep):
-    """(records or the exception raised, distinct warnings in order)."""
+    """(the sweep or the exception raised, distinct warnings in order)."""
     with warnings.catch_warnings(record=True) as caught, np.errstate(all="ignore"):
         warnings.simplefilter("always")
         try:
@@ -530,9 +612,10 @@ def _run(sweep):
     return out, notes
 
 
-def _same(a: float | None, b: float | None, rel: float = 0.0) -> bool:
-    if a is None or b is None:
-        return a is b
+def _same(a: float, b: float | None, rel: float = 0.0) -> bool:
+    """A table cell equals the definition's value within rel; the table
+    holds NaN where the definition has no value (None)."""
+    b = float("nan") if b is None else b
     return a == b or (a != a and b != b) or abs(a - b) <= rel * max(abs(a), abs(b))
 
 
@@ -547,12 +630,14 @@ def assert_matches_definition(model, positions, grids, schemes, tol=DEFAULT_TOL)
     if isinstance(want, tuple) or isinstance(got, tuple):
         assert got == want
         return
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert (g.delta1, g.delta2, g.scheme, g.error) == (w.delta1, w.delta2, w.scheme, w.error)
-        assert (g.admissible, g.preserving) == (w.admissible, w.preserving), w
-        assert _same(g.frobenius, w.frobenius), w
-        assert _same(g.kl, w.kl, 1e-13), w
+    assert isinstance(got, SweepTable) and len(got) == len(want)
+    assert got.factors.shape == (len(want), len(positions))
+    for k, w in enumerate(want):
+        factors, scheme, kl, frob, admissible, preserving, error = w
+        assert (tuple(got.factors[k].tolist()), got.scheme[k], got.error[k]) == (factors, scheme, error)
+        assert (bool(got.admissible[k]), bool(got.preserving[k])) == (admissible, preserving), w
+        assert _same(got.frobenius[k], frob), w
+        assert _same(got.kl[k], kl, 1e-13), w
 
 
 FACTORS = st.sampled_from([-2.0, -0.5, 1e-300, 1e-160, 0.3, 1.0, 1.7, 1e160, 1e300]) | st.floats(0.5, 1.5)
@@ -669,12 +754,12 @@ class TestSweepEngine:
         monkeypatch.setattr(analysis, "build_plan", counting("build", build_plan))
         monkeypatch.setattr(analysis, "model_holds", counting("holds", model_holds))
         grid = [round(0.75 + 0.05 * k, 10) for k in range(11)]
-        records = two_way_sweep(toy_model, ((1, 0), (2, 1)), grid, grid)
+        table = two_way_sweep(toy_model, ((1, 0), (2, 1)), grid, grid)
         # one plan per plan scheme, position and factor, not two per row
         assert counts["build"] == 4 * 2 * len(grid)
-        standard = sum(r.scheme == "standard" for r in records)
-        assert counts["holds"] <= standard
-        assert all(r.preserving for r in records if r.scheme != "standard")
+        standard = np.array(table.scheme) == "standard"
+        assert counts["holds"] <= standard.sum()
+        assert table.preserving[~standard].all()
 
     def test_standard_sweep2_decides_every_row_without_model_holds(self, monkeypatch, capsys):
         calls = []
@@ -697,9 +782,10 @@ class TestSweepEngine:
                 yield minor
 
         monkeypatch.setattr(cimodel, "iter_minors", counted)
-        records = one_way_sweep(load_model(fixture_path("synthetic4")), (1, 0), [0.9, 1.0, 1.1])
-        assert [r.preserving for r in records if r.scheme == "standard"] == [False, True, False]
-        assert all(r.preserving for r in records if r.scheme != "standard")
+        table = one_way_sweep(load_model(fixture_path("synthetic4")), (1, 0), [0.9, 1.0, 1.1])
+        preserving = by_scheme(table, "preserving")
+        assert preserving.pop("standard").tolist() == [False, True, False]
+        assert all(flags.all() for flags in preserving.values())
         assert len(read) == 2
 
     def test_library_sweeps_at_extreme_factors_raise_no_runtime_warning(self):

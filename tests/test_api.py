@@ -28,7 +28,7 @@ PUBLIC = [
     "SchemeError",
     "SingularMatrixError",
     "SweepConfig",
-    "SweepRecord",
+    "SweepTable",
     "TolerancePolicy",
     "Variation",
     "admissible_region",

@@ -286,6 +286,22 @@ def test_asymmetric_covariance_prints_plain_floats(tmp_path, capsys):
     assert capsys.readouterr().err == "error: covariance is asymmetric at (A,B): 0.5 vs 0.25\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["condition", SYNTH, "--evidence", "Z=1"],
+        ["covary", SYNTH, "--pos", "Y2,Z", "--delta", "1.1"],
+        ["covary", SYNTH, "--pos", "Y3,Y1", "--delta", "1.1", "--scheme", "column", "--F", "Z"],
+        ["sweep", SYNTH, "--pos", "Z,Y1", "--deltas", "1.1"],
+        ["sweep", SYNTH, "--pos", "Y3,Y1", "--deltas", "1.1", "--schemes", "row", "--E", "Z"],
+    ],
+    ids=["condition", "covary", "covary-F", "sweep", "sweep-E"],
+)
+def test_unknown_variable_message_is_not_quoted(argv, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: unknown variable 'Z'; model has Y1, Y2, Y3, Y4\n"
+
+
 def test_missing_model_file(capsys):
     assert main(["check", "/nonexistent/model.json"]) == 1
     assert "no such file" in capsys.readouterr().err
@@ -402,6 +418,12 @@ def test_flags_and_config_give_identical_output(flags, config, tmp_path, capsys)
     cfg = _write_config(tmp_path, {"model": SYNTH, **config})
     assert main([flags[0], "--config", cfg]) == 0
     assert capsys.readouterr().out == by_flags
+
+
+def test_sweep_config_needs_a_scheme(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"model": SYNTH, "positions": [["Y2", "Y1"]], "deltas": [1.0], "schemes": []})
+    assert main(["sweep", "--config", cfg]) == 1
+    assert capsys.readouterr().err == "error: a sweep needs at least one scheme\n"
 
 
 def test_sweep2_config_needs_two_positions(tmp_path, capsys):

@@ -84,21 +84,23 @@ class TestKl:
             with mp.workdps(50):
                 base = mp.matrix(cov.tolist())
                 prec, logdet = mp.inverse(base), mp.log(mp.det(base))
-                for r in one_way_sweep(model, (i, j), deltas):
-                    if not r.admissible:
+                table = one_way_sweep(model, (i, j), deltas)
+                rows = zip(table.factors.tolist(), table.scheme, table.kl.tolist(), table.admissible)
+                for (delta,), scheme, got, admissible in rows:
+                    if not admissible:
                         continue
-                    if r.scheme == "standard":
-                        product = Variation(n, ((i, j, r.delta1),)).matrix
+                    v = Variation(n, ((i, j, delta),))
+                    if scheme == "standard":
+                        product = v.matrix
                     else:
-                        v = Variation(n, ((i, j, r.delta1),))
-                        product = build_plan(v, Scheme(r.scheme), model.statements).product
+                        product = build_plan(v, Scheme(scheme), model.statements).product
                     target = mp.matrix(n, n)
                     for a in range(n):
                         for b in range(n):
                             target[a, b] = mp.mpf(product[a, b]) * cov[a, b]
                     trace = mp.fsum(prec[a, b] * target[b, a] for a in range(n) for b in range(n))
                     want = (trace - n + logdet - mp.log(mp.det(target))) / 2
-                    assert abs(r.kl - want) <= 1e-12 * want, (name, position, r.scheme, r.delta1)
+                    assert abs(got - want) <= 1e-12 * want, (name, position, scheme, delta)
                     checked += 1
         assert checked > 200
 

@@ -18,9 +18,10 @@ as well: negative factors (total error rows and the order of warnings),
 factors near 1e-300 and 1e300, a position outside every statement block,
 explicit --E/--F sets, a sweep config with statement_index, duplicate grid
 values, a singular base covariance, a sweep2 with one negative factor, a
-sweep2 whose zero-product grid point sits between negative-factor warnings
-and a standard sweep that makes a conditioning block exactly singular, whose
-rows the certificate cannot decide.
+sweep2 whose zero-product grid point sits between negative-factor warnings,
+a standard sweep that makes a conditioning block exactly singular, whose
+rows the certificate cannot decide, and sweeps with --summary, whose
+admissibility summary goes to stderr.
 
 Prints each job whose exit code, stdout or stderr differs, with the streams
 that differ, and exits 1 if any job differs; 0 otherwise. A job whose
@@ -100,6 +101,11 @@ EDGE_JOBS = [
     Job("sweep2", SYNTH, ("--pos", "Y2,Y1", "--pos2", "Y3,Y2", "--deltas=-0.5,-1e-200",
                           "--deltas2", "1e-200,1.1")),
     Job("sweep", "edge-collinear.json", ("--pos", "c,b", "--deltas", "0.5,1,2,3", "--schemes", "standard")),
+    # --summary: admissible counts and the interval around 1 on stderr
+    Job("sweep", SYNTH, ("--pos", "Y2,Y1", "--deltas=-2,-0.5,0.9,1.1", "--summary")),
+    Job("sweep", SYNTH, ("--pos", "Y2,Y1", "--deltas", "0.9,1.1,0.9", "--summary")),
+    Job("sweep2", SYNTH, ("--pos", "Y2,Y1", "--pos2", "Y3,Y2", "--deltas", "0.9,1.1", "--summary")),
+    Job("sweep", "edge-singular.json", ("--pos", "a,b", "--deltas", "0.5,1,1.5", "--summary")),
 ]
 NUMPY_WARNING = re.compile(r"^warning: .* encountered in .*\n", re.MULTILINE)
 
