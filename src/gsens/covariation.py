@@ -16,17 +16,21 @@ and column fill; its block is the union of the blocks of the statements it
 targets, and one statement is the one-element case. A single-position plan
 is 1 + (delta-1)*M for a 0/1 mask M that the scheme fixes and delta does
 not touch, so whether a scheme keeps the model valid is decided on the sets
-E and F alone.
+E and F alone. The builder resolves that delta-free fill (targets, block,
+E/F and mask) once per (position, scheme, statements) and memoises it;
+every factor's plan is then where(M, delta, 1), with its warnings and any
+refused-set error issued on each build.
 Multi-parameter variations are decomposed into single-parameter factors
 which are covaried individually and composed by entrywise product.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -191,49 +195,70 @@ def _fill_set(
     )
 
 
-def _covary(
-    variation: Variation, scheme: Scheme, statements: Sequence[CIStatement]
-) -> PerturbationPlan:
-    """Partial, row or column fill of a single-position variation inside the
-    block rows x cols, the union of the statements' blocks (one statement's
-    own block when there is one).
+class _Fill(NamedTuple):
+    """The delta-free part of a partial, row or column plan at one position:
+    the read-only mask of the entries it scales (None when the position lies
+    outside the statement block), the scheme as built (E/F resolved), and
+    the message of the SchemeError that refuses the requested set (None when
+    the set fits)."""
 
-    The plan is the factor on the fill and its mirror, ones elsewhere; inside
-    the block it scales exactly the prescribed rows or columns, so every
-    minor of each statement block is scaled by a power of the factor. A
-    position outside the block needs no covariation.
+    mask: np.ndarray | None
+    scheme: Scheme
+    refused: str | None
+
+
+@functools.lru_cache(maxsize=16)
+def _fill(
+    n: int, i: int, j: int, scheme: Scheme, statements: tuple[CIStatement, ...]
+) -> _Fill | None:
+    """The delta-free fill of a single-position plan at (i, j), memoised per
+    (dimension, position, scheme, statements); None when no fill applies
+    (scheme "none" or "total", or no statement constrains the variation).
+
+    The fill lies inside the block rows x cols, the union of the targeted
+    statements' blocks (one statement's own block when there is one): the
+    factor goes on the fill and its mirror, ones elsewhere, so inside the
+    block it scales exactly the prescribed rows or columns and every minor
+    of each statement block is scaled by a power of the factor. A position
+    outside the block needs no covariation. Target and dimension errors
+    propagate and are not cached.
     """
-    n = variation.n
-    i, j, delta = variation.factors[0]
-    rows = {k for s in statements for k in s.block_rows}
-    cols = {k for s in statements for k in s.block_cols}
+    k = scheme.statement_index
+    if k is None:
+        targets = nonempty_conditioning(statements)
+    elif 0 <= k < len(statements):
+        targets = (statements[k],)
+    else:
+        raise SchemeError(f"statement index {k + 1} out of range ({len(statements)} statements)")
+    top = max((s.max_index for s in targets), default=-1)
+    if top >= n:
+        raise IndexError(f"statement index {top + 1} out of range for dimension {n}")
+    if scheme.kind in ("none", "total") or not targets:
+        # nothing constrains the variation: marginal statements are zeros and
+        # zeros stay zeros under scaling
+        return None
+
+    rows = {k for s in targets for k in s.block_rows}
+    cols = {k for s in targets for k in s.block_cols}
     if i in rows and j in cols:
         ii, jj = i, j
     elif j in rows and i in cols:
         ii, jj = j, i
     else:
-        warnings.warn(
-            f"position ({i + 1},{j + 1}) lies outside the statement block; "
-            "no covariation is needed and none is applied",
-            stacklevel=3,
-        )
-        return _ones_plan(variation)
-    if delta < 0:
-        warnings.warn(
-            f"negative factor {delta} under a {scheme.kind} covariation flips the sign "
-            "of the covaried entries; allowed, but rarely intended",
-            stacklevel=3,
-        )
-
+        return _Fill(None, scheme, None)
     r, c, subset = sorted(rows), sorted(cols), None
-    if scheme.kind == "row":
-        r = subset = _fill_set(scheme, i, j, ii, rows, cols)
-    elif scheme.kind == "column":
-        c = subset = _fill_set(scheme, i, j, jj, cols, rows)
-    product = np.ones((n, n))
-    product[np.ix_(r, c)] = delta
-    product[np.ix_(c, r)] = delta
-    return _finish_plan(variation, product, Scheme(scheme.kind, subset, scheme.statement_index))
+    try:
+        if scheme.kind == "row":
+            r = subset = _fill_set(scheme, i, j, ii, rows, cols)
+        elif scheme.kind == "column":
+            c = subset = _fill_set(scheme, i, j, jj, cols, rows)
+    except SchemeError as e:
+        return _Fill(None, scheme, str(e))
+    mask = np.zeros((n, n), dtype=bool)
+    mask[np.ix_(r, c)] = True
+    mask[np.ix_(c, r)] = True
+    mask.flags.writeable = False
+    return _Fill(mask, Scheme(scheme.kind, subset, scheme.statement_index), None)
 
 
 def build_plan(
@@ -246,7 +271,10 @@ def build_plan(
     set, the scheme is built against that one statement, marginal or not.
     Otherwise only the statements with non-empty conditioning set constrain
     the construction: marginal statements are zeros of the covariance and
-    survive any entrywise scaling.
+    survive any entrywise scaling. A single-position partial, row or column
+    plan is where(mask, delta, 1) over its memoised fill (_fill); its
+    warnings (position outside the block, then negative factor) and then
+    its refused-set error are issued on every call.
     """
     if len(variation.factors) == 0:
         return PerturbationPlan(variation=variation, product=np.ones((variation.n, variation.n)), steps=())
@@ -257,30 +285,31 @@ def build_plan(
             plan = p if plan is None else compose(plan, p)
         return plan
 
-    k = scheme.statement_index
-    if k is None:
-        targets = nonempty_conditioning(statements)
-    elif 0 <= k < len(statements):
-        targets = (statements[k],)
-    else:
-        raise SchemeError(f"statement index {k + 1} out of range ({len(statements)} statements)")
     n = variation.n
-    top = max((s.max_index for s in targets), default=-1)
-    if top >= n:
-        raise IndexError(f"statement index {top + 1} out of range for dimension {n}")
-
-    if scheme.kind == "none":
-        return _ones_plan(variation)
+    i, j, delta = variation.factors[0]
+    fill = _fill(n, i, j, scheme, tuple(statements))
     if scheme.kind == "total":
-        delta = variation.factors[0][2]
         if delta <= 0:
             raise SchemeError("total covariation requires delta > 0: variances would change sign")
         return _finish_plan(variation, np.full((n, n), delta), Scheme("total"))
-    if not targets:
-        # nothing constrains the variation: marginal statements are zeros and
-        # zeros stay zeros under scaling
+    if fill is None:
         return _ones_plan(variation)
-    return _covary(variation, scheme, targets)
+    if fill.mask is None and fill.refused is None:  # outside the block
+        warnings.warn(
+            f"position ({i + 1},{j + 1}) lies outside the statement block; "
+            "no covariation is needed and none is applied",
+            stacklevel=2,
+        )
+        return _ones_plan(variation)
+    if delta < 0:
+        warnings.warn(
+            f"negative factor {delta} under a {scheme.kind} covariation flips the sign "
+            "of the covaried entries; allowed, but rarely intended",
+            stacklevel=2,
+        )
+    if fill.refused is not None:
+        raise SchemeError(fill.refused)
+    return _finish_plan(variation, np.where(fill.mask, delta, 1.0), fill.scheme)
 
 
 def compose(p1: PerturbationPlan, p2: PerturbationPlan) -> PerturbationPlan:

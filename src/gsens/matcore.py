@@ -36,7 +36,8 @@ def check_symmetric(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Require exact (bitwise) symmetry; a NaN mirrored by a NaN counts as
     symmetric, so the checks downstream decide what a non-finite matrix
     means."""
-    if not np.array_equal(m, m.T, equal_nan=True):
+    # exact equality first: it accepts only what the NaN-aware test accepts
+    if not (m == m.T).all() and not np.array_equal(m, m.T, equal_nan=True):
         i, j = np.argwhere((m != m.T) & ~(np.isnan(m) & np.isnan(m.T)))[0]
         raise ValueError(
             f"{name} is not symmetric: entry ({i + 1},{j + 1}) = {float(m[i, j])!r} "

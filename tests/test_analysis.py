@@ -483,6 +483,23 @@ class TestEmit:
         assert any(r["error"] for r in rows) and not all(r["admissible"] for r in rows)
         assert any(r["frobenius"] is not None and not math.isfinite(r["frobenius"]) for r in rows)
 
+    @pytest.mark.parametrize("rows", [0, 1, 6])
+    def test_json_is_json_dumps_byte_for_byte(self, rows):
+        # non-finite floats, None cells, flags, and strings json escapes
+        specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1]
+        table = SweepTable(
+            factors=np.array([[specials[k], -specials[k - 1]] for k in range(rows)]).reshape(rows, 2),
+            scheme=tuple(["row", 'r\u00f6w "E"\\\n'][k % 2] for k in range(rows)),
+            kl=np.array(specials[:rows]),
+            frobenius=np.array(specials[::-1][:rows]),
+            admissible=np.arange(rows) % 2 == 0,
+            preserving=np.arange(rows) % 3 == 0,
+            error=tuple([None, "\u00e9\U0001f600\t"][k % 2] for k in range(rows)),
+        )
+        columns = analysis._columns(table)
+        expected = json.dumps([dict(zip(columns, row)) for row in zip(*columns.values())], indent=2) + "\n"
+        assert emit(table, "json") == expected
+
     def test_unknown_format(self, toy_model):
         with pytest.raises(ValueError):
             emit(one_way_sweep(toy_model, (1, 0), [1.0]), "xml")

@@ -124,6 +124,37 @@ def test_covary_bad_set_is_named_one_based(capsys):
     assert capsys.readouterr().err.startswith("error: column set [1, 3] does not fit position (1,3): ")
 
 
+NEGATIVE_ROW = (
+    "warning: negative factor -0.5 under a row covariation flips the sign of the covaried "
+    "entries; allowed, but rarely intended\n"
+)
+ROW_SET_Y1 = (
+    "row set [1] does not fit position (1,2): a row set must lie within the block rows [2, 3] "
+    "and cover the position, and one that meets the block columns must contain [2] (else its "
+    "fill is not symmetrizable without altering the block)"
+)
+
+
+def test_covary_warns_of_the_negative_factor_before_refusing_the_set(capsys):
+    argv = ["covary", SYNTH, "--pos", "Y2,Y1", "--delta=-0.5", "--scheme", "row", "--E", "Y1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == NEGATIVE_ROW + f"error: {ROW_SET_Y1}\n"
+
+
+def test_sweep_warns_of_the_negative_factor_and_keeps_the_refused_rows(capsys):
+    argv = ["sweep", SYNTH, "--pos", "Y2,Y1", "--deltas=-0.5,0.9", "--schemes", "row", "--E", "Y1"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == NEGATIVE_ROW
+    assert captured.out.splitlines()[1:] == ["-0.5,,row,,,false,false", "0.9,,row,,,false,false"]
+    assert main([*argv, "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == NEGATIVE_ROW
+    assert [row["error"] for row in json.loads(captured.out)] == [ROW_SET_Y1] * 2
+
+
 def test_sweep_csv_to_stdout(capsys):
     code = main(["sweep", SYNTH, "--pos", "Y2,Y1", "--deltas", "0.99,1.0,1.01"])
     assert code == 0

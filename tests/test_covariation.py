@@ -1,3 +1,4 @@
+import traceback
 import warnings
 
 import numpy as np
@@ -25,6 +26,7 @@ from gsens import (
     model_holds,
     verify_preserving,
 )
+from gsens.covariation import _fill
 from gsens.matcore import is_psd
 
 
@@ -206,6 +208,51 @@ class TestValidateMulti:
         v = Variation(3, ((0, 1, 2.0),))
         plan = build_plan(v, Scheme("partial"), [])
         np.testing.assert_array_equal((plan.product / plan.variation.matrix), np.ones((3, 3)))
+
+
+class TestFillMemo:
+    """build_plan memoises each position's delta-free fill; nothing it
+    returns, warns or raises depends on whether the fill was cached."""
+
+    STMT = CIStatement(left=(2,), right=(0,), given=(1,))
+
+    def test_outside_the_block_warns_on_every_build(self):
+        v = Variation(3, ((0, 0, 5.0),))
+        for _ in range(2):
+            with pytest.warns(UserWarning, match="outside the statement block"):
+                build_plan(v, Scheme("partial"), [self.STMT])
+
+    def test_writing_a_product_leaves_the_next_plan_alone(self):
+        v = Variation(3, ((1, 0, 2.0),))
+        build_plan(v, Scheme("row"), [self.STMT]).product[:] = 7.0
+        hits = _fill.cache_info().hits
+        plan = build_plan(v, Scheme("row"), [self.STMT])
+        assert _fill.cache_info().hits == hits + 1
+        np.testing.assert_array_equal(plan.product, filled(3, (1,), (0, 1), 2.0))
+
+    def test_cached_mask_is_read_only(self):
+        fill = _fill(3, 1, 0, Scheme("partial"), (self.STMT,))
+        assert not fill.mask.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            fill.mask[0, 0] = True
+
+    def test_models_differing_in_dimension_or_statements_get_their_own_fill(self):
+        wider = CIStatement(left=(2,), right=(0,), given=(1, 3))
+        builds = [(3, [self.STMT], (1, 2), (0, 1)), (4, [self.STMT], (1, 2), (0, 1)),
+                  (4, [wider], (1, 2, 3), (0, 1, 3))]
+        for n, statements, rows, cols in builds:
+            plan = build_plan(Variation(n, ((1, 0, 2.0),)), Scheme("partial"), statements)
+            np.testing.assert_array_equal(plan.product, filled(n, rows, cols, 2.0))
+
+    def test_repeated_refusal_keeps_its_traceback_depth(self):
+        v = Variation(3, ((1, 0, 2.0),))
+        depths = set()
+        for _ in range(1000):
+            try:
+                build_plan(v, Scheme("row", subset=(2,)), [self.STMT])
+            except SchemeError as e:
+                depths.add(len(traceback.extract_tb(e.__traceback__)))
+        assert len(depths) == 1
 
 
 class TestCompose:

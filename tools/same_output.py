@@ -20,8 +20,10 @@ explicit --E/--F sets, a sweep config with statement_index, duplicate grid
 values, a singular base covariance, a sweep2 with one negative factor, a
 sweep2 whose zero-product grid point sits between negative-factor warnings,
 a standard sweep that makes a conditioning block exactly singular, whose
-rows the certificate cannot decide, and sweeps with --summary, whose
-admissibility summary goes to stderr.
+rows the certificate cannot decide, sweeps with --summary, whose
+admissibility summary goes to stderr, a covary whose negative-factor
+warning comes before its refused row set's error, and JSON sweeps with
+Infinity and NaN cells, negative-factor warnings and a total error row.
 
 Prints each job whose exit code, stdout or stderr differs, with the streams
 that differ, and exits 1 if any job differs; 0 otherwise. A job whose
@@ -106,6 +108,12 @@ EDGE_JOBS = [
     Job("sweep", SYNTH, ("--pos", "Y2,Y1", "--deltas", "0.9,1.1,0.9", "--summary")),
     Job("sweep2", SYNTH, ("--pos", "Y2,Y1", "--pos2", "Y3,Y2", "--deltas", "0.9,1.1", "--summary")),
     Job("sweep", "edge-singular.json", ("--pos", "a,b", "--deltas", "0.5,1,1.5", "--summary")),
+    # a negative-factor warning, then the refused row set's error
+    Job("covary", SYNTH, ("--pos", "Y2,Y1", "--delta=-0.5", "--scheme", "row", "--E", "Y1")),
+    # Infinity and NaN cells, negative-factor warnings and a total error row in JSON
+    Job("sweep2", "fixture:cachexia_control", ("--pos", "V,B", "--pos2", "GC,B", "--deltas", "1e300",
+                                               "--schemes", "standard,total", "--format", "json"), fmt="json"),
+    Job("sweep", SYNTH, ("--pos", "Y2,Y1", "--deltas=-2,1e-300,1e300", "--format", "json"), fmt="json"),
 ]
 NUMPY_WARNING = re.compile(r"^warning: .* encountered in .*\n", re.MULTILINE)
 
