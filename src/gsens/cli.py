@@ -3,11 +3,17 @@
 Subcommands: check, build-cov, covary, sweep, sweep2, condition, compare.
 Exit codes: 0 success, 1 validation failure, 2 a single-point query is
 numerically inadmissible.
+
+main may be called repeatedly in one process. The argparse tree is built
+once, on the first call, and reused: parsing does not change it, usage
+errors go to sys.stderr as it is at the time of the call, and --help reads
+the terminal width when it prints.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -270,6 +276,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="gsens",

@@ -18,8 +18,11 @@ path: for a stack of changes of one Sigma, factored once (whitener, L^-1
 after the condition rule), it takes nu from one batched eigvalsh and sums
 the terms with kl_of_spectrum; kl validates its input and evaluates a
 stack of one.
-kl_additive, kl_mp and frobenius_mp only form D or P o Sigma, under the
-layer names the benchmark's per-layer trace times.
+scheme_ordering (the compare table) stacks its five changes, the four plans'
+and the matched additive one, and takes their KL values from one whitener
+and one kl_stack. kl_additive, kl_mp and frobenius_mp only form D or P o
+Sigma, under the layer names the benchmark's per-layer trace times; of the
+commands, only covary reaches them (kl_mp, through evaluate).
 """
 
 from __future__ import annotations
@@ -198,12 +201,19 @@ def scheme_ordering(
     cov = check_symmetric(as_matrix(cov, "cov"), "cov")
     i, j = position
     variation = Variation(cov.shape[0], ((i, j, float(delta)),))
-    reports = {
-        kind: evaluate(kind, cov, build_plan(variation, Scheme(kind, None, 0), (stmt,)))[1]
-        for kind in ("total", "partial", "row", "column")
-    }
+    kinds = ("total", "partial", "row", "column")
+    plans = [build_plan(variation, Scheme(kind, None, 0), (stmt,)) for kind in kinds]
     shift = additive_shift(cov, (position,), (delta,))
-    reports["standard"] = evaluate("standard", cov, shift)[1]
+    targets = [plan.apply(cov) for plan in plans] + [cov + shift]
+    try:
+        whiten = whitener(cov)
+    except (InadmissibleError, SingularMatrixError):
+        whiten = None
+    values, admissible = kl_stack(whiten, np.stack([(plan.product - 1.0) * cov for plan in plans] + [shift]))
+    reports = {
+        kind: DivergenceReport(kind, float(value) if ok else None, frobenius(cov, target), bool(ok))
+        for kind, target, value, ok in zip((*kinds, "standard"), targets, values, admissible)
+    }
 
     slack = 1e-12 * max(1.0, reports["total"].frobenius)
     for big, small in FROBENIUS_ORDER:

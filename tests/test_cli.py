@@ -4,7 +4,7 @@ import warnings
 import pytest
 
 from conftest import model5
-from gsens.cli import main
+from gsens.cli import build_parser, main
 from gsens.fixtures import fixture_path
 
 SYNTH = str(fixture_path("synthetic4"))
@@ -626,3 +626,51 @@ _DAG5 = {
 def test_check_witness_text(model, expected, tmp_path, capsys):
     assert main(["check", _write_config(tmp_path, model)]) == 1
     assert capsys.readouterr().out == expected
+
+
+class TestParserReuse:
+    """main may run many commands in one process on one parser: nothing a
+    call parses, prints or fails on carries over to the next call."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_summary_flag_does_not_stick(self, capsys):
+        argv = ["sweep", SYNTH, "--pos", "Y2,Y1", "--deltas", "0.9,1.1", "--schemes", "total"]
+        assert main([*argv, "--summary"]) == 0
+        assert "summary total" in capsys.readouterr().err
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_row_set_does_not_stick(self, capsys):
+        # the default row set at (Y3,Y1) is {Y3}, so a leftover Y2 would show
+        argv = ["covary", SYNTH, "--pos", "Y3,Y1", "--delta", "1.02", "--scheme", "row"]
+        assert main([*argv, "--E", "Y2,Y3"]) == 0
+        assert '"E": ["Y2", "Y3"]' in capsys.readouterr().out
+        assert main(argv) == 0
+        plan = json.loads(capsys.readouterr().out.splitlines()[0].removeprefix("plan: "))
+        assert plan["scheme"] == {"kind": "row", "E": ["Y3"]}
+
+    def test_usage_error_after_a_success_goes_to_this_calls_stderr(self, capsys):
+        assert main(["check", SYNTH]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["covary", SYNTH, "--pos", "Y2,Y1"])  # missing --delta
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: gsens covary")
+        assert "gsens covary: error: the following arguments are required: --delta" in captured.err
+
+    def test_help_reads_the_width_when_it_prints(self, monkeypatch, capsys):
+        build_parser()
+        texts = {}
+        for columns in (60, 200):
+            monkeypatch.setenv("COLUMNS", str(columns))
+            with pytest.raises(SystemExit) as exc:
+                main(["sweep", "--help"])
+            assert exc.value.code == 0
+            texts[columns] = capsys.readouterr().out
+        assert max(len(line) for line in texts[60].splitlines()) <= 60
+        assert max(len(line) for line in texts[200].splitlines()) > 60
+        assert texts[60].split() == texts[200].split()

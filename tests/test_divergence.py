@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import SIGMA4, kl_dense, random_dag, random_dag_with_statement
 from gsens import (
+    CIStatement,
     GsensError,
     InadmissibleError,
     Scheme,
@@ -387,3 +388,63 @@ class TestSchemeOrdering:
         monkeypatch.setattr(divergence, "frobenius", broken)
         with pytest.raises(GsensError, match="total < partial"):
             scheme_ordering(sigma4, (1, 0), 1.05, stmt4)
+
+
+def _bits(report):
+    """A report's kl, frobenius and admissible flag, floats as their bytes."""
+    kl_bits = None if report.kl is None else np.float64(report.kl).tobytes()
+    return kl_bits, np.float64(report.frobenius).tobytes(), report.admissible
+
+
+def _evaluated(cov, position, delta, stmt):
+    """evaluate's report for each compare row, one scheme at a time."""
+    variation = Variation(cov.shape[0], ((*position, delta),))
+    kinds = ("total", "partial", "row", "column")
+    changes = [build_plan(variation, Scheme(kind, None, 0), (stmt,)) for kind in kinds]
+    changes.append(additive_shift(cov, (position,), (delta,)))
+    return [evaluate(kind, cov, change)[1] for kind, change in zip((*kinds, "standard"), changes)]
+
+
+COMPARE_FACTORS = (1e-300, 0.9, 1.0, 1.1, 1e300)
+
+
+class TestStackedSchemeOrdering:
+    """scheme_ordering takes its five KL values from one whitener and one
+    kl_stack; each row must be bitwise what evaluate reports for it."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), delta=st.sampled_from(COMPARE_FACTORS) | st.floats(0.5, 2.0))
+    def test_rows_match_evaluate_bitwise(self, seed, delta):
+        rng = np.random.default_rng(seed)
+        cov, statements = random_dag_with_statement(rng)
+        stmt = statements[int(rng.integers(len(statements)))]
+        position = (int(rng.choice(stmt.block_rows)), int(rng.choice(stmt.block_cols)))
+        with np.errstate(all="ignore"):
+            reports = scheme_ordering(cov, position, delta, stmt)
+            expected = _evaluated(cov, position, delta, stmt)
+        assert [_bits(r) for r in reports] == [_bits(r) for r in expected]
+
+    @pytest.fixture
+    def whitener_calls(self, monkeypatch):
+        calls = []
+        real = divergence.whitener
+        monkeypatch.setattr(divergence, "whitener", lambda cov: calls.append(cov) or real(cov))
+        return calls
+
+    @pytest.mark.parametrize("delta", COMPARE_FACTORS)
+    def test_one_whitener_per_call_at_each_factor(self, whitener_calls, sigma4, stmt4, delta):
+        with np.errstate(all="ignore"):
+            reports = scheme_ordering(sigma4, (1, 0), delta, stmt4)
+            assert len(whitener_calls) == 1
+            expected = _evaluated(sigma4, (1, 0), delta, stmt4)
+        assert [_bits(r) for r in reports] == [_bits(r) for r in expected]
+
+    def test_singular_base_makes_every_row_inadmissible(self, whitener_calls):
+        # a _||_ c | b on a base whose first two variables are collinear
+        cov = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        stmt = CIStatement(left=(0,), right=(2,), given=(1,))
+        reports = scheme_ordering(cov, (1, 0), 1.1, stmt)
+        assert len(whitener_calls) == 1
+        assert not any(r.admissible for r in reports)
+        assert all(r.kl is None and r.frobenius > 0.0 for r in reports)
+        assert [_bits(r) for r in reports] == [_bits(r) for r in _evaluated(cov, (1, 0), 1.1, stmt)]

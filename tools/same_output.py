@@ -22,8 +22,12 @@ sweep2 whose zero-product grid point sits between negative-factor warnings,
 a standard sweep that makes a conditioning block exactly singular, whose
 rows the certificate cannot decide, sweeps with --summary, whose
 admissibility summary goes to stderr, a covary whose negative-factor
-warning comes before its refused row set's error, and JSON sweeps with
-Infinity and NaN cells, negative-factor warnings and a total error row.
+warning comes before its refused row set's error, JSON sweeps with
+Infinity and NaN cells, negative-factor warnings and a total error row,
+compare at 1e-300 and on a singular base with one statement (five
+inadmissible rows), and usage errors (covary without --delta, sweep with
+--tol nan, covary with --scheme bogus) and sweep --help placed between
+other jobs, so that each runner's next job reuses its parser after them.
 
 Prints each job whose exit code, stdout or stderr differs, with the streams
 that differ, and exits 1 if any job differs; 0 otherwise. A job whose
@@ -61,6 +65,12 @@ EDGE_FILES = {
         "covariance": [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
         "ci": [{"A": ["a"], "B": ["c"]}, {"A": ["a"], "B": ["c"], "C": ["b"]}],
     }),
+    # the same singular base with one statement, for compare
+    "edge-singular-one.json": json.dumps({
+        "variables": ["a", "b", "c"],
+        "covariance": [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        "ci": [{"A": ["a"], "B": ["c"], "C": ["b"]}],
+    }),
     # a _||_ d | {b, c} holds; the standard change at (c, b) by 2 makes
     # Sigma_CC exactly singular, so no certificate exists and model_holds decides
     "edge-collinear.json": json.dumps({
@@ -80,16 +90,22 @@ EDGE_FILES = {
 SYNTH = "fixture:synthetic4"
 EDGE_JOBS = [
     Job("sweep", SYNTH, ("--pos", "Y2,Y1", "--deltas=-2,-0.5,0.9,1.1")),
+    # usage errors and --help between other jobs: the next job reuses the parser
+    Job("covary", SYNTH, ("--pos", "Y2,Y1")),
     Job("sweep", SYNTH, ("--pos", "Y3,Y2", "--deltas=-1,1.2", "--format", "json"), fmt="json"),
     Job("sweep2", SYNTH, ("--pos", "Y2,Y1", "--pos2", "Y3,Y2", "--deltas=-0.5,1.1", "--deltas2", "0.9,1.2")),
     Job("sweep", SYNTH, ("--pos", "Y2,Y1", "--deltas", "1e-300,1e300")),
+    Job("sweep", SYNTH, ("--pos", "Y2,Y1", "--deltas", "0.9", "--tol", "nan")),
     Job("sweep", SYNTH, ("--pos", "Y2,Y1", "--deltas", "1e200,1e300")),
     Job("sweep2", SYNTH, ("--pos", "Y2,Y1", "--pos2", "Y3,Y2", "--deltas", "1e-300,0.9", "--deltas2", "1e300")),
     Job("sweep2", SYNTH, ("--pos", "Y2,Y1", "--pos2", "Y3,Y2", "--deltas", "1e-200", "--deltas2", "1e-200")),
     Job("sweep2", "fixture:cachexia_control", ("--pos", "V,B", "--pos2", "GC,B", "--deltas", "1e300",
                                                "--schemes", "standard,total")),
     Job("covary", SYNTH, ("--pos", "Y2,Y1", "--delta", "1e300", "--scheme", "total")),
+    Job("covary", SYNTH, ("--pos", "Y2,Y1", "--delta", "1.1", "--scheme", "bogus")),
     Job("compare", SYNTH, ("--pos", "Y2,Y1", "--delta", "1e300")),
+    Job("sweep", "", ("--help",)),
+    Job("compare", SYNTH, ("--pos", "Y2,Y1", "--delta", "1e-300")),
     Job("sweep", SYNTH, ("--pos", "Y4,Y1", "--deltas=-0.5,0.9,1.1")),
     Job("sweep2", SYNTH, ("--pos", "Y4,Y1", "--pos2", "Y2,Y1", "--deltas", "0.9,1.1", "--schemes", "partial,row")),
     Job("sweep", SYNTH, ("--pos", "Y3,Y1", "--deltas", "0.9,1.1", "--schemes", "row,column", "--E", "Y3",
@@ -100,6 +116,7 @@ EDGE_JOBS = [
     Job("sweep", SYNTH, ("--pos", "Y2,Y1", "--deltas", "1.1,0.9,1.1,0.9")),
     Job("sweep", "edge-singular.json", ("--pos", "a,b", "--deltas", "0.5,1,1.5")),
     Job("sweep2", "edge-singular.json", ("--pos", "a,b", "--pos2", "b,c", "--deltas=-1,2")),
+    Job("compare", "edge-singular-one.json", ("--pos", "b,a", "--delta", "1.1")),
     Job("sweep2", SYNTH, ("--pos", "Y2,Y1", "--pos2", "Y3,Y2", "--deltas=-0.5,-1e-200",
                           "--deltas2", "1e-200,1.1")),
     Job("sweep", "edge-collinear.json", ("--pos", "c,b", "--deltas", "0.5,1,2,3", "--schemes", "standard")),
