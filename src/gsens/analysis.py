@@ -55,23 +55,27 @@ So a sweep builds each scheme's plan once per position and axis factor
 (build_plan, whose warnings and construction errors each grid point then
 meets in row order; it resolves the delta-free fill once per position,
 scheme and statements, memoised, and makes every factor's plan as
-where(mask, delta, 1)), keeps the mask, and evaluates the grid as stacked
-arrays, in blocks of at most BLOCK_ENTRIES matrix entries: products,
-targets P o Sigma and changes (P - 1) o Sigma (Sigma + D for the standard
-scheme), Frobenius norms, and KL and admissibility from
-divergence.kl_stack, with Sigma factored once per sweep and one batched
-eigvalsh per block.
+where(mask, delta, 1)) and keeps the mask. Every scheme's masks are stacked
+(schemes, positions, n, n), and the whole table, grid point g under scheme
+s at row g * schemes + s, is evaluated in one pass over stacked arrays, in
+blocks of at most BLOCK_ENTRIES matrix entries whose rows mix schemes: per
+block one product, targets P o Sigma and changes (P - 1) o Sigma (Sigma + D
+for the standard scheme's rows), one Frobenius sum, and KL and
+admissibility from one divergence.kl_stack, with Sigma factored once per
+sweep and one batched eigvalsh per block.
 
-Preservation is decided per statement from how the masks meet its block:
+Preservation is decided per statement, for all schemes at once, from how
+each scheme's masks meet its block:
 - untouched: the block is bitwise the base's, which holds (require_model);
 - a statement with empty C: the exact 1 x 1 rule over the grid;
-- whole rows or columns scaled, T = D_r M D_c: the base certificate,
-  transported (cimodel, step 5);
+- whole rows or columns scaled, T = D_r M D_c: the base certificate that
+  require_model returns, transported (cimodel, step 5) by one bisection
+  over the scales of every such scheme's rows;
 - anything else, and any row the transport does not certify: steps 1-3 of
-  cimodel on the stack of those rows' targets at once (decide_stack), and
-  only a row they leave undecided goes to model_holds on its target (a NaN
-  mirrored by a NaN counts as symmetric there, so a block that holds a NaN
-  fails).
+  cimodel on the stack of every scheme's unsure rows of the block at once
+  (one decide_stack per statement and block), and only a row they leave
+  undecided goes to model_holds on its target (a NaN mirrored by a NaN
+  counts as symmetric there, so a block that holds a NaN fails).
 Every verdict is therefore the minor definition's. Warnings, construction
 errors and the row order are those of building every row's plan in turn;
 numpy's floating-point warnings are off while a sweep evaluates, as in the
@@ -91,7 +95,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cimodel import CIStatement, certificate, decide_stack, model_holds, require_model
+from .cimodel import CIStatement, decide_stack, model_holds, require_model
 from .covariation import Scheme, Variation, build_plan, check_product
 from .divergence import additive_shift, kl_stack, whitener
 from .errors import (
@@ -420,34 +424,13 @@ def _as_grid(deltas) -> list[float]:
     return grid
 
 
-def _touch(masks, stmt: CIStatement):
-    """How single-position masks meet a statement's block: None when none
-    touches it; else, when each one that does fills whole rows or whole
-    columns of it, the (position, rows) and (position, columns) pairs, and
-    "other" when one does not."""
-    rows, cols = [], []
-    touched = False
-    for p, mask in enumerate(masks):
-        part = mask[np.ix_(stmt.block_rows, stmt.block_cols)]
-        on_rows, on_cols = part.any(axis=1), part.any(axis=0)
-        if not on_rows.any():
-            continue
-        touched = True
-        if (part == on_rows[:, None]).all():
-            rows.append((p, on_rows))
-        elif (part == on_cols[None, :]).all():
-            cols.append((p, on_cols))
-        else:
-            return "other"
-    return (rows, cols) if touched else None
-
-
-def _scales(sets, factors: np.ndarray, size: int) -> np.ndarray:
-    """Moduli of a scaling's diagonal for every grid point: the product of
-    |delta_p| over the positions p whose set holds the entry."""
-    out = np.ones((len(factors), size))
-    for p, member in sets:
-        out = out * np.where(member, np.abs(factors[:, p, None]), 1.0)
+def _scales(members: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """Moduli of a scaling's diagonal for every row: the product of the
+    row's |delta_p| over the positions p whose set, members[row, p], holds
+    the entry."""
+    out = np.ones((len(factors), members.shape[2]))
+    for p in range(members.shape[1]):
+        out = out * np.where(members[:, p], factors[:, p, None], 1.0)
     return out
 
 
@@ -494,89 +477,52 @@ def _outcomes(axes, index: np.ndarray):
     return errors, notes
 
 
-def _scheme_rows(model: Model, positions, grids, index, grid, spec, whiten, certs: dict, tol):
-    """Every grid point under one scheme (None for standard), as its KL,
-    Frobenius, admissible and preserving columns and errors in grid order,
-    and the (grid index, warnings) of the points that warn; index holds each
-    point's factor index on every axis and grid its factors."""
-    n, cov = model.n, model.covariance
-    count = len(grid)
+def _masks(model: Model, positions, grids, index, spec):
+    """One scheme's single-position masks (positions, n, n), each grid
+    point's construction error and the (grid index, warnings) of the points
+    that warn. The standard change varies the position entries alone and
+    always builds."""
     if spec is None:
-        # the standard change varies the position entries alone
-        masks = [np.zeros((n, n), dtype=bool) for _ in positions]
+        masks = np.zeros((len(positions), model.n, model.n), dtype=bool)
         for mask, (i, j) in zip(masks, positions):
             mask[i, j] = mask[j, i] = True
-        errors, notes = [None] * count, []
-    else:
-        axes = [_axis(model, position, deltas, spec) for position, deltas in zip(positions, grids)]
-        masks = [mask for mask, _, _ in axes]
-        errors, notes = _outcomes(axes, index)
-    live = np.array([g for g, e in enumerate(errors) if e is None], dtype=int)
+        return masks, [None] * index.shape[1], []
+    axes = [_axis(model, position, deltas, spec) for position, deltas in zip(positions, grids)]
+    return np.stack([mask for mask, _, _ in axes]), *_outcomes(axes, index)
 
+
+def _checks(model: Model, masks: np.ndarray, plans: np.ndarray, live: np.ndarray, grid: np.ndarray, certs, tol):
+    """For every statement some mask touches: the statement, the schemes
+    (slots of masks, (schemes, positions, n, n)) whose masks touch its
+    block, and the rows, by row number, that its transported base
+    certificate proves hold. A scheme's masks scale whole rows of the block
+    where each one that touches it fills whole rows, else whole columns
+    where each fills whole columns; plans flags the schemes whose target is
+    P o Sigma, which the transport needs."""
+    width = len(masks)
     checks = []
-    for k, stmt in enumerate(model.statements if live.size else ()):
-        how = _touch(masks, stmt)
-        if how is None:
+    for stmt, cert in zip(model.statements, certs):
+        part = masks[:, :, stmt.block_rows][..., stmt.block_cols]
+        on_rows, on_cols = part.any(axis=3), part.any(axis=2)
+        hit = on_rows.any(axis=2)
+        if not hit.any():
             continue  # the block is the base's, which holds
-        certified = None
-        # the transport needs T = P o Sigma; the standard change is additive
-        if stmt.given and spec is not None and how != "other":
-            if k not in certs:
-                certs[k] = certificate(cov, stmt)
-            if certs[k] is not None:
-                rows, cols = how
-                certified = certs[k].holds_scaled(
-                    _scales(rows, grid[live], len(stmt.block_rows)),
-                    _scales(cols, grid[live], len(stmt.block_cols)),
-                    tol.rel,
-                )
-        checks.append((stmt, certified))
-
-    kls, frob = np.full(count, np.nan), np.full(count, np.nan)
-    admissible, preserving = np.zeros(count, dtype=bool), np.zeros(count, dtype=bool)
-    step = max(1, BLOCK_ENTRIES // (n * n))
-    for start in range(0, live.size, step):
-        at = live[start : start + step]
-        factors = grid[at]
-        if spec is None:
-            shifts = additive_shift(cov, positions, factors.T)
-            targets = cov + shifts
-            built = np.ones(len(at), dtype=bool)
-        else:
-            product = np.where(masks[0], factors[:, 0, None, None], 1.0)
-            for p in range(1, len(masks)):
-                product = product * np.where(masks[p], factors[:, p, None, None], 1.0)
-            targets = product * cov
-            shifts = (product - 1.0) * cov
-            # a product that underflows to zero is an error row, as in build_plan
-            built = ~(product == 0).any(axis=(1, 2))
-            for b in np.flatnonzero(~built):
-                try:
-                    check_product(product[b])
-                except FactorError as e:
-                    errors[at[b]] = str(e)
-        frob[at] = np.where(built, ((cov - targets) ** 2).reshape(len(at), -1).sum(axis=1), np.nan)
-        kls[at], admissible[at] = kl_stack(whiten, shifts)
-        admissible[at] &= built
-        kls[at[~built]] = np.nan
-
-        holds = built.copy()
-        pending: list[list[CIStatement]] = [[] for _ in at]
-        for stmt, certified in checks:
-            unsure = holds if certified is None else holds & ~certified[start : start + len(at)]
-            rows = np.flatnonzero(unsure)
-            if not rows.size:
-                continue
-            verdict, decided = decide_stack(targets[rows], stmt, tol)
-            holds[rows[decided & ~verdict]] = False
-            for b in rows[~decided].tolist():
-                pending[b].append(stmt)
-        for b, stmts in enumerate(pending):
-            if stmts and holds[b]:
-                holds[b] = model_holds(targets[b], stmts, tol).holds
-        preserving[at] = holds
-
-    return kls, frob, admissible, preserving, errors, notes
+        by_row = hit & (part == on_rows[..., None]).all(axis=(2, 3))
+        by_col = hit & ~by_row & (part == on_cols[:, :, None, :]).all(axis=(2, 3))
+        touched = hit.any(axis=1)
+        certified = np.zeros(len(grid) * width, dtype=bool)
+        if cert is not None:
+            whole = plans & touched & ~(hit & ~by_row & ~by_col).any(axis=1)
+            rows = live[whole[live % width]]
+            point, slot = np.divmod(rows, width)
+            factors = np.abs(grid[point])
+            certified[rows] = cert.holds_scaled(
+                _scales(on_rows[slot] & by_row[slot, :, None], factors),
+                _scales(on_cols[slot] & by_col[slot, :, None], factors),
+                tol.rel,
+            )
+        checks.append((stmt, touched, certified))
+    return checks
 
 
 def _replay(notes: list[list]) -> None:
@@ -592,8 +538,9 @@ def _replay(notes: list[list]) -> None:
 
 def _sweep(model: Model, positions, grids, schemes, tol: TolerancePolicy) -> SweepTable:
     """Rows for every combination of grid factors (first grid outermost),
-    schemes in declared order within each grid point."""
-    require_model(model.covariance, model.statements, tol, model.names)
+    schemes in declared order within each grid point: row g * len(schemes)
+    + s."""
+    certs = require_model(model.covariance, model.statements, tol, model.names)
     for i, j in positions:
         if not (0 <= i < model.n and 0 <= j < model.n):
             raise IndexError(f"position ({i + 1},{j + 1}) out of range for dimension {model.n}")
@@ -607,21 +554,67 @@ def _sweep(model: Model, positions, grids, schemes, tol: TolerancePolicy) -> Swe
         whiten = whitener(model.covariance)
     except (InadmissibleError, SingularMatrixError):
         whiten = None
-    certs: dict = {}
+    n, cov, width = model.n, model.covariance, len(specs)
+    count = len(grid) * width
+    errors: list[str | None] = [None] * count
+    masks, notes = [], []
+    kls, frob = np.full(count, np.nan), np.full(count, np.nan)
+    admissible, preserving = np.zeros(count, dtype=bool), np.zeros(count, dtype=bool)
+    step = max(1, BLOCK_ENTRIES // (n * n))
     with np.errstate(all="ignore"):
-        columns = [_scheme_rows(model, positions, grids, index, grid, spec, whiten, certs, tol) for spec in specs]
-    kls, frob, admissible, preserving, errors, notes = zip(*columns)
+        for s, spec in enumerate(specs):
+            mask, errors[s::width], found = _masks(model, positions, grids, index, spec)
+            masks.append(mask)
+            notes.append(found)
+        masks = np.stack(masks)
+        standard = np.array([spec is None for spec in specs])
+        live = np.array([r for r, e in enumerate(errors) if e is None], dtype=int)
+        checks = _checks(model, masks, ~standard, live, grid, certs, tol)
+        for start in range(0, live.size, step):
+            at = live[start : start + step]
+            point, slot = np.divmod(at, width)
+            factors = grid[point]
+            product = np.where(masks[slot, 0], factors[:, 0, None, None], 1.0)
+            for p in range(1, len(positions)):
+                product = product * np.where(masks[slot, p], factors[:, p, None, None], 1.0)
+            targets = product * cov
+            shifts = (product - 1.0) * cov
+            # the standard change is additive, Sigma + D
+            additive = standard[slot]
+            if additive.any():
+                shifts[additive] = additive_shift(cov, positions, factors[additive].T)
+                targets[additive] = cov + shifts[additive]
+            # a product that underflows to zero is an error row, as in build_plan
+            built = additive | ~(product == 0).any(axis=(1, 2))
+            for b in np.flatnonzero(~built):
+                try:
+                    check_product(product[b])
+                except FactorError as e:
+                    errors[at[b]] = str(e)
+            frob[at] = np.where(built, ((cov - targets) ** 2).reshape(len(at), -1).sum(axis=1), np.nan)
+            kls[at], admissible[at] = kl_stack(whiten, shifts)
+            admissible[at] &= built
+            kls[at[~built]] = np.nan
+
+            holds = built.copy()
+            pending: list[list[CIStatement]] = [[] for _ in at]
+            for stmt, touched, certified in checks:
+                rows = np.flatnonzero(holds & touched[slot] & ~certified[at])
+                if not rows.size:
+                    continue
+                verdict, decided = decide_stack(targets[rows], stmt, tol)
+                holds[rows[decided & ~verdict]] = False
+                for b in rows[~decided].tolist():
+                    pending[b].append(stmt)
+            for b, stmts in enumerate(pending):
+                if stmts and holds[b]:
+                    holds[b] = model_holds(targets[b], stmts, tol).holds
+            preserving[at] = holds
     _replay(notes)
     labels = ["standard" if spec is None else spec.kind for spec in specs]
-    # grid points outer, schemes inner: row g * len(specs) + s
     return SweepTable(
-        factors=np.repeat(grid, len(specs), axis=0),
-        scheme=tuple(labels * len(grid)),
-        kl=np.stack(kls, axis=1).ravel(),
-        frobenius=np.stack(frob, axis=1).ravel(),
-        admissible=np.stack(admissible, axis=1).ravel(),
-        preserving=np.stack(preserving, axis=1).ravel(),
-        error=tuple(e for row in zip(*errors) for e in row),
+        factors=np.repeat(grid, width, axis=0), scheme=tuple(labels * len(grid)), kl=kls, frobenius=frob,
+        admissible=admissible, preserving=preserving, error=tuple(errors),
     )
 
 

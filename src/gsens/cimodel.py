@@ -310,11 +310,14 @@ def _certify(covs: np.ndarray, stmt: CIStatement):
     return live, s, mu.take(live), residual[:, :na]
 
 
-def certificate(cov: np.ndarray, stmt: CIStatement) -> Certificate | None:
+def certificate(cov: np.ndarray, stmt: CIStatement, step2=None) -> Certificate | None:
     """Step 2's certificate of a statement with non-empty C on cov, or None
-    when Sigma_CC fails the RCOND_LIMIT rule or a bound is not finite."""
-    with np.errstate(all="ignore"):
-        live, s, mu, _ = _certify(cov[None], stmt)
+    when Sigma_CC fails the RCOND_LIMIT rule or a bound is not finite;
+    step2 is _certify's (live, s, mu) on cov[None] where already computed."""
+    if step2 is None:
+        with np.errstate(all="ignore"):
+            step2 = _certify(cov[None], stmt)[:3]
+    live, s, mu = step2
     if not (live.size and math.isfinite(s[0])):
         return None
     return Certificate(stmt.minor_order, float(s[0]), float(mu[0]))
@@ -343,8 +346,13 @@ def decide_stack(covs: np.ndarray, stmt: CIStatement, tol: TolerancePolicy) -> t
     """Steps 1-3 of the module docstring on a stack of matrices (m, n, n):
     each matrix's verdict, and whether those steps decided it (the verdict
     reads False where they did not)."""
+    return _steps(covs, stmt, tol)[:2]
+
+
+def _steps(covs: np.ndarray, stmt: CIStatement, tol: TolerancePolicy):
+    """decide_stack's result and step 2's (live, s, mu) (None for an empty C)."""
     if not stmt.given:
-        return marginal_holds(covs, stmt, tol), np.ones(len(covs), dtype=bool)
+        return marginal_holds(covs, stmt, tol), np.ones(len(covs), dtype=bool), None
     with np.errstate(all="ignore"):
         live, s, mu, residual = _certify(covs, stmt)
         k = stmt.minor_order
@@ -356,7 +364,7 @@ def decide_stack(covs: np.ndarray, stmt: CIStatement, tol: TolerancePolicy) -> t
         if confirm.size:
             value, scale = _confirming_minors(covs.take(confirm, axis=0), stmt, residual[~certified])
             decided[confirm] = ~tol.vanishes(value, scale)
-    return holds, decided
+    return holds, decided, (live, s, mu)
 
 
 def _first_witness(cov: np.ndarray, stmt: CIStatement, tol: TolerancePolicy) -> Minor | None:
@@ -396,17 +404,28 @@ def model_holds(
 
 def require_model(
     cov, statements: Sequence[CIStatement], tol: TolerancePolicy, names: Sequence[str] | None
-) -> None:
+) -> tuple[Certificate | None, ...]:
     """Raise ModelPreconditionError unless cov satisfies every statement, so
     that "the input was never in the model" is not reported as "the
-    perturbation broke the model"."""
-    failure = model_holds(cov, statements, tol).first_failure
-    if failure is not None:
-        k, minor = failure
-        raise ModelPreconditionError(
-            f"covariance does not satisfy the model: statement {k + 1} "
-            f"fails with {minor.describe(names)}"
-        )
+    perturbation broke the model". Returns each statement's base
+    certificate (None for an empty C or where certificate gives none). Each
+    statement runs steps 1-3 once, as ci_holds does, and the certificate
+    comes from that same step 2: the precondition and a sweep's transport
+    of the certificates to its rows (step 5) share it."""
+    cov = check_symmetric(as_matrix(cov))
+    for stmt in statements:
+        _check_dim(cov, stmt)
+    certs = []
+    for k, stmt in enumerate(statements):
+        holds, decided, step2 = _steps(cov[None], stmt, tol)
+        certs.append(None if step2 is None else certificate(cov, stmt, step2))
+        witness = None if holds[0] else _first_witness(cov, stmt, tol)
+        if decided[0] and not holds[0] or witness is not None:
+            raise ModelPreconditionError(
+                f"covariance does not satisfy the model: statement {k + 1} "
+                f"fails with {witness.describe(names)}"
+            )
+    return tuple(certs)
 
 
 def nonempty_conditioning(statements: Sequence[CIStatement]) -> tuple[CIStatement, ...]:

@@ -805,6 +805,71 @@ class TestSweepEngine:
         assert all(flags.all() for flags in preserving.values())
         assert len(read) == 2
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        grid1=st.lists(FACTORS, min_size=1, max_size=3),
+        grid2=st.none() | st.lists(FACTORS, min_size=1, max_size=3),
+    )
+    def test_stacked_schemes_equal_the_single_scheme_sweeps_interleaved(self, seed, grid1, grid2):
+        rng = np.random.default_rng(seed)
+        model = _random_model(rng)
+        try:
+            require_model(model.covariance, model.statements, DEFAULT_TOL, None)
+        except ModelPreconditionError:
+            assume(False)
+        keys = [(i, j) for i in range(model.n) for j in range(model.n) if i >= j]
+        positions = tuple(keys[k] for k in rng.choice(len(keys), size=1 if grid2 is None else 2, replace=False))
+        schemes = [_random_scheme(rng, model) for _ in range(int(rng.integers(1, 4)))]
+        # one entry repeated verbatim, and two row schemes with different E sets
+        first, second = (tuple(int(v) for v in rng.choice(model.n, size=k, replace=False)) for k in (1, 2))
+        schemes += [schemes[int(rng.integers(len(schemes)))], Scheme("row", first), Scheme("row", second)]
+        schemes = [schemes[k] for k in rng.permutation(len(schemes))]
+
+        def sweep(entries):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                if grid2 is None:
+                    return one_way_sweep(model, positions[0], grid1, entries)
+                return two_way_sweep(model, positions, grid1, grid2, entries)
+
+        whole, width = sweep(schemes), len(schemes)
+        for s, entry in enumerate(schemes):
+            single = sweep([entry])
+            assert whole.scheme[s::width] == single.scheme and whole.error[s::width] == single.error
+            for column in ("factors", "kl", "frobenius", "admissible", "preserving"):
+                assert getattr(whole, column)[s::width].tobytes() == getattr(single, column).tobytes(), column
+
+    def test_one_pass_certifies_once_and_decides_once_per_statement_and_block(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        dag = random_dag(rng, 12, edge_prob=0.3, beta_max=1.0)
+        mean, cov = dag_to_gaussian(dag)
+        model = Model(tuple(f"v{k}" for k in range(12)), mean, cov, dag_ci_statements(dag), dag)
+        base, decided, kl_calls = {}, {}, []
+        certify, decide, kl = cimodel._certify, analysis.decide_stack, analysis.kl_stack
+
+        def counting_certify(covs, stmt):
+            if any(np.array_equal(c, cov) for c in covs):
+                base[stmt] = base.get(stmt, 0) + 1
+            return certify(covs, stmt)
+
+        def counting_decide(covs, stmt, tol):
+            decided[stmt] = decided.get(stmt, 0) + 1
+            return decide(covs, stmt, tol)
+
+        monkeypatch.setattr(cimodel, "_certify", counting_certify)
+        monkeypatch.setattr(analysis, "decide_stack", counting_decide)
+        monkeypatch.setattr(analysis, "kl_stack", lambda *a: kl_calls.append(1) or kl(*a))
+        # an edge's entry, so that no factor below leaves a target equal to the base
+        i, j, _ = dag.edges[0]
+        table = one_way_sweep(model, (j, i), [0.8, 1.2, 1.5])
+        # 5 schemes x 3 factors = 15 rows of 12 x 12 matrices fit one block
+        assert len(table) == 15 <= analysis.BLOCK_ENTRIES // 12**2
+        given = [stmt for stmt in model.statements if stmt.given]
+        assert base and set(base) <= set(given) and max(base.values()) == 1
+        assert decided and max(decided.values()) == 1
+        assert len(kl_calls) == 1
+
     def test_library_sweeps_at_extreme_factors_raise_no_runtime_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)

@@ -115,6 +115,26 @@ class TestModelHolds:
             )
             assert full.holds == (reduced.holds and marginals_ok)
 
+    def test_require_model_certifies_each_statement_once(self, monkeypatch):
+        # some statements of this model are not proved by their certificate
+        # and go on to step 3, which must reuse step 2's residual
+        dag = random_dag(np.random.default_rng(0), 12, edge_prob=0.3, beta_max=1.0)
+        _, cov = dag_to_gaussian(dag)
+        statements = dag_ci_statements(dag)
+        expected = [cimodel.certificate(cov, s) if s.given else None for s in statements]
+        assert any(
+            c is not None and not cimodel._certified(c.order, c.s, c.mu, DEFAULT_TOL.rel) for c in expected
+        )
+        calls, certify = [], cimodel._certify
+        monkeypatch.setattr(cimodel, "_certify", lambda covs, stmt: calls.append(stmt) or certify(covs, stmt))
+        certs = cimodel.require_model(cov, statements, DEFAULT_TOL, None)
+        assert calls == [s for s in statements if s.given]
+
+        def fields(c):
+            return None if c is None else (c.order, c.s, c.mu)
+
+        assert [fields(c) for c in certs] == [fields(c) for c in expected]
+
 
 class TestNonemptyConditioning:
     def test_mixed(self):

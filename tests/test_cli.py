@@ -4,8 +4,11 @@ import warnings
 import pytest
 
 from conftest import model5
+from gsens import load_model
+from gsens.cimodel import _certified, certificate
 from gsens.cli import build_parser, main
 from gsens.fixtures import fixture_path
+from gsens.matcore import DEFAULT_TOL
 
 SYNTH = str(fixture_path("synthetic4"))
 CACHEXIA = str(fixture_path("cachexia"))
@@ -674,3 +677,23 @@ class TestParserReuse:
         assert max(len(line) for line in texts[60].splitlines()) <= 60
         assert max(len(line) for line in texts[200].splitlines()) > 60
         assert texts[60].split() == texts[200].split()
+
+
+def test_precondition_failure_names_the_first_failing_statement(tmp_path, capsys):
+    # on the chain a -> b -> c -> d, a _||_ c | b and b _||_ d | c hold, and
+    # their base certificates prove it; a _||_ c | d fails
+    path = tmp_path / "chain.json"
+    edges = [{"from": u, "to": v, "beta": 0.5} for u, v in ("ab", "bc", "cd")]
+    ci = [{"A": ["a"], "B": ["c"], "C": ["b"]}, {"A": ["b"], "B": ["d"], "C": ["c"]},
+          {"A": ["a"], "B": ["c"], "C": ["d"]}]
+    path.write_text(json.dumps({"variables": list("abcd"), "dag": {"order": list("abcd"), "edges": edges},
+                                "ci": ci}))
+    model = load_model(path)
+    for stmt in model.statements[:2]:
+        cert = certificate(model.covariance, stmt)
+        assert _certified(cert.order, cert.s, cert.mu, DEFAULT_TOL.rel)
+    prefix = "error: covariance does not satisfy the model: statement 3 fails with minor rows "
+    assert main(["sweep", str(path), "--pos", "b,a", "--deltas", "0.9,1.1"]) == 1
+    assert capsys.readouterr().err == prefix + "{a,d} x cols {c,d} = 0.25\n"
+    assert main(["covary", str(path), "--pos", "b,a", "--delta", "0.9", "--scheme", "partial"]) == 1
+    assert capsys.readouterr().err == prefix + "{1,4} x cols {3,4} = 0.25\n"

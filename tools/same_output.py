@@ -24,7 +24,9 @@ rows the certificate cannot decide, sweeps with --summary, whose
 admissibility summary goes to stderr, a covary whose negative-factor
 warning comes before its refused row set's error, JSON sweeps with
 Infinity and NaN cells, negative-factor warnings and a total error row,
-compare at 1e-300 and on a singular base with one statement (five
+sweep configs, as CSV and as JSON, whose scheme list holds one kind in
+several slots (row three times, one with an explicit E, next to a column
+scheme with an explicit F), compare at 1e-300 and on a singular base with one statement (five
 inadmissible rows), and usage errors (covary without --delta, sweep with
 --tol nan, covary with --scheme bogus) and sweep --help placed between
 other jobs, so that each runner's next job reuses its parser after them.
@@ -87,6 +89,13 @@ EDGE_FILES = {
                     {"kind": "column", "F": ["Y1"], "statement_index": 1}],
     }),
 }
+# one scheme kind in several slots of the scheme list, next to explicit E and F sets
+REPEATED = [{"kind": "row", "E": ["Y2", "Y3"]}, "row", "standard", {"kind": "column", "F": ["Y1"]}, "row"]
+EDGE_FILES.update({
+    name: json.dumps({"model": "edge-synthetic4.json", "positions": [["Y2", "Y1"]], "deltas": [-0.5, 0.9, 1.1],
+                      "schemes": REPEATED, "format": fmt})
+    for name, fmt in (("edge-repeat.json", "csv"), ("edge-repeat-json.json", "json"))
+})
 SYNTH = "fixture:synthetic4"
 EDGE_JOBS = [
     Job("sweep", SYNTH, ("--pos", "Y2,Y1", "--deltas=-2,-0.5,0.9,1.1")),
@@ -131,6 +140,8 @@ EDGE_JOBS = [
     Job("sweep2", "fixture:cachexia_control", ("--pos", "V,B", "--pos2", "GC,B", "--deltas", "1e300",
                                                "--schemes", "standard,total", "--format", "json"), fmt="json"),
     Job("sweep", SYNTH, ("--pos", "Y2,Y1", "--deltas=-2,1e-300,1e300", "--format", "json"), fmt="json"),
+    Job("sweep", "", ("--config", "{inputs}/edge-repeat.json")),
+    Job("sweep", "", ("--config", "{inputs}/edge-repeat-json.json"), fmt="json"),
 ]
 NUMPY_WARNING = re.compile(r"^warning: .* encountered in .*\n", re.MULTILINE)
 
