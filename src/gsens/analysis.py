@@ -51,26 +51,34 @@ one-way sweep, KL on an inadmissible row and Frobenius on an error row.
 
 A single-position plan is where(M, delta, 1) for a mask M that delta does
 not touch, and a grid point's plan is the product of its positions' plans.
-So a sweep builds each scheme's plan once per position and axis factor
-(build_plan, whose warnings and construction errors each grid point then
-meets in row order; it resolves the delta-free fill once per position,
-scheme and statements, memoised, and makes every factor's plan as
-where(mask, delta, 1)) and keeps the mask. Every scheme's masks are stacked
+So a sweep makes one Variation per position and axis factor, which every
+scheme shares, and builds each scheme's plan once per position and axis
+factor (build_plan, whose warnings and construction errors each grid point
+then meets in row order; it resolves the delta-free fill once per
+position, scheme and statements, memoised, and makes every factor's plan
+as where(mask, delta, 1)). At one position and scheme every plan is
+where(M, delta, 1), full(delta) or all ones, so the first plan built for a
+factor other than 1 gives the mask. Every scheme's masks are stacked
 (schemes, positions, n, n), and the whole table, grid point g under scheme
 s at row g * schemes + s, is evaluated in one pass over stacked arrays, in
 blocks of at most BLOCK_ENTRIES matrix entries whose rows mix schemes: per
 block one product, targets P o Sigma and changes (P - 1) o Sigma (Sigma + D
 for the standard scheme's rows), one Frobenius sum, and KL and
 admissibility from one divergence.kl_stack, with Sigma factored once per
-sweep and one batched eigvalsh per block.
+sweep and one batched eigvalsh per block. emit formats each distinct
+factor, flag, scheme label and error once per column.
 
 Preservation is decided per statement, for all schemes at once, from how
-each scheme's masks meet its block:
+each scheme's masks meet its block. One array pass classifies every
+statement: two float64 matmuls with the statements' block-row and
+block-column indicators count, per statement, scheme, position and row or
+column, the mask entries inside the block, and:
 - untouched: the block is bitwise the base's, which holds (require_model);
 - a statement with empty C: the exact 1 x 1 rule over the grid;
 - whole rows or columns scaled, T = D_r M D_c: the base certificate that
   require_model returns, transported (cimodel, step 5) by one bisection
-  over the scales of every such scheme's rows;
+  over the scales d of every such scheme's rows, each read from a table
+  of the products of |delta| over the subsets of the positions;
 - anything else, and any row the transport does not certify: steps 1-3 of
   cimodel on the stack of every scheme's unsure rows of the block at once
   (one decide_stack per statement and block), and only a row they leave
@@ -91,7 +99,6 @@ import warnings
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -119,6 +126,8 @@ CSV_COLUMNS = ("delta1", "delta2", "scheme", "kl", "frobenius", "admissible", "p
 # json.dumps's tokens where repr of None, a flag or a float is not JSON
 _JSON_TOKENS = {"None": "null", "True": "true", "False": "false", "nan": "NaN", "inf": "Infinity",
                 "-inf": "-Infinity"}
+# a flag as CSV and JSON write it
+_FLAGS = {True: "true", False: "false"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,18 +213,19 @@ def _read_json(path: Path) -> dict:
     return raw
 
 
-def _name_list(value, names: Sequence[str], where: str) -> tuple[int, ...]:
+def _name_list(value, names: dict[str, int], where: str) -> tuple[int, ...]:
+    """The indices, by the name -> index map names, of a list of names."""
     if not isinstance(value, list):
         raise ModelFormatError(f"{where}: expected a list of variable names")
     out = []
     for k, v in enumerate(value):
         if not isinstance(v, str) or v not in names:
             raise ModelFormatError(f"{where}[{k}]: unknown variable {v!r}")
-        out.append(names.index(v))
+        out.append(names[v])
     return tuple(out)
 
 
-def _parse_ci(raw, names: Sequence[str]) -> tuple[CIStatement, ...]:
+def _parse_ci(raw, names: dict[str, int]) -> tuple[CIStatement, ...]:
     if not isinstance(raw, list):
         raise ModelFormatError('"ci" must be a list of statements')
     statements = []
@@ -234,7 +244,7 @@ def _parse_ci(raw, names: Sequence[str]) -> tuple[CIStatement, ...]:
     return tuple(statements)
 
 
-def _parse_dag(raw, names: Sequence[str]) -> GaussianDag:
+def _parse_dag(raw, names: dict[str, int]) -> GaussianDag:
     if not isinstance(raw, dict):
         raise ModelFormatError('"dag" must be an object')
     _reject_unknown(raw, {"order", "edges", "intercepts", "cond_vars"}, "dag")
@@ -263,7 +273,7 @@ def _parse_dag(raw, names: Sequence[str]) -> GaussianDag:
         for name, v in table.items():
             if name not in names:
                 raise ModelFormatError(f"dag.{key}: unknown variable {name!r}")
-            vals[names.index(name)] = _num(v, f"dag.{key}[{name!r}]")
+            vals[names[name]] = _num(v, f"dag.{key}[{name!r}]")
         return tuple(vals)
 
     try:
@@ -322,7 +332,8 @@ def load_model(path) -> Model:
             raise ModelFormatError(f'"mean" must be a list of {n} numbers')
         mean = np.array([_num(v, f"mean[{k}]") for k, v in enumerate(mraw)], dtype=float)
 
-    dag = _parse_dag(raw["dag"], names) if "dag" in raw else None
+    index = {name: k for k, name in enumerate(names)}
+    dag = _parse_dag(raw["dag"], index) if "dag" in raw else None
     if cov is None and dag is None:
         raise ModelFormatError('model needs "covariance", "dag", or both')
 
@@ -348,7 +359,7 @@ def load_model(path) -> Model:
         mean = np.zeros(n)
 
     if "ci" in raw:
-        statements = _parse_ci(raw["ci"], names)
+        statements = _parse_ci(raw["ci"], index)
     elif dag is not None:
         statements = dag_ci_statements(dag)
     else:
@@ -424,35 +435,26 @@ def _as_grid(deltas) -> list[float]:
     return grid
 
 
-def _scales(members: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """Moduli of a scaling's diagonal for every row: the product of the
-    row's |delta_p| over the positions p whose set, members[row, p], holds
-    the entry."""
-    out = np.ones((len(factors), members.shape[2]))
-    for p in range(members.shape[1]):
-        out = out * np.where(members[:, p], factors[:, p, None], 1.0)
-    return out
-
-
-def _axis(model: Model, position, deltas, spec: Scheme):
-    """Build the plan of every factor of one grid axis at one position: the
-    entries some plan scales (a plan is where(mask, delta, 1), see
-    covariation), and each factor's warnings and construction error (None
-    when the plan builds)."""
-    (i, j), n = position, model.n
-    mask = np.zeros((n, n), dtype=bool)
+def _axis(model: Model, deltas, variations, spec: Scheme):
+    """Build the plan of every factor of one grid axis at one position (its
+    Variations, one per factor): the entries the plans scale, from the first
+    plan built for a factor other than 1, and each factor's warnings and
+    construction error (None when the plan builds)."""
+    mask = None
     notes, errors = [], []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for delta in deltas:
-            before = len(caught)
+        for delta, variation in zip(deltas, variations):
             try:
-                mask |= build_plan(Variation(n, ((i, j, delta),)), spec, model.statements).product != 1.0
+                product = build_plan(variation, spec, model.statements).product
                 errors.append(None)
+                if mask is None and delta != 1.0:
+                    mask = product != 1.0
             except GsensError as e:
                 errors.append(str(e))
-            notes.append(tuple(str(w.message) for w in caught[before:]))
-    return mask, notes, errors
+            notes.append(tuple(str(w.message) for w in caught) if caught else ())
+            caught.clear()
+    return np.zeros((model.n, model.n), dtype=bool) if mask is None else mask, notes, errors
 
 
 def _outcomes(axes, index: np.ndarray):
@@ -477,17 +479,17 @@ def _outcomes(axes, index: np.ndarray):
     return errors, notes
 
 
-def _masks(model: Model, positions, grids, index, spec):
+def _masks(model: Model, positions, grids, variations, index, spec):
     """One scheme's single-position masks (positions, n, n), each grid
     point's construction error and the (grid index, warnings) of the points
-    that warn. The standard change varies the position entries alone and
-    always builds."""
+    that warn, from each axis's shared Variations. The standard change
+    varies the position entries alone and always builds."""
     if spec is None:
         masks = np.zeros((len(positions), model.n, model.n), dtype=bool)
         for mask, (i, j) in zip(masks, positions):
             mask[i, j] = mask[j, i] = True
         return masks, [None] * index.shape[1], []
-    axes = [_axis(model, position, deltas, spec) for position, deltas in zip(positions, grids)]
+    axes = [_axis(model, deltas, axis, spec) for deltas, axis in zip(grids, variations)]
     return np.stack([mask for mask, _, _ in axes]), *_outcomes(axes, index)
 
 
@@ -498,30 +500,50 @@ def _checks(model: Model, masks: np.ndarray, plans: np.ndarray, live: np.ndarray
     certificate proves hold. A scheme's masks scale whole rows of the block
     where each one that touches it fills whole rows, else whole columns
     where each fills whole columns; plans flags the schemes whose target is
-    P o Sigma, which the transport needs."""
-    width = len(masks)
+    P o Sigma, which the transport needs. Every statement is classified in
+    one pass, and only the bisection runs per statement."""
+    statements, width, n = model.statements, len(masks), model.n
+    rows_of, cols_of = np.zeros((2, len(statements), n))
+    for k, stmt in enumerate(statements):
+        rows_of[k, stmt.block_rows] = cols_of[k, stmt.block_cols] = 1.0
+    # (schemes, positions, n, statements): the mask entries of each row in
+    # the statement's block columns, and of each column in its block rows;
+    # float64 counts are exact here and take BLAS
+    flat = masks.astype(float)
+    across = (flat.reshape(-1, n) @ cols_of.T).reshape(*masks.shape[:3], len(statements))
+    down = (flat.swapaxes(2, 3).reshape(-1, n) @ rows_of.T).reshape(*masks.shape[:3], len(statements))
+    in_rows, in_cols = rows_of.T == 1.0, cols_of.T == 1.0
+    on_rows, on_cols = (across > 0) & in_rows, (down > 0) & in_cols
+    hit = on_rows.any(axis=2)
+    by_row = hit & ((across == 0) | (across == cols_of.sum(axis=1)) | ~in_rows).all(axis=2)
+    by_col = hit & ~by_row & ((down == 0) | (down == rows_of.sum(axis=1)) | ~in_cols).all(axis=2)
+    touched = hit.any(axis=1)
+    whole = plans[:, None] & touched & ~(hit & ~by_row & ~by_col).any(axis=1)
+
+    # a block row (column) is scaled by the |delta| of the positions whose
+    # whole rows (columns) hold it, subset u (bit p for position p) by
+    # table[point, u], multiplied in position order; d is the largest row
+    # scale times the largest column scale
+    slot, point = live % width, live // width
+    table = np.ones((len(grid), 1))
+    for p in range(grid.shape[1]):
+        table = np.concatenate([table, table * np.abs(grid[:, p, None])], axis=1)
+    bits = 1 << np.arange(grid.shape[1])[:, None, None]
+    subsets = np.arange(table.shape[1])
+    largest = []
+    for on, by, inside in ((on_rows, by_row, in_rows), (on_cols, by_col, in_cols)):
+        code = ((on & by[:, :, None, :]) * bits).sum(axis=1)
+        present = ((code[..., None] == subsets) & inside[..., None]).any(axis=1)
+        largest.append(np.where(present[slot], table[point, None, :], 0.0).max(axis=2))
+    scale = largest[0] * largest[1]
+
     checks = []
-    for stmt, cert in zip(model.statements, certs):
-        part = masks[:, :, stmt.block_rows][..., stmt.block_cols]
-        on_rows, on_cols = part.any(axis=3), part.any(axis=2)
-        hit = on_rows.any(axis=2)
-        if not hit.any():
-            continue  # the block is the base's, which holds
-        by_row = hit & (part == on_rows[..., None]).all(axis=(2, 3))
-        by_col = hit & ~by_row & (part == on_cols[:, :, None, :]).all(axis=(2, 3))
-        touched = hit.any(axis=1)
+    for k in np.flatnonzero(touched.any(axis=0)).tolist():
         certified = np.zeros(len(grid) * width, dtype=bool)
-        if cert is not None:
-            whole = plans & touched & ~(hit & ~by_row & ~by_col).any(axis=1)
-            rows = live[whole[live % width]]
-            point, slot = np.divmod(rows, width)
-            factors = np.abs(grid[point])
-            certified[rows] = cert.holds_scaled(
-                _scales(on_rows[slot] & by_row[slot, :, None], factors),
-                _scales(on_cols[slot] & by_col[slot, :, None], factors),
-                tol.rel,
-            )
-        checks.append((stmt, touched, certified))
+        if certs[k] is not None:
+            at = whole[slot, k]
+            certified[live[at]] = certs[k].holds_scaled(scale[at, k], tol.rel)
+        checks.append((statements[k], touched[:, k], certified))
     return checks
 
 
@@ -555,6 +577,8 @@ def _sweep(model: Model, positions, grids, schemes, tol: TolerancePolicy) -> Swe
     except (InadmissibleError, SingularMatrixError):
         whiten = None
     n, cov, width = model.n, model.covariance, len(specs)
+    # one Variation per position and axis factor, shared by every plan scheme
+    variations = [[Variation(n, ((i, j, d),)) for d in g] for (i, j), g in zip(positions, grids)]
     count = len(grid) * width
     errors: list[str | None] = [None] * count
     masks, notes = [], []
@@ -563,7 +587,7 @@ def _sweep(model: Model, positions, grids, schemes, tol: TolerancePolicy) -> Swe
     step = max(1, BLOCK_ENTRIES // (n * n))
     with np.errstate(all="ignore"):
         for s, spec in enumerate(specs):
-            mask, errors[s::width], found = _masks(model, positions, grids, index, spec)
+            mask, errors[s::width], found = _masks(model, positions, grids, variations, index, spec)
             masks.append(mask)
             notes.append(found)
         masks = np.stack(masks)
@@ -703,6 +727,15 @@ def _columns(table: SweepTable) -> dict[str, list]:
     }
 
 
+def _memo(cells: list, form) -> list:
+    """form of every cell, called once per distinct value (cell by cell in a
+    column with a zero: 0.0 and -0.0 are equal keys that print apart)."""
+    if 0.0 in cells:
+        return [form(v) for v in cells]
+    memo = {v: form(v) for v in set(cells)}
+    return [memo[v] for v in cells]
+
+
 def emit(table: SweepTable, fmt: str = "csv", path=None) -> str:
     """Serialize a sweep as CSV (CSV_COLUMNS, floats by repr, flags as
     true/false, empty cells empty) or as JSON (one object per row, null in
@@ -711,19 +744,25 @@ def emit(table: SweepTable, fmt: str = "csv", path=None) -> str:
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown output format {fmt!r}; expected csv or json")
     columns = _columns(table)
+    # factors, flags, labels and errors repeat from row to row: each distinct
+    # value is formatted once
+    for name in ("admissible", "preserving"):
+        columns[name] = [_FLAGS[v] for v in columns[name]]
     if fmt == "csv":
-        for name in ("delta1", "delta2", "kl", "frobenius"):
+        for name in ("delta1", "delta2"):
+            columns[name] = _memo(columns[name], lambda v: "" if v is None else repr(v))
+        for name in ("kl", "frobenius"):
             columns[name] = ["" if v is None else repr(v) for v in columns[name]]
-        for name in ("admissible", "preserving"):
-            columns[name] = ["true" if v else "false" for v in columns[name]]
         lines = map(",".join, zip(*(columns[name] for name in CSV_COLUMNS)))
         text = "\n".join([",".join(CSV_COLUMNS), *lines]) + "\n"
     else:
         # json.dumps(rows, indent=2) byte for byte, written from the columns
-        for name in ("delta1", "delta2", "kl", "frobenius", "admissible", "preserving"):
+        for name in ("delta1", "delta2"):
+            columns[name] = _memo(columns[name], lambda v: _JSON_TOKENS.get(repr(v), repr(v)))
+        for name in ("kl", "frobenius"):
             columns[name] = [_JSON_TOKENS.get(t, t) for t in map(repr, columns[name])]
         for name in ("scheme", "error"):
-            columns[name] = ["null" if v is None else encode_basestring_ascii(v) for v in columns[name]]
+            columns[name] = _memo(columns[name], lambda v: "null" if v is None else encode_basestring_ascii(v))
         template = "  {\n" + ",\n".join(f"    {encode_basestring_ascii(name)}: %s" for name in columns) + "\n  }"
         rows = ",\n".join(template % cells for cells in zip(*columns.values()))
         text = "[\n" + rows + "\n]\n" if len(table) else "[]\n"

@@ -263,11 +263,11 @@ class Certificate:
     s: float
     mu: float
 
-    def holds_scaled(self, row_scales: np.ndarray, col_scales: np.ndarray, rel: float) -> np.ndarray:
-        """Step 5 for a stack of scalings D_r M D_c, given as moduli of
-        their diagonals (one row per scaling, each entry a factor product
-        rounded at most once): True where the scaled block is certified."""
-        d = np.maximum(row_scales.max(axis=1) * col_scales.max(axis=1), _TINY)
+    def holds_scaled(self, d: np.ndarray, rel: float) -> np.ndarray:
+        """Step 5 for a stack of scalings D_r M D_c, given as their d =
+        max|D_r| max|D_c| (each diagonal entry a factor product rounded at
+        most once): True where the scaled block is certified."""
+        d = np.maximum(d, _TINY)
         scales = sorted(set(d.tolist()))
         lift = _TINY * (1 + self.mu)
 

@@ -115,7 +115,7 @@ def _cmd_covary(args) -> int:
     scheme = resolve_scheme(model, {**entry, "statement_index": args.statement})
     plan = build_plan(Variation(model.n, ((i, j, args.delta),)), scheme, model.statements)
     print(f"plan: {_plan_json(model, plan)}")
-    failure = verify_preserving(plan, model.covariance, model.statements, args.tol).first_failure
+    failure = verify_preserving(plan, model.covariance, model.statements, args.tol, model.names).first_failure
     if failure is None:
         print("verdict: preserving")
     else:

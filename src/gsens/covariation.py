@@ -126,8 +126,10 @@ def check_product(product: np.ndarray) -> None:
     """Require a symmetric plan product without zero entries; a product of
     factors that underflows to zero would force a spurious independence,
     and is a FactorError."""
-    check_symmetric(product, "plan product")
-    if np.any(product == 0):
+    # bitwise-equal bytes are what check_symmetric accepts first, without its wrappers
+    if product.tobytes() != product.T.tobytes():
+        check_symmetric(product, "plan product")
+    if not product.all():
         raise FactorError("plan product has zero entries")
 
 
@@ -276,9 +278,9 @@ def build_plan(
     warnings (position outside the block, then negative factor) and then
     its refused-set error are issued on every call.
     """
-    if len(variation.factors) == 0:
-        return PerturbationPlan(variation=variation, product=np.ones((variation.n, variation.n)), steps=())
-    if len(variation.factors) > 1:
+    if len(variation.factors) != 1:
+        if not variation.factors:
+            return PerturbationPlan(variation=variation, product=np.ones((variation.n, variation.n)), steps=())
         plan = None
         for single in variation.split():
             p = build_plan(single, scheme, statements)
@@ -328,15 +330,17 @@ def verify_preserving(
     cov,
     statements: Sequence[CIStatement],
     tol: TolerancePolicy = DEFAULT_TOL,
+    names: Sequence[str] | None = None,
 ) -> ModelCheck:
     """Apply the plan and re-check every statement on the perturbed matrix.
 
     Raises ModelPreconditionError when the input matrix does not satisfy the
-    model, so "input was never in the model" is never reported as "the
-    perturbation broke the model". Positive definiteness of the result is
-    deliberately not part of the verdict; it is the separate admissibility
-    flag reported by sweeps.
+    model (its witness names variables by names, else by 1-based index), so
+    "input was never in the model" is never reported as "the perturbation
+    broke the model". Positive definiteness of the result is deliberately
+    not part of the verdict; it is the separate admissibility flag reported
+    by sweeps.
     """
     cov = check_symmetric(as_matrix(cov))
-    require_model(cov, statements, tol, None)
+    require_model(cov, statements, tol, names)
     return model_holds(plan.apply(cov), statements, tol)

@@ -111,17 +111,14 @@ def dag_to_gaussian(dag: GaussianDag) -> tuple[np.ndarray, np.ndarray]:
 def dag_ci_statements(dag: GaussianDag) -> tuple[CIStatement, ...]:
     """Per-vertex factorization statements, one per vertex whose predecessors
     are not all parents, in topological order."""
+    parents: list[list[int]] = [[] for _ in range(dag.n)]
+    for parent, child, _ in dag.edges:
+        parents[child].append(parent)
     out = []
     for k, vertex in enumerate(dag.order):
-        preceding = set(dag.order[:k])
-        indep = preceding - set(dag.parents(vertex))
+        given = tuple(sorted(parents[vertex]))
+        indep = set(dag.order[:k]).difference(given)
         if indep:
-            out.append(
-                CIStatement(
-                    left=(vertex,),
-                    right=tuple(sorted(indep)),
-                    given=dag.parents(vertex),
-                )
-            )
+            out.append(CIStatement(left=(vertex,), right=tuple(sorted(indep)), given=given))
     return tuple(out)
 

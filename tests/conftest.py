@@ -113,3 +113,39 @@ def model5(rng: np.random.Generator) -> np.ndarray:
     dag = GaussianDag.from_edges(5, edges, cond_vars=tuple(rng.uniform(0.5, 2.0, size=5)))
     _, cov = dag_to_gaussian(dag)
     return cov
+
+
+def checks_per_statement(model, masks, plans, live, grid, certs, tol):
+    """analysis._checks statement by statement: each statement's block is
+    cut out of the masks and classified on its own, and its transport scale
+    is the largest row scale times the largest column scale, each a product
+    of the row's |delta_p| taken in position order."""
+
+    def scales(members, factors):
+        out = np.ones((len(factors), members.shape[2]))
+        for p in range(members.shape[1]):
+            out = out * np.where(members[:, p], factors[:, p, None], 1.0)
+        return out
+
+    width = len(masks)
+    checks = []
+    for stmt, cert in zip(model.statements, certs):
+        part = masks[:, :, stmt.block_rows][..., stmt.block_cols]
+        on_rows, on_cols = part.any(axis=3), part.any(axis=2)
+        hit = on_rows.any(axis=2)
+        if not hit.any():
+            continue
+        by_row = hit & (part == on_rows[..., None]).all(axis=(2, 3))
+        by_col = hit & ~by_row & (part == on_cols[:, :, None, :]).all(axis=(2, 3))
+        touched = hit.any(axis=1)
+        certified = np.zeros(len(grid) * width, dtype=bool)
+        if cert is not None:
+            whole = plans & touched & ~(hit & ~by_row & ~by_col).any(axis=1)
+            rows = live[whole[live % width]]
+            point, slot = np.divmod(rows, width)
+            factors = np.abs(grid[point])
+            row_scales = scales(on_rows[slot] & by_row[slot, :, None], factors)
+            col_scales = scales(on_cols[slot] & by_col[slot, :, None], factors)
+            certified[rows] = cert.holds_scaled(row_scales.max(axis=1) * col_scales.max(axis=1), tol.rel)
+        checks.append((stmt, touched, certified))
+    return checks

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import SIGMA4, by_scheme, random_dag
+from conftest import SIGMA4, by_scheme, checks_per_statement, random_dag
 from gsens import (
     CIStatement,
     FactorError,
@@ -97,6 +97,25 @@ class TestLoadModel:
         )
         with pytest.raises(ModelFormatError, match="unknown variable 'z'"):
             load_model(path)
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"ci": [{"A": ["a"], "B": ["z"]}]}, "ci[0].B[0]: unknown variable 'z'"),
+        ({"ci": [{"A": ["a", 3], "B": ["b"]}]}, "ci[0].A[1]: unknown variable 3"),
+        ({"ci": [{"A": [["a"]], "B": ["b"]}]}, "ci[0].A[0]: unknown variable ['a']"),
+        ({"dag": {"order": ["a", "q"], "edges": []}}, "dag.order[1]: unknown variable 'q'"),
+        ({"dag": {"order": ["a", "b"], "edges": [{"from": "a", "to": "y", "beta": 1}]}},
+         "dag.edges[0].to[0]: unknown variable 'y'"),
+        ({"dag": {"order": ["a", "b"], "edges": [], "intercepts": {"w": 1}}}, "dag.intercepts: unknown variable 'w'"),
+        ({"dag": {"order": ["a", "b"], "edges": [], "cond_vars": {"b": 2, "v": 1}}},
+         "dag.cond_vars: unknown variable 'v'"),
+    ])
+    def test_unknown_names_are_reported_where_they_occur(self, tmp_path, fields, message):
+        payload = {"variables": ["a", "b"], **fields}
+        if "dag" not in fields:
+            payload["covariance"] = [[1.0, 0.0], [0.0, 1.0]]
+        with pytest.raises(ModelFormatError) as info:
+            load_model(write_model(tmp_path, payload))
+        assert str(info.value) == message
 
     def test_dag_only_builds_covariance(self, tmp_path):
         path = write_model(
@@ -500,6 +519,50 @@ class TestEmit:
         expected = json.dumps([dict(zip(columns, row)) for row in zip(*columns.values())], indent=2) + "\n"
         assert emit(table, "json") == expected
 
+    @pytest.mark.parametrize("two_way,zeros", [(False, False), (True, False), (True, True)])
+    def test_memoised_cells_equal_the_per_row_writers(self, two_way, zeros):
+        # repeated, extreme and negative factors, NaN and infinite cells, error
+        # rows; and 0.0 next to -0.0, equal keys that print differently
+        factors = [1.1, 1.1, -0.5, 1e300, -1e300, 1e-300, 1.1, -0.5, 1e300, 0.9]
+        if zeros:
+            factors[4:6] = [0.0, -0.0]
+        second = [2.0, 1e-300, 2.0, -1e300, 2.0, 0.5, 0.5, 1e300, 2.0, -0.5]
+        rows = len(factors)
+        table = SweepTable(
+            factors=np.array([factors, second]).T if two_way else np.array([factors]).T,
+            scheme=tuple(["standard", "total", "partial", "row", "column"][k % 5] for k in range(rows)),
+            kl=np.array([0.1, math.nan, math.inf, 0.25, 0.1, -math.inf, 0.0, 0.1, 3.0, 0.5]),
+            frobenius=np.array([math.inf, 1.5, math.nan, 1.5, -math.inf, 2.0, 1.5, math.nan, 0.3, 1e300]),
+            admissible=np.array([True, True, True, False, True, True, False, True, False, True]),
+            preserving=np.array([True, False, True, True, False, False, True, True, False, True]),
+            error=tuple("plan product has zero entries" if k in (2, 7) else None for k in range(rows)),
+        )
+        records = []
+        for k in range(rows):
+            deltas = table.factors[k].tolist()
+            records.append({
+                "delta1": deltas[0],
+                "delta2": deltas[1] if two_way else None,
+                "scheme": table.scheme[k],
+                "kl": float(table.kl[k]) if table.admissible[k] else None,
+                "frobenius": None if table.error[k] is not None else float(table.frobenius[k]),
+                "admissible": bool(table.admissible[k]),
+                "preserving": bool(table.preserving[k]),
+                "error": table.error[k],
+            })
+        assert emit(table, "json") == json.dumps(records, indent=2) + "\n"
+        lines = [",".join(analysis.CSV_COLUMNS)]
+        for record in records:
+            cells = []
+            for name in analysis.CSV_COLUMNS:
+                value = record[name]
+                if isinstance(value, bool):
+                    cells.append("true" if value else "false")
+                else:
+                    cells.append("" if value is None else value if isinstance(value, str) else repr(value))
+            lines.append(",".join(cells))
+        assert emit(table, "csv") == "\n".join(lines) + "\n"
+
     def test_unknown_format(self, toy_model):
         with pytest.raises(ValueError):
             emit(one_way_sweep(toy_model, (1, 0), [1.0]), "xml")
@@ -655,6 +718,42 @@ def assert_matches_definition(model, positions, grids, schemes, tol=DEFAULT_TOL)
         assert (bool(got.admissible[k]), bool(got.preserving[k])) == (admissible, preserving), w
         assert _same(got.frobenius[k], frob), w
         assert _same(got.kl[k], kl, 1e-13), w
+
+
+def assert_transport_matches_the_oracle(model, positions, grids, schemes) -> int:
+    """Sweep, and compare every _checks result with the per-statement
+    oracle on the same arguments: the same statements, bitwise the same
+    touched and certified arrays, and bitwise the same scales d passed to
+    each certificate's bisection. Returns the number of certified rows."""
+    results, scales = [], []
+
+    def both(*args):
+        scales.append([])
+        got = checks(*args)
+        scales.append([])
+        results.append((got, checks_per_statement(*args)))
+        return got
+
+    def recording(cert, d, rel):
+        scales[-1].append((cert, d.tobytes()))
+        return holds_scaled(cert, d, rel)
+
+    checks, holds_scaled = analysis._checks, cimodel.Certificate.holds_scaled
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        patch.setattr(analysis, "_checks", both)
+        patch.setattr(cimodel.Certificate, "holds_scaled", recording)
+        warnings.simplefilter("ignore")
+        if len(positions) == 1:
+            one_way_sweep(model, positions[0], grids[0], schemes)
+        else:
+            two_way_sweep(model, positions, grids[0], grids[1], schemes)
+    ((got, want),) = results
+    assert scales[0] == scales[1]
+    assert [stmt for stmt, _, _ in got] == [stmt for stmt, _, _ in want]
+    for (_, touched, certified), (_, touched_want, certified_want) in zip(got, want):
+        assert touched.tobytes() == touched_want.tobytes()
+        assert certified.tobytes() == certified_want.tobytes()
+    return sum(int(certified.sum()) for _, _, certified in got)
 
 
 FACTORS = st.sampled_from([-2.0, -0.5, 1e-300, 1e-160, 0.3, 1.0, 1.7, 1e160, 1e300]) | st.floats(0.5, 1.5)
@@ -869,6 +968,51 @@ class TestSweepEngine:
         assert base and set(base) <= set(given) and max(base.values()) == 1
         assert decided and max(decided.values()) == 1
         assert len(kl_calls) == 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        grid1=st.lists(FACTORS, min_size=1, max_size=3),
+        grid2=st.none() | st.lists(FACTORS, min_size=1, max_size=3),
+    )
+    @example(seed=1, grid1=[-0.5, 1e-300, 1e300], grid2=None)
+    @example(seed=1, grid1=[-0.5, 1e-300, 1.2], grid2=[1e300, 0.9])
+    def test_one_pass_transport_equals_the_per_statement_checks(self, seed, grid1, grid2):
+        rng = np.random.default_rng(seed)
+        model = _random_model(rng)
+        assume(model.statements)
+        try:
+            require_model(model.covariance, model.statements, DEFAULT_TOL, None)
+        except ModelPreconditionError:
+            assume(False)
+        keys = [(i, j) for i in range(model.n) for j in range(model.n) if i >= j]
+        positions = tuple(keys[k] for k in rng.choice(len(keys), size=1 if grid2 is None else 2, replace=False))
+        schemes = [_random_scheme(rng, model) for _ in range(int(rng.integers(1, 4)))]
+        # a repeated entry, and schemes built against one statement each
+        k = int(rng.integers(len(model.statements)))
+        schemes += [schemes[0], Scheme("partial", None, k), Scheme(str(rng.choice(["row", "column"])), None, k)]
+        assert_transport_matches_the_oracle(model, positions, [grid1] if grid2 is None else [grid1, grid2], schemes)
+
+    def test_shares_each_variation_across_schemes_and_builds_each_axis_plan_once(self, toy_model, monkeypatch):
+        made, passed = [], []
+
+        def variation(*args):
+            made.append(Variation(*args))
+            return made[-1]
+
+        def plan(var, *args):
+            passed.append(var)
+            return build_plan(var, *args)
+
+        monkeypatch.setattr(analysis, "Variation", variation)
+        monkeypatch.setattr(analysis, "build_plan", plan)
+        grids = [[-0.5, 1e-300, 0.9, 1e300], [1.1, -0.5, 1e300]]
+        schemes = ["standard", "total", "partial", "row", "column"]
+        certified = assert_transport_matches_the_oracle(toy_model, ((1, 0), (2, 1)), grids, schemes)
+        assert certified
+        # one Variation per position and factor, each passed to every plan scheme's build_plan
+        assert len(made) == 7 and len(passed) == 4 * 7
+        assert sorted(map(id, passed)) == sorted(map(id, made * 4))
 
     def test_library_sweeps_at_extreme_factors_raise_no_runtime_warning(self):
         with warnings.catch_warnings():

@@ -696,4 +696,4 @@ def test_precondition_failure_names_the_first_failing_statement(tmp_path, capsys
     assert main(["sweep", str(path), "--pos", "b,a", "--deltas", "0.9,1.1"]) == 1
     assert capsys.readouterr().err == prefix + "{a,d} x cols {c,d} = 0.25\n"
     assert main(["covary", str(path), "--pos", "b,a", "--delta", "0.9", "--scheme", "partial"]) == 1
-    assert capsys.readouterr().err == prefix + "{1,4} x cols {3,4} = 0.25\n"
+    assert capsys.readouterr().err == prefix + "{a,d} x cols {c,d} = 0.25\n"

@@ -92,6 +92,20 @@ class TestDagCiStatements:
         edges = [(p, c, 1.0) for c in range(4) for p in range(c)]
         assert dag_ci_statements(GaussianDag.from_edges(4, edges)) == ()
 
+    def test_statements_follow_each_vertex_parents(self, rng):
+        # permuted topological orders, edges listed in random order
+        for _ in range(25):
+            n = int(rng.integers(2, 8))
+            order = [int(v) for v in rng.permutation(n)]
+            edges = [(order[a], order[b], 1.0) for b in range(n) for a in range(b) if rng.random() < 0.5]
+            dag = GaussianDag.from_edges(n, [edges[k] for k in rng.permutation(len(edges))], order=order)
+            expected = []
+            for k, vertex in enumerate(order):
+                indep = set(order[:k]) - set(dag.parents(vertex))
+                if indep:
+                    expected.append(CIStatement((vertex,), tuple(sorted(indep)), dag.parents(vertex)))
+            assert dag_ci_statements(dag) == tuple(expected)
+
     def test_statements_hold_on_generated_covariance(self, rng):
         for _ in range(25):
             dag = random_dag(rng)

@@ -2,10 +2,10 @@
 
 Usage (from the repository root):
 
-    python3 tools/same_output.py PARENT_SRC CHANGE_SRC [--seeds 3 9]
+    python3 tools/same_output.py PARENT CHANGE [--seeds 3 9]
 
-PARENT_SRC and CHANGE_SRC are directories holding a ``gsens`` package (a
-checkout's ``src``). Every job of the grid-sweeps, ci-scale and point-queries
+PARENT and CHANGE are each a checkout's root or its ``src``, the directory
+that holds the ``gsens`` package. Every job of the grid-sweeps, ci-scale and point-queries
 workloads of ``perfbench/workloads.py``, at each seed, runs through each
 tree's ``gsens.cli.main``: one subprocess per tree runs all the jobs in turn.
 Fixture jobs read each tree's own bundled fixture; generated models are
@@ -213,14 +213,16 @@ def kl_gap(job, parent: str, change: str) -> tuple[float, float, float] | None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent_src", type=Path)
-    parser.add_argument("change_src", type=Path)
+    parser.add_argument("parent", type=Path, help="a checkout's root or its src")
+    parser.add_argument("change", type=Path, help="a checkout's root or its src")
     parser.add_argument("--seeds", type=int, nargs="+", default=[3, 9])
     args = parser.parse_args(argv)
-    trees = [p.resolve() for p in (args.parent_src, args.change_src)]
-    for src in trees:
-        if not (src / "gsens" / "cli.py").is_file():
-            parser.error(f"{src} holds no gsens package")
+    trees = []
+    for path in (args.parent, args.change):
+        src = next((d for d in (path, path / "src") if (d / "gsens" / "cli.py").is_file()), None)
+        if src is None:
+            parser.error(f"{path} holds no gsens package, nor does its src")
+        trees.append(src.resolve())
 
     batches = []
     for workload in WORKLOADS:
