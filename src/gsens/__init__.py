@@ -31,7 +31,6 @@ from .cimodel import (
 from .conditioning import Evidence, condition
 from .covariation import (
     PerturbationPlan,
-    PlanStep,
     Scheme,
     Variation,
     build_plan,

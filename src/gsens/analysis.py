@@ -49,16 +49,15 @@ a change that is not finite an inadmissible row. A sweep returns its rows
 as one SweepTable of columns, and emit's reports leave delta2 empty in a
 one-way sweep, KL on an inadmissible row and Frobenius on an error row.
 
-A single-position plan is where(M, delta, 1) for a mask M that delta does
-not touch, and a grid point's plan is the product of its positions' plans.
+A plan is where(M, delta, 1) for a mask M that delta does not touch, and a
+grid point's plan is the Schur product of its positions' plans (compose).
 So a sweep makes one Variation per position and axis factor, which every
 scheme shares, and builds each scheme's plan once per position and axis
 factor (build_plan, whose warnings and construction errors each grid point
 then meets in row order; it resolves the delta-free fill once per
 position, scheme and statements, memoised, and makes every factor's plan
-as where(mask, delta, 1)). At one position and scheme every plan is
-where(M, delta, 1), full(delta) or all ones, so the first plan built for a
-factor other than 1 gives the mask. Every scheme's masks are stacked
+as where(mask, delta, 1)); the first plan built for a factor other than
+1 gives the mask. Every scheme's masks are stacked
 (schemes, positions, n, n), and the whole table, grid point g under scheme
 s at row g * schemes + s, is evaluated in one pass over stacked arrays, in
 blocks of at most BLOCK_ENTRIES matrix entries whose rows mix schemes: per
@@ -578,7 +577,7 @@ def _sweep(model: Model, positions, grids, schemes, tol: TolerancePolicy) -> Swe
         whiten = None
     n, cov, width = model.n, model.covariance, len(specs)
     # one Variation per position and axis factor, shared by every plan scheme
-    variations = [[Variation(n, ((i, j, d),)) for d in g] for (i, j), g in zip(positions, grids)]
+    variations = [[Variation(n, i, j, d) for d in g] for (i, j), g in zip(positions, grids)]
     count = len(grid) * width
     errors: list[str | None] = [None] * count
     masks, notes = [], []

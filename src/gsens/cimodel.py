@@ -130,11 +130,14 @@ _TINY = float(np.finfo(float).tiny)
 
 @dataclass(frozen=True)
 class CIStatement:
-    """left ⫫ right | given, as disjoint 0-based index tuples."""
+    """left ⫫ right | given, as disjoint 0-based index tuples. The hash is
+    computed once, at construction: memo keys that hold a model's
+    statements hash each of them on every lookup."""
 
     left: tuple[int, ...]
     right: tuple[int, ...]
     given: tuple[int, ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("left", "right", "given"):
@@ -149,6 +152,10 @@ class CIStatement:
         all_idx = self.left + self.right + self.given
         if len(set(all_idx)) != len(all_idx):
             raise ValueError("left, right and given must be pairwise disjoint")
+        object.__setattr__(self, "_hash", hash((self.left, self.right, self.given)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def block_rows(self) -> tuple[int, ...]:

@@ -32,7 +32,7 @@ from .analysis import (
     sweep_config,
     two_way_sweep,
 )
-from .cimodel import ci_holds
+from .cimodel import ci_holds, require_model
 from .conditioning import Evidence, condition
 from .covariation import Variation, build_plan, verify_preserving
 from .divergence import evaluate, scheme_ordering
@@ -65,8 +65,7 @@ def _names(text: str | None) -> list[str] | None:
 
 def _plan_json(model: Model, plan) -> str:
     """A one-position plan's position, factor and scheme as built."""
-    (step,) = plan.steps
-    scheme = step.scheme
+    ((variation, scheme),) = plan.steps
     scheme_obj: dict = {"kind": scheme.kind}
     if scheme.kind == "row" and scheme.subset is not None:
         scheme_obj["E"] = [model.names[k] for k in scheme.subset]
@@ -74,7 +73,7 @@ def _plan_json(model: Model, plan) -> str:
         scheme_obj["F"] = [model.names[k] for k in scheme.subset]
     if scheme.statement_index is not None:
         scheme_obj["statement_index"] = scheme.statement_index + 1
-    position = {"i": model.names[step.i], "j": model.names[step.j], "delta": step.delta}
+    position = {"i": model.names[variation.i], "j": model.names[variation.j], "delta": variation.delta}
     return json.dumps({"positions": [position], "scheme": scheme_obj})
 
 
@@ -113,7 +112,7 @@ def _cmd_covary(args) -> int:
     i, j = model.resolve_position(args.pos)
     entry = {"kind": args.scheme, "E": _names(args.E), "F": _names(args.F)}
     scheme = resolve_scheme(model, {**entry, "statement_index": args.statement})
-    plan = build_plan(Variation(model.n, ((i, j, args.delta),)), scheme, model.statements)
+    plan = build_plan(Variation(model.n, i, j, args.delta), scheme, model.statements)
     print(f"plan: {_plan_json(model, plan)}")
     failure = verify_preserving(plan, model.covariance, model.statements, args.tol, model.names).first_failure
     if failure is None:
@@ -246,6 +245,7 @@ def _cmd_compare(args) -> int:
     i, j = model.resolve_position(args.pos)
     if len(model.statements) != 1:
         return _fail("compare needs a model with exactly one CI statement")
+    require_model(model.covariance, model.statements, DEFAULT_TOL, model.names)
     reports = scheme_ordering(model.covariance, (i, j), args.delta, model.statements[0])
     print(f"{'scheme':<10} {'frobenius':>16} {'kl':>16} {'admissible':>11}")
     for r in reports:

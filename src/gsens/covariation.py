@@ -1,27 +1,29 @@
 """Multiplicative variations, covariation schemes and model preservation.
 
-A variation multiplies chosen covariance entries by nonzero factors. A
-covariation scheme fills further entries so that every vanishing minor of
-the model keeps vanishing: scaling whole rows (or columns) of a statement's
-defining block scales each minor by a power of the factor, which preserves
-zero. Four fill shapes are supported:
+A variation multiplies one covariance entry (and its mirror) by a nonzero
+factor delta. A covariation scheme fills further entries so that every
+vanishing minor of the model keeps vanishing: scaling whole rows (or
+columns) of a statement's defining block scales each minor by a power of
+the factor, which preserves zero. Four fill shapes are supported:
 
   total    fill the whole matrix
   partial  fill the statement block (rows x cols of the defining submatrix)
   row      fill rows E of the block, E a subset of the block rows
   column   fill columns F of the block, F a subset of the block columns
 
-plus "none" (no covariation at all). One builder makes every partial, row
-and column fill; its block is the union of the blocks of the statements it
-targets, and one statement is the one-element case. A single-position plan
-is 1 + (delta-1)*M for a 0/1 mask M that the scheme fixes and delta does
-not touch, so whether a scheme keeps the model valid is decided on the sets
-E and F alone. The builder resolves that delta-free fill (targets, block,
-E/F and mask) once per (position, scheme, statements) and memoises it;
-every factor's plan is then where(M, delta, 1), with its warnings and any
-refused-set error issued on each build.
-Multi-parameter variations are decomposed into single-parameter factors
-which are covaried individually and composed by entrywise product.
+plus "none" (no covariation at all: the position alone). One builder makes
+every partial, row and column fill; its block is the union of the blocks
+of the statements it targets, and one statement is the one-element case.
+
+A plan is where(M, delta, 1) for a 0/1 mask M that the scheme fixes and
+delta does not touch: all of the matrix for total, the position and its
+mirror for "none" (and for a position no statement block holds), the fill
+for the rest. So whether a scheme keeps the model valid is decided on the
+sets E and F alone. The builder resolves that delta-free fill (targets,
+block, E/F and mask) once per (position, scheme, statements) and memoises
+it; every factor's plan is then where(M, delta, 1), with its warnings and
+any refused-set error issued on each build. Plans at several positions
+compose by their Schur product.
 """
 
 from __future__ import annotations
@@ -67,59 +69,32 @@ class Scheme:
                 raise SchemeError("scheme subset contains duplicates")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Variation:
-    """Symmetric multiplicative perturbation: factor delta at each requested
-    position (and its mirror), ones elsewhere."""
+    """Symmetric multiplicative perturbation of one entry of an n x n
+    covariance: factor delta at (i, j) and its mirror, i <= j."""
 
     n: int
-    factors: tuple[tuple[int, int, float], ...]  # (i, j, delta), i <= j
+    i: int
+    j: int
+    delta: float
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
-        norm = []
-        seen = set()
-        for i, j, delta in self.factors:
-            i, j, delta = int(i), int(j), float(delta)
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise IndexError(f"position ({i + 1},{j + 1}) out of range for dimension {self.n}")
-            if delta == 0:
-                raise FactorError(
-                    f"variation factor at ({i + 1},{j + 1}) is zero: multiplying a "
-                    "covariance by zero would force a spurious independence"
-                )
-            if not math.isfinite(delta):
-                raise FactorError(f"variation factor at ({i + 1},{j + 1}) is {delta}, not finite")
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                raise ValueError(f"duplicate variation position ({key[0] + 1},{key[1] + 1})")
-            seen.add(key)
-            norm.append((key[0], key[1], delta))
-        object.__setattr__(self, "factors", tuple(norm))
-
-    @property
-    def matrix(self) -> np.ndarray:
-        out = np.ones((self.n, self.n))
-        for i, j, delta in self.factors:
-            out[i, j] = delta
-            out[j, i] = delta
-        return out
-
-    def split(self) -> tuple["Variation", ...]:
-        """Single-position factors whose Schur product is this variation."""
-        return tuple(Variation(self.n, (f,)) for f in self.factors)
-
-
-@dataclass(frozen=True)
-class PlanStep:
-    """One single-position factor of a plan, with the scheme as actually built
-    (row/column subsets resolved)."""
-
-    i: int
-    j: int
-    delta: float
-    scheme: Scheme
+        i, j, delta = int(self.i), int(self.j), float(self.delta)
+        if not (0 <= i < self.n and 0 <= j < self.n):
+            raise IndexError(f"position ({i + 1},{j + 1}) out of range for dimension {self.n}")
+        if delta == 0:
+            raise FactorError(
+                f"variation factor at ({i + 1},{j + 1}) is zero: multiplying a "
+                "covariance by zero would force a spurious independence"
+            )
+        if not math.isfinite(delta):
+            raise FactorError(f"variation factor at ({i + 1},{j + 1}) is {delta}, not finite")
+        object.__setattr__(self, "i", min(i, j))
+        object.__setattr__(self, "j", max(i, j))
+        object.__setattr__(self, "delta", delta)
 
 
 def check_product(product: np.ndarray) -> None:
@@ -135,34 +110,21 @@ def check_product(product: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class PerturbationPlan:
-    """A variation with its covariation: perturbs cov to product * cov."""
+    """Perturbs cov to product * cov. steps holds, per factor, its
+    Variation and the scheme as actually built (row/column sets resolved)."""
 
-    variation: Variation
     product: np.ndarray
-    steps: tuple[PlanStep, ...]
+    steps: tuple[tuple[Variation, Scheme], ...]
 
     def __post_init__(self):
         check_product(self.product)
 
-    @property
-    def n(self) -> int:
-        return self.variation.n
-
     def apply(self, cov) -> np.ndarray:
         """Perturbed covariance: entrywise product with the plan."""
         cov = as_matrix(cov)
-        if cov.shape[0] != self.n:
-            raise ValueError(f"dimension mismatch: plan is {self.n}, matrix is {cov.shape[0]}")
+        if cov.shape != self.product.shape:
+            raise ValueError(f"dimension mismatch: plan is {len(self.product)}, matrix is {cov.shape[0]}")
         return self.product * cov
-
-
-def _finish_plan(variation: Variation, product: np.ndarray, scheme: Scheme) -> PerturbationPlan:
-    i, j, delta = variation.factors[0]
-    return PerturbationPlan(variation=variation, product=product, steps=(PlanStep(i, j, delta, scheme),))
-
-
-def _ones_plan(variation: Variation) -> PerturbationPlan:
-    return _finish_plan(variation, variation.matrix, Scheme("none"))
 
 
 def _one_based(indices) -> list[int]:
@@ -198,32 +160,38 @@ def _fill_set(
 
 
 class _Fill(NamedTuple):
-    """The delta-free part of a partial, row or column plan at one position:
-    the read-only mask of the entries it scales (None when the position lies
-    outside the statement block), the scheme as built (E/F resolved), and
-    the message of the SchemeError that refuses the requested set (None when
-    the set fits)."""
+    """The delta-free part of a plan at one position: the read-only mask M
+    of the entries it scales, the scheme as built (E/F resolved; "none"
+    where nothing is covaried), the warning every build issues (None when
+    there is none), and the message of the SchemeError that refuses the
+    requested set (None when the set fits)."""
 
-    mask: np.ndarray | None
+    mask: np.ndarray
     scheme: Scheme
+    warning: str | None
     refused: str | None
 
 
-@functools.lru_cache(maxsize=16)
-def _fill(
-    n: int, i: int, j: int, scheme: Scheme, statements: tuple[CIStatement, ...]
-) -> _Fill | None:
-    """The delta-free fill of a single-position plan at (i, j), memoised per
-    (dimension, position, scheme, statements); None when no fill applies
-    (scheme "none" or "total", or no statement constrains the variation).
+def _read_only(mask: np.ndarray) -> np.ndarray:
+    mask.flags.writeable = False
+    return mask
 
-    The fill lies inside the block rows x cols, the union of the targeted
+
+@functools.lru_cache(maxsize=16)
+def _fill(n: int, i: int, j: int, scheme: Scheme, statements: tuple[CIStatement, ...]) -> _Fill:
+    """The delta-free fill of a plan at (i, j), memoised per (dimension,
+    position, scheme, statements).
+
+    Total fills the whole matrix. "none", and any scheme that no statement
+    constrains, scales the position and its mirror alone: marginal
+    statements are zeros and zeros stay zeros under scaling. Otherwise the
+    fill lies inside the block rows x cols, the union of the targeted
     statements' blocks (one statement's own block when there is one): the
     factor goes on the fill and its mirror, ones elsewhere, so inside the
     block it scales exactly the prescribed rows or columns and every minor
     of each statement block is scaled by a power of the factor. A position
-    outside the block needs no covariation. Target and dimension errors
-    propagate and are not cached.
+    outside the block needs no covariation, and scales the position alone.
+    Target and dimension errors propagate and are not cached.
     """
     k = scheme.statement_index
     if k is None:
@@ -235,10 +203,13 @@ def _fill(
     top = max((s.max_index for s in targets), default=-1)
     if top >= n:
         raise IndexError(f"statement index {top + 1} out of range for dimension {n}")
-    if scheme.kind in ("none", "total") or not targets:
-        # nothing constrains the variation: marginal statements are zeros and
-        # zeros stay zeros under scaling
-        return None
+    if scheme.kind == "total":
+        return _Fill(_read_only(np.ones((n, n), dtype=bool)), Scheme("total"), None, None)
+    position = np.zeros((n, n), dtype=bool)
+    position[i, j] = position[j, i] = True
+    position = _read_only(position)
+    if scheme.kind == "none" or not targets:
+        return _Fill(position, Scheme("none"), None, None)
 
     rows = {k for s in targets for k in s.block_rows}
     cols = {k for s in targets for k in s.block_cols}
@@ -247,7 +218,11 @@ def _fill(
     elif j in rows and i in cols:
         ii, jj = j, i
     else:
-        return _Fill(None, scheme, None)
+        outside = (
+            f"position ({i + 1},{j + 1}) lies outside the statement block; "
+            "no covariation is needed and none is applied"
+        )
+        return _Fill(position, Scheme("none"), outside, None)
     r, c, subset = sorted(rows), sorted(cols), None
     try:
         if scheme.kind == "row":
@@ -255,55 +230,34 @@ def _fill(
         elif scheme.kind == "column":
             c = subset = _fill_set(scheme, i, j, jj, cols, rows)
     except SchemeError as e:
-        return _Fill(None, scheme, str(e))
+        return _Fill(position, scheme, None, str(e))
     mask = np.zeros((n, n), dtype=bool)
     mask[np.ix_(r, c)] = True
     mask[np.ix_(c, r)] = True
-    mask.flags.writeable = False
-    return _Fill(mask, Scheme(scheme.kind, subset, scheme.statement_index), None)
+    return _Fill(_read_only(mask), Scheme(scheme.kind, subset, scheme.statement_index), None, None)
 
 
 def build_plan(
     variation: Variation, scheme: Scheme, statements: Sequence[CIStatement]
 ) -> PerturbationPlan:
-    """Plan for a variation against a model (list of statements).
+    """Plan for a variation against a model (list of statements):
+    where(M, delta, 1) over the memoised fill M (_fill).
 
-    Multi-position variations are split into single-position factors, each
-    covaried with the requested scheme, and composed. With statement_index
-    set, the scheme is built against that one statement, marginal or not.
-    Otherwise only the statements with non-empty conditioning set constrain
-    the construction: marginal statements are zeros of the covariance and
-    survive any entrywise scaling. A single-position partial, row or column
-    plan is where(mask, delta, 1) over its memoised fill (_fill); its
-    warnings (position outside the block, then negative factor) and then
-    its refused-set error are issued on every call.
+    With statement_index set, the scheme is built against that one
+    statement, marginal or not. Otherwise only the statements with
+    non-empty conditioning set constrain the construction: marginal
+    statements are zeros of the covariance and survive any entrywise
+    scaling. Every call issues the plan's warning (position outside the
+    block, else negative factor under a partial, row or column fill) and
+    then its refused-set error; total refuses a negative factor first.
     """
-    if len(variation.factors) != 1:
-        if not variation.factors:
-            return PerturbationPlan(variation=variation, product=np.ones((variation.n, variation.n)), steps=())
-        plan = None
-        for single in variation.split():
-            p = build_plan(single, scheme, statements)
-            plan = p if plan is None else compose(plan, p)
-        return plan
-
-    n = variation.n
-    i, j, delta = variation.factors[0]
-    fill = _fill(n, i, j, scheme, tuple(statements))
-    if scheme.kind == "total":
-        if delta <= 0:
-            raise SchemeError("total covariation requires delta > 0: variances would change sign")
-        return _finish_plan(variation, np.full((n, n), delta), Scheme("total"))
-    if fill is None:
-        return _ones_plan(variation)
-    if fill.mask is None and fill.refused is None:  # outside the block
-        warnings.warn(
-            f"position ({i + 1},{j + 1}) lies outside the statement block; "
-            "no covariation is needed and none is applied",
-            stacklevel=2,
-        )
-        return _ones_plan(variation)
-    if delta < 0:
+    delta = variation.delta
+    fill = _fill(variation.n, variation.i, variation.j, scheme, tuple(statements))
+    if scheme.kind == "total" and delta <= 0:
+        raise SchemeError("total covariation requires delta > 0: variances would change sign")
+    if fill.warning is not None:
+        warnings.warn(fill.warning, stacklevel=2)
+    elif delta < 0 and fill.scheme.kind in ("partial", "row", "column"):
         warnings.warn(
             f"negative factor {delta} under a {scheme.kind} covariation flips the sign "
             "of the covaried entries; allowed, but rarely intended",
@@ -311,18 +265,14 @@ def build_plan(
         )
     if fill.refused is not None:
         raise SchemeError(fill.refused)
-    return _finish_plan(variation, np.where(fill.mask, delta, 1.0), fill.scheme)
+    return PerturbationPlan(np.where(fill.mask, delta, 1.0), ((variation, fill.scheme),))
 
 
 def compose(p1: PerturbationPlan, p2: PerturbationPlan) -> PerturbationPlan:
-    """Entrywise product of two plans; factors at a shared position multiply."""
-    if p1.n != p2.n:
-        raise ValueError(f"dimension mismatch: {p1.n} vs {p2.n}")
-    merged: dict[tuple[int, int], float] = {}
-    for i, j, delta in p1.variation.factors + p2.variation.factors:
-        merged[(i, j)] = merged.get((i, j), 1.0) * delta
-    variation = Variation(p1.n, tuple((i, j, d) for (i, j), d in merged.items()))
-    return PerturbationPlan(variation=variation, product=p1.product * p2.product, steps=p1.steps + p2.steps)
+    """Schur product of two plans, with their steps in turn."""
+    if p1.product.shape != p2.product.shape:
+        raise ValueError(f"dimension mismatch: {len(p1.product)} vs {len(p2.product)}")
+    return PerturbationPlan(p1.product * p2.product, p1.steps + p2.steps)
 
 
 def verify_preserving(

@@ -199,8 +199,7 @@ def scheme_ordering(
     GsensError.
     """
     cov = check_symmetric(as_matrix(cov, "cov"), "cov")
-    i, j = position
-    variation = Variation(cov.shape[0], ((i, j, float(delta)),))
+    variation = Variation(cov.shape[0], *position, delta)
     kinds = ("total", "partial", "row", "column")
     plans = [build_plan(variation, Scheme(kind, None, 0), (stmt,)) for kind in kinds]
     shift = additive_shift(cov, (position,), (delta,))

@@ -94,7 +94,7 @@ def test_criterion_03_preservation_property_suite():
         if abs(delta - 1.0) < 0.02:
             continue
         kind = kinds[done % 4]
-        plan = build_plan(Variation(dag.n, ((i, j, delta),)), Scheme(kind), statements)
+        plan = build_plan(Variation(dag.n, i, j, delta), Scheme(kind), statements)
         check = verify_preserving(plan, cov, statements)
         assert check.holds, (
             f"instance {done}: {kind} scheme broke the model "
@@ -111,7 +111,7 @@ def test_criterion_04_negative_control():
     cov = model5(rng)
     statements = [STMT5_A, STMT5_B]
     assert model_holds(cov, statements).holds
-    v = Variation(5, ((3, 2, 1.5),))
+    v = Variation(5, 3, 2, 1.5)
     naive = compose(
         build_plan(v, Scheme("column", statement_index=0), [STMT5_A, STMT5_B]),
         build_plan(v, Scheme("column", statement_index=1), [STMT5_A, STMT5_B]),
@@ -139,7 +139,7 @@ def test_criterion_05_kl_consistency():
         if abs(delta - 1.0) < 0.1:
             continue
         kind = ("total", "partial", "row", "column")[checked % 4]
-        plan = build_plan(Variation(n, ((i, j, delta),)), Scheme(kind), statements)
+        plan = build_plan(Variation(n, i, j, delta), Scheme(kind), statements)
         target = plan.apply(cov)
         if not is_psd(target):
             continue
@@ -201,12 +201,12 @@ def test_criterion_08_composition(stmt4, sigma4):
         picks = rng.integers(0, n, size=4)
         d1, d2 = rng.uniform(0.25, 2.0, size=2)
         p1 = build_plan(
-            Variation(n, ((int(picks[0]), int(picks[1]), float(d1)),)),
+            Variation(n, int(picks[0]), int(picks[1]), float(d1)),
             Scheme("partial"),
             statements,
         )
         p2 = build_plan(
-            Variation(n, ((int(picks[2]), int(picks[3]), float(d2)),)),
+            Variation(n, int(picks[2]), int(picks[3]), float(d2)),
             Scheme("total"),
             statements,
         )
@@ -216,8 +216,8 @@ def test_criterion_08_composition(stmt4, sigma4):
         np.testing.assert_allclose(combined.apply(cov), sequential, rtol=1e-12)
     # the two-factor worked example: bottom-row fill times two-column fill
     d1, d2 = 1.5, 0.8
-    q1 = build_plan(Variation(5, ((3, 2, d1),)), Scheme("row"), [STMT5_A, STMT5_B])
-    q2 = build_plan(Variation(5, ((2, 1, d2),)), Scheme("column"), [STMT5_A, STMT5_B])
+    q1 = build_plan(Variation(5, 3, 2, d1), Scheme("row"), [STMT5_A, STMT5_B])
+    q2 = build_plan(Variation(5, 2, 1, d2), Scheme("column"), [STMT5_A, STMT5_B])
     expected = np.ones((5, 5))
     expected[3, 0] = expected[0, 3] = d1
     expected[3, 4] = expected[4, 3] = d1
@@ -277,7 +277,7 @@ def test_criterion_11_figure_shape():
     # positive definite, and its KL is the closed form n/2 (d - 1 - ln d)
     cov = model.covariance
     for position in POSITIONS_71:
-        v = Variation(4, ((position[0], position[1], 1.25),))
+        v = Variation(4, position[0], position[1], 1.25)
         for kind in ("partial", "row", "column"):
             plan = build_plan(v, Scheme(kind), model.statements)
             with pytest.raises(InadmissibleError):

@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import itertools
 import json
@@ -25,6 +26,7 @@ from gsens import (
     admissible_region,
     analysis,
     build_plan,
+    compose,
     dag_ci_statements,
     dag_to_gaussian,
     emit,
@@ -665,9 +667,11 @@ def _per_row(model, positions, grids, schemes, tol):
             if scheme is None:
                 change = additive_shift(cov, positions, deltas)
             else:
-                factors = tuple((i, j, d) for (i, j), d in zip(positions, deltas))
+                # each position's plan in turn, composed: warnings and the first error in order
+                plans = (build_plan(Variation(model.n, i, j, d), scheme, model.statements)
+                         for (i, j), d in zip(positions, deltas))
                 try:
-                    change = build_plan(Variation(model.n, factors), scheme, model.statements)
+                    change = functools.reduce(compose, plans)
                 except GsensError as e:
                     rows.append((deltas, label, None, None, False, False, str(e)))
                     continue

@@ -22,7 +22,6 @@ PUBLIC = [
     "ModelFormatError",
     "ModelPreconditionError",
     "PerturbationPlan",
-    "PlanStep",
     "RegionSummary",
     "Scheme",
     "SchemeError",

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -35,6 +36,14 @@ class TestCIStatement:
         assert s.left == (1, 3)
         assert s.block_rows == (1, 2, 3) and s.block_cols == (0, 2)
         assert s.minor_order == 2
+
+    def test_equal_statements_hash_equal(self):
+        # the hash is computed once, from the normalised sets
+        a = CIStatement(left=[3, 1], right=(0,), given=(2,))
+        b = CIStatement(left=(1, 3), right=[0], given=[2])
+        assert a == b and hash(a) == hash(b) == hash(dataclasses.replace(b))
+        assert {a: 1}[b] == 1 and a != CIStatement(left=(1, 3), right=(0,))
+        assert "_hash" not in repr(a)
 
     def test_overlap_rejected(self):
         with pytest.raises(ValueError):
@@ -214,7 +223,7 @@ class TestDecisionPath:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 try:
-                    plan = build_plan(Variation(n, ((i, j, delta),)), Scheme(change), statements)
+                    plan = build_plan(Variation(n, i, j, delta), Scheme(change), statements)
                 except GsensError:
                     return
             cov = plan.apply(cov)

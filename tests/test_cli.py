@@ -313,6 +313,20 @@ def test_compare_takes_no_tolerance(capsys):
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
+def test_compare_requires_the_model_like_covary_and_sweep(tmp_path, capsys):
+    # a _||_ c | b fails on an equicorrelated covariance: no command runs on it
+    path = tmp_path / "equi.json"
+    path.write_text(json.dumps({"variables": ["a", "b", "c"],
+                                "covariance": [[1, 0.5, 0.5], [0.5, 1, 0.5], [0.5, 0.5, 1]],
+                                "ci": [{"A": ["a"], "B": ["c"], "C": ["b"]}]}))
+    error = ("error: covariance does not satisfy the model: statement 1 fails with minor rows {a,b} x cols "
+             "{b,c} = -0.25\n")
+    for argv in (["compare", "--pos", "b,a", "--delta", "1.1"], ["covary", "--pos", "b,a", "--delta", "1.1"],
+                 ["sweep", "--pos", "b,a", "--deltas", "1.1"]):
+        assert main([argv[0], str(path), *argv[1:]]) == 1
+        assert capsys.readouterr().err == error
+
+
 def test_asymmetric_covariance_prints_plain_floats(tmp_path, capsys):
     path = tmp_path / "asym.json"
     path.write_text(json.dumps({"variables": ["A", "B"], "covariance": [[1, 0.5], [0.25, 1]]}))

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     SIGMA4,
@@ -26,36 +28,37 @@ from gsens import (
     model_holds,
     verify_preserving,
 )
-from gsens.covariation import _fill
+from gsens.covariation import SCHEME_KINDS, _fill
 from gsens.matcore import is_psd
 
 
 class TestVariation:
     def test_single_position_matrix(self):
-        v = Variation(3, ((1, 0, 2.0),))
+        # normalised to i <= j; the plan without covariation scales the position alone
+        v = Variation(3, 1, 0, 2)
+        assert (v.i, v.j, v.delta) == (0, 1, 2.0) and type(v.delta) is float
+        assert v == Variation(3, 0, 1, 2.0)
         expected = np.ones((3, 3))
         expected[0, 1] = expected[1, 0] = 2.0
-        np.testing.assert_array_equal(v.matrix, expected)
+        np.testing.assert_array_equal(build_plan(v, Scheme("none"), []).product, expected)
 
-    def test_empty_is_all_ones(self):
-        np.testing.assert_array_equal(Variation(3, ()).matrix, np.ones((3, 3)))
+    @pytest.mark.parametrize("i,j", [(3, 0), (0, -1)])
+    def test_position_out_of_range_rejected(self, i, j):
+        with pytest.raises(IndexError, match=rf"position \({i + 1},{j + 1}\) out of range for dimension 3"):
+            Variation(3, i, j, 2.0)
 
     def test_zero_factor_rejected(self):
         with pytest.raises(ValueError, match="spurious independence"):
-            Variation(3, ((0, 1, 0.0),))
+            Variation(3, 0, 1, 0.0)
 
     @pytest.mark.parametrize("delta", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_factor_rejected(self, delta):
         with pytest.raises(FactorError, match="not finite"):
-            Variation(3, ((0, 1, delta),))
-
-    def test_duplicate_position_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            Variation(3, ((0, 1, 2.0), (1, 0, 3.0)))
+            Variation(3, 0, 1, delta)
 
     def test_diagonal_position_allowed(self):
-        v = Variation(2, ((1, 1, 0.5),))
-        assert v.matrix[1, 1] == 0.5
+        plan = build_plan(Variation(2, 1, 1, 0.5), Scheme("none"), [])
+        np.testing.assert_array_equal(plan.product, filled(2, (1,), (1,), 0.5))
 
 
 class TestBuildScheme:
@@ -65,7 +68,7 @@ class TestBuildScheme:
     STMT = CIStatement(left=(2,), right=(0,), given=(1,))
 
     def plans(self, delta=2.0):
-        v = Variation(3, ((1, 0, delta),))
+        v = Variation(3, 1, 0, delta)
         return {
             kind: build_plan(v, Scheme(kind), [self.STMT])
             for kind in ("total", "partial", "row", "column")
@@ -78,7 +81,7 @@ class TestBuildScheme:
         expected[1, 1] = 2.0  # covaried
         np.testing.assert_array_equal(p.product, expected)
         # the covariation itself leaves the varied entry alone
-        covariation = p.product / p.variation.matrix
+        covariation = p.product / filled(3, (0,), (1,), 2.0)
         assert covariation[1, 0] == 1.0 and covariation[1, 1] == 2.0
 
     def test_column_covaries_the_opposite_covariances(self):
@@ -98,30 +101,30 @@ class TestBuildScheme:
         np.testing.assert_array_equal(self.plans()["total"].product, np.full((3, 3), 2.0))
 
     def test_position_outside_block_needs_no_covariation(self):
-        v = Variation(3, ((0, 0, 5.0),))
+        v = Variation(3, 0, 0, 5.0)
         with pytest.warns(UserWarning, match="outside the statement block"):
             p = build_plan(v, Scheme("partial"), [self.STMT])
-        np.testing.assert_array_equal((p.product / p.variation.matrix), np.ones((3, 3)))
-        assert p.product[0, 0] == 5.0
+        np.testing.assert_array_equal(p.product, filled(3, (0,), (0,), 5.0))
+        assert p.steps == ((v, Scheme("none")),)
 
     def test_total_with_nonpositive_factor_rejected(self):
-        v = Variation(3, ((1, 0, -0.5),))
+        v = Variation(3, 1, 0, -0.5)
         with pytest.raises(SchemeError, match="delta > 0"):
             build_plan(v, Scheme("total"), [self.STMT])
 
     def test_negative_factor_warns_for_partial(self):
-        v = Variation(3, ((1, 0, -0.5),))
+        v = Variation(3, 1, 0, -0.5)
         with pytest.warns(UserWarning, match="negative factor"):
             build_plan(v, Scheme("partial"), [self.STMT])
 
     def test_row_set_for_conditioned_position_must_be_the_conditioning_set(self):
-        v = Variation(3, ((1, 0, 2.0),))  # position in given x right
+        v = Variation(3, 1, 0, 2.0)  # position in given x right
         with pytest.raises(SchemeError, match=r"row set \[3\] does not fit position \(1,2\)"):
             build_plan(v, Scheme("row", subset=(2,)), [self.STMT])
 
     def test_column_superset_within_right_side_is_accepted(self):
         stmt = CIStatement(left=(3,), right=(0, 1), given=(2,))
-        v = Variation(4, ((3, 0, 1.5),))  # left x right position
+        v = Variation(4, 3, 0, 1.5)  # left x right position
         p = build_plan(v, Scheme("column", subset=(0, 1)), [stmt])
         np.testing.assert_array_equal(
             p.product, filled(4, (2, 3), (0, 1), 1.5)
@@ -129,7 +132,7 @@ class TestBuildScheme:
 
     def test_column_set_must_contain_the_varied_column(self):
         stmt = CIStatement(left=(3,), right=(0, 1), given=(2,))
-        v = Variation(4, ((3, 0, 1.5),))
+        v = Variation(4, 3, 0, 1.5)
         with pytest.raises(SchemeError, match=r"column set \[2\] does not fit position \(1,4\)"):
             build_plan(v, Scheme("column", subset=(1,)), [stmt])
 
@@ -139,7 +142,7 @@ class TestUnionConstruction:
     1-based, i.e. the shared conditioning column."""
 
     def variation(self, delta=1.5):
-        return Variation(5, ((3, 2, delta),))
+        return Variation(5, 3, 2, delta)
 
     def test_default_row_fills_the_bottom_row(self):
         p = build_plan(self.variation(), Scheme("row"), [STMT5_A, STMT5_B])
@@ -159,11 +162,11 @@ class TestUnionConstruction:
 
     def test_explicit_widened_column_is_accepted(self):
         p = build_plan(self.variation(), Scheme("column", subset=(1, 2)), [STMT5_A, STMT5_B])
-        assert p.steps[0].scheme == Scheme("column", (1, 2))
+        assert p.steps == ((self.variation(), Scheme("column", (1, 2))),)
 
     def test_statement_beyond_the_dimension_rejected(self):
         with pytest.raises(IndexError, match="statement index 5 out of range for dimension 4"):
-            build_plan(Variation(4, ((3, 2, 1.5),)), Scheme("row"), [STMT5_A, STMT5_B])
+            build_plan(Variation(4, 3, 2, 1.5), Scheme("row"), [STMT5_A, STMT5_B])
 
     @pytest.mark.parametrize("index", [-1, 2])
     def test_statement_index_out_of_range_rejected(self, index):
@@ -171,10 +174,10 @@ class TestUnionConstruction:
             build_plan(self.variation(), Scheme("row", None, index), [STMT5_A, STMT5_B])
 
     def test_position_outside_every_block(self):
-        v = Variation(5, ((0, 0, 2.0),))
+        v = Variation(5, 0, 0, 2.0)
         with pytest.warns(UserWarning, match="outside the statement block"):
             p = build_plan(v, Scheme("partial"), [STMT5_A, STMT5_B])
-        np.testing.assert_array_equal((p.product / p.variation.matrix), np.ones((5, 5)))
+        np.testing.assert_array_equal(p.product, filled(5, (0,), (0,), 2.0))
 
 
 class TestValidateMulti:
@@ -187,7 +190,7 @@ class TestValidateMulti:
     def _build(self, scheme, delta):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # negative factors warn
-            return build_plan(Variation(5, ((3, 2, delta),)), scheme, self.STATEMENTS)
+            return build_plan(Variation(5, 3, 2, delta), scheme, self.STATEMENTS)
 
     def test_single_column_fails_fixed_point(self):
         for delta in self.DELTAS:
@@ -200,14 +203,15 @@ class TestValidateMulti:
             np.testing.assert_array_equal(plan.product, filled(5, (1, 2, 3), (1, 2), delta))
 
     def test_all_ones_plan_passes(self):
-        v = Variation(5, ((0, 0, 2.0),))
-        plan = build_plan(v, Scheme("none"), self.STATEMENTS)
-        np.testing.assert_array_equal(plan.product, v.matrix)
+        # the covariation is all ones: the plan scales the position alone
+        plan = build_plan(Variation(5, 0, 0, 2.0), Scheme("none"), self.STATEMENTS)
+        np.testing.assert_array_equal(plan.product, filled(5, (0,), (0,), 2.0))
 
     def test_no_conditional_statements_is_trivially_valid(self):
-        v = Variation(3, ((0, 1, 2.0),))
+        v = Variation(3, 0, 1, 2.0)
         plan = build_plan(v, Scheme("partial"), [])
-        np.testing.assert_array_equal((plan.product / plan.variation.matrix), np.ones((3, 3)))
+        np.testing.assert_array_equal(plan.product, filled(3, (0,), (1,), 2.0))
+        assert plan.steps == ((v, Scheme("none")),)
 
 
 class TestFillMemo:
@@ -217,13 +221,13 @@ class TestFillMemo:
     STMT = CIStatement(left=(2,), right=(0,), given=(1,))
 
     def test_outside_the_block_warns_on_every_build(self):
-        v = Variation(3, ((0, 0, 5.0),))
+        v = Variation(3, 0, 0, 5.0)
         for _ in range(2):
             with pytest.warns(UserWarning, match="outside the statement block"):
                 build_plan(v, Scheme("partial"), [self.STMT])
 
     def test_writing_a_product_leaves_the_next_plan_alone(self):
-        v = Variation(3, ((1, 0, 2.0),))
+        v = Variation(3, 1, 0, 2.0)
         build_plan(v, Scheme("row"), [self.STMT]).product[:] = 7.0
         hits = _fill.cache_info().hits
         plan = build_plan(v, Scheme("row"), [self.STMT])
@@ -241,11 +245,11 @@ class TestFillMemo:
         builds = [(3, [self.STMT], (1, 2), (0, 1)), (4, [self.STMT], (1, 2), (0, 1)),
                   (4, [wider], (1, 2, 3), (0, 1, 3))]
         for n, statements, rows, cols in builds:
-            plan = build_plan(Variation(n, ((1, 0, 2.0),)), Scheme("partial"), statements)
+            plan = build_plan(Variation(n, 1, 0, 2.0), Scheme("partial"), statements)
             np.testing.assert_array_equal(plan.product, filled(n, rows, cols, 2.0))
 
     def test_repeated_refusal_keeps_its_traceback_depth(self):
-        v = Variation(3, ((1, 0, 2.0),))
+        v = Variation(3, 1, 0, 2.0)
         depths = set()
         for _ in range(1000):
             try:
@@ -259,8 +263,8 @@ class TestCompose:
     def test_two_factor_composition_by_hand(self):
         # factor 1: bottom-row fill at (4,3); factor 2: two-column fill at (3,2)
         d1, d2 = 1.5, 0.8
-        p1 = build_plan(Variation(5, ((3, 2, d1),)), Scheme("row"), [STMT5_A, STMT5_B])
-        p2 = build_plan(Variation(5, ((2, 1, d2),)), Scheme("column"), [STMT5_A, STMT5_B])
+        p1 = build_plan(Variation(5, 3, 2, d1), Scheme("row"), [STMT5_A, STMT5_B])
+        p2 = build_plan(Variation(5, 2, 1, d2), Scheme("column"), [STMT5_A, STMT5_B])
         combined = compose(p1, p2)
         expected = np.ones((5, 5))
         expected[3, 0] = expected[0, 3] = d1
@@ -271,42 +275,40 @@ class TestCompose:
         np.testing.assert_array_equal(combined.product, expected)
 
     def test_identity_composition(self, sigma4, stmt4):
-        p = build_plan(Variation(4, ((1, 0, 1.25),)), Scheme("partial"), [stmt4])
-        ones = build_plan(Variation(4, ((0, 0, 1.0),)), Scheme("none"), [stmt4])
+        p = build_plan(Variation(4, 1, 0, 1.25), Scheme("partial"), [stmt4])
+        ones = build_plan(Variation(4, 0, 0, 1.0), Scheme("none"), [stmt4])
         np.testing.assert_array_equal(compose(p, ones).product, p.product)
 
     def test_self_composition_squares_factors(self, stmt4):
-        p = build_plan(Variation(4, ((1, 0, 1.25),)), Scheme("partial"), [stmt4])
+        p = build_plan(Variation(4, 1, 0, 1.25), Scheme("partial"), [stmt4])
         squared = compose(p, p)
         np.testing.assert_array_equal(squared.product, p.product * p.product)
-        assert squared.variation.factors == ((0, 1, 1.25 * 1.25),)
+        assert squared.steps == p.steps + p.steps
 
     def test_commutative(self, stmt4):
-        p1 = build_plan(Variation(4, ((1, 0, 1.25),)), Scheme("row"), [stmt4])
-        p2 = build_plan(Variation(4, ((2, 1, 0.8),)), Scheme("column"), [stmt4])
+        p1 = build_plan(Variation(4, 1, 0, 1.25), Scheme("row"), [stmt4])
+        p2 = build_plan(Variation(4, 2, 1, 0.8), Scheme("column"), [stmt4])
         np.testing.assert_array_equal(compose(p1, p2).product, compose(p2, p1).product)
 
     def test_dimension_mismatch(self, stmt4):
-        p1 = build_plan(Variation(4, ((1, 0, 1.25),)), Scheme("row"), [stmt4])
-        p2 = build_plan(Variation(3, ((0, 1, 2.0),)), Scheme("none"), [])
+        p1 = build_plan(Variation(4, 1, 0, 1.25), Scheme("row"), [stmt4])
+        p2 = build_plan(Variation(3, 0, 1, 2.0), Scheme("none"), [])
         with pytest.raises(ValueError):
             compose(p1, p2)
 
     def test_product_underflowing_to_zero_is_a_factor_error(self, stmt4):
         # both total plans scale every entry; 1e-200 * 1e-200 underflows to 0
-        p1 = build_plan(Variation(4, ((1, 0, 1e-200),)), Scheme("total"), [stmt4])
-        p2 = build_plan(Variation(4, ((2, 1, 1e-200),)), Scheme("total"), [stmt4])
+        p1 = build_plan(Variation(4, 1, 0, 1e-200), Scheme("total"), [stmt4])
+        p2 = build_plan(Variation(4, 2, 1, 1e-200), Scheme("total"), [stmt4])
         with pytest.raises(FactorError, match="plan product has zero entries"):
             compose(p1, p2)
-        with pytest.raises(FactorError, match="plan product has zero entries"):
-            build_plan(Variation(4, ((1, 0, 1e-200), (2, 1, 1e-200))), Scheme("total"), [stmt4])
 
     def test_application_matches_sequential_perturbation(self, rng, stmt4):
         cov = SIGMA4
         for _ in range(20):
             d1, d2 = rng.uniform(0.25, 2, size=2)
-            p1 = build_plan(Variation(4, ((1, 0, d1),)), Scheme("partial"), [stmt4])
-            p2 = build_plan(Variation(4, ((2, 1, d2),)), Scheme("row"), [stmt4])
+            p1 = build_plan(Variation(4, 1, 0, d1), Scheme("partial"), [stmt4])
+            p2 = build_plan(Variation(4, 2, 1, d2), Scheme("row"), [stmt4])
             sequential = p1.apply(p2.apply(cov))
             at_once = compose(p1, p2).apply(cov)
             np.testing.assert_allclose(at_once, sequential, rtol=1e-12)
@@ -314,11 +316,11 @@ class TestCompose:
 
 class TestVerifyPreserving:
     def test_partial_preserves(self, sigma4, stmt4):
-        plan = build_plan(Variation(4, ((1, 0, 1.25),)), Scheme("partial"), [stmt4])
+        plan = build_plan(Variation(4, 1, 0, 1.25), Scheme("partial"), [stmt4])
         assert verify_preserving(plan, sigma4, [stmt4]).holds
 
     def test_bare_variation_breaks_with_hand_witness(self, sigma4, stmt4):
-        plan = build_plan(Variation(4, ((1, 0, 1.25),)), Scheme("none"), [stmt4])
+        plan = build_plan(Variation(4, 1, 0, 1.25), Scheme("none"), [stmt4])
         check = verify_preserving(plan, sigma4, [stmt4])
         assert not check.holds
         assert check.first_failure[1].value == pytest.approx(2.5)  # (1.25*2)*5 - 5*2
@@ -326,7 +328,7 @@ class TestVerifyPreserving:
     def test_input_not_in_model_raises(self, sigma4, stmt4):
         broken = sigma4.copy()
         broken[1, 0] = broken[0, 1] = 2.5
-        plan = build_plan(Variation(4, ((1, 0, 1.25),)), Scheme("partial"), [stmt4])
+        plan = build_plan(Variation(4, 1, 0, 1.25), Scheme("partial"), [stmt4])
         with pytest.raises(ModelPreconditionError):
             verify_preserving(plan, broken, [stmt4])
 
@@ -334,7 +336,7 @@ class TestVerifyPreserving:
         cov = model5(rng)
         statements = [STMT5_A, STMT5_B]
         assert model_holds(cov, statements).holds
-        v = Variation(5, ((3, 2, 1.5),))
+        v = Variation(5, 3, 2, 1.5)
         naive = compose(
             build_plan(v, Scheme("column", statement_index=0), [STMT5_A, STMT5_B]),
             build_plan(v, Scheme("column", statement_index=1), [STMT5_A, STMT5_B]),
@@ -345,7 +347,7 @@ class TestVerifyPreserving:
     def test_corrected_union_column_preserves(self, rng):
         cov = model5(rng)
         plan = build_plan(
-            Variation(5, ((3, 2, 1.5),)), Scheme("column", subset=(1, 2)), [STMT5_A, STMT5_B]
+            Variation(5, 3, 2, 1.5), Scheme("column", subset=(1, 2)), [STMT5_A, STMT5_B]
         )
         assert verify_preserving(plan, cov, [STMT5_A, STMT5_B]).holds
 
@@ -385,7 +387,7 @@ class TestSchemeSoundness:
                 subset = rng.choice(side, size=int(rng.integers(1, len(side) + 1)), replace=False)
                 scheme = Scheme(kind, tuple(int(k) for k in subset), index)
             try:
-                plan = build_plan(Variation(dag.n, ((i, j, delta),)), scheme, statements)
+                plan = build_plan(Variation(dag.n, i, j, delta), scheme, statements)
             except SchemeError:
                 continue
             assert verify_preserving(plan, cov, targets).holds, (
@@ -399,8 +401,8 @@ class TestSchemeSoundness:
         _, cov = dag_to_gaussian(dag)
         statements = [CIStatement(left=(0,), right=(1,)), CIStatement(left=(2,), right=(3,))]
         assert model_holds(cov, statements).holds
-        plan = build_plan(Variation(4, ((0, 1, 1.7),)), Scheme("partial"), statements)
-        np.testing.assert_array_equal((plan.product / plan.variation.matrix), np.ones((4, 4)))
+        plan = build_plan(Variation(4, 0, 1, 1.7), Scheme("partial"), statements)
+        np.testing.assert_array_equal(plan.product, filled(4, (0,), (1,), 1.7))
         assert verify_preserving(plan, cov, statements).holds
 
     def test_separable_statements_compose_per_statement(self, rng):
@@ -421,15 +423,15 @@ class TestSchemeSoundness:
         s1 = CIStatement(left=(2,), right=(0,), given=(1,))
         s2 = CIStatement(left=(5,), right=(3,), given=(4,))
         assert model_holds(cov, [s1, s2]).holds
-        p1 = build_plan(Variation(6, ((1, 0, 1.5),)), Scheme("row", statement_index=0), [s1, s2])
-        p2 = build_plan(Variation(6, ((4, 3, 0.7),)), Scheme("column", statement_index=1), [s1, s2])
+        p1 = build_plan(Variation(6, 1, 0, 1.5), Scheme("row", statement_index=0), [s1, s2])
+        p2 = build_plan(Variation(6, 4, 3, 0.7), Scheme("column", statement_index=1), [s1, s2])
         assert verify_preserving(compose(p1, p2), cov, [s1, s2]).holds
 
     def test_composition_of_preserving_plans_preserves(self, rng, sigma4, stmt4):
         for _ in range(10):
             d1, d2 = rng.uniform(0.25, 2, size=2)
-            p1 = build_plan(Variation(4, ((1, 0, d1),)), Scheme("partial"), [stmt4])
-            p2 = build_plan(Variation(4, ((1, 1, d2),)), Scheme("row"), [stmt4])
+            p1 = build_plan(Variation(4, 1, 0, d1), Scheme("partial"), [stmt4])
+            p2 = build_plan(Variation(4, 1, 1, d2), Scheme("row"), [stmt4])
             assert verify_preserving(compose(p1, p2), sigma4, [stmt4]).holds
 
     def test_total_keeps_positive_semidefiniteness(self, rng):
@@ -437,7 +439,7 @@ class TestSchemeSoundness:
             dag = random_dag(rng)
             _, cov = dag_to_gaussian(dag)
             delta = float(rng.uniform(0.01, 3.0))
-            plan = build_plan(Variation(dag.n, ((0, 0, delta),)), Scheme("total"), [])
+            plan = build_plan(Variation(dag.n, 0, 0, delta), Scheme("total"), [])
             assert is_psd(plan.apply(cov))
 
 
@@ -450,43 +452,92 @@ class TestThreeVariableInstance:
 
     def test_all_three_shapes_preserve(self):
         assert model_holds(self.COV, [self.STMT]).holds
-        v = Variation(3, ((1, 0, 1.4),))
+        v = Variation(3, 1, 0, 1.4)
         for kind in ("row", "column", "partial"):
             plan = build_plan(v, Scheme(kind), [self.STMT])
             assert model_holds(plan.apply(self.COV), [self.STMT]).holds, kind
 
 
-class TestMultiPositionVariation:
-    def test_build_plan_splits_and_composes(self, sigma4, stmt4):
-        v = Variation(4, ((1, 0, 1.2), (2, 1, 0.9)))
-        plan = build_plan(v, Scheme("partial"), [stmt4])
-        singles = [
-            build_plan(Variation(4, (f,)), Scheme("partial"), [stmt4])
-            for f in v.factors
-        ]
-        np.testing.assert_array_equal(plan.product, compose(*singles).product)
-        assert len(plan.steps) == 2
-        assert verify_preserving(plan, sigma4, [stmt4]).holds
+class TestPlansAreMasks:
+    """Every plan is where(M, delta, 1) for a mask M that delta does not
+    touch, and plans compose by their Schur product."""
 
-    def test_total_multi_position_multiplies_factors(self, sigma4, stmt4):
-        v = Variation(4, ((1, 0, 1.2), (2, 1, 1.1)))
-        plan = build_plan(v, Scheme("total"), [stmt4])
-        assert [s.scheme.kind for s in plan.steps] == ["total", "total"]
-        np.testing.assert_allclose(plan.product, np.full((4, 4), 1.2 * 1.1), rtol=1e-15)
+    @staticmethod
+    def _build(n, i, j, delta, scheme, statements):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # outside the block, negative factors
+            try:
+                return build_plan(Variation(n, i, j, delta), scheme, statements)
+            except SchemeError as e:
+                return str(e)
+
+    @staticmethod
+    def _draw(rng, n, statements):
+        """A position (diagonal a quarter of the time, anywhere in the
+        matrix, so often outside every block) and a scheme of each kind,
+        with a drawn row or column set half of the time and a targeted
+        statement a third of the time."""
+        i = int(rng.integers(n))
+        j = i if rng.random() < 0.25 else int(rng.integers(n))
+        kind = SCHEME_KINDS[int(rng.integers(len(SCHEME_KINDS)))]
+        subset = None
+        if kind in ("row", "column") and rng.random() < 0.5:
+            subset = tuple(int(k) for k in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        index = int(rng.integers(len(statements))) if statements and rng.random() < 1 / 3 else None
+        return i, j, Scheme(kind, subset, index)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        deltas=st.lists(st.floats(0.05, 20.0) | st.floats(-20.0, -0.05), min_size=2, max_size=5),
+    )
+    def test_plans_are_delta_free_masks_and_compose_as_schur_products(self, seed, deltas):
+        rng = np.random.default_rng(seed)
+        dag = random_dag(rng, int(rng.integers(1, 8)))
+        statements, n = dag_ci_statements(dag), dag.n
+        i, j, scheme = self._draw(rng, n, statements)
+        plans = [self._build(n, i, j, delta, scheme, statements) for delta in deltas]
+        # total refuses a negative factor; any other refusal is delta-free
+        for delta, plan in zip(deltas, plans):
+            if scheme.kind == "total" and delta < 0:
+                assert plan == "total covariation requires delta > 0: variances would change sign"
+        built = [(d, p) for d, p in zip(deltas, plans) if not (scheme.kind == "total" and d < 0)]
+        if any(isinstance(p, str) for _, p in built):
+            assert len({p for _, p in built}) == 1 and isinstance(built[0][1], str)
+            return
+
+        # one mask, read off any factor other than 1, serves every factor
+        moved = [plan for delta, plan in built if delta != 1.0]
+        mask = moved[0].product != 1.0 if moved else np.ones((n, n), dtype=bool)
+        assert mask[i, j] and mask[j, i]
+        for delta, plan in built:
+            np.testing.assert_array_equal(plan.product, np.where(mask, delta, 1.0))
+            (variation, as_built), = plan.steps
+            assert (variation.i, variation.j, variation.delta) == (min(i, j), max(i, j), delta)
+            assert as_built == built[0][1].steps[0][1]
+
+        k, l, other = self._draw(rng, n, statements)
+        q = self._build(n, k, l, abs(deltas[0]), other, statements)
+        if isinstance(q, str) or not built:
+            return
+        p = built[0][1]
+        np.testing.assert_array_equal(compose(p, q).product, p.product * q.product)
+        np.testing.assert_array_equal(compose(q, p).product, p.product * q.product)
+        assert compose(p, q).steps == p.steps + q.steps
 
 
 class TestPlanInvariants:
     def test_product_entries_never_zero(self, stmt4):
-        plan = build_plan(Variation(4, ((1, 0, 0.25),)), Scheme("partial"), [stmt4])
+        plan = build_plan(Variation(4, 1, 0, 0.25), Scheme("partial"), [stmt4])
         assert np.all(plan.product != 0)
 
     def test_varied_entry_carries_requested_factor(self, stmt4):
-        plan = build_plan(Variation(4, ((1, 0, 1.25),)), Scheme("partial"), [stmt4])
+        plan = build_plan(Variation(4, 1, 0, 1.25), Scheme("partial"), [stmt4])
         assert plan.product[1, 0] == 1.25
-        assert (plan.product / plan.variation.matrix)[1, 0] == 1.0
+        assert (plan.product / filled(4, (0,), (1,), 1.25))[1, 0] == 1.0
 
     def test_total_factor_bookkeeping(self, stmt4):
-        p1 = build_plan(Variation(4, ((1, 0, 1.25),)), Scheme("total"), [stmt4])
-        p2 = build_plan(Variation(4, ((2, 1, 0.8),)), Scheme("total"), [stmt4])
+        p1 = build_plan(Variation(4, 1, 0, 1.25), Scheme("total"), [stmt4])
+        p2 = build_plan(Variation(4, 2, 1, 0.8), Scheme("total"), [stmt4])
         np.testing.assert_array_equal(p1.product, np.full((4, 4), 1.25))
         np.testing.assert_array_equal(compose(p1, p2).product, np.full((4, 4), 1.25 * 0.8))

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -90,11 +91,9 @@ class TestKl:
                 for (delta,), scheme, got, admissible in rows:
                     if not admissible:
                         continue
-                    v = Variation(n, ((i, j, delta),))
-                    if scheme == "standard":
-                        product = v.matrix
-                    else:
-                        product = build_plan(v, Scheme(scheme), model.statements).product
+                    # the standard change is the position-only plan's
+                    kind = "none" if scheme == "standard" else scheme
+                    product = build_plan(Variation(n, i, j, delta), Scheme(kind), model.statements).product
                     target = mp.matrix(n, n)
                     for a in range(n):
                         for b in range(n):
@@ -123,8 +122,8 @@ class TestKl:
         if kind == "standard":
             change = shift = additive_shift(cov, positions, deltas)
         else:
-            factors = tuple((i, j, d) for (i, j), d in zip(positions, deltas))
-            change = build_plan(Variation(n, factors), Scheme(kind), statements)
+            plans = (build_plan(Variation(n, i, j, d), Scheme(kind), statements) for (i, j), d in zip(positions, deltas))
+            change = functools.reduce(compose, plans)
             shift = _plan_shift(cov, change)
         _, report = evaluate(kind, cov, change)
         if all(d == 1.0 for d in deltas):
@@ -226,28 +225,28 @@ class TestKlMp:
     """kl_mp, the model-preserving schemes' KL, with shift (P - 1) o cov."""
 
     def test_all_ones_plan_is_exactly_zero(self, sigma4, stmt4):
-        plan = build_plan(Variation(4, ((0, 0, 1.0),)), Scheme("none"), [stmt4])
+        plan = build_plan(Variation(4, 0, 0, 1.0), Scheme("none"), [stmt4])
         assert kl_mp(sigma4, plan) == 0.0
 
     def test_total_plan_matches_closed_form(self, sigma4, stmt4):
         # the total plan's shift is 0.25 * cov exactly, whose KL
         # test_rescaled_covariance_matches_closed_form pins
-        plan = build_plan(Variation(4, ((1, 0, 1.25),)), Scheme("total"), [stmt4])
+        plan = build_plan(Variation(4, 1, 0, 1.25), Scheme("total"), [stmt4])
         np.testing.assert_array_equal(_plan_shift(sigma4, plan), 0.25 * sigma4)
 
     def test_partial_plan_agrees_with_general_form(self, sigma4, stmt4):
-        plan = build_plan(Variation(4, ((1, 0, 1.02),)), Scheme("partial"), [stmt4])
+        plan = build_plan(Variation(4, 1, 0, 1.02), Scheme("partial"), [stmt4])
         want = kl_dense(sigma4, plan.apply(sigma4))
         assert kl_mp(sigma4, plan) == pytest.approx(want, rel=1e-10)
 
     def test_negative_determinant_raises(self, sigma4, stmt4):
-        plan = build_plan(Variation(4, ((1, 0, 1.25),)), Scheme("row"), [stmt4])
+        plan = build_plan(Variation(4, 1, 0, 1.25), Scheme("row"), [stmt4])
         with pytest.raises(InadmissibleError):
             kl_mp(sigma4, plan)
 
     def test_composed_totals_match_product_closed_form(self, sigma4, stmt4):
-        p1 = build_plan(Variation(4, ((1, 0, 1.2),)), Scheme("total"), [stmt4])
-        p2 = build_plan(Variation(4, ((2, 1, 1.1),)), Scheme("total"), [stmt4])
+        p1 = build_plan(Variation(4, 1, 0, 1.2), Scheme("total"), [stmt4])
+        p2 = build_plan(Variation(4, 2, 1, 1.1), Scheme("total"), [stmt4])
         combined = compose(p1, p2)
         delta = 1.2 * 1.1
         want = 0.5 * 4 * (delta - 1.0 - np.log(delta))
@@ -284,7 +283,7 @@ class TestKlTotalClosed:
         for n in range(2, 7):
             _, cov = dag_to_gaussian(random_dag(rng, n))
             for delta in (0.5, 0.8, 1.25, 2.0):
-                plan = build_plan(Variation(n, ((n - 1, 0, delta),)), Scheme("total"), [])
+                plan = build_plan(Variation(n, n - 1, 0, delta), Scheme("total"), [])
                 closed = 0.5 * n * (delta - 1.0 - math.log(delta))
                 assert evaluate("total", cov, plan)[1].kl == pytest.approx(closed, rel=1e-12)
 
@@ -294,7 +293,7 @@ class TestKlTotalClosed:
         mp = pytest.importorskip("mpmath")
         model = load_model(fixture_path(name))
         for delta in np.concatenate([np.logspace(-3, 3, 61), 1.0 + np.array(ORACLE_STEPS)]):
-            v = Variation(model.n, ((1, 0, float(delta)),))
+            v = Variation(model.n, 1, 0, float(delta))
             plan = build_plan(v, Scheme("total"), model.statements)
             got = evaluate("total", model.covariance, plan)[1].kl
             if delta == 1.0:
@@ -332,12 +331,12 @@ class TestFrobeniusMp:
         for _ in range(20):
             delta = float(rng.uniform(0.25, 2.0))
             kind = ("total", "partial", "row", "column")[int(rng.integers(4))]
-            plan = build_plan(Variation(4, ((1, 0, delta),)), Scheme(kind), [stmt4])
+            plan = build_plan(Variation(4, 1, 0, delta), Scheme(kind), [stmt4])
             assert frobenius_mp(SIGMA4, plan) == frobenius(SIGMA4, plan.apply(SIGMA4))
 
     def test_composed_plan_both_ways(self, stmt4):
-        p1 = build_plan(Variation(5, ((3, 2, 1.5),)), Scheme("row"), [])
-        p2 = build_plan(Variation(5, ((2, 1, 0.8),)), Scheme("none"), [])
+        p1 = build_plan(Variation(5, 3, 2, 1.5), Scheme("row"), [])
+        p2 = build_plan(Variation(5, 2, 1, 0.8), Scheme("none"), [])
         combined = compose(p1, p2)
         cov = np.eye(5) + 0.1 * np.ones((5, 5))
         assert frobenius_mp(cov, combined) == evaluate("row", cov, combined)[1].frobenius
@@ -398,7 +397,7 @@ def _bits(report):
 
 def _evaluated(cov, position, delta, stmt):
     """evaluate's report for each compare row, one scheme at a time."""
-    variation = Variation(cov.shape[0], ((*position, delta),))
+    variation = Variation(cov.shape[0], *position, delta)
     kinds = ("total", "partial", "row", "column")
     changes = [build_plan(variation, Scheme(kind, None, 0), (stmt,)) for kind in kinds]
     changes.append(additive_shift(cov, (position,), (delta,)))

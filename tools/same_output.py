@@ -27,7 +27,9 @@ Infinity and NaN cells, negative-factor warnings and a total error row,
 sweep configs, as CSV and as JSON, whose scheme list holds one kind in
 several slots (row three times, one with an explicit E, next to a column
 scheme with an explicit F), compare at 1e-300 and on a singular base with one statement (five
-inadmissible rows), and usage errors (covary without --delta, sweep with
+inadmissible rows), covary under each way a plan's mask is made ("none",
+a position outside every block, total with a statement index, in range
+and out of range, a row fill on the diagonal), and usage errors (covary without --delta, sweep with
 --tol nan, covary with --scheme bogus) and sweep --help placed between
 other jobs, so that each runner's next job reuses its parser after them.
 
@@ -142,6 +144,15 @@ EDGE_JOBS = [
     Job("sweep", SYNTH, ("--pos", "Y2,Y1", "--deltas=-2,1e-300,1e300", "--format", "json"), fmt="json"),
     Job("sweep", "", ("--config", "{inputs}/edge-repeat.json")),
     Job("sweep", "", ("--config", "{inputs}/edge-repeat-json.json"), fmt="json"),
+    # one covary per way a plan's mask is made: the position alone ("none", and
+    # outside every block), the whole matrix (total, whose plan drops the
+    # statement index; an out-of-range index is refused before a negative
+    # factor) and a row fill on the diagonal
+    Job("covary", SYNTH, ("--pos", "Y2,Y1", "--delta", "1.1", "--scheme", "none")),
+    Job("covary", SYNTH, ("--pos", "Y4,Y1", "--delta=-0.5", "--scheme", "partial")),
+    Job("covary", SYNTH, ("--pos", "Y2,Y1", "--delta", "1.1", "--scheme", "total", "--statement", "1")),
+    Job("covary", SYNTH, ("--pos", "Y2,Y1", "--delta=-1", "--scheme", "total", "--statement", "2")),
+    Job("covary", SYNTH, ("--pos", "Y2,Y2", "--delta=-1.1", "--scheme", "row")),
 ]
 NUMPY_WARNING = re.compile(r"^warning: .* encountered in .*\n", re.MULTILINE)
 
