@@ -25,7 +25,6 @@ from .cimodel import (
     ModelCheck,
     ci_holds,
     model_holds,
-    nonempty_conditioning,
     statement_block,
 )
 from .conditioning import Evidence, condition
@@ -38,7 +37,6 @@ from .covariation import (
     verify_preserving,
 )
 from .divergence import (
-    DivergenceReport,
     frobenius,
     kl,
     scheme_ordering,
@@ -64,7 +62,6 @@ from .matcore import (
     TolerancePolicy,
     inverse,
     iter_minors,
-    submatrix,
 )
 
 __version__ = "0.1.0"

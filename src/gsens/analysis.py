@@ -62,10 +62,10 @@ as where(mask, delta, 1)); the first plan built for a factor other than
 s at row g * schemes + s, is evaluated in one pass over stacked arrays, in
 blocks of at most BLOCK_ENTRIES matrix entries whose rows mix schemes: per
 block one product, targets P o Sigma and changes (P - 1) o Sigma (Sigma + D
-for the standard scheme's rows), one Frobenius sum, and KL and
-admissibility from one divergence.kl_stack, with Sigma factored once per
-sweep and one batched eigvalsh per block. emit formats each distinct
-factor, flag, scheme label and error once per column.
+for the standard scheme's rows), and Frobenius, KL and admissibility from
+one divergence.measure, with Sigma factored once per sweep and one batched
+eigvalsh per block. emit formats each distinct factor, flag, scheme label
+and error once per column.
 
 Preservation is decided per statement, for all schemes at once, from how
 each scheme's masks meet its block. One array pass classifies every
@@ -103,14 +103,8 @@ import numpy as np
 
 from .cimodel import CIStatement, decide_stack, model_holds, require_model
 from .covariation import Scheme, Variation, build_plan, check_product
-from .divergence import additive_shift, kl_stack, whitener
-from .errors import (
-    FactorError,
-    GsensError,
-    InadmissibleError,
-    ModelFormatError,
-    SingularMatrixError,
-)
+from .divergence import additive_shift, measure, whitener
+from .errors import FactorError, GsensError, ModelFormatError
 from .graphmodels import GaussianDag, GraphModelError, dag_ci_statements, dag_to_gaussian
 from .matcore import DEFAULT_TOL, TolerancePolicy
 
@@ -571,11 +565,8 @@ def _sweep(model: Model, positions, grids, schemes, tol: TolerancePolicy) -> Swe
         raise ValueError("a sweep needs at least one scheme")
     index = np.indices([len(g) for g in grids]).reshape(len(grids), -1)
     grid = np.stack([np.asarray(g)[at] for g, at in zip(grids, index)], axis=1)
-    try:
-        whiten = whitener(model.covariance)
-    except (InadmissibleError, SingularMatrixError):
-        whiten = None
     n, cov, width = model.n, model.covariance, len(specs)
+    whiten = whitener(cov)
     # one Variation per position and axis factor, shared by every plan scheme
     variations = [[Variation(n, i, j, d) for d in g] for (i, j), g in zip(positions, grids)]
     count = len(grid) * width
@@ -614,10 +605,10 @@ def _sweep(model: Model, positions, grids, schemes, tol: TolerancePolicy) -> Swe
                     check_product(product[b])
                 except FactorError as e:
                     errors[at[b]] = str(e)
-            frob[at] = np.where(built, ((cov - targets) ** 2).reshape(len(at), -1).sum(axis=1), np.nan)
-            kls[at], admissible[at] = kl_stack(whiten, shifts)
-            admissible[at] &= built
-            kls[at[~built]] = np.nan
+            sizes, values, ok = measure(cov, whiten, targets, shifts)
+            frob[at] = np.where(built, sizes, np.nan)
+            kls[at] = np.where(built, values, np.nan)
+            admissible[at] = ok & built
 
             holds = built.copy()
             pending: list[list[CIStatement]] = [[] for _ in at]

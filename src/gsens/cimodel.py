@@ -121,7 +121,6 @@ from .matcore import (
     check_symmetric,
     iter_minors,
     rcond,
-    submatrix,
 )
 
 _U = float(np.finfo(float).eps) / 2
@@ -185,7 +184,9 @@ class CIStatement:
 
 def statement_block(cov: np.ndarray, stmt: CIStatement) -> Block:
     """Submatrix of cov whose vanishing minors encode the statement."""
-    return submatrix(cov, stmt.block_rows, stmt.block_cols)
+    _check_dim(cov, stmt)
+    rows, cols = stmt.block_rows, stmt.block_cols
+    return Block(rows, cols, cov[np.ix_(rows, cols)])
 
 
 def _check_dim(cov: np.ndarray, stmt: CIStatement):
@@ -433,9 +434,3 @@ def require_model(
                 f"fails with {witness.describe(names)}"
             )
     return tuple(certs)
-
-
-def nonempty_conditioning(statements: Sequence[CIStatement]) -> tuple[CIStatement, ...]:
-    """The sub-list of statements with a non-empty conditioning set, in order."""
-    return tuple(s for s in statements if s.given)
-

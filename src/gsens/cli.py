@@ -35,7 +35,7 @@ from .analysis import (
 from .cimodel import ci_holds, require_model
 from .conditioning import Evidence, condition
 from .covariation import Variation, build_plan, verify_preserving
-from .divergence import evaluate, scheme_ordering
+from .divergence import COMPARE_SCHEMES, measure, scheme_ordering, whitener
 from .errors import GsensError, SingularMatrixError
 from .matcore import DEFAULT_TOL, TolerancePolicy
 
@@ -119,14 +119,16 @@ def _cmd_covary(args) -> int:
         print("verdict: preserving")
     else:
         print(f"verdict: NOT preserving  witness {failure[1].describe(model.names)}")
-    _, report = evaluate(args.scheme, model.covariance, plan)
-    print(f"admissible: {'yes' if report.admissible else 'no'}")
-    print(f"frobenius: {report.frobenius:.12g}")
-    if report.admissible:
-        print(f"kl: {report.kl:.12g}")
+    cov = model.covariance
+    target, shift = plan.apply(cov), (plan.product - 1.0) * cov
+    (frob,), (kl,), (admissible,) = measure(cov, whitener(cov), target[None], shift[None])
+    print(f"admissible: {'yes' if admissible else 'no'}")
+    print(f"frobenius: {frob:.12g}")
+    if admissible:
+        print(f"kl: {kl:.12g}")
     else:
         print("kl: unavailable (perturbed covariance not admissible)")
-    return EXIT_OK if report.admissible else EXIT_INADMISSIBLE
+    return EXIT_OK if admissible else EXIT_INADMISSIBLE
 
 
 # Sweep flags that describe what a --config file describes; they default to
@@ -246,11 +248,11 @@ def _cmd_compare(args) -> int:
     if len(model.statements) != 1:
         return _fail("compare needs a model with exactly one CI statement")
     require_model(model.covariance, model.statements, DEFAULT_TOL, model.names)
-    reports = scheme_ordering(model.covariance, (i, j), args.delta, model.statements[0])
+    columns = scheme_ordering(model.covariance, (i, j), args.delta, model.statements[0])
     print(f"{'scheme':<10} {'frobenius':>16} {'kl':>16} {'admissible':>11}")
-    for r in reports:
-        kl_text = f"{r.kl:.10g}" if r.kl is not None else "-"
-        print(f"{r.scheme:<10} {r.frobenius:>16.10g} {kl_text:>16} {'yes' if r.admissible else 'no':>11}")
+    for scheme, frob, kl, admissible in zip(COMPARE_SCHEMES, *columns):
+        kl_text = f"{kl:.10g}" if admissible else "-"
+        print(f"{scheme:<10} {frob:>16.10g} {kl_text:>16} {'yes' if admissible else 'no':>11}")
     return EXIT_OK
 
 

@@ -36,7 +36,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .cimodel import CIStatement, ModelCheck, model_holds, nonempty_conditioning, require_model
+from .cimodel import CIStatement, ModelCheck, model_holds, require_model
 from .errors import FactorError, SchemeError
 from .matcore import DEFAULT_TOL, TolerancePolicy, as_matrix, check_symmetric
 
@@ -195,7 +195,7 @@ def _fill(n: int, i: int, j: int, scheme: Scheme, statements: tuple[CIStatement,
     """
     k = scheme.statement_index
     if k is None:
-        targets = nonempty_conditioning(statements)
+        targets = tuple(s for s in statements if s.given)
     elif 0 <= k < len(statements):
         targets = (statements[k],)
     else:

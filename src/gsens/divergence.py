@@ -18,17 +18,20 @@ path: for a stack of changes of one Sigma, factored once (whitener, L^-1
 after the condition rule), it takes nu from one batched eigvalsh and sums
 the terms with kl_of_spectrum; kl validates its input and evaluates a
 stack of one.
-scheme_ordering (the compare table) stacks its five changes, the four plans'
-and the matched additive one, and takes their KL values from one whitener
-and one kl_stack. kl_additive, kl_mp and frobenius_mp only form D or P o
-Sigma, under the layer names the benchmark's per-layer trace times; of the
-commands, only covary reaches them (kl_mp, through evaluate).
+measure is the one evaluator behind every printed number: for a stack of
+targets and their changes of one Sigma it gives each row's Frobenius
+distance sum((Sigma - T)^2), and its KL and admissibility from kl_stack.
+Sweep blocks, the compare table (scheme_ordering: the four plans and the
+matched additive change, one stack of five) and covary (a stack of one)
+all call it. kl_additive, kl_mp and frobenius_mp have no caller in src/;
+they remain as the layer names the benchmark's per-layer trace binds and
+as test oracles for the definitions.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,13 +66,13 @@ def kl_of_spectrum(nu: np.ndarray) -> np.ndarray:
     return 0.5 * total
 
 
-def whitener(cov: np.ndarray) -> np.ndarray:
-    """L^-1 for cov = L L'. Raises SingularMatrixError when cov fails
-    check_invertible and InadmissibleError when it is not positive definite."""
+def whitener(cov: np.ndarray) -> np.ndarray | None:
+    """L^-1 for cov = L L', or None where cov fails check_invertible or is
+    not positive definite."""
     try:
         return np.linalg.inv(np.linalg.cholesky(check_invertible(cov)))
-    except np.linalg.LinAlgError:
-        raise InadmissibleError("base covariance is not positive definite; KL is undefined") from None
+    except (SingularMatrixError, np.linalg.LinAlgError):
+        return None
 
 
 def kl(cov, shift) -> float:
@@ -84,7 +87,13 @@ def kl(cov, shift) -> float:
     shift = check_symmetric(as_matrix(shift, "shift"), "shift")
     if shift.shape != cov.shape:
         raise ValueError(f"dimension mismatch: {cov.shape} vs {shift.shape}")
-    values, admissible = kl_stack(whitener(cov), shift[None])
+    whiten = whitener(cov)
+    if whiten is None:
+        # a singular base raises its own error; svd refuses a NaN entry
+        with contextlib.suppress(np.linalg.LinAlgError):
+            check_invertible(cov)
+        raise InadmissibleError("base covariance is not positive definite; KL is undefined")
+    values, admissible = kl_stack(whiten, shift[None])
     if not admissible[0]:
         raise InadmissibleError(
             "perturbed covariance is not positive definite, or the change is not finite; KL is undefined"
@@ -94,7 +103,7 @@ def kl(cov, shift) -> float:
 
 def kl_stack(whiten: np.ndarray | None, shifts: np.ndarray):
     """kl for a stack of symmetric changes (m, n, n) of one cov, given its
-    whitener (None where whitener raised): the KL values (NaN where
+    whitener (None where it has none): the KL values (NaN where
     inadmissible) and the admissible flags, by row. A change is inadmissible
     when it or its whitened form is not finite, and every row is when
     whiten is None; the other changes share one batched eigvalsh."""
@@ -130,7 +139,7 @@ def frobenius(cov, cov_new) -> float:
 
 
 def frobenius_mp(cov, plan: PerturbationPlan) -> float:
-    """frobenius of a plan's target P o cov, bitwise what evaluate reports."""
+    """frobenius of a plan's target P o cov, bitwise what measure reports."""
     return frobenius(cov, plan.apply(as_matrix(cov, "cov")))
 
 
@@ -147,33 +156,14 @@ def additive_shift(cov: np.ndarray, positions, deltas) -> np.ndarray:
     return shift
 
 
-@dataclass(frozen=True)
-class DivergenceReport:
-    """One scheme's divergence numbers at a single grid point."""
-
-    scheme: str
-    kl: float | None
-    frobenius: float
-    admissible: bool
-
-
-def evaluate(label: str, cov: np.ndarray, change) -> tuple[np.ndarray, DivergenceReport]:
-    """The perturbed covariance and its report, for a change that is either a
-    PerturbationPlan with product P (target P o cov, KL by kl_mp) or an
-    additive shift D (target cov + D, KL by kl_additive).
-
-    The point is admissible iff kl is defined there (see the module
-    docstring), and KL is reported exactly for admissible points.
-    """
-    if isinstance(change, PerturbationPlan):
-        target, kl_of = change.apply(cov), kl_mp
-    else:
-        target, kl_of = cov + change, kl_additive
-    frob = frobenius(cov, target)
-    try:
-        return target, DivergenceReport(label, kl_of(cov, change), frob, True)
-    except (InadmissibleError, SingularMatrixError):
-        return target, DivergenceReport(label, None, frob, False)
+def measure(cov: np.ndarray, whiten: np.ndarray | None, targets: np.ndarray, shifts: np.ndarray):
+    """Frobenius, KL and admissibility of every row of a stack of targets
+    (m, n, n) of cov and their changes from cov, shifts, given cov's
+    whitener (None where it has none): the sums of squared entrywise
+    differences, bitwise frobenius(cov, target) row by row, and kl_stack's
+    KL values (NaN where inadmissible) and admissible flags."""
+    frob = ((cov - targets) ** 2).reshape(len(targets), -1).sum(axis=1)
+    return (frob, *kl_stack(whiten, shifts))
 
 
 # (larger, smaller) Frobenius pairs implied by containment of the changed
@@ -185,13 +175,15 @@ FROBENIUS_ORDER = (
     ("row", "standard"),
     ("column", "standard"),
 )
+# the rows of the compare table, in order
+COMPARE_SCHEMES = ("total", "partial", "row", "column", "standard")
 
 
-def scheme_ordering(
-    cov, position: tuple[int, int], delta: float, stmt: CIStatement
-) -> tuple[DivergenceReport, ...]:
+def scheme_ordering(cov, position: tuple[int, int], delta: float, stmt: CIStatement):
     """Frobenius/KL for all four covariation schemes plus the matched
-    additive change d_ij = (delta - 1) s_ij at the same position.
+    additive change d_ij = (delta - 1) s_ij at the same position: measure's
+    columns (frobenius, kl, admissible), one row per COMPARE_SCHEMES entry,
+    KL NaN where a row is inadmissible.
 
     The Frobenius ordering total >= partial >= row, partial >= column,
     row >= standard, column >= standard holds by containment of the changed
@@ -200,22 +192,16 @@ def scheme_ordering(
     """
     cov = check_symmetric(as_matrix(cov, "cov"), "cov")
     variation = Variation(cov.shape[0], *position, delta)
-    kinds = ("total", "partial", "row", "column")
-    plans = [build_plan(variation, Scheme(kind, None, 0), (stmt,)) for kind in kinds]
+    kinds = COMPARE_SCHEMES[:-1]
+    products = np.stack([build_plan(variation, Scheme(kind, None, 0), (stmt,)).product for kind in kinds])
     shift = additive_shift(cov, (position,), (delta,))
-    targets = [plan.apply(cov) for plan in plans] + [cov + shift]
-    try:
-        whiten = whitener(cov)
-    except (InadmissibleError, SingularMatrixError):
-        whiten = None
-    values, admissible = kl_stack(whiten, np.stack([(plan.product - 1.0) * cov for plan in plans] + [shift]))
-    reports = {
-        kind: DivergenceReport(kind, float(value) if ok else None, frobenius(cov, target), bool(ok))
-        for kind, target, value, ok in zip((*kinds, "standard"), targets, values, admissible)
-    }
+    targets = np.concatenate([products * cov, (cov + shift)[None]])
+    shifts = np.concatenate([(products - 1.0) * cov, shift[None]])
+    frob, values, admissible = measure(cov, whitener(cov), targets, shifts)
 
-    slack = 1e-12 * max(1.0, reports["total"].frobenius)
+    size = dict(zip(COMPARE_SCHEMES, frob.tolist()))
+    slack = 1e-12 * max(1.0, size["total"])
     for big, small in FROBENIUS_ORDER:
-        if reports[big].frobenius < reports[small].frobenius - slack:
+        if size[big] < size[small] - slack:
             raise GsensError(f"Frobenius ordering violated: {big} < {small}")
-    return tuple(reports.values())
+    return frob, values, admissible

@@ -1,6 +1,6 @@
 """Dense symmetric-matrix kernel.
 
-Submatrices, minor enumeration, the reciprocal-condition rule, inverses and
+Blocks, minor enumeration, the reciprocal-condition rule, inverses and
 positive-semidefiniteness. Everything here is a pure function on dense arrays.
 """
 
@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -46,17 +46,6 @@ def check_symmetric(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def as_index_set(indices: Iterable[int], n: int, name: str = "index set") -> tuple[int, ...]:
-    """Validate indices against dimension n; returns a sorted tuple."""
-    idx = tuple(int(i) for i in indices)
-    if len(set(idx)) != len(idx):
-        raise ValueError(f"{name} contains duplicates: {idx}")
-    for i in idx:
-        if not 0 <= i < n:
-            raise IndexError(f"{name} index {i} out of range for dimension {n}")
-    return tuple(sorted(idx))
-
-
 @dataclass(frozen=True, eq=False)
 class Block:
     """A rectangular submatrix together with the original indices it came
@@ -72,15 +61,6 @@ class Block:
                 f"block values have shape {self.values.shape}, expected "
                 f"({len(self.rows)}, {len(self.cols)})"
             )
-
-
-def submatrix(m: np.ndarray, rows: Sequence[int], cols: Sequence[int]) -> Block:
-    """Block of m with the given (sorted) row and column indices."""
-    m = np.asarray(m, dtype=float)
-    n = m.shape[0]
-    r = as_index_set(rows, n, "row index set")
-    c = as_index_set(cols, m.shape[1], "column index set")
-    return Block(r, c, m[np.ix_(r, c)])
 
 
 @dataclass(frozen=True)

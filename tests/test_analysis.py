@@ -17,10 +17,12 @@ from gsens import (
     FactorError,
     GaussianDag,
     GsensError,
+    InadmissibleError,
     ModelFormatError,
     ModelPreconditionError,
     RegionSummary,
     Scheme,
+    SingularMatrixError,
     TolerancePolicy,
     Variation,
     admissible_region,
@@ -40,7 +42,7 @@ from gsens.analysis import Model, SweepTable, resolve_scheme
 from gsens import cimodel
 from gsens.cli import main
 from gsens.cimodel import require_model
-from gsens.divergence import additive_shift, evaluate
+from gsens.divergence import additive_shift, frobenius, kl_additive, kl_mp
 from gsens.fixtures import fixture_path
 from gsens.matcore import DEFAULT_TOL, iter_minors
 
@@ -655,9 +657,11 @@ class TestSweepConfig:
 
 def _per_row(model, positions, grids, schemes, tol):
     """The sweep by its definition: every row builds its own plan (or
-    additive change), evaluates it and re-checks the model on the target.
-    A row is (factors, scheme, kl, frobenius, admissible, preserving,
-    error), None standing for an absent value."""
+    additive change), measures it by the public definitions (frobenius of
+    the target, and kl_mp or kl_additive of the change, inadmissible where
+    that raises InadmissibleError or SingularMatrixError) and re-checks the
+    model on the target. A row is (factors, scheme, kl, frobenius,
+    admissible, preserving, error), None standing for an absent value."""
     require_model(model.covariance, model.statements, tol, model.names)
     cov, rows = model.covariance, []
     for deltas in itertools.product(*(sorted(g) for g in grids)):
@@ -665,19 +669,24 @@ def _per_row(model, positions, grids, schemes, tol):
             scheme = resolve_scheme(model, entry)
             label = "standard" if scheme is None else scheme.kind
             if scheme is None:
-                change = additive_shift(cov, positions, deltas)
+                shift = additive_shift(cov, positions, deltas)
+                target, kl_of = cov + shift, functools.partial(kl_additive, cov, shift)
             else:
                 # each position's plan in turn, composed: warnings and the first error in order
                 plans = (build_plan(Variation(model.n, i, j, d), scheme, model.statements)
                          for (i, j), d in zip(positions, deltas))
                 try:
-                    change = functools.reduce(compose, plans)
+                    plan = functools.reduce(compose, plans)
                 except GsensError as e:
                     rows.append((deltas, label, None, None, False, False, str(e)))
                     continue
-            target, report = evaluate(label, cov, change)
+                target, kl_of = plan.apply(cov), functools.partial(kl_mp, cov, plan)
+            try:
+                value, admissible = kl_of(), True
+            except (InadmissibleError, SingularMatrixError):
+                value, admissible = None, False
             holds = model_holds(target, model.statements, tol).holds
-            rows.append((deltas, label, report.kl, report.frobenius, report.admissible, holds, None))
+            rows.append((deltas, label, value, frobenius(cov, target), admissible, holds, None))
     return rows
 
 
@@ -948,8 +957,8 @@ class TestSweepEngine:
         dag = random_dag(rng, 12, edge_prob=0.3, beta_max=1.0)
         mean, cov = dag_to_gaussian(dag)
         model = Model(tuple(f"v{k}" for k in range(12)), mean, cov, dag_ci_statements(dag), dag)
-        base, decided, kl_calls = {}, {}, []
-        certify, decide, kl = cimodel._certify, analysis.decide_stack, analysis.kl_stack
+        base, decided, measured = {}, {}, []
+        certify, decide, measure = cimodel._certify, analysis.decide_stack, analysis.measure
 
         def counting_certify(covs, stmt):
             if any(np.array_equal(c, cov) for c in covs):
@@ -962,7 +971,7 @@ class TestSweepEngine:
 
         monkeypatch.setattr(cimodel, "_certify", counting_certify)
         monkeypatch.setattr(analysis, "decide_stack", counting_decide)
-        monkeypatch.setattr(analysis, "kl_stack", lambda *a: kl_calls.append(1) or kl(*a))
+        monkeypatch.setattr(analysis, "measure", lambda *a: measured.append(1) or measure(*a))
         # an edge's entry, so that no factor below leaves a target equal to the base
         i, j, _ = dag.edges[0]
         table = one_way_sweep(model, (j, i), [0.8, 1.2, 1.5])
@@ -971,7 +980,7 @@ class TestSweepEngine:
         given = [stmt for stmt in model.statements if stmt.given]
         assert base and set(base) <= set(given) and max(base.values()) == 1
         assert decided and max(decided.values()) == 1
-        assert len(kl_calls) == 1
+        assert len(measured) == 1
 
     @settings(max_examples=80, deadline=None)
     @given(

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import STMT5_A, random_dag, random_dag_with_statement
 from gsens import (
     DEFAULT_TOL,
+    Block,
     CIStatement,
     GaussianDag,
     GsensError,
@@ -22,9 +23,7 @@ from gsens import (
     dag_to_gaussian,
     iter_minors,
     model_holds,
-    nonempty_conditioning,
     statement_block,
-    submatrix,
 )
 from gsens import cimodel
 from gsens.cli import main
@@ -118,7 +117,7 @@ class TestModelHolds:
             statements = list(dag_ci_statements(dag))
             statements.append(CIStatement(left=(0,), right=(1,)))  # usually false
             full = model_holds(cov, statements)
-            reduced = model_holds(cov, nonempty_conditioning(statements))
+            reduced = model_holds(cov, [s for s in statements if s.given])
             marginals_ok = all(
                 ci_holds(cov, s).holds for s in statements if not s.given
             )
@@ -146,16 +145,35 @@ class TestModelHolds:
 
 
 class TestNonemptyConditioning:
+    """Without a statement index, a plan is built against the statements
+    with non-empty conditioning only: marginal statements are zeros of the
+    covariance and survive any entrywise scaling."""
+
+    @staticmethod
+    def _plan(n, position, statements):
+        return build_plan(Variation(n, *position, 1.5), Scheme("partial"), statements)
+
     def test_mixed(self):
         marginal = CIStatement(left=(0,), right=(1,))
         conditional = CIStatement(left=(2,), right=(3,), given=(4,))
-        assert nonempty_conditioning([marginal, conditional]) == (conditional,)
+        plan = self._plan(5, (3, 2), [marginal, conditional])
+        assert plan.product.tobytes() == self._plan(5, (3, 2), [conditional]).product.tobytes()
+        # the conditional statement's block rows {2,4} x cols {3,4}, and the mirror
+        assert sorted(map(tuple, np.argwhere(plan.product != 1.0).tolist())) == [
+            (2, 3), (2, 4), (3, 2), (3, 4), (4, 2), (4, 3), (4, 4)
+        ]
 
     def test_all_marginal(self):
-        assert nonempty_conditioning([CIStatement(left=(0,), right=(1,))]) == ()
+        plan = self._plan(2, (1, 0), [CIStatement(left=(0,), right=(1,))])
+        assert plan.steps[0][1] == Scheme("none")
+        assert plan.product.tolist() == [[1.0, 1.5], [1.5, 1.0]]
 
     def test_all_conditional_unchanged(self, stmt4):
-        assert nonempty_conditioning([stmt4, STMT5_A]) == (stmt4, STMT5_A)
+        plan = self._plan(4, (1, 0), [stmt4, STMT5_A])
+        # the union of both blocks, not stmt4's alone
+        assert plan.product.tobytes() != self._plan(4, (1, 0), [stmt4]).product.tobytes()
+        marginal = CIStatement(left=(0,), right=(3,))
+        assert plan.product.tobytes() == self._plan(4, (1, 0), [stmt4, marginal, STMT5_A]).product.tobytes()
 
 
 def minor_witness(cov, stmt, tol):
@@ -171,7 +189,7 @@ def _boundary_change(cov, stmt, rel, ratio):
     a, b = stmt.left[0], stmt.right[0]
     rows = tuple(sorted(stmt.given + (a,)))
     cols = tuple(sorted(stmt.given + (b,)))
-    minor = next(iter_minors(submatrix(cov, rows, cols), stmt.minor_order))
+    minor = next(iter_minors(Block(rows, cols, cov[np.ix_(rows, cols)]), stmt.minor_order))
     cofactor = abs(np.linalg.det(cov[np.ix_(stmt.given, stmt.given)]))
     t = (ratio * rel * max(1.0, minor.scale) + abs(minor.value)) / cofactor
     out = cov.copy()
@@ -372,7 +390,7 @@ class TestDecideStack:
             i, j = np.unravel_index(np.argmax(np.abs(r)), r.shape)
             rows = tuple(sorted(stmt.given + (stmt.left[i],)))
             cols = tuple(sorted(stmt.given + (stmt.right[j],)))
-            minor = next(iter_minors(submatrix(m, rows, cols), k))
+            minor = next(iter_minors(Block(rows, cols, m[np.ix_(rows, cols)]), k))
             assert np.float64(value).tobytes() == np.float64(minor.value).tobytes()
             assert np.float64(scale).tobytes() == np.float64(minor.scale).tobytes()
 

@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from gsens import (
     CIStatement,
     GsensError,
     InadmissibleError,
+    PerturbationPlan,
     Scheme,
     SingularMatrixError,
     Variation,
@@ -25,7 +27,8 @@ from gsens import (
     scheme_ordering,
 )
 from gsens import divergence
-from gsens.divergence import additive_shift, evaluate, frobenius_mp, kl_additive, kl_mp
+from gsens.analysis import Model
+from gsens.divergence import COMPARE_SCHEMES, additive_shift, frobenius_mp, kl_additive, kl_mp
 from gsens.fixtures import fixture_path
 from gsens.matcore import is_psd
 
@@ -52,6 +55,17 @@ def _random_spd(rng, n):
 
 def _plan_shift(cov, plan):
     return (plan.product - 1.0) * cov
+
+
+def _measure(cov, change):
+    """divergence.measure on a stack of one: (frobenius, kl, admissible) of
+    a plan (target P o cov) or of an additive shift D (target cov + D)."""
+    if isinstance(change, PerturbationPlan):
+        target, shift = change.apply(cov), _plan_shift(cov, change)
+    else:
+        target, shift = cov + change, change
+    (frob,), (value,), (admissible,) = divergence.measure(cov, divergence.whitener(cov), target[None], shift[None])
+    return float(frob), float(value), bool(admissible)
 
 
 class TestKl:
@@ -125,12 +139,12 @@ class TestKl:
             plans = (build_plan(Variation(n, i, j, d), Scheme(kind), statements) for (i, j), d in zip(positions, deltas))
             change = functools.reduce(compose, plans)
             shift = _plan_shift(cov, change)
-        _, report = evaluate(kind, cov, change)
+        _, value, admissible = _measure(cov, change)
         if all(d == 1.0 for d in deltas):
-            assert report.admissible and report.kl == 0.0
-        if report.admissible:
-            assert report.kl >= 0.0
-            assert (report.kl == 0.0) == (not shift.any())
+            assert admissible and value == 0.0
+        if admissible:
+            assert value >= 0.0
+            assert (value == 0.0) == (not shift.any())
 
     def test_identical_inputs_are_exactly_zero(self, sigma4):
         assert kl(sigma4, np.zeros((4, 4))) == 0.0
@@ -279,13 +293,13 @@ class TestKlTotalClosed:
         assert (value == 0.0) == (delta == 1.0)
 
     def test_agrees_with_general_form_across_dimensions(self, rng):
-        # the sweep path: a total plan on a random DAG of each size, through evaluate
+        # the sweep path: a total plan on a random DAG of each size, through measure
         for n in range(2, 7):
             _, cov = dag_to_gaussian(random_dag(rng, n))
             for delta in (0.5, 0.8, 1.25, 2.0):
                 plan = build_plan(Variation(n, n - 1, 0, delta), Scheme("total"), [])
                 closed = 0.5 * n * (delta - 1.0 - math.log(delta))
-                assert evaluate("total", cov, plan)[1].kl == pytest.approx(closed, rel=1e-12)
+                assert _measure(cov, plan)[1] == pytest.approx(closed, rel=1e-12)
 
     @pytest.mark.parametrize("name", ["synthetic4", "cachexia", "cachexia_control"])
     def test_total_closed_form_on_fixtures(self, name):
@@ -295,7 +309,7 @@ class TestKlTotalClosed:
         for delta in np.concatenate([np.logspace(-3, 3, 61), 1.0 + np.array(ORACLE_STEPS)]):
             v = Variation(model.n, 1, 0, float(delta))
             plan = build_plan(v, Scheme("total"), model.statements)
-            got = evaluate("total", model.covariance, plan)[1].kl
+            got = _measure(model.covariance, plan)[1]
             if delta == 1.0:
                 assert got == 0.0
                 continue
@@ -325,7 +339,7 @@ class TestFrobenius:
 
 
 class TestFrobeniusMp:
-    """frobenius_mp is frobenius(cov, P o cov), bitwise what evaluate reports."""
+    """frobenius_mp is frobenius(cov, P o cov), bitwise what measure reports."""
 
     def test_bitwise_equal_to_direct_form(self, rng, stmt4):
         for _ in range(20):
@@ -339,23 +353,37 @@ class TestFrobeniusMp:
         p2 = build_plan(Variation(5, 2, 1, 0.8), Scheme("none"), [])
         combined = compose(p1, p2)
         cov = np.eye(5) + 0.1 * np.ones((5, 5))
-        assert frobenius_mp(cov, combined) == evaluate("row", cov, combined)[1].frobenius
+        assert frobenius_mp(cov, combined) == _measure(cov, combined)[0]
+
+
+def _cell(value):
+    """A float as its bytes, so that -0.0 and 0.0 differ; NaN as None."""
+    return None if value != value else np.float64(value).tobytes()
+
+
+def _row(frob, value, admissible):
+    """A row's (frobenius, kl, admissible), floats as _cell gives them."""
+    return _cell(frob), _cell(value), bool(admissible)
+
+
+def _rows(columns):
+    """The rows of columns (frobenius, kl, admissible), as _row gives them."""
+    return [_row(*r) for r in zip(*columns)]
 
 
 class TestSchemeOrdering:
     def test_chain_on_toy_fixture(self, sigma4, stmt4):
-        reports = scheme_ordering(sigma4, (1, 0), 1.25, stmt4)
-        by_name = {r.scheme: r for r in reports}
-        f = {k: r.frobenius for k, r in by_name.items()}
+        frob, _, _ = scheme_ordering(sigma4, (1, 0), 1.25, stmt4)
+        assert COMPARE_SCHEMES == ("total", "partial", "row", "column", "standard")
+        f = dict(zip(COMPARE_SCHEMES, frob))
         assert f["total"] >= f["partial"] >= f["row"]
         assert f["partial"] >= f["column"]
         assert f["row"] >= f["standard"] and f["column"] >= f["standard"]
-        assert [r.scheme for r in reports] == ["total", "partial", "row", "column", "standard"]
 
     def test_unit_factor_degenerates_to_zero(self, sigma4, stmt4):
-        reports = scheme_ordering(sigma4, (1, 0), 1.0, stmt4)
-        assert all(r.frobenius == 0.0 for r in reports)
-        assert all(r.kl == 0.0 for r in reports)
+        frob, values, _ = scheme_ordering(sigma4, (1, 0), 1.0, stmt4)
+        assert (frob == 0.0).all()
+        assert (values == 0.0).all()
 
     def test_chain_on_random_instances(self, rng):
         done = 0
@@ -373,55 +401,64 @@ class TestSchemeOrdering:
             done += 1
 
     def test_kl_reported_only_when_admissible(self, sigma4, stmt4):
-        reports = scheme_ordering(sigma4, (1, 0), 1.25, stmt4)
-        for r in reports:
-            assert (r.kl is not None) == r.admissible
+        _, values, admissible = scheme_ordering(sigma4, (1, 0), 1.25, stmt4)
+        assert not admissible.all()
+        assert (np.isnan(values) == ~admissible).all()
 
     def test_ordering_violation_is_a_gsens_error(self, monkeypatch, sigma4, stmt4):
         # the check must survive python -O and reach the CLI as exit 1
-        real = divergence.frobenius
+        real = divergence.measure
 
-        def broken(cov, target):
-            return 0.0 if np.array_equal(target, 1.05 * cov) else real(cov, target)
+        def broken(*args):
+            frob, values, admissible = real(*args)
+            frob[0] = 0.0  # the total row
+            return frob, values, admissible
 
-        monkeypatch.setattr(divergence, "frobenius", broken)
+        monkeypatch.setattr(divergence, "measure", broken)
         with pytest.raises(GsensError, match="total < partial"):
             scheme_ordering(sigma4, (1, 0), 1.05, stmt4)
 
 
-def _bits(report):
-    """A report's kl, frobenius and admissible flag, floats as their bytes."""
-    kl_bits = None if report.kl is None else np.float64(report.kl).tobytes()
-    return kl_bits, np.float64(report.frobenius).tobytes(), report.admissible
-
-
 def _evaluated(cov, position, delta, stmt):
-    """evaluate's report for each compare row, one scheme at a time."""
+    """Each compare row by the public definitions, one scheme at a time: the
+    frobenius of its target and the kl_mp or kl_additive of its change,
+    which is inadmissible (KL NaN) where that raises InadmissibleError or
+    SingularMatrixError."""
     variation = Variation(cov.shape[0], *position, delta)
-    kinds = ("total", "partial", "row", "column")
-    changes = [build_plan(variation, Scheme(kind, None, 0), (stmt,)) for kind in kinds]
-    changes.append(additive_shift(cov, (position,), (delta,)))
-    return [evaluate(kind, cov, change)[1] for kind, change in zip((*kinds, "standard"), changes)]
+    rows = []
+    for kind in COMPARE_SCHEMES:
+        if kind == "standard":
+            shift = additive_shift(cov, (position,), (delta,))
+            target, kl_of = cov + shift, functools.partial(kl_additive, cov, shift)
+        else:
+            plan = build_plan(variation, Scheme(kind, None, 0), (stmt,))
+            target, kl_of = plan.apply(cov), functools.partial(kl_mp, cov, plan)
+        try:
+            value, admissible = kl_of(), True
+        except (InadmissibleError, SingularMatrixError):
+            value, admissible = math.nan, False
+        rows.append(_row(frobenius(cov, target), value, admissible))
+    return rows
 
 
 COMPARE_FACTORS = (1e-300, 0.9, 1.0, 1.1, 1e300)
 
 
 class TestStackedSchemeOrdering:
-    """scheme_ordering takes its five KL values from one whitener and one
-    kl_stack; each row must be bitwise what evaluate reports for it."""
+    """scheme_ordering takes its five rows from one whitener and one
+    measure; each row must be bitwise what the definitions give for it."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), delta=st.sampled_from(COMPARE_FACTORS) | st.floats(0.5, 2.0))
-    def test_rows_match_evaluate_bitwise(self, seed, delta):
+    def test_rows_match_the_definitions_bitwise(self, seed, delta):
         rng = np.random.default_rng(seed)
         cov, statements = random_dag_with_statement(rng)
         stmt = statements[int(rng.integers(len(statements)))]
         position = (int(rng.choice(stmt.block_rows)), int(rng.choice(stmt.block_cols)))
         with np.errstate(all="ignore"):
-            reports = scheme_ordering(cov, position, delta, stmt)
+            columns = scheme_ordering(cov, position, delta, stmt)
             expected = _evaluated(cov, position, delta, stmt)
-        assert [_bits(r) for r in reports] == [_bits(r) for r in expected]
+        assert _rows(columns) == expected
 
     @pytest.fixture
     def whitener_calls(self, monkeypatch):
@@ -433,17 +470,79 @@ class TestStackedSchemeOrdering:
     @pytest.mark.parametrize("delta", COMPARE_FACTORS)
     def test_one_whitener_per_call_at_each_factor(self, whitener_calls, sigma4, stmt4, delta):
         with np.errstate(all="ignore"):
-            reports = scheme_ordering(sigma4, (1, 0), delta, stmt4)
+            columns = scheme_ordering(sigma4, (1, 0), delta, stmt4)
             assert len(whitener_calls) == 1
             expected = _evaluated(sigma4, (1, 0), delta, stmt4)
-        assert [_bits(r) for r in reports] == [_bits(r) for r in expected]
+        assert _rows(columns) == expected
 
     def test_singular_base_makes_every_row_inadmissible(self, whitener_calls):
         # a _||_ c | b on a base whose first two variables are collinear
         cov = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         stmt = CIStatement(left=(0,), right=(2,), given=(1,))
-        reports = scheme_ordering(cov, (1, 0), 1.1, stmt)
+        frob, values, admissible = scheme_ordering(cov, (1, 0), 1.1, stmt)
         assert len(whitener_calls) == 1
-        assert not any(r.admissible for r in reports)
-        assert all(r.kl is None and r.frobenius > 0.0 for r in reports)
-        assert [_bits(r) for r in reports] == [_bits(r) for r in _evaluated(cov, (1, 0), 1.1, stmt)]
+        assert not admissible.any()
+        assert np.isnan(values).all() and (frob > 0.0).all()
+        assert _rows((frob, values, admissible)) == _evaluated(cov, (1, 0), 1.1, stmt)
+
+
+# the factors of the one-evaluator properties: a negative factor (which
+# total refuses), both ends of the float range and ordinary factors
+EVALUATOR_FACTORS = st.sampled_from([-0.5, 1e-300, 1e300]) | st.floats(0.5, 2.0)
+
+
+class TestOneEvaluator:
+    """Sweeps, the compare table and covary print measure's numbers: a plan's
+    measure is its sweep row, and the compare table is a one-point sweep
+    over the four plan kinds (against the model's one statement) and the
+    standard change, bit for bit, NaN for NaN and error for error."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["total", "partial", "row", "column", "none", "standard"]),
+        delta=EVALUATOR_FACTORS,
+    )
+    def test_a_single_row_measure_is_the_sweep_row(self, seed, kind, delta):
+        rng = np.random.default_rng(seed)
+        dag = random_dag(rng, int(rng.integers(2, 8)))
+        mean, cov = dag_to_gaussian(dag)
+        model = Model(tuple(f"v{k}" for k in range(dag.n)), mean, cov, dag_ci_statements(dag), dag)
+        position = tuple(int(k) for k in rng.integers(dag.n, size=2))
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            table = one_way_sweep(model, position, [delta], [kind])
+            if kind == "standard":
+                change = additive_shift(cov, (position,), (delta,))
+            else:
+                try:
+                    change = build_plan(Variation(dag.n, *position, delta), Scheme(kind), model.statements)
+                except GsensError as e:
+                    assert table.error == (str(e),)
+                    return
+            row = _row(*_measure(cov, change))
+        assert table.error == (None,)
+        assert row == _row(table.frobenius[0], table.kl[0], table.admissible[0])
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), delta=EVALUATOR_FACTORS)
+    def test_the_compare_table_is_a_one_point_sweep(self, seed, delta):
+        rng = np.random.default_rng(seed)
+        cov, statements = random_dag_with_statement(rng)
+        stmt = statements[int(rng.integers(len(statements)))]
+        n = cov.shape[0]
+        model = Model(tuple(f"v{k}" for k in range(n)), np.zeros(n), cov, (stmt,))
+        position = tuple(int(k) for k in rng.integers(n, size=2))
+        schemes = [{"kind": kind, "statement_index": 1} for kind in COMPARE_SCHEMES[:-1]] + ["standard"]
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            table = one_way_sweep(model, position, [delta], schemes)
+            assert table.scheme == COMPARE_SCHEMES
+            try:
+                columns = scheme_ordering(cov, position, delta, stmt)
+            except GsensError as e:
+                # the first scheme that fails to build, in table order
+                assert str(e) == next(error for error in table.error if error is not None)
+                return
+        assert table.error == (None,) * len(COMPARE_SCHEMES)
+        assert _rows(columns) == _rows((table.frobenius, table.kl, table.admissible))

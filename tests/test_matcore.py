@@ -3,39 +3,40 @@ import pytest
 
 from gsens import (
     Block,
+    CIStatement,
     Minor,
     SingularMatrixError,
     TolerancePolicy,
     inverse,
     iter_minors,
-    submatrix,
+    statement_block,
 )
 from gsens.matcore import check_symmetric, is_psd, minor_parts
 
 
+def _block(m, rows, cols):
+    """The Block of m on the given rows and columns."""
+    return Block(tuple(rows), tuple(cols), m[np.ix_(rows, cols)])
+
+
 class TestSubmatrix:
-    def test_statement_block(self, sigma4):
-        # rows {2,3} x cols {1,2}, 1-based
-        block = submatrix(sigma4, [1, 2], [0, 1])
+    """statement_block, the submatrix on rows A+C and columns B+C."""
+
+    def test_statement_block(self, sigma4, stmt4):
+        # Y3 _||_ Y1 | Y2: rows {2,3} x cols {1,2}, 1-based
+        block = statement_block(sigma4, stmt4)
         np.testing.assert_array_equal(block.values, [[2, 5], [2, 5]])
         assert block.rows == (1, 2) and block.cols == (0, 1)
 
-    def test_full_selection_is_identity(self, sigma4):
-        block = submatrix(sigma4, range(4), range(4))
-        np.testing.assert_array_equal(block.values, sigma4)
-
     def test_read_off_by_hand(self, sigma4):
-        # rows {2,4} x cols {1,3}: row 4 of the matrix is (7,17,19,63)
-        block = submatrix(sigma4, [1, 3], [0, 2])
+        # {Y2,Y4} _||_ {Y1,Y3}: rows {2,4} x cols {1,3}; row 4 of the matrix is (7,17,19,63)
+        block = statement_block(sigma4, CIStatement(left=(3, 1), right=(2, 0)))
         np.testing.assert_array_equal(block.values, [[2, 5], [7, 19]])
+        assert block.rows == (1, 3) and block.cols == (0, 2)
 
     def test_out_of_range(self, sigma4):
-        with pytest.raises(IndexError):
-            submatrix(sigma4, [1, 4], [0])
-
-    def test_duplicate_rejected(self, sigma4):
-        with pytest.raises(ValueError):
-            submatrix(sigma4, [1, 1], [0])
+        with pytest.raises(IndexError, match="statement index 5 out of range for dimension 4"):
+            statement_block(sigma4, CIStatement(left=(1,), right=(4,), given=(0,)))
 
 
 def minor_values(block, k):
@@ -47,7 +48,7 @@ class TestMinors:
         # block rows {2,4} x cols {1,3,4} of a random symmetric 4x4
         s = rng.uniform(-3, 3, size=(4, 4))
         s = (s + s.T) / 2
-        block = submatrix(s, [1, 3], [0, 2, 3])
+        block = _block(s, [1, 3], [0, 2, 3])
         got = minor_values(block, 2)
         expected = [
             s[1, 0] * s[3, 2] - s[3, 0] * s[1, 2],
@@ -57,11 +58,11 @@ class TestMinors:
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_order_one_minors_are_entries(self, sigma4):
-        block = submatrix(sigma4, [0, 2], [1, 3])
+        block = _block(sigma4, [0, 2], [1, 3])
         assert minor_values(block, 1) == [2.0, 7.0, 5.0, 19.0]
 
     def test_vanishing_minor_is_exactly_zero(self, sigma4):
-        block = submatrix(sigma4, [1, 2], [0, 1])
+        block = _block(sigma4, [1, 2], [0, 1])
         assert minor_values(block, 2) == [0.0]
 
     def test_rank_one_block_gives_zero_minors(self):
@@ -73,7 +74,7 @@ class TestMinors:
                 assert minor.value == pytest.approx(0.0, abs=1e-12)
 
     def test_minor_order_too_large(self, sigma4):
-        block = submatrix(sigma4, [0, 1], [2])
+        block = _block(sigma4, [0, 1], [2])
         with pytest.raises(ValueError):
             minor_values(block, 2)
 
@@ -85,7 +86,7 @@ class TestMinors:
         assert values.tolist() == [13.0, 13.0] and scales.tolist() == [15.0, 10.0]
 
     def test_minor_carries_original_indices(self, sigma4):
-        block = submatrix(sigma4, [1, 2], [0, 1])
+        block = _block(sigma4, [1, 2], [0, 1])
         (minor,) = iter_minors(block, 2)
         assert minor.rows == (1, 2) and minor.cols == (0, 1)
 

@@ -29,7 +29,10 @@ several slots (row three times, one with an explicit E, next to a column
 scheme with an explicit F), compare at 1e-300 and on a singular base with one statement (five
 inadmissible rows), covary under each way a plan's mask is made ("none",
 a position outside every block, total with a statement index, in range
-and out of range, a row fill on the diagonal), and usage errors (covary without --delta, sweep with
+and out of range, a row fill on the diagonal), point queries on a
+singular base (covary), with a refused total (compare at -1), at factor 0
+(compare and covary) and outside the statement's block (compare), and
+usage errors (covary without --delta, sweep with
 --tol nan, covary with --scheme bogus) and sweep --help placed between
 other jobs, so that each runner's next job reuses its parser after them.
 
@@ -153,6 +156,13 @@ EDGE_JOBS = [
     Job("covary", SYNTH, ("--pos", "Y2,Y1", "--delta", "1.1", "--scheme", "total", "--statement", "1")),
     Job("covary", SYNTH, ("--pos", "Y2,Y1", "--delta=-1", "--scheme", "total", "--statement", "2")),
     Job("covary", SYNTH, ("--pos", "Y2,Y2", "--delta=-1.1", "--scheme", "row")),
+    # point queries whose base has no whitener, whose plan is refused, whose
+    # factor is 0, and whose position lies outside the statement's block
+    Job("covary", "edge-singular-one.json", ("--pos", "b,a", "--delta", "1.1", "--scheme", "partial")),
+    Job("compare", SYNTH, ("--pos", "Y2,Y1", "--delta=-1")),
+    Job("compare", SYNTH, ("--pos", "Y2,Y1", "--delta", "0")),
+    Job("covary", SYNTH, ("--pos", "Y2,Y1", "--delta", "0")),
+    Job("compare", SYNTH, ("--pos", "Y4,Y1", "--delta", "1.1")),
 ]
 NUMPY_WARNING = re.compile(r"^warning: .* encountered in .*\n", re.MULTILINE)
 
