@@ -101,7 +101,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cimodel import CIStatement, decide_stack, model_holds, require_model
+from .cimodel import CIStatement, decide_pairs, model_holds, require_model, statement_table, transported
 from .covariation import Scheme, Variation, build_plan, check_product
 from .divergence import additive_shift, measure, whitener
 from .errors import FactorError, GsensError, ModelFormatError
@@ -487,24 +487,23 @@ def _masks(model: Model, positions, grids, variations, index, spec):
 
 
 def _checks(model: Model, masks: np.ndarray, plans: np.ndarray, live: np.ndarray, grid: np.ndarray, certs, tol):
-    """For every statement some mask touches: the statement, the schemes
-    (slots of masks, (schemes, positions, n, n)) whose masks touch its
-    block, and the rows, by row number, that its transported base
-    certificate proves hold. A scheme's masks scale whole rows of the block
-    where each one that touches it fills whole rows, else whole columns
-    where each fills whole columns; plans flags the schemes whose target is
-    P o Sigma, which the transport needs. Every statement is classified in
-    one pass, and only the bisection runs per statement."""
-    statements, width, n = model.statements, len(masks), model.n
-    rows_of, cols_of = np.zeros((2, len(statements), n))
-    for k, stmt in enumerate(statements):
-        rows_of[k, stmt.block_rows] = cols_of[k, stmt.block_cols] = 1.0
+    """For the statements some mask touches: their positions in the model's
+    statements, ks; which schemes (slots of masks, (schemes, positions, n,
+    n)) touch each one's block, (schemes, len(ks)); and which rows, by row
+    number, its transported base certificate proves hold, (rows, len(ks)).
+    A scheme's masks scale whole rows of the block where each one that
+    touches it fills whole rows, else whole columns where each fills whole
+    columns; plans flags the schemes whose target is P o Sigma, which the
+    transport needs. Every statement is classified, and every row's
+    certificate transported, in one pass over arrays."""
+    table = statement_table(model.statements, model.n)
+    rows_of, cols_of, width, n = table.rows_of, table.cols_of, len(masks), model.n
     # (schemes, positions, n, statements): the mask entries of each row in
     # the statement's block columns, and of each column in its block rows;
     # float64 counts are exact here and take BLAS
     flat = masks.astype(float)
-    across = (flat.reshape(-1, n) @ cols_of.T).reshape(*masks.shape[:3], len(statements))
-    down = (flat.swapaxes(2, 3).reshape(-1, n) @ rows_of.T).reshape(*masks.shape[:3], len(statements))
+    across = (flat.reshape(-1, n) @ cols_of.T).reshape(*masks.shape[:3], len(rows_of))
+    down = (flat.swapaxes(2, 3).reshape(-1, n) @ rows_of.T).reshape(*masks.shape[:3], len(rows_of))
     in_rows, in_cols = rows_of.T == 1.0, cols_of.T == 1.0
     on_rows, on_cols = (across > 0) & in_rows, (down > 0) & in_cols
     hit = on_rows.any(axis=2)
@@ -518,26 +517,22 @@ def _checks(model: Model, masks: np.ndarray, plans: np.ndarray, live: np.ndarray
     # table[point, u], multiplied in position order; d is the largest row
     # scale times the largest column scale
     slot, point = live % width, live // width
-    table = np.ones((len(grid), 1))
+    scales = np.ones((len(grid), 1))
     for p in range(grid.shape[1]):
-        table = np.concatenate([table, table * np.abs(grid[:, p, None])], axis=1)
+        scales = np.concatenate([scales, scales * np.abs(grid[:, p, None])], axis=1)
     bits = 1 << np.arange(grid.shape[1])[:, None, None]
-    subsets = np.arange(table.shape[1])
+    subsets = np.arange(scales.shape[1])
     largest = []
     for on, by, inside in ((on_rows, by_row, in_rows), (on_cols, by_col, in_cols)):
         code = ((on & by[:, :, None, :]) * bits).sum(axis=1)
         present = ((code[..., None] == subsets) & inside[..., None]).any(axis=1)
-        largest.append(np.where(present[slot], table[point, None, :], 0.0).max(axis=2))
-    scale = largest[0] * largest[1]
+        largest.append(np.where(present[slot], scales[point, None, :], 0.0).max(axis=2))
 
-    checks = []
-    for k in np.flatnonzero(touched.any(axis=0)).tolist():
-        certified = np.zeros(len(grid) * width, dtype=bool)
-        if certs[k] is not None:
-            at = whole[slot, k]
-            certified[live[at]] = certs[k].holds_scaled(scale[at, k], tol.rel)
-        checks.append((statements[k], touched[:, k], certified))
-    return checks
+    ks = np.flatnonzero(touched.any(axis=0))
+    certified = np.zeros((len(grid) * width, len(ks)), dtype=bool)
+    d = (largest[0] * largest[1])[:, ks]
+    certified[live] = whole[slot][:, ks] & transported([certs[k] for k in ks.tolist()], d, tol.rel)
+    return ks, touched[:, ks], certified
 
 
 def _replay(notes: list[list]) -> None:
@@ -583,7 +578,15 @@ def _sweep(model: Model, positions, grids, schemes, tol: TolerancePolicy) -> Swe
         masks = np.stack(masks)
         standard = np.array([spec is None for spec in specs])
         live = np.array([r for r, e in enumerate(errors) if e is None], dtype=int)
-        checks = _checks(model, masks, ~standard, live, grid, certs, tol)
+        ks, touched, certified = _checks(model, masks, ~standard, live, grid, certs, tol)
+        table = statement_table(model.statements, n)
+        # a grid point whose every factor is 1 leaves every scheme's target
+        # the base itself: T = D_r M D_c with D_r = D_c = I, so step 5
+        # applies with d = 1 whatever the scheme
+        unit = (grid == 1.0).all(axis=1)[:, None] & transported(
+            [certs[k] for k in ks.tolist()], np.ones((1, len(ks))), tol.rel
+        )
+        grouped = [members for g in range(len(table.groups)) if (members := np.flatnonzero(table.group[ks] == g)).size]
         for start in range(0, live.size, step):
             at = live[start : start + step]
             point, slot = np.divmod(at, width)
@@ -610,19 +613,21 @@ def _sweep(model: Model, positions, grids, schemes, tol: TolerancePolicy) -> Swe
             kls[at] = np.where(built, values, np.nan)
             admissible[at] = ok & built
 
-            holds = built.copy()
-            pending: list[list[CIStatement]] = [[] for _ in at]
-            for stmt, touched, certified in checks:
-                rows = np.flatnonzero(holds & touched[slot] & ~certified[at])
-                if not rows.size:
+            # the (row, statement) pairs the transport leaves open, one call
+            # per group of statements that share |C|, smallest first, each
+            # on the rows that hold so far
+            holds, open_ = built.copy(), touched[slot] & ~certified[at] & ~unit[point]
+            unsure = np.zeros_like(open_)
+            for members in grouped:
+                row, col = np.nonzero(holds[:, None] & open_[:, members])
+                if not row.size:
                     continue
-                verdict, decided = decide_stack(targets[rows], stmt, tol)
-                holds[rows[decided & ~verdict]] = False
-                for b in rows[~decided].tolist():
-                    pending[b].append(stmt)
-            for b, stmts in enumerate(pending):
-                if stmts and holds[b]:
-                    holds[b] = model_holds(targets[b], stmts, tol).holds
+                verdict, decided = decide_pairs(targets, table, row, ks[members[col]], tol)[:2]
+                holds[row[decided & ~verdict]] = False
+                unsure[row[~decided], members[col[~decided]]] = True
+            for b in np.flatnonzero(holds & unsure.any(axis=1)).tolist():
+                stmts = [model.statements[k] for k in ks[unsure[b]].tolist()]
+                holds[b] = model_holds(targets[b], stmts, tol).holds
             preserving[at] = holds
     _replay(notes)
     labels = ["standard" if spec is None else spec.kind for spec in specs]

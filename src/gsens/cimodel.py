@@ -83,17 +83,26 @@ Write A, B, C for left, right and given.
    more product, so the exact d is at most the computed one times
    (1 + gamma_3) when that is a normal double, and below the smallest
    normal double otherwise; d is taken as at least that, and s_T and mu_T
-   carry a (1 + gamma_12) pad for these roundings and their own. The
-   exact bound grows with d, and the computed one covers the exact one,
-   so one certified d certifies every smaller d: a sweep bisects its
-   sorted scales instead of testing each.
+   carry a (1 + gamma_12) pad for these roundings and their own.
+   transported evaluates this for every (row, statement) pair of a sweep
+   as one array expression per minor order.
 
-Steps 1-3 run on a stack of matrices at once (decide_stack): one batched
-svd, solve and matmul give every matrix's certificate, _certified is
-applied to each, and iter_minors evaluates the confirming minors of the
-matrices that share (a, b) as one stack. ci_holds and certificate are stacks
-of one, so this arithmetic exists once, and every minor the check evaluates
-comes from iter_minors.
+Steps 1-3 run on (matrix, statement) pairs, grouped by |C| (decide_pairs).
+A statement table, built once per statement tuple and dimension and
+memoised, holds each group's A+C and B+C index arrays, A and B padded to
+the group's widest by repeating their first index; a repeated row or
+column repeats entries already in the block, so it changes neither mu nor,
+but for rounding, s, and step 3 picks the first largest residual, never a
+repeat. Per group, one gather, one batched svd, solve and matmul give every
+pair's certificate, one _certified call decides them, and iter_minors
+evaluates the confirming minors of every pair the certificate leaves open
+as one stack of (|C|+1) x (|C|+1) blocks, rows and columns sorted.
+require_model and model_holds each make one such pass, and a sweep one per
+block and group; ci_holds, decide_stack and certificate are passes over one
+statement, so this arithmetic exists once, and every minor the check
+evaluates comes from iter_minors. Batched and padded, Y and s may differ
+from a statement's own solve in their last bits; step 2's proof holds for
+any computed Y, so every verdict is still the minor definition's.
 
 A failing statement's witness is the first non-vanishing minor in
 enumeration order. It is found by early-exit enumeration when it is first
@@ -102,11 +111,11 @@ read, so a verdict that is only tested for truth costs no enumeration.
 
 from __future__ import annotations
 
-import bisect
+import functools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
-import math
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -129,14 +138,17 @@ _TINY = float(np.finfo(float).tiny)
 
 @dataclass(frozen=True)
 class CIStatement:
-    """left ⫫ right | given, as disjoint 0-based index tuples. The hash is
-    computed once, at construction: memo keys that hold a model's
-    statements hash each of them on every lookup."""
+    """left ⫫ right | given, as disjoint 0-based index tuples. The hash and
+    the block's rows and columns are computed once, at construction: memo
+    keys that hold a model's statements hash each of them on every lookup,
+    and plans and statement tables read the block of each."""
 
     left: tuple[int, ...]
     right: tuple[int, ...]
     given: tuple[int, ...] = ()
     _hash: int = field(init=False, repr=False, compare=False)
+    block_rows: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    block_cols: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("left", "right", "given"):
@@ -152,17 +164,11 @@ class CIStatement:
         if len(set(all_idx)) != len(all_idx):
             raise ValueError("left, right and given must be pairwise disjoint")
         object.__setattr__(self, "_hash", hash((self.left, self.right, self.given)))
+        object.__setattr__(self, "block_rows", tuple(sorted(self.left + self.given)))
+        object.__setattr__(self, "block_cols", tuple(sorted(self.right + self.given)))
 
     def __hash__(self) -> int:
         return self._hash
-
-    @property
-    def block_rows(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.left) | set(self.given)))
-
-    @property
-    def block_cols(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.right) | set(self.given)))
 
     @property
     def minor_order(self) -> int:
@@ -184,17 +190,14 @@ class CIStatement:
 
 def statement_block(cov: np.ndarray, stmt: CIStatement) -> Block:
     """Submatrix of cov whose vanishing minors encode the statement."""
-    _check_dim(cov, stmt)
+    _check_dim(cov.shape[0], stmt)
     rows, cols = stmt.block_rows, stmt.block_cols
     return Block(rows, cols, cov[np.ix_(rows, cols)])
 
 
-def _check_dim(cov: np.ndarray, stmt: CIStatement):
-    if stmt.max_index >= cov.shape[0]:
-        raise IndexError(
-            f"statement index {stmt.max_index + 1} out of range for "
-            f"dimension {cov.shape[0]}"
-        )
+def _check_dim(n: int, stmt: CIStatement):
+    if stmt.max_index >= n:
+        raise IndexError(f"statement index {stmt.max_index + 1} out of range for dimension {n}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,24 +239,98 @@ class ModelCheck:
         return self.holds
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
+class _Group:
+    """The statements of a table that share |C| = order - 1, in table order.
+    rows holds each one's A, padded to the group's widest A by repeating
+    its first index, then its C; cols its B, padded likewise, then its C.
+    width is (widest A, widest B), and flat holds each block's entries as
+    indices into a flattened n x n matrix."""
+
+    order: int
+    width: tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+    flat: np.ndarray
+
+
+class _Part(NamedTuple):
+    """Pairs of one group for _decide: their positions in the pair list,
+    their statements' slots in the group, their matrices, and their blocks'
+    entries as indices into the flattened stack of matrices."""
+
+    group: _Group
+    pairs: np.ndarray
+    slot: np.ndarray
+    at: np.ndarray
+    index: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class StatementTable:
+    """A statement tuple arranged for decide_pairs: its groups by |C|, each
+    statement's group and slot within it, its block rows and columns as 0/1
+    indicators (statements, n), and every statement on one matrix as the
+    parts of _decide. Every array is read-only."""
+
+    groups: tuple[_Group, ...]
+    group: np.ndarray
+    slot: np.ndarray
+    rows_of: np.ndarray
+    cols_of: np.ndarray
+    every: tuple[_Part, ...]
+
+
+@functools.lru_cache(maxsize=64)
+def statement_table(statements: tuple[CIStatement, ...], n: int) -> StatementTable:
+    """The table of a statement tuple on n variables, memoised; an
+    IndexError names the first statement out of range."""
+    for stmt in statements:
+        _check_dim(n, stmt)
+    sizes = sorted({len(stmt.given) for stmt in statements})
+    group, slot = np.zeros(len(statements), dtype=np.intp), np.zeros(len(statements), dtype=np.intp)
+    groups, every = [], []
+    for g, size in enumerate(sizes):
+        members = np.array([k for k, stmt in enumerate(statements) if len(stmt.given) == size])
+        group[members], slot[members] = g, np.arange(len(members))
+        stmts = [statements[k] for k in members.tolist()]
+        wa, wb = max(len(s.left) for s in stmts), max(len(s.right) for s in stmts)
+        rows = np.array([s.left + s.left[:1] * (wa - len(s.left)) + s.given for s in stmts], dtype=np.intp)
+        cols = np.array([s.right + s.right[:1] * (wb - len(s.right)) + s.given for s in stmts], dtype=np.intp)
+        flat = rows[:, :, None] * n + cols[:, None, :]
+        groups.append(_Group(size + 1, (wa, wb), *map(_read_only, (rows, cols, flat))))
+        every.append(_Part(groups[-1], *map(_read_only, (members, slot[members], 0 * members, flat))))
+    rows_of, cols_of = np.zeros((2, len(statements), n))
+    for k, stmt in enumerate(statements):
+        rows_of[k, stmt.block_rows] = cols_of[k, stmt.block_cols] = 1.0
+    return StatementTable(tuple(groups), *map(_read_only, (group, slot, rows_of, cols_of)), tuple(every))
+
+
 def _gamma(n: int) -> float:
     """Bound on the relative error of n roundings, n u / (1 - n u)."""
     return n * _U / (1 - n * _U)
 
 
-def _bound(k: int, sigma: float, nu: float) -> float:
-    """The lemma's bound on a k x k determinant, padded for rounding."""
+def _bound(k: int, sigma, nu):
+    """The lemma's bound on a k x k determinant, padded for rounding,
+    elementwise (inf where it overflows)."""
     pad = 1 + 1000 * k * (k + 2) * _U
-    try:
-        return pad * k ** ((k + 2) / 2) * sigma * (nu + sigma) ** (k - 1) + _TINY
-    except OverflowError:  # float ** raises where float * gives inf
-        return math.inf
+    return pad * k ** ((k + 2) / 2) * sigma * np.power(nu + sigma, k - 1) + _TINY
 
 
-def _certified(k: int, s: float, mu: float, rel: float) -> bool:
-    """True when every computed k-minor provably passes the tolerance."""
+def _certified(k: int, s, mu, rel: float):
+    """True where every computed k-minor provably passes the tolerance,
+    elementwise over s and mu (floats or arrays). Callers turn numpy's
+    floating-point warnings off."""
     if k <= 3:
-        return math.factorial(k) * _gamma(3 * k) <= rel / 2 and _bound(k, s, mu) <= rel / 2
+        if math.factorial(k) * _gamma(3 * k) > rel / 2:
+            return np.zeros(np.shape(s), dtype=bool)
+        return _bound(k, s, mu) <= rel / 2
     d = _gamma(k) * 2**k * mu
     return _bound(k, s + d, mu + d) <= rel
 
@@ -271,108 +348,131 @@ class Certificate:
     s: float
     mu: float
 
-    def holds_scaled(self, d: np.ndarray, rel: float) -> np.ndarray:
-        """Step 5 for a stack of scalings D_r M D_c, given as their d =
-        max|D_r| max|D_c| (each diagonal entry a factor product rounded at
-        most once): True where the scaled block is certified."""
-        d = np.maximum(d, _TINY)
-        scales = sorted(set(d.tolist()))
-        lift = _TINY * (1 + self.mu)
 
-        def fails(x) -> bool:
-            x = float(x) * (1 + _gamma(3))
-            s = x * (self.s + _gamma(2) * self.mu) * _TRANSPORT_PAD + lift
-            mu = x * self.mu * (1 + _gamma(2)) * _TRANSPORT_PAD + lift
-            return not _certified(self.order, s, mu, rel)
-
-        cut = bisect.bisect_left(scales, True, key=fails)
-        return d <= scales[cut - 1] if cut else np.zeros(len(d), dtype=bool)
-
-
-def marginal_holds(covs: np.ndarray, stmt: CIStatement, tol: TolerancePolicy) -> np.ndarray:
-    """Step 1 on a matrix or a stack of them (..., n, n): the verdict of a
-    statement with empty C on each."""
-    v = np.abs(covs.take(stmt.left, axis=-2).take(stmt.right, axis=-1))
-    return (v <= tol.rel * np.maximum(1.0, v)).all(axis=(-2, -1))
+def transported(certs: Sequence[Certificate | None], d: np.ndarray, rel: float) -> np.ndarray:
+    """Step 5 for a table of scalings D_r M D_c, row i's of statement j given
+    as d[i, j] = max|D_r| max|D_c| (each diagonal entry a factor product
+    rounded at most once): True where certs[j] (None: no certificate)
+    certifies the scaled block. Callers turn numpy's floating-point
+    warnings off."""
+    out = np.zeros(d.shape, dtype=bool)
+    known = [j for j, c in enumerate(certs) if c is not None]
+    if not known:
+        return out
+    order, s, mu = np.array([(certs[j].order, certs[j].s, certs[j].mu) for j in known]).T
+    lift = _TINY * (1 + mu)
+    x = np.maximum(d[:, known], _TINY) * (1 + _gamma(3))
+    s_t = x * (s + _gamma(2) * mu) * _TRANSPORT_PAD + lift
+    mu_t = x * mu * (1 + _gamma(2)) * _TRANSPORT_PAD + lift
+    known = np.array(known)
+    for k in set(order.tolist()):
+        at = order == k
+        out[:, known[at]] = _certified(int(k), s_t[:, at], mu_t[:, at], rel)
+    return out
 
 
-def _certify(covs: np.ndarray, stmt: CIStatement):
-    """Step 2 on a stack of matrices (m, n, n) for a statement with non-empty
-    C: the indices of the matrices whose block is finite and whose Sigma_CC
-    passes the RCOND_LIMIT rule, and their s (not finite where the bound is
-    not), mu and computed residuals Sigma_AB - Sigma_AC Y. Callers turn
-    numpy's floating-point warnings off."""
-    a, b, c = stmt.left, stmt.right, stmt.given
-    na, nb = len(a), len(b)
-    # the statement blocks with rows A then C and columns B then C
-    blocks = covs.take(a + c, axis=-2).take(b + c, axis=-1)
+def _certify(blocks: np.ndarray, width: tuple[int, int]):
+    """Step 2 on a group's gathered blocks (m, wa + c, wb + c), rows A then
+    C and columns B then C with c > 0: the indices of the blocks that are
+    finite and whose Sigma_CC passes the RCOND_LIMIT rule, and their s (not
+    finite where the bound is not), mu and computed residuals Sigma_AB -
+    Sigma_AC Y (padded rows and columns included). Callers turn numpy's
+    floating-point warnings off."""
+    wa, wb = width
     size = np.abs(blocks)
     mu = size.max(axis=(1, 2))
     live = np.isfinite(mu).nonzero()[0]
-    live = live[rcond(blocks[:, na:, nb:].take(live, axis=0)) >= RCOND_LIMIT]
-    blocks, size = blocks.take(live, axis=0), size.take(live, axis=0)
-    y = np.linalg.solve(blocks[:, na:, nb:], blocks[:, na:, :nb])
-    residual = blocks[:, :, :nb] - blocks[:, :, nb:] @ y
-    allowance = _gamma(2 * len(c) + 4) * (size[:, :, :nb] + size[:, :, nb:] @ np.abs(y))
+    live = live[rcond(blocks[live, wa:, wb:]) >= RCOND_LIMIT]
+    if len(live) < len(blocks):
+        blocks, size = blocks[live], size[live]
+    y = np.linalg.solve(blocks[:, wa:, wb:], blocks[:, wa:, :wb])
+    residual = blocks[:, :, :wb] - blocks[:, :, wb:] @ y
+    allowance = _gamma(2 * (blocks.shape[1] - wa) + 4) * (size[:, :, :wb] + size[:, :, wb:] @ np.abs(y))
     s = (np.abs(residual) + allowance).max(axis=(1, 2))
-    return live, s, mu.take(live), residual[:, :na]
+    return live, s, mu[live], residual[:, :wa]
 
 
-def certificate(cov: np.ndarray, stmt: CIStatement, step2=None) -> Certificate | None:
-    """Step 2's certificate of a statement with non-empty C on cov, or None
-    when Sigma_CC fails the RCOND_LIMIT rule or a bound is not finite;
-    step2 is _certify's (live, s, mu) on cov[None] where already computed."""
-    if step2 is None:
-        with np.errstate(all="ignore"):
-            step2 = _certify(cov[None], stmt)[:3]
-    live, s, mu = step2
-    if not (live.size and math.isfinite(s[0])):
-        return None
-    return Certificate(stmt.minor_order, float(s[0]), float(mu[0]))
+def _confirm(covs: np.ndarray, group: _Group, slot: np.ndarray, at: np.ndarray, residual: np.ndarray):
+    """Step 3 on pairs of one group, statement group slot[p] on matrix
+    covs[at[p]]: the value and scale, from iter_minors, of the minor on rows
+    {a}+C and columns {b}+C, (a, b) the largest entry of the pair's
+    |residual| (m, wa, wb), the first in row-major order (so a padded row or
+    column, a repeat of one before it, is never chosen over it). The pairs'
+    minors go to iter_minors as one stack of blocks, whose indices are
+    positions: each pair's own rows and columns, sorted, are gathered here."""
+    m, wa, wb = residual.shape
+    k = group.order
+    rows, cols = group.rows[slot], group.cols[slot]
+    a, b = np.divmod(np.abs(residual).reshape(m, -1).argmax(axis=1), wb)
+    pair = np.arange(m)
+    rows = np.sort(np.concatenate((rows[:, wa:], rows[pair, a, None]), axis=1), axis=1)
+    cols = np.sort(np.concatenate((cols[:, wb:], cols[pair, b, None]), axis=1), axis=1)
+    block = Block(tuple(range(k)), tuple(range(k)), covs[at[:, None, None], rows[:, :, None], cols[:, None, :]])
+    minors = list(iter_minors(block, k))
+    return np.array([minor.value for minor in minors]), np.array([minor.scale for minor in minors])
 
 
 def _confirming_minors(covs: np.ndarray, stmt: CIStatement, residual: np.ndarray):
-    """Step 3's minor of every matrix of a stack (m, n, n): the value and
-    scale, from iter_minors, of the minor on rows {a}+C and columns {b}+C,
-    (a, b) the largest entry of the matrix's |residual|. Matrices that share
-    (a, b) go to iter_minors as one stack of blocks."""
-    m, _, nb = residual.shape
-    pick = np.abs(residual).reshape(m, -1).argmax(axis=1)
-    value, scale = np.empty(m), np.empty(m)
-    for p in set(pick.tolist()):
-        at = np.flatnonzero(pick == p)
-        rows = tuple(sorted(stmt.given + (stmt.left[p // nb],)))
-        cols = tuple(sorted(stmt.given + (stmt.right[p % nb],)))
-        block = Block(rows, cols, covs.take(at, axis=0).take(rows, axis=1).take(cols, axis=2))
-        minors = list(iter_minors(block, stmt.minor_order))
-        value[at] = [minor.value for minor in minors]
-        scale[at] = [minor.scale for minor in minors]
-    return value, scale
+    """_confirm on every matrix of a stack (m, n, n) for one statement."""
+    m = len(covs)
+    group = statement_table((stmt,), covs.shape[-1]).groups[0]
+    return _confirm(covs, group, np.zeros(m, dtype=np.intp), np.arange(m), residual)
+
+
+def decide_pairs(covs: np.ndarray, table: StatementTable, at: np.ndarray, which: np.ndarray, tol: TolerancePolicy):
+    """Steps 1-3 of the module docstring on the pairs (matrix covs[at[p]],
+    statement which[p] of the table) of a stack (m, n, n), one pass per
+    group: each pair's verdict, whether those steps decided it (the verdict
+    reads False where they did not), and step 2's s and mu (NaN where step 2
+    gives no bound: an empty C, a non-finite block or a Sigma_CC that fails
+    the RCOND_LIMIT rule)."""
+    size = covs.shape[-1] ** 2
+    group_of = table.group[which]
+    parts = []
+    for g, group in enumerate(table.groups):
+        pairs = (group_of == g).nonzero()[0]
+        if pairs.size:
+            slot, mats = table.slot[which[pairs]], at[pairs]
+            parts.append(_Part(group, pairs, slot, mats, (mats * size)[:, None, None] + group.flat[slot]))
+    return _decide(covs, parts, len(at), tol)
+
+
+def _decide(covs: np.ndarray, parts, count: int, tol: TolerancePolicy):
+    """decide_pairs's result for count pairs given as parts."""
+    holds, decided = np.zeros(count, dtype=bool), np.zeros(count, dtype=bool)
+    bounds = np.full((2, count), np.nan)
+    with np.errstate(all="ignore"):
+        for group, pairs, slot, at, index in parts:
+            blocks = covs.take(index)
+            if group.order == 1:
+                v = np.abs(blocks)
+                holds[pairs] = (v <= tol.rel * np.maximum(1.0, v)).all(axis=(1, 2))
+                decided[pairs] = True
+                continue
+            live, s, mu, residual = _certify(blocks, group.width)
+            certified = _certified(group.order, s, mu, tol.rel)
+            sure = pairs[live]
+            bounds[0, sure], bounds[1, sure] = s, mu
+            proved = sure[certified]
+            holds[proved] = decided[proved] = True
+            if not certified.all():
+                unsure = ~certified
+                value, scale = _confirm(covs, group, slot[live[unsure]], at[live[unsure]], residual[unsure])
+                decided[sure[unsure]] = ~tol.vanishes(value, scale)
+    return holds, decided, bounds[0], bounds[1]
+
+
+def _every(cov: np.ndarray, statements: tuple[CIStatement, ...], tol: TolerancePolicy):
+    """decide_pairs on cov and every statement."""
+    return _decide(cov[None], statement_table(statements, len(cov)).every, len(statements), tol)
 
 
 def decide_stack(covs: np.ndarray, stmt: CIStatement, tol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
-    """Steps 1-3 of the module docstring on a stack of matrices (m, n, n):
-    each matrix's verdict, and whether those steps decided it (the verdict
-    reads False where they did not)."""
-    return _steps(covs, stmt, tol)[:2]
-
-
-def _steps(covs: np.ndarray, stmt: CIStatement, tol: TolerancePolicy):
-    """decide_stack's result and step 2's (live, s, mu) (None for an empty C)."""
-    if not stmt.given:
-        return marginal_holds(covs, stmt, tol), np.ones(len(covs), dtype=bool), None
-    with np.errstate(all="ignore"):
-        live, s, mu, residual = _certify(covs, stmt)
-        k = stmt.minor_order
-        certified = np.array([_certified(k, x, y, tol.rel) for x, y in zip(s.tolist(), mu.tolist())], dtype=bool)
-        holds = np.zeros(len(covs), dtype=bool)
-        holds[live[certified]] = True
-        decided = holds.copy()
-        confirm = live[~certified]
-        if confirm.size:
-            value, scale = _confirming_minors(covs.take(confirm, axis=0), stmt, residual[~certified])
-            decided[confirm] = ~tol.vanishes(value, scale)
-    return holds, decided, (live, s, mu)
+    """decide_pairs's verdicts on every matrix of a stack (m, n, n) for one
+    statement."""
+    m = len(covs)
+    table = statement_table((stmt,), covs.shape[-1])
+    return decide_pairs(covs, table, np.arange(m), np.zeros(m, dtype=np.intp), tol)[:2]
 
 
 def _first_witness(cov: np.ndarray, stmt: CIStatement, tol: TolerancePolicy) -> Minor | None:
@@ -382,32 +482,47 @@ def _first_witness(cov: np.ndarray, stmt: CIStatement, tol: TolerancePolicy) -> 
     return None
 
 
-def _decide(cov: np.ndarray, stmt: CIStatement, tol: TolerancePolicy) -> bool | None:
-    """The verdict when steps 1-3 of the module docstring decide it, else None."""
-    holds, decided = decide_stack(cov[None], stmt, tol)
-    return bool(holds[0]) if decided[0] else None
-
-
-def _check(cov: np.ndarray, stmt: CIStatement, tol: TolerancePolicy) -> CICheck:
-    _check_dim(cov, stmt)
-    holds = _decide(cov, stmt, tol)
-    if holds is None:
-        witness = _first_witness(cov, stmt, tol)
-        return CICheck(witness is None, lambda: witness)
-    return CICheck(holds, lambda: _first_witness(cov, stmt, tol))
+def _checks(cov: np.ndarray, statements: tuple[CIStatement, ...], tol: TolerancePolicy) -> tuple[CICheck, ...]:
+    """Every statement's CICheck, from one decide_pairs pass; a statement it
+    leaves undecided enumerates its minors now."""
+    if not statements:
+        return ()
+    holds, decided = _every(cov, statements, tol)[:2]
+    checks = []
+    for stmt, h, d in zip(statements, holds.tolist(), decided.tolist()):
+        if d:
+            checks.append(CICheck(h, functools.partial(_first_witness, cov, stmt, tol)))
+        else:
+            witness = _first_witness(cov, stmt, tol)
+            checks.append(CICheck(witness is None, lambda found=witness: found))
+    return tuple(checks)
 
 
 def ci_holds(cov, stmt: CIStatement, tol: TolerancePolicy = DEFAULT_TOL) -> CICheck:
     """Check one statement (see the module docstring for how)."""
-    return _check(check_symmetric(as_matrix(cov)), stmt, tol)
+    return _checks(check_symmetric(as_matrix(cov)), (stmt,), tol)[0]
 
 
 def model_holds(
     cov, statements: Sequence[CIStatement], tol: TolerancePolicy = DEFAULT_TOL
 ) -> ModelCheck:
-    """ci_holds for every statement, with cov validated once."""
-    cov = check_symmetric(as_matrix(cov))
-    return ModelCheck(tuple(_check(cov, stmt, tol) for stmt in statements))
+    """ci_holds for every statement, with cov validated once and steps 1-3
+    run on all of them in one grouped pass."""
+    return ModelCheck(_checks(check_symmetric(as_matrix(cov)), tuple(statements), tol))
+
+
+def _certificates(statements, s: np.ndarray, mu: np.ndarray) -> tuple[Certificate | None, ...]:
+    return tuple(
+        Certificate(stmt.minor_order, x, y) if math.isfinite(x) else None
+        for stmt, x, y in zip(statements, s.tolist(), mu.tolist())
+    )
+
+
+def certificate(cov, stmt: CIStatement) -> Certificate | None:
+    """Step 2's certificate of a statement on cov, or None for an empty C,
+    or where Sigma_CC fails the RCOND_LIMIT rule or a bound is not finite."""
+    _, _, s, mu = _every(as_matrix(cov), (stmt,), DEFAULT_TOL)
+    return _certificates((stmt,), s, mu)[0]
 
 
 def require_model(
@@ -415,22 +530,21 @@ def require_model(
 ) -> tuple[Certificate | None, ...]:
     """Raise ModelPreconditionError unless cov satisfies every statement, so
     that "the input was never in the model" is not reported as "the
-    perturbation broke the model". Returns each statement's base
-    certificate (None for an empty C or where certificate gives none). Each
-    statement runs steps 1-3 once, as ci_holds does, and the certificate
-    comes from that same step 2: the precondition and a sweep's transport
-    of the certificates to its rows (step 5) share it."""
+    perturbation broke the model"; the first failing statement is named.
+    Returns each statement's base certificate (None for an empty C or where
+    step 2 gives none). One decide_pairs pass over every statement decides
+    the precondition and gives the certificates, so the precondition and a
+    sweep's transport of them to its rows (step 5) share it."""
     cov = check_symmetric(as_matrix(cov))
-    for stmt in statements:
-        _check_dim(cov, stmt)
-    certs = []
-    for k, stmt in enumerate(statements):
-        holds, decided, step2 = _steps(cov[None], stmt, tol)
-        certs.append(None if step2 is None else certificate(cov, stmt, step2))
-        witness = None if holds[0] else _first_witness(cov, stmt, tol)
-        if decided[0] and not holds[0] or witness is not None:
+    statements = tuple(statements)
+    if not statements:
+        return ()
+    holds, decided, s, mu = _every(cov, statements, tol)
+    for k in np.flatnonzero(~holds).tolist():
+        witness = _first_witness(cov, statements[k], tol)
+        if decided[k] or witness is not None:
             raise ModelPreconditionError(
                 f"covariance does not satisfy the model: statement {k + 1} "
                 f"fails with {witness.describe(names)}"
             )
-    return tuple(certs)
+    return _certificates(statements, s, mu)

@@ -32,7 +32,7 @@ from .analysis import (
     sweep_config,
     two_way_sweep,
 )
-from .cimodel import ci_holds, require_model
+from .cimodel import model_holds, require_model
 from .conditioning import Evidence, condition
 from .covariation import Variation, build_plan, verify_preserving
 from .divergence import COMPARE_SCHEMES, measure, scheme_ordering, whitener
@@ -82,16 +82,14 @@ def _cmd_check(args) -> int:
     if not model.statements:
         print("no conditional-independence statements to check")
         return EXIT_OK
-    ok = True
-    for k, stmt in enumerate(model.statements):
-        res = ci_holds(model.covariance, stmt, args.tol)
+    verdicts = model_holds(model.covariance, model.statements, args.tol)
+    for stmt, res in zip(model.statements, verdicts.checks):
         label = stmt.describe(model.names)
         if res.holds:
             print(f"ok    {label}")
         else:
-            ok = False
             print(f"FAIL  {label}  witness {res.witness.describe(model.names)}")
-    return EXIT_OK if ok else EXIT_INVALID
+    return EXIT_OK if verdicts.holds else EXIT_INVALID
 
 
 def _cmd_build_cov(args) -> int:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import bisect
+import math
+
 import numpy as np
 import pytest
 
-from gsens import CIStatement, GaussianDag, dag_ci_statements, dag_to_gaussian
+from gsens import CIStatement, GaussianDag, dag_ci_statements, dag_to_gaussian, iter_minors, statement_block
 
 # Four-variable toy network: chain 1->2->3 plus a child 4 of everyone.
 SIGMA4 = np.array(
@@ -115,11 +118,69 @@ def model5(rng: np.random.Generator) -> np.ndarray:
     return cov
 
 
+_U = float(np.finfo(float).eps) / 2
+_TINY = float(np.finfo(float).tiny)
+
+
+def _gamma(n: int) -> float:
+    return n * _U / (1 - n * _U)
+
+
+def certified_scalar(k: int, s: float, mu: float, rel: float, nudge: int = 0) -> bool:
+    """cimodel._certified on one (k, s, mu), in Python floats: True when
+    every computed k-minor provably passes the tolerance. nudge = +-1 moves
+    the bound's power one float up or down, to tell the cases that the last
+    bit of a pow decides."""
+
+    def bound(sigma, nu):
+        pad = 1 + 1000 * k * (k + 2) * _U
+        try:
+            power = (nu + sigma) ** (k - 1)
+        except OverflowError:  # float ** raises where float * gives inf
+            power = math.inf
+        if nudge:
+            power = math.nextafter(power, nudge * math.inf)
+        return pad * k ** ((k + 2) / 2) * sigma * power + _TINY
+
+    if k <= 3:
+        return math.factorial(k) * _gamma(3 * k) <= rel / 2 and bound(s, mu) <= rel / 2
+    d = _gamma(k) * 2**k * mu
+    return bound(s + d, mu + d) <= rel
+
+
+def transported_bisection(cert, d: np.ndarray, rel: float) -> np.ndarray:
+    """Step 5 of cimodel for one certificate and a stack of scales d, by
+    bisection over the sorted distinct scales: the rounded predicate is
+    monotone in d, so the certified scales are a prefix."""
+    d = np.maximum(d, _TINY)
+    scales = sorted(set(d.tolist()))
+    lift = _TINY * (1 + cert.mu)
+    pad = 1 + _gamma(12)
+
+    def fails(x) -> bool:
+        x = float(x) * (1 + _gamma(3))
+        s = x * (cert.s + _gamma(2) * cert.mu) * pad + lift
+        mu = x * cert.mu * (1 + _gamma(2)) * pad + lift
+        return not certified_scalar(cert.order, s, mu, rel)
+
+    cut = bisect.bisect_left(scales, True, key=fails)
+    return d <= scales[cut - 1] if cut else np.zeros(len(d), dtype=bool)
+
+
+def minor_witness(cov, stmt, tol):
+    """Reference verdict: the definition itself, every minor enumerated by
+    iter_minors. Returns the first non-vanishing minor, or None when the
+    statement holds."""
+    block = statement_block(np.asarray(cov, dtype=float), stmt)
+    return next((m for m in iter_minors(block, stmt.minor_order) if not tol.minor_is_zero(m)), None)
+
+
 def checks_per_statement(model, masks, plans, live, grid, certs, tol):
     """analysis._checks statement by statement: each statement's block is
-    cut out of the masks and classified on its own, and its transport scale
-    is the largest row scale times the largest column scale, each a product
-    of the row's |delta_p| taken in position order."""
+    cut out of the masks and classified on its own, its transport scale is
+    the largest row scale times the largest column scale, each a product of
+    the row's |delta_p| taken in position order, and its certificate is
+    transported by bisection. A list of (statement, touched, certified)."""
 
     def scales(members, factors):
         out = np.ones((len(factors), members.shape[2]))
@@ -146,6 +207,7 @@ def checks_per_statement(model, masks, plans, live, grid, certs, tol):
             factors = np.abs(grid[point])
             row_scales = scales(on_rows[slot] & by_row[slot, :, None], factors)
             col_scales = scales(on_cols[slot] & by_col[slot, :, None], factors)
-            certified[rows] = cert.holds_scaled(row_scales.max(axis=1) * col_scales.max(axis=1), tol.rel)
+            d = row_scales.max(axis=1) * col_scales.max(axis=1)
+            certified[rows] = transported_bisection(cert, d, tol.rel)
         checks.append((stmt, touched, certified))
     return checks

@@ -734,39 +734,31 @@ def assert_matches_definition(model, positions, grids, schemes, tol=DEFAULT_TOL)
 
 
 def assert_transport_matches_the_oracle(model, positions, grids, schemes) -> int:
-    """Sweep, and compare every _checks result with the per-statement
-    oracle on the same arguments: the same statements, bitwise the same
-    touched and certified arrays, and bitwise the same scales d passed to
-    each certificate's bisection. Returns the number of certified rows."""
-    results, scales = [], []
+    """Sweep, and compare the _checks result with the per-statement oracle
+    on the same arguments: the same statements, and bitwise the same touched
+    and certified arrays, the oracle's certified rows found by bisecting
+    each certificate's scales. Returns the number of certified rows."""
+    results = []
 
     def both(*args):
-        scales.append([])
         got = checks(*args)
-        scales.append([])
         results.append((got, checks_per_statement(*args)))
         return got
 
-    def recording(cert, d, rel):
-        scales[-1].append((cert, d.tobytes()))
-        return holds_scaled(cert, d, rel)
-
-    checks, holds_scaled = analysis._checks, cimodel.Certificate.holds_scaled
+    checks = analysis._checks
     with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
         patch.setattr(analysis, "_checks", both)
-        patch.setattr(cimodel.Certificate, "holds_scaled", recording)
         warnings.simplefilter("ignore")
         if len(positions) == 1:
             one_way_sweep(model, positions[0], grids[0], schemes)
         else:
             two_way_sweep(model, positions, grids[0], grids[1], schemes)
-    ((got, want),) = results
-    assert scales[0] == scales[1]
-    assert [stmt for stmt, _, _ in got] == [stmt for stmt, _, _ in want]
-    for (_, touched, certified), (_, touched_want, certified_want) in zip(got, want):
-        assert touched.tobytes() == touched_want.tobytes()
-        assert certified.tobytes() == certified_want.tobytes()
-    return sum(int(certified.sum()) for _, _, certified in got)
+    (((ks, touched, certified), want),) = results
+    assert [model.statements[k] for k in ks.tolist()] == [stmt for stmt, _, _ in want]
+    for j, (_, touched_want, certified_want) in enumerate(want):
+        assert touched[:, j].tobytes() == touched_want.tobytes()
+        assert certified[:, j].tobytes() == certified_want.tobytes()
+    return int(certified.sum())
 
 
 FACTORS = st.sampled_from([-2.0, -0.5, 1e-300, 1e-160, 0.3, 1.0, 1.7, 1e160, 1e300]) | st.floats(0.5, 1.5)
@@ -957,29 +949,42 @@ class TestSweepEngine:
         dag = random_dag(rng, 12, edge_prob=0.3, beta_max=1.0)
         mean, cov = dag_to_gaussian(dag)
         model = Model(tuple(f"v{k}" for k in range(12)), mean, cov, dag_ci_statements(dag), dag)
-        base, decided, measured = {}, {}, []
-        certify, decide, measure = cimodel._certify, analysis.decide_stack, analysis.measure
+        base, decisions, measured, inside = [], [], [], []
+        certify, decide, measure = cimodel._certify, analysis.decide_pairs, analysis.measure
+        require, table = analysis.require_model, cimodel.statement_table(model.statements, model.n)
 
-        def counting_certify(covs, stmt):
-            if any(np.array_equal(c, cov) for c in covs):
-                base[stmt] = base.get(stmt, 0) + 1
-            return certify(covs, stmt)
+        def counting_require(*args):
+            inside.append(1)
+            try:
+                return require(*args)
+            finally:
+                inside.pop()
 
-        def counting_decide(covs, stmt, tol):
-            decided[stmt] = decided.get(stmt, 0) + 1
-            return decide(covs, stmt, tol)
+        def counting_certify(blocks, width):
+            if inside:  # step 2 on the base, by |C|
+                base.append(blocks.shape[1] - width[0])
+            return certify(blocks, width)
+
+        def counting_decide(covs, table, at, which, tol):
+            decisions.append(sorted({int(g) for g in table.group[which]}))
+            return decide(covs, table, at, which, tol)
 
         monkeypatch.setattr(cimodel, "_certify", counting_certify)
-        monkeypatch.setattr(analysis, "decide_stack", counting_decide)
+        monkeypatch.setattr(analysis, "require_model", counting_require)
+        monkeypatch.setattr(analysis, "decide_pairs", counting_decide)
         monkeypatch.setattr(analysis, "measure", lambda *a: measured.append(1) or measure(*a))
         # an edge's entry, so that no factor below leaves a target equal to the base
         i, j, _ = dag.edges[0]
-        table = one_way_sweep(model, (j, i), [0.8, 1.2, 1.5])
+        table_rows = one_way_sweep(model, (j, i), [0.8, 1.2, 1.5])
         # 5 schemes x 3 factors = 15 rows of 12 x 12 matrices fit one block
-        assert len(table) == 15 <= analysis.BLOCK_ENTRIES // 12**2
-        given = [stmt for stmt in model.statements if stmt.given]
-        assert base and set(base) <= set(given) and max(base.values()) == 1
-        assert decided and max(decided.values()) == 1
+        assert len(table_rows) == 15 <= analysis.BLOCK_ENTRIES // 12**2
+        # the base's step 2 runs once per group of statements that share a
+        # non-empty C, on all of them at once
+        sizes = sorted({len(stmt.given) for stmt in model.statements if stmt.given})
+        assert sorted(base) == sizes and len(table.groups) >= 3
+        # the one block decides each group at most once, one group a call
+        assert decisions and all(len(groups) == 1 for groups in decisions)
+        assert len({groups[0] for groups in decisions}) == len(decisions)
         assert len(measured) == 1
 
     @settings(max_examples=80, deadline=None)

@@ -4,10 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import STMT5_A, random_dag, random_dag_with_statement
+from conftest import STMT5_A, certified_scalar, minor_witness, random_dag, random_dag_with_statement
 from gsens import (
     DEFAULT_TOL,
     Block,
@@ -27,6 +27,7 @@ from gsens import (
 )
 from gsens import cimodel
 from gsens.cli import main
+from gsens.errors import ModelPreconditionError
 
 
 class TestCIStatement:
@@ -43,6 +44,17 @@ class TestCIStatement:
         assert a == b and hash(a) == hash(b) == hash(dataclasses.replace(b))
         assert {a: 1}[b] == 1 and a != CIStatement(left=(1, 3), right=(0,))
         assert "_hash" not in repr(a)
+
+    def test_block_is_computed_once_and_changes_nothing_else(self):
+        s = CIStatement(left=(3, 1), right=(0,), given=(2,))
+        # read twice, the same tuples: computed at construction, not per access
+        assert s.block_rows is s.block_rows and s.block_cols is s.block_cols
+        assert (s.block_rows, s.block_cols) == ((1, 2, 3), (0, 2))
+        other = CIStatement(left=(1, 3), right=(0,), given=(2,))
+        assert s == other and hash(s) == hash(other) == hash(((1, 3), (0,), (2,)))
+        assert repr(s) == "CIStatement(left=(1, 3), right=(0,), given=(2,))"
+        assert s.describe() == "{2,4} _||_ {1} | {3}"
+        assert dataclasses.replace(s, given=()).block_rows == (1, 3)
 
     def test_overlap_rejected(self):
         with pytest.raises(ValueError):
@@ -129,20 +141,31 @@ class TestModelHolds:
         dag = random_dag(np.random.default_rng(0), 12, edge_prob=0.3, beta_max=1.0)
         _, cov = dag_to_gaussian(dag)
         statements = dag_ci_statements(dag)
-        expected = [cimodel.certificate(cov, s) if s.given else None for s in statements]
+        alone = [cimodel.certificate(cov, s) for s in statements]
         assert any(
-            c is not None and not cimodel._certified(c.order, c.s, c.mu, DEFAULT_TOL.rel) for c in expected
+            c is not None and not cimodel._certified(c.order, c.s, c.mu, DEFAULT_TOL.rel) for c in alone
         )
         calls, certify = [], cimodel._certify
-        monkeypatch.setattr(cimodel, "_certify", lambda covs, stmt: calls.append(stmt) or certify(covs, stmt))
+
+        def counting(blocks, width):
+            calls.append((blocks.shape[1] - width[0], len(blocks)))
+            return certify(blocks, width)
+
+        monkeypatch.setattr(cimodel, "_certify", counting)
         certs = cimodel.require_model(cov, statements, DEFAULT_TOL, None)
-        assert calls == [s for s in statements if s.given]
-
-        def fields(c):
-            return None if c is None else (c.order, c.s, c.mu)
-
-        assert [fields(c) for c in certs] == [fields(c) for c in expected]
-
+        # step 2 runs once per group of statements that share a non-empty C,
+        # on all of them at once
+        sizes = sorted({len(s.given) for s in statements if s.given})
+        assert calls == [(c, sum(len(s.given) == c for s in statements)) for c in sizes] and len(calls) > 1
+        # each certificate is its statement's own: the same order and mu, and
+        # an s that differs from the statement's own solve in rounding only
+        assert [c is None for c in certs] == [c is None for c in alone]
+        for c, own in zip(certs, alone):
+            if c is not None:
+                assert (c.order, c.mu) == (own.order, own.mu)
+                # s sums a residual and its rounding allowance, both formed
+                # afresh by the group's solve, so it may move by rounding
+                assert c.s == pytest.approx(own.s, rel=0.25)
 
 class TestNonemptyConditioning:
     """Without a statement index, a plan is built against the statements
@@ -174,13 +197,6 @@ class TestNonemptyConditioning:
         assert plan.product.tobytes() != self._plan(4, (1, 0), [stmt4]).product.tobytes()
         marginal = CIStatement(left=(0,), right=(3,))
         assert plan.product.tobytes() == self._plan(4, (1, 0), [stmt4, marginal, STMT5_A]).product.tobytes()
-
-
-def minor_witness(cov, stmt, tol):
-    """Reference verdict: the definition itself, every minor enumerated.
-    Returns the first non-vanishing minor, or None when the statement holds."""
-    block = statement_block(np.asarray(cov, dtype=float), stmt)
-    return next((m for m in iter_minors(block, stmt.minor_order) if not tol.minor_is_zero(m)), None)
 
 
 def _boundary_change(cov, stmt, rel, ratio):
@@ -393,6 +409,106 @@ class TestDecideStack:
             minor = next(iter_minors(Block(rows, cols, m[np.ix_(rows, cols)]), k))
             assert np.float64(value).tobytes() == np.float64(minor.value).tobytes()
             assert np.float64(scale).tobytes() == np.float64(minor.scale).tobytes()
+
+
+def _grouped_case(rng):
+    """A stack of matrices and statements for the grouped evaluator: a
+    random DAG's local Markov statements with |C| <= 5 (and each with its
+    sides swapped, so A has several variables), random statements with
+    |C| = 0...5 that mostly fail, on the DAG's covariance with its variables
+    rescaled by 10^U(-3, 3); then copies with a NaN entry, an inf entry and
+    one variable an exact copy of another, so that every Sigma_CC holding
+    both is exactly singular."""
+    n = int(rng.integers(6, 10))
+    dag = random_dag(rng, n, edge_prob=float(rng.uniform(0.3, 0.7)), beta_max=1.5)
+    _, cov = dag_to_gaussian(dag)
+    scale = 10.0 ** rng.uniform(-3, 3, size=n)
+    cov = cov * np.outer(scale, scale)
+    held = [s for s in dag_ci_statements(dag) if len(s.given) <= 5 and len(s.right) <= 4]
+    statements = held + [CIStatement(s.right, s.left, s.given) for s in held[:3]]
+    for size in rng.permutation(6).tolist():
+        perm = rng.permutation(n).tolist()
+        if size + 2 <= n:
+            na = int(rng.integers(1, 3)) if size + 3 <= n else 1
+            nb = 1 + int(size + na + 1 < n and rng.random() < 0.5)
+            statements.append(CIStatement(perm[:na], perm[na : na + nb], perm[na + nb : na + nb + size]))
+    i, j = rng.choice(n, size=2, replace=False).tolist()
+    nan, inf, copy = cov.copy(), cov.copy(), cov.copy()
+    nan[i, j] = nan[j, i] = np.nan
+    inf[i, i] = np.inf
+    copy[j, :], copy[:, j] = copy[i, :], copy[:, i]
+    copy[j, j] = copy[i, i]
+    return np.stack([cov, nan, inf, copy]), statements
+
+
+class TestGroupedEvaluator:
+    """One pass per |C| group over any (matrix, statement) pairs gives the
+    per-statement minor definition's verdicts wherever it decides, and the
+    checks built on it give them everywhere."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), rel=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]))
+    def test_verdicts_match_the_per_statement_definition(self, seed, rel):
+        rng = np.random.default_rng(seed)
+        stack, statements = _grouped_case(rng)
+        tol = TolerancePolicy(rel)
+        table = cimodel.statement_table(tuple(statements), stack.shape[-1])
+        # every pair, in a shuffled order, and some pairs twice
+        at, which = np.divmod(rng.permutation(len(stack) * len(statements)), len(statements))
+        at, which = np.concatenate([at, at[:5]]), np.concatenate([which, which[:5]])
+        with np.errstate(all="ignore"):
+            expected = [[minor_witness(m, s, tol) for s in statements] for m in stack]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                holds, decided, s, mu = cimodel.decide_pairs(stack, table, at, which, tol)
+            for a, w, h, d in zip(at.tolist(), which.tolist(), holds.tolist(), decided.tolist()):
+                if d:
+                    assert h == (expected[a][w] is None), (a, statements[w])
+                else:
+                    assert not h
+            # step 2 gives bounds only on finite blocks with a non-empty C
+            assert not np.isfinite(s[[not statements[w].given for w in which.tolist()]]).any()
+            for m, want in zip(stack, expected):
+                checks = model_holds(m, statements, tol).checks
+                assert [c.holds for c in checks] == [w is None for w in want]
+                assert [repr(c.witness) for c in checks] == [repr(w) for w in want]  # NaN values
+                failing = next((k for k, w in enumerate(want) if w is not None), None)
+                if failing is None:
+                    certs = cimodel.require_model(m, statements, tol, None)
+                    assert all(c is None for c, stmt in zip(certs, statements) if not stmt.given)
+                else:
+                    with pytest.raises(ModelPreconditionError, match=f"statement {failing + 1} fails with "):
+                        cimodel.require_model(m, statements, tol, None)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        k=st.integers(1, 9),
+        values=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0)
+                | st.sampled_from([float("nan"), float("inf")])
+                | st.integers(-320, 308).map(lambda e: 10.0**e),
+                st.floats(min_value=0.0)
+                | st.sampled_from([float("nan"), float("inf")])
+                | st.integers(-320, 308).map(lambda e: 10.0**e),
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+        rel=st.sampled_from([0.0, 1e-300, 1e-12, 1e-9, 1e-6, 1.0, 1e300]) | st.floats(0.0, 1.0),
+    )
+    @example(k=4, values=[(1e200, 1e200), (0.0, 1e308), (1e-300, 1.7e308), (float("nan"), 1.0)], rel=1e-9)
+    def test_vectorised_certified_is_the_scalar_one(self, k, values, rel):
+        # numpy's pow and the C library's may round the bound's power
+        # differently in its last bit; wherever one float of that power does
+        # not decide the scalar verdict, the two agree
+        s, mu = np.array(values, dtype=float).T
+        with np.errstate(all="ignore"):
+            got = cimodel._certified(k, s, mu, rel).tolist()
+        for (a, b), verdict in zip(values, got):
+            want = certified_scalar(k, a, b, rel)
+            if certified_scalar(k, a, b, rel, -1) == certified_scalar(k, a, b, rel, 1):
+                assert verdict == want, (k, a, b, rel)
 
 
 def _scaled_dag_model(n: int, seed: int) -> dict:
