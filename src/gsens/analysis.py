@@ -67,22 +67,27 @@ one divergence.measure, with Sigma factored once per sweep and one batched
 eigvalsh per block. emit formats each distinct factor, flag, scheme label
 and error once per column.
 
-Preservation is decided per statement, for all schemes at once, from how
-each scheme's masks meet its block. One array pass classifies every
-statement: two float64 matmuls with the statements' block-row and
-block-column indicators count, per statement, scheme, position and row or
-column, the mask entries inside the block, and:
+Preservation is decided for every statement and scheme at once, from how
+each scheme's masks meet each statement's block. One array pass classifies
+every statement: two float64 matmuls with the block-row and block-column
+indicators of the model's statement table (cimodel.statement_table) count,
+per statement, scheme, position and row or column, the mask entries inside
+the block, and:
 - untouched: the block is bitwise the base's, which holds (require_model);
-- a statement with empty C: the exact 1 x 1 rule over the grid;
 - whole rows or columns scaled, T = D_r M D_c: the base certificate that
-  require_model returns, transported (cimodel, step 5) by one bisection
-  over the scales d of every such scheme's rows, each read from a table
-  of the products of |delta| over the subsets of the positions;
-- anything else, and any row the transport does not certify: steps 1-3 of
-  cimodel on the stack of every scheme's unsure rows of the block at once
-  (one decide_stack per statement and block), and only a row they leave
-  undecided goes to model_holds on its target (a NaN mirrored by a NaN
-  counts as symmetric there, so a block that holds a NaN fails).
+  require_model returns, transported (cimodel, step 5) to every such row
+  and statement by one array expression over their scales d, each read
+  from a table of the products of |delta| over the subsets of the
+  positions; a grid point whose every factor is 1 leaves every scheme's
+  target the base itself, D_r = D_c = I, so its rows take the base
+  certificates with d = 1;
+- anything else, a statement with empty C included, and any row the
+  transport does not certify: steps 1-3 of cimodel on every open (row,
+  statement) pair of the block, one decide_pairs call per group of
+  statements that share |C|, smallest first, each on the rows that still
+  hold; only a row they leave undecided goes to model_holds on its target
+  (a NaN mirrored by a NaN counts as symmetric there, so a block that holds
+  a NaN fails).
 Every verdict is therefore the minor definition's. Warnings, construction
 errors and the row order are those of building every row's plan in turn;
 numpy's floating-point warnings are off while a sweep evaluates, as in the

@@ -152,10 +152,10 @@ class CIStatement:
 
     def __post_init__(self):
         for name in ("left", "right", "given"):
-            vals = tuple(sorted(int(i) for i in getattr(self, name)))
+            vals = tuple(sorted(map(int, getattr(self, name))))
             if len(set(vals)) != len(vals):
                 raise ValueError(f"{name} contains duplicate indices")
-            if any(i < 0 for i in vals):
+            if vals and vals[0] < 0:
                 raise ValueError(f"{name} contains negative indices")
             object.__setattr__(self, name, vals)
         if not self.left or not self.right:
@@ -320,7 +320,7 @@ def _bound(k: int, sigma, nu):
     """The lemma's bound on a k x k determinant, padded for rounding,
     elementwise (inf where it overflows)."""
     pad = 1 + 1000 * k * (k + 2) * _U
-    return pad * k ** ((k + 2) / 2) * sigma * np.power(nu + sigma, k - 1) + _TINY
+    return pad * k ** ((k + 2) / 2) * sigma * np.power(nu + sigma, k - 1.0) + _TINY
 
 
 def _certified(k: int, s, mu, rel: float):
@@ -382,14 +382,16 @@ def _certify(blocks: np.ndarray, width: tuple[int, int]):
     size = np.abs(blocks)
     mu = size.max(axis=(1, 2))
     live = np.isfinite(mu).nonzero()[0]
-    live = live[rcond(blocks[live, wa:, wb:]) >= RCOND_LIMIT]
     if len(live) < len(blocks):
-        blocks, size = blocks[live], size[live]
+        blocks, size, mu = blocks[live], size[live], mu[live]
+    kept = rcond(blocks[:, wa:, wb:]) >= RCOND_LIMIT
+    if not kept.all():
+        live, blocks, size, mu = live[kept], blocks[kept], size[kept], mu[kept]
     y = np.linalg.solve(blocks[:, wa:, wb:], blocks[:, wa:, :wb])
     residual = blocks[:, :, :wb] - blocks[:, :, wb:] @ y
     allowance = _gamma(2 * (blocks.shape[1] - wa) + 4) * (size[:, :, :wb] + size[:, :, wb:] @ np.abs(y))
     s = (np.abs(residual) + allowance).max(axis=(1, 2))
-    return live, s, mu[live], residual[:, :wa]
+    return live, s, mu, residual[:, :wa]
 
 
 def _confirm(covs: np.ndarray, group: _Group, slot: np.ndarray, at: np.ndarray, residual: np.ndarray):
@@ -434,36 +436,41 @@ def decide_pairs(covs: np.ndarray, table: StatementTable, at: np.ndarray, which:
         if pairs.size:
             slot, mats = table.slot[which[pairs]], at[pairs]
             parts.append(_Part(group, pairs, slot, mats, (mats * size)[:, None, None] + group.flat[slot]))
-    return _decide(covs, parts, len(at), tol)
+    verdict, bounds = _decide(covs, parts, len(at), tol)
+    return verdict == _HOLDS, verdict != _OPEN, bounds[0], bounds[1]
+
+
+# A pair's verdict in _decide: steps 1-3 prove it holds, confirm it fails, or
+# leave it open.
+_HOLDS, _FAILS, _OPEN = 1, 0, -1
 
 
 def _decide(covs: np.ndarray, parts, count: int, tol: TolerancePolicy):
-    """decide_pairs's result for count pairs given as parts."""
-    holds, decided = np.zeros(count, dtype=bool), np.zeros(count, dtype=bool)
+    """The verdict (_HOLDS, _FAILS or _OPEN) of count pairs given as parts,
+    and their step 2 bounds (2, count), s and mu."""
+    verdict = np.full(count, _OPEN, dtype=np.int8)
     bounds = np.full((2, count), np.nan)
     with np.errstate(all="ignore"):
         for group, pairs, slot, at, index in parts:
             blocks = covs.take(index)
             if group.order == 1:
                 v = np.abs(blocks)
-                holds[pairs] = (v <= tol.rel * np.maximum(1.0, v)).all(axis=(1, 2))
-                decided[pairs] = True
+                verdict[pairs] = (v <= tol.rel * np.maximum(1.0, v)).all(axis=(1, 2))
                 continue
             live, s, mu, residual = _certify(blocks, group.width)
             certified = _certified(group.order, s, mu, tol.rel)
             sure = pairs[live]
             bounds[0, sure], bounds[1, sure] = s, mu
-            proved = sure[certified]
-            holds[proved] = decided[proved] = True
+            verdict[sure[certified]] = _HOLDS
             if not certified.all():
                 unsure = ~certified
                 value, scale = _confirm(covs, group, slot[live[unsure]], at[live[unsure]], residual[unsure])
-                decided[sure[unsure]] = ~tol.vanishes(value, scale)
-    return holds, decided, bounds[0], bounds[1]
+                verdict[sure[unsure]] = np.where(tol.vanishes(value, scale), _OPEN, _FAILS)
+    return verdict, bounds
 
 
 def _every(cov: np.ndarray, statements: tuple[CIStatement, ...], tol: TolerancePolicy):
-    """decide_pairs on cov and every statement."""
+    """_decide on cov and every statement."""
     return _decide(cov[None], statement_table(statements, len(cov)).every, len(statements), tol)
 
 
@@ -482,16 +489,15 @@ def _first_witness(cov: np.ndarray, stmt: CIStatement, tol: TolerancePolicy) -> 
     return None
 
 
-def _checks(cov: np.ndarray, statements: tuple[CIStatement, ...], tol: TolerancePolicy) -> tuple[CICheck, ...]:
-    """Every statement's CICheck, from one decide_pairs pass; a statement it
-    leaves undecided enumerates its minors now."""
+def _verdicts(cov: np.ndarray, statements: tuple[CIStatement, ...], tol: TolerancePolicy) -> tuple[CICheck, ...]:
+    """Every statement's CICheck, from one _decide pass; a statement it
+    leaves open enumerates its minors now."""
     if not statements:
         return ()
-    holds, decided = _every(cov, statements, tol)[:2]
     checks = []
-    for stmt, h, d in zip(statements, holds.tolist(), decided.tolist()):
-        if d:
-            checks.append(CICheck(h, functools.partial(_first_witness, cov, stmt, tol)))
+    for stmt, verdict in zip(statements, _every(cov, statements, tol)[0].tolist()):
+        if verdict != _OPEN:
+            checks.append(CICheck(verdict == _HOLDS, functools.partial(_first_witness, cov, stmt, tol)))
         else:
             witness = _first_witness(cov, stmt, tol)
             checks.append(CICheck(witness is None, lambda found=witness: found))
@@ -500,7 +506,7 @@ def _checks(cov: np.ndarray, statements: tuple[CIStatement, ...], tol: Tolerance
 
 def ci_holds(cov, stmt: CIStatement, tol: TolerancePolicy = DEFAULT_TOL) -> CICheck:
     """Check one statement (see the module docstring for how)."""
-    return _checks(check_symmetric(as_matrix(cov)), (stmt,), tol)[0]
+    return _verdicts(check_symmetric(as_matrix(cov)), (stmt,), tol)[0]
 
 
 def model_holds(
@@ -508,7 +514,7 @@ def model_holds(
 ) -> ModelCheck:
     """ci_holds for every statement, with cov validated once and steps 1-3
     run on all of them in one grouped pass."""
-    return ModelCheck(_checks(check_symmetric(as_matrix(cov)), tuple(statements), tol))
+    return ModelCheck(_verdicts(check_symmetric(as_matrix(cov)), tuple(statements), tol))
 
 
 def _certificates(statements, s: np.ndarray, mu: np.ndarray) -> tuple[Certificate | None, ...]:
@@ -521,7 +527,7 @@ def _certificates(statements, s: np.ndarray, mu: np.ndarray) -> tuple[Certificat
 def certificate(cov, stmt: CIStatement) -> Certificate | None:
     """Step 2's certificate of a statement on cov, or None for an empty C,
     or where Sigma_CC fails the RCOND_LIMIT rule or a bound is not finite."""
-    _, _, s, mu = _every(as_matrix(cov), (stmt,), DEFAULT_TOL)
+    _, (s, mu) = _every(as_matrix(cov), (stmt,), DEFAULT_TOL)
     return _certificates((stmt,), s, mu)[0]
 
 
@@ -532,17 +538,17 @@ def require_model(
     that "the input was never in the model" is not reported as "the
     perturbation broke the model"; the first failing statement is named.
     Returns each statement's base certificate (None for an empty C or where
-    step 2 gives none). One decide_pairs pass over every statement decides
+    step 2 gives none). One _decide pass over every statement decides
     the precondition and gives the certificates, so the precondition and a
     sweep's transport of them to its rows (step 5) share it."""
     cov = check_symmetric(as_matrix(cov))
     statements = tuple(statements)
     if not statements:
         return ()
-    holds, decided, s, mu = _every(cov, statements, tol)
-    for k in np.flatnonzero(~holds).tolist():
+    verdict, (s, mu) = _every(cov, statements, tol)
+    for k in (verdict != _HOLDS).nonzero()[0].tolist():
         witness = _first_witness(cov, statements[k], tol)
-        if decided[k] or witness is not None:
+        if verdict[k] == _FAILS or witness is not None:
             raise ModelPreconditionError(
                 f"covariance does not satisfy the model: statement {k + 1} "
                 f"fails with {witness.describe(names)}"

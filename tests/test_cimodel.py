@@ -492,17 +492,23 @@ class TestGroupedEvaluator:
                 | st.sampled_from([float("nan"), float("inf")])
                 | st.integers(-320, 308).map(lambda e: 10.0**e),
             ),
-            min_size=1,
             max_size=20,
         ),
+        near=st.lists(st.tuples(st.floats(0.25, 2.0), st.floats(1e-3, 1e3)), max_size=10),
         rel=st.sampled_from([0.0, 1e-300, 1e-12, 1e-9, 1e-6, 1.0, 1e300]) | st.floats(0.0, 1.0),
     )
-    @example(k=4, values=[(1e200, 1e200), (0.0, 1e308), (1e-300, 1.7e308), (float("nan"), 1.0)], rel=1e-9)
-    def test_vectorised_certified_is_the_scalar_one(self, k, values, rel):
+    @example(k=4, values=[(1e200, 1e200), (0.0, 1e308), (1e-300, 1.7e308), (float("nan"), 1.0)], near=[], rel=1e-9)
+    def test_vectorised_certified_is_the_scalar_one(self, k, values, near, rel):
+        # near: an s whose bound is about ratio times the tolerance, so that
+        # both sides of the limit are hit
+        scale = (1 + 1000 * k * (k + 2) * 2.0**-53) * k ** ((k + 2) / 2)
+        for ratio, mu in near:
+            d = k * 2.0**-53 * 2**k * mu if k >= 4 else 0.0
+            values = values + [(max(0.0, ratio * rel / (scale * (mu + d) ** (k - 1)) - d), mu)]
         # numpy's pow and the C library's may round the bound's power
         # differently in its last bit; wherever one float of that power does
         # not decide the scalar verdict, the two agree
-        s, mu = np.array(values, dtype=float).T
+        s, mu = np.array(values, dtype=float).reshape(-1, 2).T
         with np.errstate(all="ignore"):
             got = cimodel._certified(k, s, mu, rel).tolist()
         for (a, b), verdict in zip(values, got):

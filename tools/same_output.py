@@ -31,7 +31,9 @@ inadmissible rows), covary under each way a plan's mask is made ("none",
 a position outside every block, total with a statement index, in range
 and out of range, a row fill on the diagonal), point queries on a
 singular base (covary), with a refused total (compare at -1), at factor 0
-(compare and covary) and outside the statement's block (compare), and
+(compare and covary) and outside the statement's block (compare), check
+on a model whose statements condition on 0 to 4 variables with one failing
+(its witness), on the singular bases, and with --tol 0, and
 usage errors (covary without --delta, sweep with
 --tol nan, covary with --scheme bogus) and sweep --help placed between
 other jobs, so that each runner's next job reuses its parser after them.
@@ -84,6 +86,18 @@ EDGE_FILES = {
         "variables": ["a", "b", "c", "d"],
         "covariance": [[2.0, 1.0, 0.5, 0.5], [1.0, 1.0, 0.5, 0.5], [0.5, 0.5, 1.0, 1.0], [0.5, 0.5, 1.0, 2.0]],
         "ci": [{"A": ["a"], "B": ["d"], "C": ["b", "c"]}],
+    }),
+    # a chain a -> ... -> g and a lone h: statements with |C| = 0 to 4 (k = 5
+    # takes the LU branch) that hold, and a _||_ c | d, which fails
+    "edge-mixed.json": json.dumps({
+        "variables": list("abcdefgh"),
+        "dag": {"order": list("abcdefgh"), "edges": [
+            {"from": u, "to": v, "beta": beta}
+            for u, v, beta in zip("abcdef", "bcdefg", (0.8, -0.6, 0.7, 0.5, -0.9, 0.6))
+        ]},
+        "ci": [{"A": ["h"], "B": ["a", "c"]}, {"A": ["a"], "B": ["c"], "C": ["b"]},
+               {"A": ["a"], "B": ["d", "e"], "C": ["b", "c"]}, {"A": ["a"], "B": ["c"], "C": ["d"]},
+               {"A": ["a", "b"], "B": ["e"], "C": ["c", "d", "h"]}, {"A": ["a"], "B": ["f", "g"], "C": list("bcde")}],
     }),
     "edge-synthetic4.json": (ROOT / "src" / "gsens" / "fixtures" / "synthetic4.json").read_text(),
     "edge-config.json": json.dumps({
@@ -163,6 +177,14 @@ EDGE_JOBS = [
     Job("compare", SYNTH, ("--pos", "Y2,Y1", "--delta", "0")),
     Job("covary", SYNTH, ("--pos", "Y2,Y1", "--delta", "0")),
     Job("compare", SYNTH, ("--pos", "Y4,Y1", "--delta", "1.1")),
+    # check: conditioning sets of sizes 0 to 4 decided together, one failing
+    # statement's witness; a singular Sigma_CC and an exactly singular one
+    # after the change, which enumerate; rel = 0, which enumerates too
+    Job("check", "edge-mixed.json", ()),
+    Job("check", "edge-singular.json", ()),
+    Job("check", "edge-collinear.json", ()),
+    Job("check", "edge-mixed.json", ("--tol", "0")),
+    Job("check", SYNTH, ("--tol", "0")),
 ]
 NUMPY_WARNING = re.compile(r"^warning: .* encountered in .*\n", re.MULTILINE)
 
