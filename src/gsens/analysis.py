@@ -586,12 +586,14 @@ def _sweep(model: Model, positions, grids, schemes, tol: TolerancePolicy) -> Swe
         ks, touched, certified = _checks(model, masks, ~standard, live, grid, certs, tol)
         table = statement_table(model.statements, n)
         # a grid point whose every factor is 1 leaves every scheme's target
-        # the base itself: T = D_r M D_c with D_r = D_c = I, so step 5
-        # applies with d = 1 whatever the scheme
+        # the base itself (the standard one up to the sign of a zero entry,
+        # which no minor's magnitude sees): T = D_r M D_c with D_r = D_c = I,
+        # so step 5 applies with d = 1 whatever the scheme
         unit = (grid == 1.0).all(axis=1)[:, None] & transported(
             [certs[k] for k in ks.tolist()], np.ones((1, len(ks))), tol.rel
         )
-        grouped = [members for g in range(len(table.groups)) if (members := np.flatnonzero(table.group[ks] == g)).size]
+        # the touched statements of each |C| group, as columns of ks
+        grouped = [np.flatnonzero(table.group[ks] == g) for g in range(len(table.groups))]
         for start in range(0, live.size, step):
             at = live[start : start + step]
             point, slot = np.divmod(at, width)

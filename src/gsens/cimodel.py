@@ -404,12 +404,12 @@ def _confirm(covs: np.ndarray, group: _Group, slot: np.ndarray, at: np.ndarray, 
     positions: each pair's own rows and columns, sorted, are gathered here."""
     m, wa, wb = residual.shape
     k = group.order
-    rows, cols = group.rows[slot], group.cols[slot]
     a, b = np.divmod(np.abs(residual).reshape(m, -1).argmax(axis=1), wb)
-    pair = np.arange(m)
-    rows = np.sort(np.concatenate((rows[:, wa:], rows[pair, a, None]), axis=1), axis=1)
-    cols = np.sort(np.concatenate((cols[:, wb:], cols[pair, b, None]), axis=1), axis=1)
-    block = Block(tuple(range(k)), tuple(range(k)), covs[at[:, None, None], rows[:, :, None], cols[:, None, :]])
+    # each pair's rows {a}+C, then its columns {b}+C, sorted
+    ends = np.concatenate((group.rows[slot, wa - 1 :], group.cols[slot, wb - 1 :]))
+    ends[:m, 0], ends[m:, 0] = group.rows[slot, a], group.cols[slot, b]
+    ends.sort(axis=1)
+    block = Block(tuple(range(k)), tuple(range(k)), covs[at[:, None, None], ends[:m, :, None], ends[m:, None, :]])
     minors = list(iter_minors(block, k))
     return np.array([minor.value for minor in minors]), np.array([minor.scale for minor in minors])
 
@@ -436,42 +436,47 @@ def decide_pairs(covs: np.ndarray, table: StatementTable, at: np.ndarray, which:
         if pairs.size:
             slot, mats = table.slot[which[pairs]], at[pairs]
             parts.append(_Part(group, pairs, slot, mats, (mats * size)[:, None, None] + group.flat[slot]))
-    verdict, bounds = _decide(covs, parts, len(at), tol)
+    found = []
+    verdict = _decide(covs, parts, len(at), tol, found)
+    bounds = np.full((2, len(at)), np.nan)
+    for sure, s, mu in found:
+        bounds[0, sure], bounds[1, sure] = s, mu
     return verdict == _HOLDS, verdict != _OPEN, bounds[0], bounds[1]
 
 
 # A pair's verdict in _decide: steps 1-3 prove it holds, confirm it fails, or
 # leave it open.
-_HOLDS, _FAILS, _OPEN = 1, 0, -1
+_HOLDS, _FAILS, _OPEN = 1, -1, 0
 
 
-def _decide(covs: np.ndarray, parts, count: int, tol: TolerancePolicy):
-    """The verdict (_HOLDS, _FAILS or _OPEN) of count pairs given as parts,
-    and their step 2 bounds (2, count), s and mu."""
-    verdict = np.full(count, _OPEN, dtype=np.int8)
-    bounds = np.full((2, count), np.nan)
+def _decide(covs: np.ndarray, parts, count: int, tol: TolerancePolicy, found: list | None = None):
+    """The verdict (_HOLDS, _FAILS or _OPEN) of count pairs given as parts;
+    found, when given, receives (pairs, s, mu) for each group's pairs that
+    step 2 bounds."""
+    verdict = np.zeros(count, dtype=np.int8)
     with np.errstate(all="ignore"):
         for group, pairs, slot, at, index in parts:
             blocks = covs.take(index)
             if group.order == 1:
                 v = np.abs(blocks)
-                verdict[pairs] = (v <= tol.rel * np.maximum(1.0, v)).all(axis=(1, 2))
+                verdict[pairs] = np.where((v <= tol.rel * np.maximum(1.0, v)).all(axis=(1, 2)), _HOLDS, _FAILS)
                 continue
             live, s, mu, residual = _certify(blocks, group.width)
             certified = _certified(group.order, s, mu, tol.rel)
             sure = pairs[live]
-            bounds[0, sure], bounds[1, sure] = s, mu
+            if found is not None:
+                found.append((sure, s, mu))
             verdict[sure[certified]] = _HOLDS
             if not certified.all():
                 unsure = ~certified
                 value, scale = _confirm(covs, group, slot[live[unsure]], at[live[unsure]], residual[unsure])
                 verdict[sure[unsure]] = np.where(tol.vanishes(value, scale), _OPEN, _FAILS)
-    return verdict, bounds
+    return verdict
 
 
-def _every(cov: np.ndarray, statements: tuple[CIStatement, ...], tol: TolerancePolicy):
+def _every(cov: np.ndarray, statements: tuple[CIStatement, ...], tol: TolerancePolicy, found=None):
     """_decide on cov and every statement."""
-    return _decide(cov[None], statement_table(statements, len(cov)).every, len(statements), tol)
+    return _decide(cov[None], statement_table(statements, len(cov)).every, len(statements), tol, found)
 
 
 def decide_stack(covs: np.ndarray, stmt: CIStatement, tol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
@@ -495,7 +500,7 @@ def _verdicts(cov: np.ndarray, statements: tuple[CIStatement, ...], tol: Toleran
     if not statements:
         return ()
     checks = []
-    for stmt, verdict in zip(statements, _every(cov, statements, tol)[0].tolist()):
+    for stmt, verdict in zip(statements, _every(cov, statements, tol).tolist()):
         if verdict != _OPEN:
             checks.append(CICheck(verdict == _HOLDS, functools.partial(_first_witness, cov, stmt, tol)))
         else:
@@ -517,18 +522,23 @@ def model_holds(
     return ModelCheck(_verdicts(check_symmetric(as_matrix(cov)), tuple(statements), tol))
 
 
-def _certificates(statements, s: np.ndarray, mu: np.ndarray) -> tuple[Certificate | None, ...]:
-    return tuple(
-        Certificate(stmt.minor_order, x, y) if math.isfinite(x) else None
-        for stmt, x, y in zip(statements, s.tolist(), mu.tolist())
-    )
+def _certificates(statements, found: list) -> tuple[Certificate | None, ...]:
+    """Each statement's Certificate from _every's bounds, None where it has
+    none or they are not finite."""
+    certs = [None] * len(statements)
+    for sure, s, mu in found:
+        for k, x, y in zip(sure.tolist(), s.tolist(), mu.tolist()):
+            if math.isfinite(x):
+                certs[k] = Certificate(statements[k].minor_order, x, y)
+    return tuple(certs)
 
 
 def certificate(cov, stmt: CIStatement) -> Certificate | None:
     """Step 2's certificate of a statement on cov, or None for an empty C,
     or where Sigma_CC fails the RCOND_LIMIT rule or a bound is not finite."""
-    _, (s, mu) = _every(as_matrix(cov), (stmt,), DEFAULT_TOL)
-    return _certificates((stmt,), s, mu)[0]
+    found = []
+    _every(as_matrix(cov), (stmt,), DEFAULT_TOL, found)
+    return _certificates((stmt,), found)[0]
 
 
 def require_model(
@@ -545,12 +555,14 @@ def require_model(
     statements = tuple(statements)
     if not statements:
         return ()
-    verdict, (s, mu) = _every(cov, statements, tol)
-    for k in (verdict != _HOLDS).nonzero()[0].tolist():
+    found = []
+    for k, verdict in enumerate(_every(cov, statements, tol, found).tolist()):
+        if verdict == _HOLDS:
+            continue
         witness = _first_witness(cov, statements[k], tol)
-        if verdict[k] == _FAILS or witness is not None:
+        if verdict == _FAILS or witness is not None:
             raise ModelPreconditionError(
                 f"covariance does not satisfy the model: statement {k + 1} "
                 f"fails with {witness.describe(names)}"
             )
-    return _certificates(statements, s, mu)
+    return _certificates(statements, found)
