@@ -244,8 +244,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, eq=False)
-class _Group:
+class _Group(NamedTuple):
     """The statements of a table that share |C| = order - 1, in table order.
     rows holds each one's A, padded to the group's widest A by repeating
     its first index, then its C; cols its B, padded likewise, then its C.
@@ -271,8 +270,7 @@ class _Part(NamedTuple):
     index: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class StatementTable:
+class StatementTable(NamedTuple):
     """A statement tuple arranged for decide_pairs: its groups by |C|, each
     statement's group and slot within it, its block rows and columns as 0/1
     indicators (statements, n), and every statement on one matrix as the
@@ -446,20 +444,21 @@ def decide_pairs(covs: np.ndarray, table: StatementTable, at: np.ndarray, which:
 
 # A pair's verdict in _decide: steps 1-3 prove it holds, confirm it fails, or
 # leave it open.
-_HOLDS, _FAILS, _OPEN = 1, -1, 0
+_HOLDS, _FAILS, _OPEN = 1, 0, -1
 
 
 def _decide(covs: np.ndarray, parts, count: int, tol: TolerancePolicy, found: list | None = None):
     """The verdict (_HOLDS, _FAILS or _OPEN) of count pairs given as parts;
     found, when given, receives (pairs, s, mu) for each group's pairs that
     step 2 bounds."""
-    verdict = np.zeros(count, dtype=np.int8)
+    verdict = np.empty(count, dtype=np.int8)
+    verdict.fill(_OPEN)
     with np.errstate(all="ignore"):
         for group, pairs, slot, at, index in parts:
             blocks = covs.take(index)
             if group.order == 1:
                 v = np.abs(blocks)
-                verdict[pairs] = np.where((v <= tol.rel * np.maximum(1.0, v)).all(axis=(1, 2)), _HOLDS, _FAILS)
+                verdict[pairs] = (v <= tol.rel * np.maximum(1.0, v)).all(axis=(1, 2))  # _HOLDS or _FAILS
                 continue
             live, s, mu, residual = _certify(blocks, group.width)
             certified = _certified(group.order, s, mu, tol.rel)
