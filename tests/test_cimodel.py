@@ -23,7 +23,6 @@ from gsens import (
     dag_to_gaussian,
     iter_minors,
     model_holds,
-    statement_block,
 )
 from gsens import cimodel
 from gsens.cli import main
@@ -166,6 +165,7 @@ class TestModelHolds:
                 # s sums a residual and its rounding allowance, both formed
                 # afresh by the group's solve, so it may move by rounding
                 assert c.s == pytest.approx(own.s, rel=0.25)
+
 
 class TestNonemptyConditioning:
     """Without a statement index, a plan is built against the statements
