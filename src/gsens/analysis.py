@@ -629,7 +629,7 @@ def _sweep(model: Model, positions, grids, schemes, tol: TolerancePolicy) -> Swe
                 row, col = np.nonzero(holds[:, None] & open_[:, members])
                 if not row.size:
                     continue
-                verdict, decided = decide_pairs(targets, table, row, ks[members[col]], tol)[:2]
+                verdict, decided = decide_pairs(targets, table, row, ks[members[col]], tol)
                 holds[row[decided & ~verdict]] = False
                 unsure[row[~decided], members[col[~decided]]] = True
             for b in np.flatnonzero(holds & unsure.any(axis=1)).tolist():

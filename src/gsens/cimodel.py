@@ -422,10 +422,8 @@ def _confirming_minors(covs: np.ndarray, stmt: CIStatement, residual: np.ndarray
 def decide_pairs(covs: np.ndarray, table: StatementTable, at: np.ndarray, which: np.ndarray, tol: TolerancePolicy):
     """Steps 1-3 of the module docstring on the pairs (matrix covs[at[p]],
     statement which[p] of the table) of a stack (m, n, n), one pass per
-    group: each pair's verdict, whether those steps decided it (the verdict
-    reads False where they did not), and step 2's s and mu (NaN where step 2
-    gives no bound: an empty C, a non-finite block or a Sigma_CC that fails
-    the RCOND_LIMIT rule)."""
+    group: each pair's verdict, and whether those steps decided it (the
+    verdict reads False where they did not)."""
     size = covs.shape[-1] ** 2
     group_of = table.group[which]
     parts = []
@@ -434,12 +432,8 @@ def decide_pairs(covs: np.ndarray, table: StatementTable, at: np.ndarray, which:
         if pairs.size:
             slot, mats = table.slot[which[pairs]], at[pairs]
             parts.append(_Part(group, pairs, slot, mats, (mats * size)[:, None, None] + group.flat[slot]))
-    found = []
-    verdict = _decide(covs, parts, len(at), tol, found)
-    bounds = np.full((2, len(at)), np.nan)
-    for sure, s, mu in found:
-        bounds[0, sure], bounds[1, sure] = s, mu
-    return verdict == _HOLDS, verdict != _OPEN, bounds[0], bounds[1]
+    verdict = _decide(covs, parts, len(at), tol)
+    return verdict == _HOLDS, verdict != _OPEN
 
 
 # A pair's verdict in _decide: steps 1-3 prove it holds, confirm it fails, or
@@ -483,7 +477,7 @@ def decide_stack(covs: np.ndarray, stmt: CIStatement, tol: TolerancePolicy) -> t
     statement."""
     m = len(covs)
     table = statement_table((stmt,), covs.shape[-1])
-    return decide_pairs(covs, table, np.arange(m), np.zeros(m, dtype=np.intp), tol)[:2]
+    return decide_pairs(covs, table, np.arange(m), np.zeros(m, dtype=np.intp), tol)
 
 
 def _first_witness(cov: np.ndarray, stmt: CIStatement, tol: TolerancePolicy) -> Minor | None:
