@@ -91,9 +91,9 @@ Steps 1-3 run on (matrix, statement) pairs, grouped by |C| (decide_pairs).
 A statement table, built once per statement tuple and dimension and
 memoised, holds each group's A+C and B+C index arrays, A and B padded to
 the group's widest by repeating their first index; a repeated row or
-column repeats entries already in the block, so it changes neither mu nor,
-but for rounding, s, and step 3 picks the first largest residual, never a
-repeat. Per group, one gather, one batched svd, solve and matmul give every
+column repeats entries already in the block, so mu is unchanged, s changes
+only by rounding, and step 3, which picks the first largest residual,
+never picks a repeat. Per group, one gather, one batched svd, solve and matmul give every
 pair's certificate, one _certified call decides them, and iter_minors
 evaluates the confirming minors of every pair the certificate leaves open
 as one stack of (|C|+1) x (|C|+1) blocks, rows and columns sorted.
