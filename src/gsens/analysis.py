@@ -78,9 +78,7 @@ the block, and:
   require_model returns, transported (cimodel, step 5) to every such row
   and statement by one array expression over their scales d, each read
   from a table of the products of |delta| over the subsets of the
-  positions; a grid point whose every factor is 1 leaves every scheme's
-  target the base itself, D_r = D_c = I, so its rows take the base
-  certificates with d = 1;
+  positions;
 - anything else, a statement with empty C included, and any row the
   transport does not certify: steps 1-3 of cimodel on every open (row,
   statement) pair of the block, one decide_pairs call per group of
@@ -585,13 +583,6 @@ def _sweep(model: Model, positions, grids, schemes, tol: TolerancePolicy) -> Swe
         live = np.array([r for r, e in enumerate(errors) if e is None], dtype=int)
         ks, touched, certified = _checks(model, masks, ~standard, live, grid, certs, tol)
         table = statement_table(model.statements, n)
-        # a grid point whose every factor is 1 leaves every scheme's target
-        # the base itself (the standard one up to the sign of a zero entry,
-        # which no minor's magnitude sees): T = D_r M D_c with D_r = D_c = I,
-        # so step 5 applies with d = 1 whatever the scheme
-        unit = (grid == 1.0).all(axis=1)[:, None] & transported(
-            [certs[k] for k in ks.tolist()], np.ones((1, len(ks))), tol.rel
-        )
         # the touched statements of each |C| group, as columns of ks
         grouped = [np.flatnonzero(table.group[ks] == g) for g in range(len(table.groups))]
         for start in range(0, live.size, step):
@@ -623,7 +614,7 @@ def _sweep(model: Model, positions, grids, schemes, tol: TolerancePolicy) -> Swe
             # the (row, statement) pairs the transport leaves open, one call
             # per group of statements that share |C|, smallest first, each
             # on the rows that hold so far
-            holds, open_ = built.copy(), touched[slot] & ~certified[at] & ~unit[point]
+            holds, open_ = built.copy(), touched[slot] & ~certified[at]
             unsure = np.zeros_like(open_)
             for members in grouped:
                 row, col = np.nonzero(holds[:, None] & open_[:, members])

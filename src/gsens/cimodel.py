@@ -93,13 +93,13 @@ memoised, holds each group's A+C and B+C index arrays, A and B padded to
 the group's widest by repeating their first index; a repeated row or
 column repeats entries already in the block, so mu is unchanged, s changes
 only by rounding, and step 3, which picks the first largest residual,
-never picks a repeat. Per group, one gather, one batched svd, solve and matmul give every
-pair's certificate, one _certified call decides them, and iter_minors
-evaluates the confirming minors of every pair the certificate leaves open
-as one stack of (|C|+1) x (|C|+1) blocks, rows and columns sorted.
-require_model and model_holds each make one such pass, and a sweep one per
-block and group; ci_holds, decide_stack and certificate are passes over one
-statement, so this arithmetic exists once, and every minor the check
+never picks a repeat. Per group, one gather, one batched svd, solve and
+matmul give every pair's certificate, one _certified call decides them,
+and iter_minors evaluates the confirming minors of every pair the
+certificate leaves open as one stack of (|C|+1) x (|C|+1) blocks, rows and
+columns sorted. require_model and model_holds each make one such pass, and
+a sweep one per block and group; ci_holds and certificate are passes over
+one statement, so this arithmetic exists once, and every minor the check
 evaluates comes from iter_minors. Batched and padded, Y and s may differ
 from a statement's own solve in their last bits; step 2's proof holds for
 any computed Y, so every verdict is still the minor definition's.
@@ -412,13 +412,6 @@ def _confirm(covs: np.ndarray, group: _Group, slot: np.ndarray, at: np.ndarray, 
     return np.array([minor.value for minor in minors]), np.array([minor.scale for minor in minors])
 
 
-def _confirming_minors(covs: np.ndarray, stmt: CIStatement, residual: np.ndarray):
-    """_confirm on every matrix of a stack (m, n, n) for one statement."""
-    m = len(covs)
-    group = statement_table((stmt,), covs.shape[-1]).groups[0]
-    return _confirm(covs, group, np.zeros(m, dtype=np.intp), np.arange(m), residual)
-
-
 def decide_pairs(covs: np.ndarray, table: StatementTable, at: np.ndarray, which: np.ndarray, tol: TolerancePolicy):
     """Steps 1-3 of the module docstring on the pairs (matrix covs[at[p]],
     statement which[p] of the table) of a stack (m, n, n), one pass per
@@ -470,14 +463,6 @@ def _decide(covs: np.ndarray, parts, count: int, tol: TolerancePolicy, found: li
 def _every(cov: np.ndarray, statements: tuple[CIStatement, ...], tol: TolerancePolicy, found=None):
     """_decide on cov and every statement."""
     return _decide(cov[None], statement_table(statements, len(cov)).every, len(statements), tol, found)
-
-
-def decide_stack(covs: np.ndarray, stmt: CIStatement, tol: TolerancePolicy) -> tuple[np.ndarray, np.ndarray]:
-    """decide_pairs's verdicts on every matrix of a stack (m, n, n) for one
-    statement."""
-    m = len(covs)
-    table = statement_table((stmt,), covs.shape[-1])
-    return decide_pairs(covs, table, np.arange(m), np.zeros(m, dtype=np.intp), tol)
 
 
 def _first_witness(cov: np.ndarray, stmt: CIStatement, tol: TolerancePolicy) -> Minor | None:

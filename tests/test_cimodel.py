@@ -382,7 +382,9 @@ class TestDecideStack:
             stack = np.stack([m for m, _ in cases])
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                holds, decided = cimodel.decide_stack(stack, stmt, tol)
+                table = cimodel.statement_table((stmt,), cov.shape[0])
+                at = np.arange(len(stack))
+                holds, decided = cimodel.decide_pairs(stack, table, at, 0 * at, tol)
             for (m, uncovered), h, d in zip(cases, holds.tolist(), decided.tolist()):
                 if uncovered and stmt.given:
                     assert not d
@@ -401,7 +403,9 @@ class TestDecideStack:
         noise = rng.normal(size=(40,) + cov.shape) * 10.0 ** rng.uniform(-4, 4, size=(40, 1, 1))
         stack = cov + noise + np.swapaxes(noise, 1, 2)
         residual = rng.normal(size=(40, len(stmt.left), len(stmt.right)))
-        values, scales = cimodel._confirming_minors(stack, stmt, residual)
+        group = cimodel.statement_table((stmt,), cov.shape[0]).groups[0]
+        at = np.arange(len(stack))
+        values, scales = cimodel._confirm(stack, group, 0 * at, at, residual)
         for m, r, value, scale in zip(stack, residual, values, scales):
             i, j = np.unravel_index(np.argmax(np.abs(r)), r.shape)
             rows = tuple(sorted(stmt.given + (stmt.left[i],)))
