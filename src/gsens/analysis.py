@@ -67,29 +67,20 @@ one divergence.measure, with Sigma factored once per sweep and one batched
 eigvalsh per block. emit formats each distinct factor, flag, scheme label
 and error once per column.
 
-Preservation is decided for every statement and scheme at once, from how
-each scheme's masks meet each statement's block. One array pass classifies
-every statement: two float64 matmuls with the block-row and block-column
-indicators of the model's statement table (cimodel.statement_table) count,
-per statement, scheme, position and row or column, the mask entries inside
-the block, and:
-- untouched: the block is bitwise the base's, which holds (require_model);
-- whole rows or columns scaled, T = D_r M D_c: the base certificate that
-  require_model returns, transported (cimodel, step 5) to every such row
-  and statement by one array expression over their scales d, each read
-  from a table of the products of |delta| over the subsets of the
-  positions;
-- anything else, a statement with empty C included, and any row the
-  transport does not certify: steps 1-3 of cimodel on every open (row,
-  statement) pair of the block, one decide_pairs call per group of
-  statements that share |C|, smallest first, each on the rows that still
-  hold; only a row they leave undecided goes to model_holds on its target
-  (a NaN mirrored by a NaN counts as symmetric there, so a block that holds
-  a NaN fails).
-Every verdict is therefore the minor definition's. Warnings, construction
-errors and the row order are those of building every row's plan in turn;
-numpy's floating-point warnings are off while a sweep evaluates, as in the
-CLI, so the warnings a sweep issues are build_plan's own.
+Preservation is decided for every statement and scheme at once. One
+float64 matmul with the block-row and block-column indicators of the
+model's statement table (cimodel.statement_table) finds which statements'
+blocks each scheme's masks touch. An untouched block is bitwise the base's,
+which holds (require_model). Every touched (row, statement) pair of a block
+goes to steps 1-3 of cimodel, one decide_pairs call per group of
+statements that share |C|, smallest first, each on the rows that still
+hold; only a row they leave undecided goes to model_holds on its target (a
+NaN mirrored by a NaN counts as symmetric there, so a block that holds a
+NaN fails). Every verdict is therefore the minor definition's, decided as
+covary decides it. Warnings, construction errors and the row order are
+those of building every row's plan in turn; numpy's floating-point warnings
+are off while a sweep evaluates, as in the CLI, so the warnings a sweep
+issues are build_plan's own.
 """
 
 from __future__ import annotations
@@ -104,7 +95,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cimodel import CIStatement, decide_pairs, model_holds, require_model, statement_table, transported
+from .cimodel import CIStatement, decide_pairs, model_holds, require_model, statement_table
 from .covariation import Scheme, Variation, build_plan, check_product
 from .divergence import additive_shift, measure, whitener
 from .errors import FactorError, GsensError, ModelFormatError
@@ -117,6 +108,9 @@ DAG_COV_AGREE_TOL = 1e-9
 # A sweep stacks at most this many matrix entries (grid points x n x n) per
 # array (64 KiB), however large the model.
 BLOCK_ENTRIES = 1 << 13
+
+# A factor grid, and a sweep's grid of points, holds at most this many.
+MAX_GRID_POINTS = 10**6
 
 CSV_COLUMNS = ("delta1", "delta2", "scheme", "kl", "frobenius", "admissible", "preserving")
 # json.dumps's tokens where repr of None, a flag or a float is not JSON
@@ -489,53 +483,17 @@ def _masks(model: Model, positions, grids, variations, index, spec):
     return np.stack([mask for mask, _, _ in axes]), *_outcomes(axes, index)
 
 
-def _checks(model: Model, masks: np.ndarray, plans: np.ndarray, live: np.ndarray, grid: np.ndarray, certs, tol):
-    """For the statements some mask touches: their positions in the model's
-    statements, ks; which schemes (slots of masks, (schemes, positions, n,
-    n)) touch each one's block, (schemes, len(ks)); and which rows, by row
-    number, its transported base certificate proves hold, (rows, len(ks)).
-    A scheme's masks scale whole rows of the block where each one that
-    touches it fills whole rows, else whole columns where each fills whole
-    columns; plans flags the schemes whose target is P o Sigma, which the
-    transport needs. Every statement is classified, and every row's
-    certificate transported, in one pass over arrays."""
-    table = statement_table(model.statements, model.n)
-    rows_of, cols_of, width, n = table.rows_of, table.cols_of, len(masks), model.n
-    # (schemes, positions, n, statements): the mask entries of each row in
-    # the statement's block columns, and of each column in its block rows;
-    # float64 counts are exact here and take BLAS
-    flat = masks.astype(float)
-    across = (flat.reshape(-1, n) @ cols_of.T).reshape(*masks.shape[:3], len(rows_of))
-    down = (flat.swapaxes(2, 3).reshape(-1, n) @ rows_of.T).reshape(*masks.shape[:3], len(rows_of))
-    in_rows, in_cols = rows_of.T == 1.0, cols_of.T == 1.0
-    on_rows, on_cols = (across > 0) & in_rows, (down > 0) & in_cols
-    hit = on_rows.any(axis=2)
-    by_row = hit & ((across == 0) | (across == cols_of.sum(axis=1)) | ~in_rows).all(axis=2)
-    by_col = hit & ~by_row & ((down == 0) | (down == rows_of.sum(axis=1)) | ~in_cols).all(axis=2)
-    touched = hit.any(axis=1)
-    whole = plans[:, None] & touched & ~(hit & ~by_row & ~by_col).any(axis=1)
-
-    # a block row (column) is scaled by the |delta| of the positions whose
-    # whole rows (columns) hold it, subset u (bit p for position p) by
-    # table[point, u], multiplied in position order; d is the largest row
-    # scale times the largest column scale
-    slot, point = live % width, live // width
-    scales = np.ones((len(grid), 1))
-    for p in range(grid.shape[1]):
-        scales = np.concatenate([scales, scales * np.abs(grid[:, p, None])], axis=1)
-    bits = 1 << np.arange(grid.shape[1])[:, None, None]
-    subsets = np.arange(scales.shape[1])
-    largest = []
-    for on, by, inside in ((on_rows, by_row, in_rows), (on_cols, by_col, in_cols)):
-        code = ((on & by[:, :, None, :]) * bits).sum(axis=1)
-        present = ((code[..., None] == subsets) & inside[..., None]).any(axis=1)
-        largest.append(np.where(present[slot], scales[point, None, :], 0.0).max(axis=2))
-
+def _checks(model: Model, masks: np.ndarray):
+    """The statements some mask touches, as positions in the model's
+    statements, ks, and which schemes (slots of masks, (schemes, positions,
+    n, n)) touch each one's block, (schemes, len(ks)). One float64 matmul
+    counts each scheme's mask entries per row in every statement's block
+    columns (exact, and it takes BLAS)."""
+    table, n = statement_table(model.statements, model.n), model.n
+    across = masks.any(axis=1).reshape(-1, n).astype(float) @ table.cols_of.T
+    touched = (across.reshape(len(masks), n, -1) * table.rows_of.T).any(axis=1)
     ks = np.flatnonzero(touched.any(axis=0))
-    certified = np.zeros((len(grid) * width, len(ks)), dtype=bool)
-    d = (largest[0] * largest[1])[:, ks]
-    certified[live] = whole[slot][:, ks] & transported([certs[k] for k in ks.tolist()], d, tol.rel)
-    return ks, touched[:, ks], certified
+    return ks, touched[:, ks]
 
 
 def _replay(notes: list[list]) -> None:
@@ -553,11 +511,14 @@ def _sweep(model: Model, positions, grids, schemes, tol: TolerancePolicy) -> Swe
     """Rows for every combination of grid factors (first grid outermost),
     schemes in declared order within each grid point: row g * len(schemes)
     + s."""
-    certs = require_model(model.covariance, model.statements, tol, model.names)
+    require_model(model.covariance, model.statements, tol, model.names)
     for i, j in positions:
         if not (0 <= i < model.n and 0 <= j < model.n):
             raise IndexError(f"position ({i + 1},{j + 1}) out of range for dimension {model.n}")
     grids = [_as_grid(g) for g in grids]
+    points = math.prod(map(len, grids))
+    if points > MAX_GRID_POINTS:
+        raise FactorError(f"{points} grid points exceed {MAX_GRID_POINTS}")
     specs = [resolve_scheme(model, s) for s in schemes]
     if not specs:
         raise ValueError("a sweep needs at least one scheme")
@@ -581,7 +542,7 @@ def _sweep(model: Model, positions, grids, schemes, tol: TolerancePolicy) -> Swe
         masks = np.stack(masks)
         standard = np.array([spec is None for spec in specs])
         live = np.array([r for r, e in enumerate(errors) if e is None], dtype=int)
-        ks, touched, certified = _checks(model, masks, ~standard, live, grid, certs, tol)
+        ks, touched = _checks(model, masks)
         table = statement_table(model.statements, n)
         # the touched statements of each |C| group, as columns of ks
         grouped = [np.flatnonzero(table.group[ks] == g) for g in range(len(table.groups))]
@@ -611,10 +572,10 @@ def _sweep(model: Model, positions, grids, schemes, tol: TolerancePolicy) -> Swe
             kls[at] = np.where(built, values, np.nan)
             admissible[at] = ok & built
 
-            # the (row, statement) pairs the transport leaves open, one call
-            # per group of statements that share |C|, smallest first, each
-            # on the rows that hold so far
-            holds, open_ = built.copy(), touched[slot] & ~certified[at]
+            # every touched (row, statement) pair, one call per group of
+            # statements that share |C|, smallest first, each on the rows
+            # that hold so far
+            holds, open_ = built.copy(), touched[slot]
             unsure = np.zeros_like(open_)
             for members in grouped:
                 row, col = np.nonzero(holds[:, None] & open_[:, members])
@@ -796,6 +757,8 @@ def _parse_grid(raw, where: str) -> tuple[float, ...]:
         if not math.isfinite(span):
             raise ModelFormatError(f"{where}: too many factors from min to max by step")
         count = int(round(span)) + 1
+        if count > MAX_GRID_POINTS:
+            raise ModelFormatError(f"{where}: {count} factors from min to max by step exceed {MAX_GRID_POINTS}")
         return tuple(round(lo + k * step, 12) for k in range(count) if lo + k * step <= hi + 1e-12)
     raise ModelFormatError(f"{where}: expected a list or a min/max/step object")
 

@@ -11,11 +11,14 @@ Write A, B, C for left, right and given.
 1. Empty C. The minors are the entries of Sigma_AB, and the 1x1 rule
    |v| <= rel * max(1, |v|) is applied to the whole block at once. Exact.
 
-2. Certified hold. Solve Y = Sigma_CC^-1 Sigma_CB (only when Sigma_CC passes
-   the RCOND_LIMIT rule of matcore.inverse) and let N = [Sigma_AC; Sigma_CC]
-   [Y, I]. N has rank <= |C|, and E = M - N is zero on the C columns and
-   holds the residuals Sigma_AB - Sigma_AC Y (the Schur residual
-   Sigma_AB.C when Y is exact) and Sigma_CB - Sigma_CC Y on the B columns.
+2. Certified hold. Solve Y = Sigma_CC^-1 Sigma_CB, only when the moduli lam
+   of Sigma_CC's eigenvalues (its singular values: Sigma_CC is a principal
+   block of a symmetric matrix) give min lam / max lam >= RCOND_LIMIT, the
+   rule of matcore.inverse; a zero Sigma_CC (0/0) fails it. Let N =
+   [Sigma_AC; Sigma_CC] [Y, I]. N has rank <= |C|, and E = M - N is zero
+   on the C columns and holds the residuals Sigma_AB - Sigma_AC Y (the
+   Schur residual Sigma_AB.C when Y is exact) and Sigma_CB - Sigma_CC Y on
+   the B columns.
    The exact value of every residual differs from the computed one by at
    most gamma_{c+1} (|Sigma_XB| + |Sigma_XC| |Y|) (Higham, Accuracy and
    Stability of Numerical Algorithms, 2002, eq. 3.5; c = |C|), and
@@ -32,7 +35,7 @@ Write A, B, C for left, right and given.
    ((nu + sigma)^k - nu^k) <= k^(k/2) k sigma (nu + sigma)^(k-1).
 
    The minors are evaluated by cofactor formulas up to k = 3 and by LU
-   with partial pivoting above, and the certificate covers the computed
+   with partial pivoting above, and the bound covers the computed
    values:
    - k <= 3. The exact minor (X = the k x k submatrix, Y = E_X, its part
      of E) is at most bound(s, mu) <= rel/2. The cofactor sum has k! products,
@@ -63,46 +66,21 @@ Write A, B, C for left, right and given.
    tolerance with a vanishing confirming minor, rel = 0) enumerates the
    minors as the definition states.
 
-5. Transported certificate. A covariation scales whole rows or columns of a
-   statement block, so a swept block is T = D_r M D_c with diagonal D_r,
-   D_c whose entries are products of factors. With the base's Y, put
-   Y_T = D_c,C^-1 Y D_c,B (D_c,C and D_c,B the C and B parts of D_c) and
-   N_T = T_{:,C} [Y_T, I]. Then N_T = D_r M_{:,C} D_c,C [D_c,C^-1 Y D_c,B, I]
-   = D_r N D_c, which has rank <= |C| because N has, and T - N_T =
-   D_r E D_c. With d = max|D_r| max|D_c| (moduli, so negative factors
-   count), |D_r E D_c| <= d s and |T| <= d mu entrywise. The matrix the
-   check sees is fl(p sigma) with p the rounded product of at most two
-   factors: it differs from T by at most gamma_2 |T| <= gamma_2 d mu, plus
-   an absolute underflow error below 2 eta (1 + mu), eta the smallest
-   subnormal, on each entry. Hence step 2's lemma and rounding analysis
-   hold for the computed block with
-       s_T = d (s + gamma_2 mu) + tiny (1 + mu),
-       mu_T = d mu (1 + gamma_2) + tiny (1 + mu),
-   and _certified(k, s_T, mu_T, rel) proves every computed minor passes.
-   Each scale entry is a factor product rounded at most once and d one
-   more product, so the exact d is at most the computed one times
-   (1 + gamma_3) when that is a normal double, and below the smallest
-   normal double otherwise; d is taken as at least that, and s_T and mu_T
-   carry a (1 + gamma_12) pad for these roundings and their own.
-   transported evaluates this for every (row, statement) pair of a sweep
-   as one array expression per minor order.
-
 Steps 1-3 run on (matrix, statement) pairs, grouped by |C| (decide_pairs).
 A statement table, built once per statement tuple and dimension and
 memoised, holds each group's A+C and B+C index arrays, A and B padded to
 the group's widest by repeating their first index; a repeated row or
 column repeats entries already in the block, so mu is unchanged, s changes
 only by rounding, and step 3, which picks the first largest residual,
-never picks a repeat. Per group, one gather, one batched svd, solve and
-matmul give every pair's certificate, one _certified call decides them,
-and iter_minors evaluates the confirming minors of every pair the
-certificate leaves open as one stack of (|C|+1) x (|C|+1) blocks, rows and
+never picks a repeat. Per group, one gather, one batched eigvalsh, solve
+and matmul give every pair's s and mu, one _certified call decides them,
+and iter_minors evaluates the confirming minors of every pair step 2
+leaves open as one stack of (|C|+1) x (|C|+1) blocks, rows and
 columns sorted. require_model and model_holds each make one such pass, and
-a sweep one per block and group; ci_holds and certificate are passes over
-one statement, so this arithmetic exists once, and every minor the check
-evaluates comes from iter_minors. Batched and padded, Y and s may differ
-from a statement's own solve in their last bits; step 2's proof holds for
-any computed Y, so every verdict is still the minor definition's.
+a sweep one per block and group, so every minor the check evaluates comes
+from iter_minors. Batched and padded, Y and s may differ from a
+statement's own solve in their last bits; step 2's proof holds for any
+computed Y, so every verdict is still the minor definition's.
 
 A failing statement's witness is the first non-vanishing minor in
 enumeration order. It is found by early-exit enumeration when it is first
@@ -129,7 +107,6 @@ from .matcore import (
     as_matrix,
     check_symmetric,
     iter_minors,
-    rcond,
 )
 
 _U = float(np.finfo(float).eps) / 2
@@ -333,48 +310,12 @@ def _certified(k: int, s, mu, rel: float):
     return _bound(k, s + d, mu + d) <= rel
 
 
-# Covers the rounding of the scale d and of s_T and mu_T (step 5).
-_TRANSPORT_PAD = 1 + _gamma(12)
-
-
-@dataclass(frozen=True, eq=False)
-class Certificate:
-    """Step 2's bounds on one statement's block: every residual is at most s
-    and every entry at most mu in magnitude."""
-
-    order: int
-    s: float
-    mu: float
-
-
-def transported(certs: Sequence[Certificate | None], d: np.ndarray, rel: float) -> np.ndarray:
-    """Step 5 for a table of scalings D_r M D_c, row i's of statement j given
-    as d[i, j] = max|D_r| max|D_c| (each diagonal entry a factor product
-    rounded at most once): True where certs[j] (None: no certificate)
-    certifies the scaled block. Callers turn numpy's floating-point
-    warnings off."""
-    out = np.zeros(d.shape, dtype=bool)
-    known = [j for j, c in enumerate(certs) if c is not None]
-    if not known:
-        return out
-    order, s, mu = np.array([(certs[j].order, certs[j].s, certs[j].mu) for j in known]).T
-    lift = _TINY * (1 + mu)
-    x = np.maximum(d[:, known], _TINY) * (1 + _gamma(3))
-    s_t = x * (s + _gamma(2) * mu) * _TRANSPORT_PAD + lift
-    mu_t = x * mu * (1 + _gamma(2)) * _TRANSPORT_PAD + lift
-    known = np.array(known)
-    for k in set(order.tolist()):
-        at = order == k
-        out[:, known[at]] = _certified(int(k), s_t[:, at], mu_t[:, at], rel)
-    return out
-
-
 def _certify(blocks: np.ndarray, width: tuple[int, int]):
     """Step 2 on a group's gathered blocks (m, wa + c, wb + c), rows A then
     C and columns B then C with c > 0: the indices of the blocks that are
-    finite and whose Sigma_CC passes the RCOND_LIMIT rule, and their s (not
-    finite where the bound is not), mu and computed residuals Sigma_AB -
-    Sigma_AC Y (padded rows and columns included). Callers turn numpy's
+    finite and whose Sigma_CC passes step 2's eigenvalue rule, and their s
+    (not finite where the bound is not), mu and computed residuals Sigma_AB
+    - Sigma_AC Y (padded rows and columns included). Callers turn numpy's
     floating-point warnings off."""
     wa, wb = width
     size = np.abs(blocks)
@@ -382,7 +323,8 @@ def _certify(blocks: np.ndarray, width: tuple[int, int]):
     live = np.isfinite(mu).nonzero()[0]
     if len(live) < len(blocks):
         blocks, size, mu = blocks[live], size[live], mu[live]
-    kept = rcond(blocks[:, wa:, wb:]) >= RCOND_LIMIT
+    lam = np.abs(np.linalg.eigvalsh(blocks[:, wa:, wb:]))
+    kept = lam.min(axis=1) / lam.max(axis=1) >= RCOND_LIMIT
     if not kept.all():
         live, blocks, size, mu = live[kept], blocks[kept], size[kept], mu[kept]
     y = np.linalg.solve(blocks[:, wa:, wb:], blocks[:, wa:, :wb])
@@ -434,10 +376,8 @@ def decide_pairs(covs: np.ndarray, table: StatementTable, at: np.ndarray, which:
 _HOLDS, _FAILS, _OPEN = 1, 0, -1
 
 
-def _decide(covs: np.ndarray, parts, count: int, tol: TolerancePolicy, found: list | None = None):
-    """The verdict (_HOLDS, _FAILS or _OPEN) of count pairs given as parts;
-    found, when given, receives (pairs, s, mu) for each group's pairs that
-    step 2 bounds."""
+def _decide(covs: np.ndarray, parts, count: int, tol: TolerancePolicy):
+    """The verdict (_HOLDS, _FAILS or _OPEN) of count pairs given as parts."""
     verdict = np.empty(count, dtype=np.int8)
     verdict.fill(_OPEN)
     with np.errstate(all="ignore"):
@@ -450,8 +390,6 @@ def _decide(covs: np.ndarray, parts, count: int, tol: TolerancePolicy, found: li
             live, s, mu, residual = _certify(blocks, group.width)
             certified = _certified(group.order, s, mu, tol.rel)
             sure = pairs[live]
-            if found is not None:
-                found.append((sure, s, mu))
             verdict[sure[certified]] = _HOLDS
             if not certified.all():
                 unsure = ~certified
@@ -460,9 +398,9 @@ def _decide(covs: np.ndarray, parts, count: int, tol: TolerancePolicy, found: li
     return verdict
 
 
-def _every(cov: np.ndarray, statements: tuple[CIStatement, ...], tol: TolerancePolicy, found=None):
+def _every(cov: np.ndarray, statements: tuple[CIStatement, ...], tol: TolerancePolicy):
     """_decide on cov and every statement."""
-    return _decide(cov[None], statement_table(statements, len(cov)).every, len(statements), tol, found)
+    return _decide(cov[None], statement_table(statements, len(cov)).every, len(statements), tol)
 
 
 def _first_witness(cov: np.ndarray, stmt: CIStatement, tol: TolerancePolicy) -> Minor | None:
@@ -500,41 +438,18 @@ def model_holds(
     return ModelCheck(_verdicts(check_symmetric(as_matrix(cov)), tuple(statements), tol))
 
 
-def _certificates(statements, found: list) -> tuple[Certificate | None, ...]:
-    """Each statement's Certificate from _every's bounds, None where it has
-    none or they are not finite."""
-    certs = [None] * len(statements)
-    for sure, s, mu in found:
-        for k, x, y in zip(sure.tolist(), s.tolist(), mu.tolist()):
-            if math.isfinite(x):
-                certs[k] = Certificate(statements[k].minor_order, x, y)
-    return tuple(certs)
-
-
-def certificate(cov, stmt: CIStatement) -> Certificate | None:
-    """Step 2's certificate of a statement on cov, or None for an empty C,
-    or where Sigma_CC fails the RCOND_LIMIT rule or a bound is not finite."""
-    found = []
-    _every(as_matrix(cov), (stmt,), DEFAULT_TOL, found)
-    return _certificates((stmt,), found)[0]
-
-
 def require_model(
     cov, statements: Sequence[CIStatement], tol: TolerancePolicy, names: Sequence[str] | None
-) -> tuple[Certificate | None, ...]:
+) -> None:
     """Raise ModelPreconditionError unless cov satisfies every statement, so
     that "the input was never in the model" is not reported as "the
     perturbation broke the model"; the first failing statement is named.
-    Returns each statement's base certificate (None for an empty C or where
-    step 2 gives none). One _decide pass over every statement decides
-    the precondition and gives the certificates, so the precondition and a
-    sweep's transport of them to its rows (step 5) share it."""
+    One _decide pass over every statement decides the precondition."""
     cov = check_symmetric(as_matrix(cov))
     statements = tuple(statements)
     if not statements:
-        return ()
-    found = []
-    for k, verdict in enumerate(_every(cov, statements, tol, found).tolist()):
+        return
+    for k, verdict in enumerate(_every(cov, statements, tol).tolist()):
         if verdict == _HOLDS:
             continue
         witness = _first_witness(cov, statements[k], tol)
@@ -543,4 +458,3 @@ def require_model(
                 f"covariance does not satisfy the model: statement {k + 1} "
                 f"fails with {witness.describe(names)}"
             )
-    return _certificates(statements, found)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import bisect
 import math
 
 import numpy as np
@@ -148,66 +147,9 @@ def certified_scalar(k: int, s: float, mu: float, rel: float, nudge: int = 0) ->
     return bound(s + d, mu + d) <= rel
 
 
-def transported_bisection(cert, d: np.ndarray, rel: float) -> np.ndarray:
-    """Step 5 of cimodel for one certificate and a stack of scales d, by
-    bisection over the sorted distinct scales: the rounded predicate is
-    monotone in d, so the certified scales are a prefix."""
-    d = np.maximum(d, _TINY)
-    scales = sorted(set(d.tolist()))
-    lift = _TINY * (1 + cert.mu)
-    pad = 1 + _gamma(12)
-
-    def fails(x) -> bool:
-        x = float(x) * (1 + _gamma(3))
-        s = x * (cert.s + _gamma(2) * cert.mu) * pad + lift
-        mu = x * cert.mu * (1 + _gamma(2)) * pad + lift
-        return not certified_scalar(cert.order, s, mu, rel)
-
-    cut = bisect.bisect_left(scales, True, key=fails)
-    return d <= scales[cut - 1] if cut else np.zeros(len(d), dtype=bool)
-
-
 def minor_witness(cov, stmt, tol):
     """Reference verdict: the definition itself, every minor enumerated by
     iter_minors. Returns the first non-vanishing minor, or None when the
     statement holds."""
     block = statement_block(np.asarray(cov, dtype=float), stmt)
     return next((m for m in iter_minors(block, stmt.minor_order) if not tol.minor_is_zero(m)), None)
-
-
-def checks_per_statement(model, masks, plans, live, grid, certs, tol):
-    """analysis._checks statement by statement: each statement's block is
-    cut out of the masks and classified on its own, its transport scale is
-    the largest row scale times the largest column scale, each a product of
-    the row's |delta_p| taken in position order, and its certificate is
-    transported by bisection. A list of (statement, touched, certified)."""
-
-    def scales(members, factors):
-        out = np.ones((len(factors), members.shape[2]))
-        for p in range(members.shape[1]):
-            out = out * np.where(members[:, p], factors[:, p, None], 1.0)
-        return out
-
-    width = len(masks)
-    checks = []
-    for stmt, cert in zip(model.statements, certs):
-        part = masks[:, :, stmt.block_rows][..., stmt.block_cols]
-        on_rows, on_cols = part.any(axis=3), part.any(axis=2)
-        hit = on_rows.any(axis=2)
-        if not hit.any():
-            continue
-        by_row = hit & (part == on_rows[..., None]).all(axis=(2, 3))
-        by_col = hit & ~by_row & (part == on_cols[:, :, None, :]).all(axis=(2, 3))
-        touched = hit.any(axis=1)
-        certified = np.zeros(len(grid) * width, dtype=bool)
-        if cert is not None:
-            whole = plans & touched & ~(hit & ~by_row & ~by_col).any(axis=1)
-            rows = live[whole[live % width]]
-            point, slot = np.divmod(rows, width)
-            factors = np.abs(grid[point])
-            row_scales = scales(on_rows[slot] & by_row[slot, :, None], factors)
-            col_scales = scales(on_cols[slot] & by_col[slot, :, None], factors)
-            d = row_scales.max(axis=1) * col_scales.max(axis=1)
-            certified[rows] = transported_bisection(cert, d, tol.rel)
-        checks.append((stmt, touched, certified))
-    return checks

@@ -1,14 +1,12 @@
 import json
+import tracemalloc
 import warnings
 
 import pytest
 
 from conftest import model5
-from gsens import load_model
-from gsens.cimodel import _certified, certificate
 from gsens.cli import build_parser, main
 from gsens.fixtures import fixture_path
-from gsens.matcore import DEFAULT_TOL
 
 SYNTH = str(fixture_path("synthetic4"))
 CACHEXIA = str(fixture_path("cachexia"))
@@ -373,6 +371,30 @@ def test_bad_path_or_grid_gives_one_error_line(argv, tmp_path, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+_FACTORS_2000 = ",".join(repr(1 + k * 1e-4) for k in range(2000))
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["sweep", SYNTH, "--pos", "Y2,Y1", "--delta-step", "1e-12"],
+         "error: deltas: 500000000001 factors from min to max by step exceed 1000000\n"),
+        (["sweep2", SYNTH, "--pos", "Y2,Y1", "--pos2", "Y3,Y2", "--deltas", _FACTORS_2000,
+          "--deltas2", _FACTORS_2000], "error: 4000000 grid points exceed 1000000\n"),
+    ],
+    ids=["sweep-step", "sweep2-lists"],
+)
+def test_oversized_grid_is_refused_before_it_is_built(argv, message, capsys):
+    tracemalloc.start()
+    try:
+        assert main(argv) == 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr() == ("", message)
+    assert peak < 8 << 20  # bytes: the grid itself would take far more
+
+
 def test_usage_error_exits_with_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["covary", SYNTH, "--pos", "Y2,Y1"])  # missing --delta
@@ -694,18 +716,14 @@ class TestParserReuse:
 
 
 def test_precondition_failure_names_the_first_failing_statement(tmp_path, capsys):
-    # on the chain a -> b -> c -> d, a _||_ c | b and b _||_ d | c hold, and
-    # their base certificates prove it; a _||_ c | d fails
+    # on the chain a -> b -> c -> d, a _||_ c | b and b _||_ d | c hold and
+    # a _||_ c | d fails
     path = tmp_path / "chain.json"
     edges = [{"from": u, "to": v, "beta": 0.5} for u, v in ("ab", "bc", "cd")]
     ci = [{"A": ["a"], "B": ["c"], "C": ["b"]}, {"A": ["b"], "B": ["d"], "C": ["c"]},
           {"A": ["a"], "B": ["c"], "C": ["d"]}]
     path.write_text(json.dumps({"variables": list("abcd"), "dag": {"order": list("abcd"), "edges": edges},
                                 "ci": ci}))
-    model = load_model(path)
-    for stmt in model.statements[:2]:
-        cert = certificate(model.covariance, stmt)
-        assert _certified(cert.order, cert.s, cert.mu, DEFAULT_TOL.rel)
     prefix = "error: covariance does not satisfy the model: statement 3 fails with minor rows "
     assert main(["sweep", str(path), "--pos", "b,a", "--deltas", "0.9,1.1"]) == 1
     assert capsys.readouterr().err == prefix + "{a,d} x cols {c,d} = 0.25\n"

@@ -21,7 +21,10 @@ values, a singular base covariance, a sweep2 with one negative factor, a
 sweep2 whose zero-product grid point sits between negative-factor warnings,
 a standard sweep that makes a conditioning block exactly singular, whose
 rows the certificate cannot decide, sweeps with --summary, whose
-admissibility summary goes to stderr, a covary whose negative-factor
+admissibility summary goes to stderr, a sweep2 whose factor products
+overflow (1e160 at two positions under row, column and partial), a sweep2
+at --tol 1e-15, where no step-2 certificate of cimodel passes and so every
+touched statement goes to steps 3 and 4, a covary whose negative-factor
 warning comes before its refused row set's error, JSON sweeps with
 Infinity and NaN cells, negative-factor warnings and a total error row,
 sweep configs, as CSV and as JSON, whose scheme list holds one kind in
@@ -152,6 +155,11 @@ EDGE_JOBS = [
     Job("sweep", SYNTH, ("--pos", "Y2,Y1", "--deltas=-2,-0.5,0.9,1.1", "--summary")),
     Job("sweep", SYNTH, ("--pos", "Y2,Y1", "--deltas", "0.9,1.1,0.9", "--summary")),
     Job("sweep2", SYNTH, ("--pos", "Y2,Y1", "--pos2", "Y3,Y2", "--deltas", "0.9,1.1", "--summary")),
+    # factor products that overflow, and a tolerance no step-2 certificate meets
+    Job("sweep2", SYNTH, ("--pos", "Y2,Y1", "--pos2", "Y3,Y2", "--deltas", "1e160", "--deltas2", "1e160",
+                          "--schemes", "row,column,partial")),
+    Job("sweep2", SYNTH, ("--pos", "Y2,Y1", "--pos2", "Y3,Y2", "--deltas", "0.9,1.1", "--deltas2", "1.2",
+                          "--tol", "1e-15")),
     Job("sweep", "edge-singular.json", ("--pos", "a,b", "--deltas", "0.5,1,1.5", "--summary")),
     # a negative-factor warning, then the refused row set's error
     Job("covary", SYNTH, ("--pos", "Y2,Y1", "--delta=-0.5", "--scheme", "row", "--E", "Y1")),
