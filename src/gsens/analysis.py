@@ -97,7 +97,7 @@ import numpy as np
 
 from .cimodel import CIStatement, decide_pairs, model_holds, require_model, statement_table
 from .covariation import Scheme, Variation, build_plan, check_product
-from .divergence import additive_shift, measure, whitener
+from .divergence import additive_shift, measure, spectra, whitener
 from .errors import FactorError, GsensError, ModelFormatError
 from .graphmodels import GaussianDag, GraphModelError, dag_ci_statements, dag_to_gaussian
 from .matcore import DEFAULT_TOL, TolerancePolicy
@@ -189,13 +189,16 @@ def _num(value, where: str) -> float:
 
 def _read_json(path: Path) -> dict:
     """The top-level object of a JSON file; a missing or unreadable file,
-    malformed JSON or another top level is a ModelFormatError."""
+    text that is not UTF-8, malformed JSON or another top level is a
+    ModelFormatError."""
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ModelFormatError(f"{path}: no such file") from None
     except OSError as e:
         raise ModelFormatError(f"{path}: cannot read ({e.strerror})") from None
+    except UnicodeDecodeError as e:
+        raise ModelFormatError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
     except json.JSONDecodeError as e:
         raise ModelFormatError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
     if not isinstance(raw, dict):
@@ -425,21 +428,19 @@ def _as_grid(deltas) -> list[float]:
     return grid
 
 
-def _axis(model: Model, deltas, variations, spec: Scheme):
+def _axis(model: Model, variations, spec: Scheme):
     """Build the plan of every factor of one grid axis at one position (its
-    Variations, one per factor): the entries the plans scale, from the first
-    plan built for a factor other than 1, and each factor's warnings and
+    Variations, one per factor): the mask the plans share, from any plan
+    built (none when no plan builds), and each factor's warnings and
     construction error (None when the plan builds)."""
     mask = None
     notes, errors = [], []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for delta, variation in zip(deltas, variations):
+        for variation in variations:
             try:
-                product = build_plan(variation, spec, model.statements).product
+                mask = build_plan(variation, spec, model.statements).masks[0]
                 errors.append(None)
-                if mask is None and delta != 1.0:
-                    mask = product != 1.0
             except GsensError as e:
                 errors.append(str(e))
             notes.append(tuple(str(w.message) for w in caught) if caught else ())
@@ -469,7 +470,7 @@ def _outcomes(axes, index: np.ndarray):
     return errors, notes
 
 
-def _masks(model: Model, positions, grids, variations, index, spec):
+def _masks(model: Model, positions, variations, index, spec):
     """One scheme's single-position masks (positions, n, n), each grid
     point's construction error and the (grid index, warnings) of the points
     that warn, from each axis's shared Variations. The standard change
@@ -479,7 +480,7 @@ def _masks(model: Model, positions, grids, variations, index, spec):
         for mask, (i, j) in zip(masks, positions):
             mask[i, j] = mask[j, i] = True
         return masks, [None] * index.shape[1], []
-    axes = [_axis(model, deltas, axis, spec) for deltas, axis in zip(grids, variations)]
+    axes = [_axis(model, axis, spec) for axis in variations]
     return np.stack([mask for mask, _, _ in axes]), *_outcomes(axes, index)
 
 
@@ -536,10 +537,18 @@ def _sweep(model: Model, positions, grids, schemes, tol: TolerancePolicy) -> Swe
     step = max(1, BLOCK_ENTRIES // (n * n))
     with np.errstate(all="ignore"):
         for s, spec in enumerate(specs):
-            mask, errors[s::width], found = _masks(model, positions, grids, variations, index, spec)
+            mask, errors[s::width], found = _masks(model, positions, variations, index, spec)
             masks.append(mask)
             notes.append(found)
         masks = np.stack(masks)
+        # a scheme whose masks agree at every position changes Sigma by
+        # (f - 1) (M o Sigma), f the product of a row's factors: one base,
+        # and one spectrum, per such scheme
+        single = (masks == masks[:, :1]).all(axis=(1, 2, 3))
+        base = np.where(single, np.cumsum(single) - 1, -1)
+        spectral = whiten is not None and single.any()
+        if spectral:
+            lam, reach = spectra(whiten, np.where(masks[single, 0], cov, 0.0))
         standard = np.array([spec is None for spec in specs])
         live = np.array([r for r, e in enumerate(errors) if e is None], dtype=int)
         ks, touched = _checks(model, masks)
@@ -567,7 +576,15 @@ def _sweep(model: Model, positions, grids, schemes, tol: TolerancePolicy) -> Swe
                     check_product(product[b])
                 except FactorError as e:
                     errors[at[b]] = str(e)
-            sizes, values, ok = measure(cov, whiten, targets, shifts)
+            scaled = None
+            if spectral:
+                # f on each row's mask, as the product loop above rounds it
+                scale = factors[:, 0]
+                for p in range(1, len(positions)):
+                    scale = scale * factors[:, p]
+                on = base[slot]
+                scaled = lam[on], reach[on], np.where(on >= 0, scale - 1.0, np.nan)
+            sizes, values, ok = measure(cov, whiten, targets, shifts, scaled)
             frob[at] = np.where(built, sizes, np.nan)
             kls[at] = np.where(built, values, np.nan)
             admissible[at] = ok & built

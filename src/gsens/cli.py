@@ -35,7 +35,7 @@ from .analysis import (
 from .cimodel import model_holds, require_model
 from .conditioning import Evidence, condition
 from .covariation import Variation, build_plan, verify_preserving
-from .divergence import COMPARE_SCHEMES, measure, scheme_ordering, whitener
+from .divergence import COMPARE_SCHEMES, mask_spectra, measure, scheme_ordering, whitener
 from .errors import GsensError, SingularMatrixError
 from .matcore import DEFAULT_TOL, TolerancePolicy
 
@@ -117,9 +117,12 @@ def _cmd_covary(args) -> int:
         print("verdict: preserving")
     else:
         print(f"verdict: NOT preserving  witness {failure[1].describe(model.names)}")
-    cov = model.covariance
+    cov, whiten = model.covariance, whitener(model.covariance)
     target, shift = plan.apply(cov), (plan.product - 1.0) * cov
-    (frob,), (kl,), (admissible,) = measure(cov, whitener(cov), target[None], shift[None])
+    # the change is (delta - 1) times the plan's mask o cov
+    ((variation, _),) = plan.steps
+    scaled = mask_spectra(cov, whiten, np.stack(plan.masks), [variation.delta - 1.0])
+    (frob,), (kl,), (admissible,) = measure(cov, whiten, target[None], shift[None], scaled)
     print(f"admissible: {'yes' if admissible else 'no'}")
     print(f"frobenius: {frob:.12g}")
     if admissible:

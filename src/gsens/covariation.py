@@ -15,15 +15,20 @@ plus "none" (no covariation at all: the position alone). One builder makes
 every partial, row and column fill; its block is the union of the blocks
 of the statements it targets, and one statement is the one-element case.
 
-A plan is where(M, delta, 1) for a 0/1 mask M that the scheme fixes and
-delta does not touch: all of the matrix for total, the position and its
-mirror for "none" (and for a position no statement block holds), the fill
-for the rest. So whether a scheme keeps the model valid is decided on the
-sets E and F alone. The builder resolves that delta-free fill (targets,
-block, E/F and mask) once per (position, scheme, statements) and memoises
-it; every factor's plan is then where(M, delta, 1), with its warnings and
-any refused-set error issued on each build. Plans at several positions
-compose by their Schur product.
+A plan is its mask: where(M, delta, 1) for a 0/1 mask M that the scheme
+fixes and delta does not touch: all of the matrix for total, the position
+and its mirror for "none" (and for a position no statement block holds),
+the fill for the rest. So a one-position plan is 1 + (delta - 1) M, its
+change of Sigma is (delta - 1) (M o Sigma), and whether a scheme keeps the
+model valid is decided on the sets E and F alone. The builder resolves that
+delta-free fill (targets, block, E/F and mask) once per (position, scheme,
+statements) and memoises it; every factor's plan then holds its Variation,
+its scheme as built and the shared read-only mask, with its warnings and
+any refused-set error issued on each build, and allocates nothing. A
+plan's product, the Schur product of where(M, delta, 1) over its steps, is
+derived on first read. A one-step product is symmetric and has no zero
+entry by construction (M is symmetric, delta finite and nonzero); plans at
+several positions compose by their Schur product, which compose checks.
 """
 
 from __future__ import annotations
@@ -111,13 +116,20 @@ def check_product(product: np.ndarray) -> None:
 @dataclass(frozen=True, eq=False)
 class PerturbationPlan:
     """Perturbs cov to product * cov. steps holds, per factor, its
-    Variation and the scheme as actually built (row/column sets resolved)."""
+    Variation and the scheme as actually built (row/column sets resolved),
+    and masks the delta-free mask M of each step; product is the Schur
+    product of where(M, delta, 1) over the steps, derived on first read."""
 
-    product: np.ndarray
     steps: tuple[tuple[Variation, Scheme], ...]
+    masks: tuple[np.ndarray, ...]
 
-    def __post_init__(self):
-        check_product(self.product)
+    @functools.cached_property
+    def product(self) -> np.ndarray:
+        (variation, _), *rest = self.steps
+        product = np.where(self.masks[0], variation.delta, 1.0)
+        for (variation, _), mask in zip(rest, self.masks[1:]):
+            product = product * np.where(mask, variation.delta, 1.0)
+        return product
 
     def apply(self, cov) -> np.ndarray:
         """Perturbed covariance: entrywise product with the plan."""
@@ -240,8 +252,9 @@ def _fill(n: int, i: int, j: int, scheme: Scheme, statements: tuple[CIStatement,
 def build_plan(
     variation: Variation, scheme: Scheme, statements: Sequence[CIStatement]
 ) -> PerturbationPlan:
-    """Plan for a variation against a model (list of statements):
-    where(M, delta, 1) over the memoised fill M (_fill).
+    """Plan for a variation against a model (list of statements): the
+    variation, the scheme as built and the memoised fill M (_fill), whose
+    product is where(M, delta, 1).
 
     With statement_index set, the scheme is built against that one
     statement, marginal or not. Otherwise only the statements with
@@ -265,14 +278,17 @@ def build_plan(
         )
     if fill.refused is not None:
         raise SchemeError(fill.refused)
-    return PerturbationPlan(np.where(fill.mask, delta, 1.0), ((variation, fill.scheme),))
+    return PerturbationPlan(((variation, fill.scheme),), (fill.mask,))
 
 
 def compose(p1: PerturbationPlan, p2: PerturbationPlan) -> PerturbationPlan:
-    """Schur product of two plans, with their steps in turn."""
-    if p1.product.shape != p2.product.shape:
-        raise ValueError(f"dimension mismatch: {len(p1.product)} vs {len(p2.product)}")
-    return PerturbationPlan(p1.product * p2.product, p1.steps + p2.steps)
+    """Schur product of two plans, with their steps and masks in turn; a
+    product with a zero entry is a FactorError (check_product)."""
+    if p1.masks[0].shape != p2.masks[0].shape:
+        raise ValueError(f"dimension mismatch: {len(p1.masks[0])} vs {len(p2.masks[0])}")
+    plan = PerturbationPlan(p1.steps + p2.steps, p1.masks + p2.masks)
+    check_product(plan.product)
+    return plan
 
 
 def verify_preserving(

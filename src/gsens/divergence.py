@@ -6,26 +6,41 @@ standard additive change, where D is additive_shift itself, and every plan
 for the plan's product P. With Sigma = L L' and nu the eigenvalues of
 L^-1 D L^-T, the perturbed covariance is L (I + L^-1 D L^-T) L', so
 
-    KL = 0.5 * sum_i (nu_i - log1p(nu_i))
+    KL = sum_i 0.5 * (nu_i - log1p(nu_i))
 
-in nats; each term is >= 0, and every one is exactly 0 when D is 0. A
-change is admissible iff Sigma passes the reciprocal-condition rule of
-matcore.check_invertible and every 1 + nu_i > 0, i.e. Sigma + D is
-positive definite. A change that is not finite, or whose whitened form
-is not finite, is inadmissible by rule; that is decided before eigvalsh,
-which reads only one triangle of its input. kl_stack is the one spectral
-path: for a stack of changes of one Sigma, factored once (whitener, L^-1
-after the condition rule), it takes nu from one batched eigvalsh and sums
-the terms with kl_of_spectrum; kl validates its input and evaluates a
-stack of one.
+in nats; each term is >= 0, every one is exactly 0 when D is 0, and the
+halved terms are summed, so a KL within the float range never overflows to
+inf. A change is admissible iff Sigma passes the reciprocal-condition rule
+of matcore.check_invertible and every 1 + nu_i > 0, i.e. Sigma + D is
+positive definite. A change that is not finite, or whose whitened form is
+not finite, is inadmissible by rule; that is decided before eigvalsh,
+which reads only one triangle of its input.
+
+kl_stack takes nu in one of two ways, for a stack of changes of one Sigma
+factored once (whitener, L^-1 after the condition rule). A change c A on a
+base A whose spectrum lam = eigvalsh(L^-1 A L^-T) is known (spectra) has
+nu = c lam: one eigvalsh per base serves every row on it. A plan whose
+steps share one mask M is such a change, with A = M o Sigma and c = f - 1
+for the product f of its factors: every one-position plan, and the
+standard change at one position, whose mask is the position and its
+mirror. So is a two-position plan whose masks are equal (always under
+total), with f = fl(delta1 delta2). A row whose |c| times its base's reach
+could overflow, and every other change (the two-position standard change, a
+plan whose masks differ), takes nu from one batched eigvalsh of its
+whitened change, which also decides the inadmissible-by-rule cases. The
+two ways round differently; for one change they agree to rounding.
+kl validates its input and evaluates a stack of one on the second way.
+
 measure is the one evaluator behind every printed number: for a stack of
 targets and their changes of one Sigma it gives each row's Frobenius
-distance sum((Sigma - T)^2), and its KL and admissibility from kl_stack.
-Sweep blocks, the compare table (scheme_ordering: the four plans and the
-matched additive change, one stack of five) and covary (a stack of one)
-all call it. kl_additive, kl_mp and frobenius_mp have no caller in src/;
-they remain as the layer names the benchmark's per-layer trace binds and
-as test oracles for the definitions.
+distance sum((Sigma - T)^2), and its KL and admissibility from kl_stack,
+each row on its base's spectrum where it has one. Sweep blocks, the compare
+table (scheme_ordering: the four plans and the matched additive change, one
+stack of five on five bases) and covary (a stack of one on its plan's
+mask) all call it, so each prints the same KL for the same change.
+kl_additive, kl_mp and frobenius_mp have no caller in src/; they remain as
+the layer names the benchmark's per-layer trace binds and as test oracles
+for the definitions (kl_mp takes a plan's KL as measure does).
 """
 
 from __future__ import annotations
@@ -40,6 +55,11 @@ from .covariation import PerturbationPlan, Scheme, Variation, build_plan
 from .errors import GsensError, InadmissibleError, SingularMatrixError
 from .matcore import as_matrix, check_invertible, check_symmetric
 
+# A change c A takes its spectrum as c times its base's when |c| times the
+# base's reach (spectra) is at most half the float range: the factor 2
+# covers the rounding of every sum the per-row path would form.
+SPECTRUM_LIMIT = np.finfo(float).max / 2
+
 # Below this |nu|, nu - log1p(nu) would lose up to log10(2 / |nu|) digits to
 # cancellation; the series (nu - log1p(nu)) / nu^2 = 1/2 - nu/3 + nu^2/4 - ...,
 # cut after 15 terms (highest power first, for Horner), is exact to 1e-16 there.
@@ -48,9 +68,10 @@ _SERIES = tuple((-1) ** k / (k + 2) for k in reversed(range(15)))
 
 
 def kl_of_spectrum(nu: np.ndarray) -> np.ndarray:
-    """0.5 * sum_i (nu_i - log1p(nu_i)) for every spectrum of a stack (m, n),
+    """sum_i 0.5 * (nu_i - log1p(nu_i)) for every spectrum of a stack (m, n),
     with nu > -1, to rounding accuracy: the series below SERIES_RADIUS, and
-    the terms added in eigenvalue order."""
+    the halved terms added in eigenvalue order (halving is exact, and a sum
+    within the float range stays finite)."""
     excess = np.empty_like(nu)
     big = np.abs(nu) >= SERIES_RADIUS
     values = nu[big]
@@ -60,10 +81,11 @@ def kl_of_spectrum(nu: np.ndarray) -> np.ndarray:
     for c in _SERIES:
         series = series * small + c
     excess[~big] = series * small * small
+    excess *= 0.5
     total = np.zeros(len(nu))
     for k in range(nu.shape[1]):
         total = total + excess[:, k]
-    return 0.5 * total
+    return total
 
 
 def whitener(cov: np.ndarray) -> np.ndarray | None:
@@ -83,6 +105,12 @@ def kl(cov, shift) -> float:
     InadmissibleError when cov or cov + shift is not positive definite or
     the change is not finite.
     """
+    return _kl(cov, shift)
+
+
+def _kl(cov, shift, mask=None, scale=0.0) -> float:
+    """kl, with the change taken as scale * (mask o cov) when a mask is
+    given."""
     cov = check_symmetric(as_matrix(cov, "cov"), "cov")
     shift = check_symmetric(as_matrix(shift, "shift"), "shift")
     if shift.shape != cov.shape:
@@ -93,7 +121,8 @@ def kl(cov, shift) -> float:
         with contextlib.suppress(np.linalg.LinAlgError):
             check_invertible(cov)
         raise InadmissibleError("base covariance is not positive definite; KL is undefined")
-    values, admissible = kl_stack(whiten, shift[None])
+    scaled = None if mask is None else mask_spectra(cov, whiten, mask[None], [scale])
+    values, admissible = kl_stack(whiten, shift[None], scaled)
     if not admissible[0]:
         raise InadmissibleError(
             "perturbed covariance is not positive definite, or the change is not finite; KL is undefined"
@@ -101,18 +130,59 @@ def kl(cov, shift) -> float:
     return float(values[0])
 
 
-def kl_stack(whiten: np.ndarray | None, shifts: np.ndarray):
+def spectra(whiten: np.ndarray, bases: np.ndarray):
+    """The spectrum lam = eigvalsh(W A W') of each base A of a stack (k, n, n)
+    of one cov's changes, given its whitener W, from one batched eigvalsh,
+    and each base's reach: the largest of max|A|, max(|W| |A|) and the
+    largest row sum of |W| |A| |W'|. A change c A with |c| reach <=
+    SPECTRUM_LIMIT is finite, so is every partial sum of its whitened form
+    W (c A) W' (each is at most |c| |W| |A| |W'| up to rounding), and so is
+    c lam (a row sum bounds the spectral radius)."""
+    size = np.abs(bases)
+    bound = np.abs(whiten) @ size
+    rows = (bound @ np.abs(whiten).T).sum(axis=2)
+    reach = np.max([size.max(axis=(1, 2)), bound.max(axis=(1, 2)), rows.max(axis=1)], axis=0)
+    return np.linalg.eigvalsh(whiten @ bases @ whiten.T), reach
+
+
+def mask_spectra(cov: np.ndarray, whiten: np.ndarray | None, masks: np.ndarray, scales) -> tuple | None:
+    """kl_stack's scaled rows for the changes scales[r] * (masks[r] o cov), one
+    base per row (None when cov has no whitener)."""
+    if whiten is None:
+        return None
+    return *spectra(whiten, np.where(masks, cov, 0.0)), np.asarray(scales, dtype=float)
+
+
+def kl_stack(whiten: np.ndarray | None, shifts: np.ndarray, scaled: tuple | None = None):
     """kl for a stack of symmetric changes (m, n, n) of one cov, given its
     whitener (None where it has none): the KL values (NaN where
-    inadmissible) and the admissible flags, by row. A change is inadmissible
-    when it or its whitened form is not finite, and every row is when
-    whiten is None; the other changes share one batched eigvalsh."""
+    inadmissible) and the admissible flags, by row.
+
+    scaled, when given, is (lam, reach, scale) by row: the row's change is
+    scale times a base of spectrum lam and reach (spectra), and a NaN scale
+    marks a row without one. A row whose |scale| reach is at most
+    SPECTRUM_LIMIT takes nu = scale * lam. Every other change is
+    inadmissible when it or its whitened form is not finite, and the rest
+    share one batched eigvalsh. Every row is inadmissible when whiten is
+    None."""
     nu = np.full(shifts.shape[:-1], np.nan)
     if whiten is not None:
-        changes = whiten @ shifts @ whiten.T
-        finite = np.isfinite(shifts).all(axis=(1, 2)) & np.isfinite(changes).all(axis=(1, 2))
-        if finite.any():
-            nu[finite] = np.linalg.eigvalsh(changes[finite])
+        rest = np.ones(len(shifts), dtype=bool)
+        if scaled is not None:
+            lam, reach, scale = scaled
+            on = np.abs(scale) * reach <= SPECTRUM_LIMIT
+            nu[on] = scale[on, None] * lam[on]
+            rest = ~on
+        if rest.any():
+            # + 0.0 turns -0.0 into 0.0: the standard change and the
+            # position-only plan's, (delta - 1) s_ij at the position, are one
+            # change, whose spectrum must not depend on the sign of its zeros
+            each = shifts[rest] + 0.0
+            changes = whiten @ each @ whiten.T
+            finite = np.isfinite(each).all(axis=(1, 2)) & np.isfinite(changes).all(axis=(1, 2))
+            if finite.any():
+                at = np.flatnonzero(rest)[finite]
+                nu[at] = np.linalg.eigvalsh(changes[finite])
     admissible = (nu > -1.0).all(axis=1)
     values = np.full(len(shifts), np.nan)
     values[admissible] = kl_of_spectrum(nu[admissible])
@@ -125,8 +195,15 @@ def kl_additive(cov, cov_shift) -> float:
 
 
 def kl_mp(cov, plan: PerturbationPlan) -> float:
-    """kl of a plan's change (P - 1) o cov, for the model-preserving schemes."""
-    return kl(cov, (plan.product - 1.0) * as_matrix(cov, "cov"))
+    """kl of a plan's change (P - 1) o cov, for the model-preserving schemes,
+    with its errors; a plan whose steps share one mask takes its spectrum
+    from the mask's, as measure does."""
+    cov = as_matrix(cov, "cov")
+    shift = (plan.product - 1.0) * cov
+    mask = plan.masks[0]
+    if any(not np.array_equal(m, mask) for m in plan.masks[1:]):
+        return kl(cov, shift)
+    return _kl(cov, shift, mask, math.prod(variation.delta for variation, _ in plan.steps) - 1.0)
 
 
 def frobenius(cov, cov_new) -> float:
@@ -156,14 +233,17 @@ def additive_shift(cov: np.ndarray, positions, deltas) -> np.ndarray:
     return shift
 
 
-def measure(cov: np.ndarray, whiten: np.ndarray | None, targets: np.ndarray, shifts: np.ndarray):
+def measure(
+    cov: np.ndarray, whiten: np.ndarray | None, targets: np.ndarray, shifts: np.ndarray, scaled: tuple | None = None
+):
     """Frobenius, KL and admissibility of every row of a stack of targets
     (m, n, n) of cov and their changes from cov, shifts, given cov's
-    whitener (None where it has none): the sums of squared entrywise
+    whitener (None where it has none) and the rows' scaled base spectra
+    where they have them (kl_stack's scaled): the sums of squared entrywise
     differences, bitwise frobenius(cov, target) row by row, and kl_stack's
     KL values (NaN where inadmissible) and admissible flags."""
     frob = ((cov - targets) ** 2).reshape(len(targets), -1).sum(axis=1)
-    return (frob, *kl_stack(whiten, shifts))
+    return (frob, *kl_stack(whiten, shifts, scaled))
 
 
 # (larger, smaller) Frobenius pairs implied by containment of the changed
@@ -183,7 +263,9 @@ def scheme_ordering(cov, position: tuple[int, int], delta: float, stmt: CIStatem
     """Frobenius/KL for all four covariation schemes plus the matched
     additive change d_ij = (delta - 1) s_ij at the same position: measure's
     columns (frobenius, kl, admissible), one row per COMPARE_SCHEMES entry,
-    KL NaN where a row is inadmissible.
+    KL NaN where a row is inadmissible. Each row's change is (delta - 1)
+    times its mask's base: the plan's fill, or the position for the
+    standard change.
 
     The Frobenius ordering total >= partial >= row, partial >= column,
     row >= standard, column >= standard holds by containment of the changed
@@ -192,12 +274,17 @@ def scheme_ordering(cov, position: tuple[int, int], delta: float, stmt: CIStatem
     """
     cov = check_symmetric(as_matrix(cov, "cov"), "cov")
     variation = Variation(cov.shape[0], *position, delta)
-    kinds = COMPARE_SCHEMES[:-1]
-    products = np.stack([build_plan(variation, Scheme(kind, None, 0), (stmt,)).product for kind in kinds])
+    plans = [build_plan(variation, Scheme(kind, None, 0), (stmt,)) for kind in COMPARE_SCHEMES[:-1]]
+    products = np.stack([plan.product for plan in plans])
     shift = additive_shift(cov, (position,), (delta,))
     targets = np.concatenate([products * cov, (cov + shift)[None]])
     shifts = np.concatenate([(products - 1.0) * cov, shift[None]])
-    frob, values, admissible = measure(cov, whitener(cov), targets, shifts)
+    masks = np.zeros(targets.shape, dtype=bool)
+    masks[:-1] = [plan.masks[0] for plan in plans]
+    masks[-1, variation.i, variation.j] = masks[-1, variation.j, variation.i] = True
+    whiten = whitener(cov)
+    scaled = mask_spectra(cov, whiten, masks, np.full(len(masks), variation.delta - 1.0))
+    frob, values, admissible = measure(cov, whiten, targets, shifts, scaled)
 
     size = dict(zip(COMPARE_SCHEMES, frob.tolist()))
     slack = 1e-12 * max(1.0, size["total"])

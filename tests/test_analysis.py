@@ -659,9 +659,11 @@ def _per_row(model, positions, grids, schemes, tol):
     """The sweep by its definition: every row builds its own plan (or
     additive change), measures it by the public definitions (frobenius of
     the target, and kl_mp or kl_additive of the change, inadmissible where
-    that raises InadmissibleError or SingularMatrixError) and re-checks the
-    model on the target. A row is (factors, scheme, kl, frobenius,
-    admissible, preserving, error), None standing for an absent value."""
+    that raises InadmissibleError or SingularMatrixError; the standard
+    change at one position is its position-only plan's change, whose KL is
+    kl_mp's) and re-checks the model on the target. A row is (factors,
+    scheme, kl, frobenius, admissible, preserving, error), None standing
+    for an absent value."""
     require_model(model.covariance, model.statements, tol, model.names)
     cov, rows = model.covariance, []
     for deltas in itertools.product(*(sorted(g) for g in grids)):
@@ -671,6 +673,9 @@ def _per_row(model, positions, grids, schemes, tol):
             if scheme is None:
                 shift = additive_shift(cov, positions, deltas)
                 target, kl_of = cov + shift, functools.partial(kl_additive, cov, shift)
+                if len(positions) == 1:
+                    alone = build_plan(Variation(model.n, *positions[0], deltas[0]), Scheme("none"), ())
+                    kl_of = functools.partial(kl_mp, cov, alone)
             else:
                 # each position's plan in turn, composed: warnings and the first error in order
                 plans = (build_plan(Variation(model.n, i, j, d), scheme, model.statements)

@@ -5,6 +5,7 @@ import warnings
 import pytest
 
 from conftest import model5
+from gsens import ModelFormatError, load_model
 from gsens.cli import build_parser, main
 from gsens.fixtures import fixture_path
 
@@ -371,6 +372,18 @@ def test_bad_path_or_grid_gives_one_error_line(argv, tmp_path, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [["check", "{path}"], ["sweep", "--config", "{path}"]], ids=["check", "sweep-config"])
+def test_a_file_that_is_not_utf8_is_a_model_format_error_naming_it(argv, tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b'\xff\xfe{"variables": []}')
+    assert main([a.replace("{path}", str(path)) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: not UTF-8 text (invalid start byte at byte 0)\n"
+    with pytest.raises(ModelFormatError, match="not UTF-8"):
+        load_model(path)
+
+
 _FACTORS_2000 = ",".join(repr(1 + k * 1e-4) for k in range(2000))
 
 
@@ -550,23 +563,36 @@ def test_warnings_have_a_stable_format(capsys):
 
 def test_extreme_factors_print_no_numpy_warnings(capsys):
     # the products overflow to inf; the rows keep their values and stderr
-    # stays empty
+    # stays empty. The total rows' KL, 2 (x - log1p x) with x = delta - 1,
+    # rounds to 2e+200 and 2e+300 (a 50-digit evaluation agrees)
     assert main(["sweep", SYNTH, "--pos", "Y2,Y1", "--deltas", "1e200,1e300"]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out == (
         "delta1,delta2,scheme,kl,frobenius,admissible,preserving\n"
         "1e+200,,standard,,inf,false,false\n"
-        "1e+200,,total,1.999999999999998e+200,inf,true,false\n"
+        "1e+200,,total,2e+200,inf,true,false\n"
         "1e+200,,partial,,inf,false,false\n"
         "1e+200,,row,,inf,false,true\n"
         "1e+200,,column,,inf,false,true\n"
         "1e+300,,standard,,inf,false,false\n"
-        "1e+300,,total,2.0000000000000007e+300,inf,true,false\n"
+        "1e+300,,total,2e+300,inf,true,false\n"
         "1e+300,,partial,,inf,false,false\n"
         "1e+300,,row,,inf,false,true\n"
         "1e+300,,column,,inf,false,true\n"
     )
+
+
+def test_a_finite_kl_near_the_float_limit_prints_finite(tmp_path, capsys):
+    # Sigma = I2 under total at 1e308: each of the two eigenvalues is
+    # nu = 1e308 - 1, so KL = nu - log1p(nu), which rounds to 1e+308; the
+    # sum of the two unhalved terms would overflow
+    path = tmp_path / "identity.json"
+    path.write_text(json.dumps({"variables": ["A", "B"], "covariance": [[1, 0], [0, 1]]}))
+    assert main(["sweep", str(path), "--pos", "A,B", "--deltas", "1e308", "--schemes", "total"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "1e+308,,total,1e+308,inf,true,true"
+    assert main(["covary", str(path), "--pos", "A,B", "--delta", "1e308", "--scheme", "total"]) == 0
+    assert "kl: 1e+308\n" in capsys.readouterr().out
 
 
 def test_zero_product_grid_point_is_an_error_row(capsys):

@@ -526,6 +526,50 @@ class TestPlansAreMasks:
         assert compose(p, q).steps == p.steps + q.steps
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        deltas=st.lists(
+            st.floats(0.05, 20.0) | st.floats(-20.0, -0.05) | st.sampled_from([1e-200, 1e-160, 1e200, 1.0]),
+            min_size=1, max_size=4,
+        ),
+    )
+    def test_the_derived_product_is_the_eager_schur_product_of_the_masks(self, seed, deltas):
+        # build_plan allocates no product and compose checks its own: each
+        # plan's product is read off its steps and masks on first use
+        rng = np.random.default_rng(seed)
+        dag = random_dag(rng, int(rng.integers(1, 8)))
+        statements, n = dag_ci_statements(dag), dag.n
+        plans = []
+        for delta in deltas:
+            i, j, scheme = self._draw(rng, n, statements)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # outside the block, negative factors
+                try:
+                    plans.append(build_plan(Variation(n, i, j, delta), scheme, statements))
+                except SchemeError:
+                    continue
+        for plan in plans:
+            ((variation, _),), (mask,) = plan.steps, plan.masks
+            assert mask.dtype == bool and not mask.flags.writeable and (mask == mask.T).all()
+            assert plan.product.tobytes() == np.where(mask, variation.delta, 1.0).tobytes()
+            assert plan.product.all() and (plan.product == plan.product.T).all()
+        if not plans:
+            return
+        combined, eager = plans[0], plans[0].product
+        for plan in plans[1:]:
+            with np.errstate(over="ignore"):  # 1e200 * 1e200 is inf, which a plan allows
+                eager = eager * np.where(plan.masks[0], plan.steps[0][0].delta, 1.0)
+                if not eager.all():
+                    with pytest.raises(FactorError, match="plan product has zero entries"):
+                        compose(combined, plan)
+                    return
+                combined = compose(combined, plan)
+            assert combined.product.tobytes() == eager.tobytes()
+            made = [q.masks[0] for q in plans[: len(combined.steps)]]
+            assert len(combined.masks) == len(made) and all(a is b for a, b in zip(combined.masks, made))
+
+
 class TestPlanInvariants:
     def test_product_entries_never_zero(self, stmt4):
         plan = build_plan(Variation(4, 1, 0, 0.25), Scheme("partial"), [stmt4])

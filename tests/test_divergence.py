@@ -25,9 +25,10 @@ from gsens import (
     load_model,
     one_way_sweep,
     scheme_ordering,
+    two_way_sweep,
 )
 from gsens import divergence
-from gsens.analysis import Model
+from gsens.analysis import Model, resolve_scheme
 from gsens.divergence import COMPARE_SCHEMES, additive_shift, frobenius_mp, kl_additive, kl_mp
 from gsens.fixtures import fixture_path
 from gsens.matcore import is_psd
@@ -57,15 +58,28 @@ def _plan_shift(cov, plan):
     return (plan.product - 1.0) * cov
 
 
-def _measure(cov, change):
+def _measure(cov, change, mask=None, scale=None):
     """divergence.measure on a stack of one: (frobenius, kl, admissible) of
-    a plan (target P o cov) or of an additive shift D (target cov + D)."""
+    a plan (target P o cov) or of an additive shift D (target cov + D). A
+    plan whose steps share one mask takes its spectrum from the mask's, as
+    covary does, and so does a shift given as scale * (mask o cov)."""
     if isinstance(change, PerturbationPlan):
         target, shift = change.apply(cov), _plan_shift(cov, change)
+        if all(np.array_equal(m, change.masks[0]) for m in change.masks):
+            mask, scale = change.masks[0], math.prod(v.delta for v, _ in change.steps) - 1.0
     else:
         target, shift = cov + change, change
-    (frob,), (value,), (admissible,) = divergence.measure(cov, divergence.whitener(cov), target[None], shift[None])
+    whiten = divergence.whitener(cov)
+    scaled = None if mask is None else divergence.mask_spectra(cov, whiten, mask[None], [scale])
+    (frob,), (value,), (admissible,) = divergence.measure(cov, whiten, target[None], shift[None], scaled)
     return float(frob), float(value), bool(admissible)
+
+
+def _position_mask(n, position):
+    """The standard change's mask: the position and its mirror."""
+    mask = np.zeros((n, n), dtype=bool)
+    mask[position] = mask[position[::-1]] = True
+    return mask
 
 
 class TestKl:
@@ -87,9 +101,28 @@ class TestKl:
         with pytest.raises(InadmissibleError, match="base covariance"):
             kl(np.diag([1.0, -1.0]), np.zeros((2, 2)))
 
+    @staticmethod
+    def _oracle(mp, cov):
+        """The KL of the exact change T = P o cov of cov for a plan product
+        P, with trace and determinants at the working precision."""
+        n = len(cov)
+        base = mp.matrix(cov.tolist())
+        prec, logdet = mp.inverse(base), mp.log(mp.det(base))
+
+        def kl_of(product):
+            target = mp.matrix(n, n)
+            for a in range(n):
+                for b in range(n):
+                    target[a, b] = mp.mpf(product[a, b]) * cov[a, b]
+            trace = mp.fsum(prec[a, b] * target[b, a] for a in range(n) for b in range(n))
+            return (trace - n + logdet - mp.log(mp.det(target))) / 2
+
+        return kl_of
+
     def test_matches_exact_change_at_fixture_points(self):
-        # the reference is the KL of the exact change T = P o cov (T = cov +
-        # D for the standard row), with trace and determinants at 50 digits
+        # one-way rows, every one of them on its scheme's mask spectrum: the
+        # reference is the KL of the exact change T = P o cov (T = cov + D
+        # for the standard row), at 50 digits
         mp = pytest.importorskip("mpmath")
         deltas = [1.0 + s for s in ORACLE_STEPS] + [1.0 - s for s in ORACLE_STEPS]
         checked = 0
@@ -98,8 +131,7 @@ class TestKl:
             cov, n = model.covariance, model.n
             i, j = model.resolve_position(position)
             with mp.workdps(50):
-                base = mp.matrix(cov.tolist())
-                prec, logdet = mp.inverse(base), mp.log(mp.det(base))
+                kl_of = self._oracle(mp, cov)
                 table = one_way_sweep(model, (i, j), deltas)
                 rows = zip(table.factors.tolist(), table.scheme, table.kl.tolist(), table.admissible)
                 for (delta,), scheme, got, admissible in rows:
@@ -108,15 +140,48 @@ class TestKl:
                     # the standard change is the position-only plan's
                     kind = "none" if scheme == "standard" else scheme
                     product = build_plan(Variation(n, i, j, delta), Scheme(kind), model.statements).product
-                    target = mp.matrix(n, n)
-                    for a in range(n):
-                        for b in range(n):
-                            target[a, b] = mp.mpf(product[a, b]) * cov[a, b]
-                    trace = mp.fsum(prec[a, b] * target[b, a] for a in range(n) for b in range(n))
-                    want = (trace - n + logdet - mp.log(mp.det(target))) / 2
+                    want = kl_of(product)
                     assert abs(got - want) <= 1e-12 * want, (name, position, scheme, delta)
                     checked += 1
         assert checked > 200
+
+    # two-way fixture sweeps whose schemes give both positions one mask
+    EQUAL_MASKS = (
+        ("synthetic4", ("Y2,Y1", "Y3,Y2"),
+         ("total", "partial", {"kind": "row", "E": ["Y2", "Y3"]}, {"kind": "column", "F": ["Y1", "Y2"]})),
+        ("cachexia", ("GM,V", "GC,B"), ("total",)),
+        ("cachexia_control", ("V,B", "GC,B"), ("total",)),
+    )
+
+    def test_two_way_rows_with_equal_masks_match_the_exact_change(self):
+        # each row's change is (fl(delta1 delta2) - 1) (M o cov) on its
+        # scheme's one mask; 0.8 x 1.25 offsets exactly, to KL 0
+        mp = pytest.importorskip("mpmath")
+        deltas1 = [0.8, 0.95, 1.0 - 1e-6, 1.0 + 1e-10, 1.0 + 1e-4, 1.05]
+        deltas2 = [0.9, 1.0 + 1e-8, 1.25]
+        checked = offset = 0
+        for name, pair, schemes in self.EQUAL_MASKS:
+            model = load_model(fixture_path(name))
+            cov, n = model.covariance, model.n
+            positions = tuple(model.resolve_position(p) for p in pair)
+            with mp.workdps(50):
+                kl_of = self._oracle(mp, cov)
+                table = two_way_sweep(model, positions, deltas1, deltas2, schemes)
+                for k, (d1, d2) in enumerate(table.factors.tolist()):
+                    spec = resolve_scheme(model, schemes[k % len(schemes)])
+                    plans = [build_plan(Variation(n, *at, d), spec, model.statements) for at, d in zip(positions, (d1, d2))]
+                    assert np.array_equal(*(plan.masks[0] for plan in plans)), (name, spec)
+                    product = compose(*plans).product
+                    got = table.kl[k]
+                    if d1 * d2 == 1.0:
+                        assert (product == 1.0).all() and table.admissible[k] and got == 0.0, (name, spec)
+                        offset += 1
+                    if not table.admissible[k]:
+                        continue
+                    want = kl_of(product)
+                    assert abs(got - want) <= 1e-12 * want, (name, spec, d1, d2)
+                    checked += 1
+        assert checked > 60 and offset == 6
 
     @pytest.mark.filterwarnings("ignore:position .* lies outside")
     @settings(max_examples=80, deadline=None)
@@ -190,6 +255,22 @@ class TestKlStack:
             for shift in shifts[1:]:
                 with pytest.raises(InadmissibleError):
                     kl(sigma4, shift)
+
+    def test_rows_beyond_the_spectrum_limit_keep_the_per_row_rule(self, sigma4):
+        # total's base is sigma4 itself, whose whitened spectrum is all 1: at
+        # c = 1e307 the change c sigma4 overflows, so the row is inadmissible
+        # by rule although c lam is finite; within the limit, c lam agrees
+        # with the per-row spectrum to rounding
+        whiten = divergence.whitener(sigma4)
+        lam, reach = divergence.spectra(whiten, sigma4[None])
+        np.testing.assert_allclose(lam, 1.0, rtol=1e-12)
+        for c, admissible in ((1e307, False), (0.99 * divergence.SPECTRUM_LIMIT / reach[0], True), (0.1, True)):
+            with np.errstate(all="ignore"):
+                shifts = c * sigma4[None]
+                got = divergence.kl_stack(whiten, shifts, (lam, reach, np.array([c])))
+                per_row = divergence.kl_stack(whiten, shifts)
+            assert got[1].tolist() == per_row[1].tolist() == [admissible], c
+            np.testing.assert_allclose(got[0], per_row[0], rtol=1e-13)
 
     def test_no_whitener_makes_every_row_inadmissible(self, sigma4):
         values, admissible = divergence.kl_stack(None, self._stack(sigma4))
@@ -421,15 +502,18 @@ class TestSchemeOrdering:
 
 def _evaluated(cov, position, delta, stmt):
     """Each compare row by the public definitions, one scheme at a time: the
-    frobenius of its target and the kl_mp or kl_additive of its change,
-    which is inadmissible (KL NaN) where that raises InadmissibleError or
+    frobenius of its target and the kl_mp of its change (for the standard
+    row, the change of the position-only plan, which is its change), which
+    is inadmissible (KL NaN) where that raises InadmissibleError or
     SingularMatrixError."""
     variation = Variation(cov.shape[0], *position, delta)
     rows = []
     for kind in COMPARE_SCHEMES:
         if kind == "standard":
             shift = additive_shift(cov, (position,), (delta,))
-            target, kl_of = cov + shift, functools.partial(kl_additive, cov, shift)
+            alone = build_plan(variation, Scheme("none"), ())
+            np.testing.assert_array_equal(_plan_shift(cov, alone), shift)
+            target, kl_of = cov + shift, functools.partial(kl_mp, cov, alone)
         else:
             plan = build_plan(variation, Scheme(kind, None, 0), (stmt,))
             target, kl_of = plan.apply(cov), functools.partial(kl_mp, cov, plan)
@@ -514,13 +598,14 @@ class TestOneEvaluator:
             table = one_way_sweep(model, position, [delta], [kind])
             if kind == "standard":
                 change = additive_shift(cov, (position,), (delta,))
+                row = _row(*_measure(cov, change, _position_mask(dag.n, position), delta - 1.0))
             else:
                 try:
                     change = build_plan(Variation(dag.n, *position, delta), Scheme(kind), model.statements)
                 except GsensError as e:
                     assert table.error == (str(e),)
                     return
-            row = _row(*_measure(cov, change))
+                row = _row(*_measure(cov, change))
         assert table.error == (None,)
         assert row == _row(table.frobenius[0], table.kl[0], table.admissible[0])
 

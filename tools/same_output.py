@@ -40,6 +40,14 @@ on a model whose statements condition on 0 to 4 variables with one failing
 usage errors (covary without --delta, sweep with
 --tol nan, covary with --scheme bogus) and sweep --help placed between
 other jobs, so that each runner's next job reuses its parser after them.
+Jobs at the boundaries of the one-spectrum-per-mask evaluation follow: a
+sweep2 whose factors offset exactly (0.8 x 1.25, KL 0 wherever the two
+masks are equal), one-way factors 1e150, 1e299 and 1e306 (the last beyond
+the overflow bound of the total and partial bases of synthetic4, so those
+rows take the per-row path), and a sweep2 whose masks are equal under
+every scheme (partial, and row and column with explicit E and F) with one
+negative factor. Last come a check and a sweep config on a file that is
+not UTF-8 text.
 
 Prints each job whose exit code, stdout or stderr differs, with the streams
 that differ, and exits 1 if any job differs; 0 otherwise. A job whose
@@ -103,6 +111,8 @@ EDGE_FILES = {
                {"A": ["a", "b"], "B": ["e"], "C": ["c", "d", "h"]}, {"A": ["a"], "B": ["f", "g"], "C": list("bcde")}],
     }),
     "edge-synthetic4.json": (ROOT / "src" / "gsens" / "fixtures" / "synthetic4.json").read_text(),
+    # not UTF-8 text, as a model and as a sweep config
+    "edge-binary.json": b'\xff\xfe{"variables": ["a"]}',
     "edge-config.json": json.dumps({
         "model": "edge-synthetic4.json",
         "positions": [["Y2", "Y1"]],
@@ -193,6 +203,14 @@ EDGE_JOBS = [
     Job("check", "edge-collinear.json", ()),
     Job("check", "edge-mixed.json", ("--tol", "0")),
     Job("check", SYNTH, ("--tol", "0")),
+    # exactly offsetting factors; factors either side of the overflow bound of
+    # the mask spectrum; equal masks at both positions with a negative factor
+    Job("sweep2", SYNTH, ("--pos", "Y2,Y1", "--pos2", "Y3,Y2", "--deltas", "0.8", "--deltas2", "1.25")),
+    Job("sweep", SYNTH, ("--pos", "Y2,Y1", "--deltas", "1e150,1e299,1e306")),
+    Job("sweep2", SYNTH, ("--pos", "Y2,Y1", "--pos2", "Y3,Y2", "--deltas=-0.9,1.1", "--deltas2", "1.2",
+                          "--schemes", "partial,row,column", "--E", "Y2,Y3", "--F", "Y1,Y2")),
+    Job("check", "edge-binary.json", ()),
+    Job("sweep", "", ("--config", "{inputs}/edge-binary.json")),
 ]
 NUMPY_WARNING = re.compile(r"^warning: .* encountered in .*\n", re.MULTILINE)
 
@@ -288,7 +306,10 @@ def main(argv=None) -> int:
         with tempfile.TemporaryDirectory(prefix="same-output-") as tmp:
             workdir = Path(tmp)
             for name, text in files.items():
-                (workdir / name).write_text(text)
+                if isinstance(text, bytes):
+                    (workdir / name).write_bytes(text)
+                else:
+                    (workdir / name).write_text(text)
             parent, change = (run_tree(src, jobs, workdir) for src in trees)
         count = counts["edge-case" if jobs is EDGE_JOBS else "benchmark"]
         for job, a, b in zip(jobs, parent, change):
