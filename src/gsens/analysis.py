@@ -49,23 +49,28 @@ a change that is not finite an inadmissible row. A sweep returns its rows
 as one SweepTable of columns, and emit's reports leave delta2 empty in a
 one-way sweep, KL on an inadmissible row and Frobenius on an error row.
 
-A plan is where(M, delta, 1) for a mask M that delta does not touch, and a
-grid point's plan is the Schur product of its positions' plans (compose).
-So a sweep makes one Variation per position and axis factor, which every
-scheme shares, and builds each scheme's plan once per position and axis
-factor (build_plan, whose warnings and construction errors each grid point
-then meets in row order; it resolves the delta-free fill once per
-position, scheme and statements, memoised, and makes every factor's plan
-as where(mask, delta, 1)); the first plan built for a factor other than
-1 gives the mask. Every scheme's masks are stacked
-(schemes, positions, n, n), and the whole table, grid point g under scheme
-s at row g * schemes + s, is evaluated in one pass over stacked arrays, in
-blocks of at most BLOCK_ENTRIES matrix entries whose rows mix schemes: per
-block one product, targets P o Sigma and changes (P - 1) o Sigma (Sigma + D
-for the standard scheme's rows), and Frobenius, KL and admissibility from
-one divergence.measure, with Sigma factored once per sweep and one batched
-eigvalsh per block. emit formats each distinct factor, flag, scheme label
-and error once per column.
+A plan is its mask: where(M, delta, 1) for a mask M that delta does not
+touch, and a grid point's plan is the Schur product of its positions'
+plans (compose). So a sweep makes one Variation per position and axis
+factor, which every scheme shares, and builds each scheme's plan once per
+position and axis factor (build_plan, whose warnings and construction
+errors each grid point then meets in row order; it resolves the
+delta-free fill once per position, scheme and statements, memoised, and
+each plan carries that mask); any plan built gives the mask. Every
+scheme's masks are stacked (schemes, positions, n, n), and the whole
+table, grid point g under scheme s at row g * schemes + s, is evaluated in
+one pass over stacked arrays, in blocks of at most BLOCK_ENTRIES matrix
+entries whose rows mix schemes: per block one product, targets P o Sigma
+and changes (P - 1) o Sigma (Sigma + D for the standard scheme's rows),
+and Frobenius, KL and admissibility from one divergence.measure, with
+Sigma factored once per sweep. A scheme whose masks are equal at every
+position (every scheme of a one-way sweep, the standard change included,
+and total always) changes Sigma by (f - 1) (M o Sigma) on each row, f the
+product of the row's factors: its base M o Sigma gets one spectrum per
+sweep (divergence.spectra), and its rows' KL and admissibility come from
+f - 1 times it, as divergence.kl_stack bounds. The other rows share one
+batched eigvalsh per block. emit formats each distinct factor, flag,
+scheme label and error once per column.
 
 Preservation is decided for every statement and scheme at once. One
 float64 matmul with the block-row and block-column indicators of the

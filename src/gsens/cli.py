@@ -121,7 +121,7 @@ def _cmd_covary(args) -> int:
     target, shift = plan.apply(cov), (plan.product - 1.0) * cov
     # the change is (delta - 1) times the plan's mask o cov
     ((variation, _),) = plan.steps
-    scaled = mask_spectra(cov, whiten, np.stack(plan.masks), [variation.delta - 1.0])
+    scaled = mask_spectra(cov, whiten, plan.masks[0][None], [variation.delta - 1.0])
     (frob,), (kl,), (admissible,) = measure(cov, whiten, target[None], shift[None], scaled)
     print(f"admissible: {'yes' if admissible else 'no'}")
     print(f"frobenius: {frob:.12g}")

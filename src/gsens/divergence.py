@@ -133,15 +133,13 @@ def _kl(cov, shift, mask=None, scale=0.0) -> float:
 def spectra(whiten: np.ndarray, bases: np.ndarray):
     """The spectrum lam = eigvalsh(W A W') of each base A of a stack (k, n, n)
     of one cov's changes, given its whitener W, from one batched eigvalsh,
-    and each base's reach: the largest of max|A|, max(|W| |A|) and the
-    largest row sum of |W| |A| |W'|. A change c A with |c| reach <=
-    SPECTRUM_LIMIT is finite, so is every partial sum of its whitened form
-    W (c A) W' (each is at most |c| |W| |A| |W'| up to rounding), and so is
-    c lam (a row sum bounds the spectral radius)."""
-    size = np.abs(bases)
-    bound = np.abs(whiten) @ size
-    rows = (bound @ np.abs(whiten).T).sum(axis=2)
-    reach = np.max([size.max(axis=(1, 2)), bound.max(axis=(1, 2)), rows.max(axis=1)], axis=0)
+    and each base's reach, max|A| max(1, r max(1, s)) with r the largest row
+    sum and s the sum of |W|. A change c A with |c| reach <= SPECTRUM_LIMIT
+    is finite, and so is every partial sum of its whitened form W (c A) W':
+    an entry of |W| |c A| is at most |c| max|A| r, and a row sum of
+    |W| |c A| |W'| at most |c| max|A| r s, which also bounds |c lam|."""
+    size = np.abs(whiten)
+    reach = np.abs(bases).max(axis=(1, 2)) * max(1.0, size.sum(axis=1).max() * max(1.0, size.sum()))
     return np.linalg.eigvalsh(whiten @ bases @ whiten.T), reach
 
 

@@ -42,12 +42,12 @@ usage errors (covary without --delta, sweep with
 other jobs, so that each runner's next job reuses its parser after them.
 Jobs at the boundaries of the one-spectrum-per-mask evaluation follow: a
 sweep2 whose factors offset exactly (0.8 x 1.25, KL 0 wherever the two
-masks are equal), one-way factors 1e150, 1e299 and 1e306 (the last beyond
-the overflow bound of the total and partial bases of synthetic4, so those
-rows take the per-row path), and a sweep2 whose masks are equal under
-every scheme (partial, and row and column with explicit E and F) with one
-negative factor. Last come a check and a sweep config on a file that is
-not UTF-8 text.
+masks are equal), one-way factors 1e150, 1e299 and 1e306 (the first two
+within the overflow bound of every base of synthetic4 at (Y2,Y1), the last
+beyond it, so its rows take the per-row path), and a sweep2 whose masks
+are equal under every scheme (partial, and row and column with explicit E
+and F) with one negative factor. Last come a check and a sweep config on a
+file that is not UTF-8 text.
 
 Prints each job whose exit code, stdout or stderr differs, with the streams
 that differ, and exits 1 if any job differs; 0 otherwise. A job whose
