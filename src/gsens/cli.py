@@ -35,7 +35,7 @@ from .analysis import (
 from .cimodel import model_holds, require_model
 from .conditioning import Evidence, condition
 from .covariation import Variation, build_plan, verify_preserving
-from .divergence import COMPARE_SCHEMES, mask_spectra, measure, scheme_ordering, whitener
+from .divergence import COMPARE_SCHEMES, measure, plan_spectra, scheme_ordering, whitener
 from .errors import GsensError, SingularMatrixError
 from .matcore import DEFAULT_TOL, TolerancePolicy
 
@@ -119,10 +119,7 @@ def _cmd_covary(args) -> int:
         print(f"verdict: NOT preserving  witness {failure[1].describe(model.names)}")
     cov, whiten = model.covariance, whitener(model.covariance)
     target, shift = plan.apply(cov), (plan.product - 1.0) * cov
-    # the change is (delta - 1) times the plan's mask o cov
-    ((variation, _),) = plan.steps
-    scaled = mask_spectra(cov, whiten, plan.masks[0][None], [variation.delta - 1.0])
-    (frob,), (kl,), (admissible,) = measure(cov, whiten, target[None], shift[None], scaled)
+    (frob,), (kl,), (admissible,) = measure(cov, whiten, target[None], shift[None], plan_spectra(cov, whiten, [plan]))
     print(f"admissible: {'yes' if admissible else 'no'}")
     print(f"frobenius: {frob:.12g}")
     if admissible:

@@ -28,19 +28,23 @@ total), with f = fl(delta1 delta2). A row whose |c| times its base's reach
 could overflow, and every other change (the two-position standard change, a
 plan whose masks differ), takes nu from one batched eigvalsh of its
 whitened change, which also decides the inadmissible-by-rule cases. The
-two ways round differently; for one change they agree to rounding.
-kl validates its input and evaluates a stack of one on the second way.
+two ways round differently; for one change they agree to rounding, and
+an admissible flag can differ between them only where some 1 + nu lies
+within rounding of 0 (the factor within rounding of the endpoint
+1 - 1/lam). kl validates its input and evaluates a stack of one on the
+second way.
 
 measure is the one evaluator behind every printed number: for a stack of
 targets and their changes of one Sigma it gives each row's Frobenius
 distance sum((Sigma - T)^2), and its KL and admissibility from kl_stack,
 each row on its base's spectrum where it has one. Sweep blocks, the compare
 table (scheme_ordering: the four plans and the matched additive change, one
-stack of five on five bases) and covary (a stack of one on its plan's
-mask) all call it, so each prints the same KL for the same change.
-kl_additive, kl_mp and frobenius_mp have no caller in src/; they remain as
-the layer names the benchmark's per-layer trace binds and as test oracles
-for the definitions (kl_mp takes a plan's KL as measure does).
+stack of five on five bases, plan_spectra) and covary (a stack of one on
+its plan's mask) all call it, so each prints the same KL for the same
+change. kl_additive, kl_mp and frobenius_mp have no caller in src/; they
+remain as the layer names the benchmark's per-layer trace binds and as
+test oracles for the definitions: kl, and so kl_additive and kl_mp, take
+every change on the per-row way.
 """
 
 from __future__ import annotations
@@ -105,12 +109,6 @@ def kl(cov, shift) -> float:
     InadmissibleError when cov or cov + shift is not positive definite or
     the change is not finite.
     """
-    return _kl(cov, shift)
-
-
-def _kl(cov, shift, mask=None, scale=0.0) -> float:
-    """kl, with the change taken as scale * (mask o cov) when a mask is
-    given."""
     cov = check_symmetric(as_matrix(cov, "cov"), "cov")
     shift = check_symmetric(as_matrix(shift, "shift"), "shift")
     if shift.shape != cov.shape:
@@ -121,8 +119,7 @@ def _kl(cov, shift, mask=None, scale=0.0) -> float:
         with contextlib.suppress(np.linalg.LinAlgError):
             check_invertible(cov)
         raise InadmissibleError("base covariance is not positive definite; KL is undefined")
-    scaled = None if mask is None else mask_spectra(cov, whiten, mask[None], [scale])
-    values, admissible = kl_stack(whiten, shift[None], scaled)
+    values, admissible = kl_stack(whiten, shift[None])
     if not admissible[0]:
         raise InadmissibleError(
             "perturbed covariance is not positive definite, or the change is not finite; KL is undefined"
@@ -143,12 +140,15 @@ def spectra(whiten: np.ndarray, bases: np.ndarray):
     return np.linalg.eigvalsh(whiten @ bases @ whiten.T), reach
 
 
-def mask_spectra(cov: np.ndarray, whiten: np.ndarray | None, masks: np.ndarray, scales) -> tuple | None:
-    """kl_stack's scaled rows for the changes scales[r] * (masks[r] o cov), one
-    base per row (None when cov has no whitener)."""
+def plan_spectra(cov: np.ndarray, whiten: np.ndarray | None, plans) -> tuple | None:
+    """kl_stack's scaled rows for one-step plans: a plan of factor delta on
+    mask M changes cov by (delta - 1) (M o cov), one base per plan (None
+    when cov has no whitener)."""
     if whiten is None:
         return None
-    return *spectra(whiten, np.where(masks, cov, 0.0)), np.asarray(scales, dtype=float)
+    masks = np.array([plan.masks[0] for plan in plans])
+    scales = np.array([variation.delta - 1.0 for ((variation, _),) in (plan.steps for plan in plans)])
+    return *spectra(whiten, np.where(masks, cov, 0.0)), scales
 
 
 def kl_stack(whiten: np.ndarray | None, shifts: np.ndarray, scaled: tuple | None = None):
@@ -172,10 +172,7 @@ def kl_stack(whiten: np.ndarray | None, shifts: np.ndarray, scaled: tuple | None
             nu[on] = scale[on, None] * lam[on]
             rest = ~on
         if rest.any():
-            # + 0.0 turns -0.0 into 0.0: the standard change and the
-            # position-only plan's, (delta - 1) s_ij at the position, are one
-            # change, whose spectrum must not depend on the sign of its zeros
-            each = shifts[rest] + 0.0
+            each = shifts[rest]
             changes = whiten @ each @ whiten.T
             finite = np.isfinite(each).all(axis=(1, 2)) & np.isfinite(changes).all(axis=(1, 2))
             if finite.any():
@@ -193,15 +190,8 @@ def kl_additive(cov, cov_shift) -> float:
 
 
 def kl_mp(cov, plan: PerturbationPlan) -> float:
-    """kl of a plan's change (P - 1) o cov, for the model-preserving schemes,
-    with its errors; a plan whose steps share one mask takes its spectrum
-    from the mask's, as measure does."""
-    cov = as_matrix(cov, "cov")
-    shift = (plan.product - 1.0) * cov
-    mask = plan.masks[0]
-    if any(not np.array_equal(m, mask) for m in plan.masks[1:]):
-        return kl(cov, shift)
-    return _kl(cov, shift, mask, math.prod(variation.delta for variation, _ in plan.steps) - 1.0)
+    """kl of a plan's change (P - 1) o cov, for the model-preserving schemes."""
+    return kl(cov, (plan.product - 1.0) * as_matrix(cov, "cov"))
 
 
 def frobenius(cov, cov_new) -> float:
@@ -277,12 +267,10 @@ def scheme_ordering(cov, position: tuple[int, int], delta: float, stmt: CIStatem
     shift = additive_shift(cov, (position,), (delta,))
     targets = np.concatenate([products * cov, (cov + shift)[None]])
     shifts = np.concatenate([(products - 1.0) * cov, shift[None]])
-    masks = np.zeros(targets.shape, dtype=bool)
-    masks[:-1] = [plan.masks[0] for plan in plans]
-    masks[-1, variation.i, variation.j] = masks[-1, variation.j, variation.i] = True
+    # the standard change is the position-only plan's
+    alone = build_plan(variation, Scheme("none"), ())
     whiten = whitener(cov)
-    scaled = mask_spectra(cov, whiten, masks, np.full(len(masks), variation.delta - 1.0))
-    frob, values, admissible = measure(cov, whiten, targets, shifts, scaled)
+    frob, values, admissible = measure(cov, whiten, targets, shifts, plan_spectra(cov, whiten, [*plans, alone]))
 
     size = dict(zip(COMPARE_SCHEMES, frob.tolist()))
     slack = 1e-12 * max(1.0, size["total"])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gsens import CIStatement, GaussianDag, dag_ci_statements, dag_to_gaussian, iter_minors, statement_block
+from gsens.divergence import whitener
 
 # Four-variable toy network: chain 1->2->3 plus a child 4 of everyone.
 SIGMA4 = np.array(
@@ -51,6 +52,33 @@ def kl_dense(cov, target) -> float:
     (s0, logdet0), (s1, logdet1) = np.linalg.slogdet(cov), np.linalg.slogdet(target)
     assert s0 > 0 and s1 > 0, "KL needs positive determinants"
     return 0.5 * (float(np.trace(np.linalg.solve(cov, target))) - len(cov) + logdet0 - logdet1)
+
+
+def kl_within_rounding(cov, shift, got, want) -> bool:
+    """Whether a KL and admissible flag, got = (kl, admissible), are the
+    definition's, want (kl NaN where inadmissible), up to the rounding of
+    the change's spectrum. Each eigenvalue of nu = eigvalsh(W shift W'),
+    W = L^-1 (divergence.whitener), moves by at most 64 n eps times the
+    largest row sum of |W| |shift| |W'| on either of divergence.kl_stack's
+    ways (the per-row eigvalsh, or c lam on a mask's spectrum). So the flags
+    may differ only where the smallest 1 + nu lies within that bound of 0
+    (the factor within rounding of the endpoint 1 - 1/lam), and two KL
+    values by at most the bound times sum |nu_i| / (1 + nu_i), the
+    first-order change of sum 0.5 (nu_i - log1p(nu_i)), plus 1e-13
+    relative."""
+    (value, admissible), (exact, definite) = got, want
+    if admissible == definite and (value == exact if admissible else value != value):
+        return True
+    whiten = whitener(cov)
+    if whiten is None or not np.isfinite(shift).all():
+        return False
+    size = np.abs(whiten)
+    with np.errstate(all="ignore"):
+        bound = 64 * len(cov) * np.finfo(float).eps * (size @ np.abs(shift) @ size.T).sum(axis=1).max()
+        nu = np.linalg.eigvalsh(whiten @ shift @ whiten.T)
+    if admissible != definite:
+        return bool(abs(1.0 + nu.min()) <= bound)
+    return bool(abs(value - exact) <= 1e-13 * abs(exact) + bound * (np.abs(nu) / (1.0 + nu)).sum())
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SIGMA4, kl_dense, random_dag, random_dag_with_statement
+from conftest import SIGMA4, kl_dense, kl_within_rounding, random_dag, random_dag_with_statement
 from gsens import (
     CIStatement,
     GsensError,
@@ -58,28 +58,20 @@ def _plan_shift(cov, plan):
     return (plan.product - 1.0) * cov
 
 
-def _measure(cov, change, mask=None, scale=None):
+def _measure(cov, change, alone=None):
     """divergence.measure on a stack of one: (frobenius, kl, admissible) of
     a plan (target P o cov) or of an additive shift D (target cov + D). A
-    plan whose steps share one mask takes its spectrum from the mask's, as
-    covary does, and so does a shift given as scale * (mask o cov)."""
+    one-step plan takes its KL from its mask's spectrum, as covary does,
+    and so does a shift given the one-step plan, alone, whose change it is."""
     if isinstance(change, PerturbationPlan):
         target, shift = change.apply(cov), _plan_shift(cov, change)
-        if all(np.array_equal(m, change.masks[0]) for m in change.masks):
-            mask, scale = change.masks[0], math.prod(v.delta for v, _ in change.steps) - 1.0
+        alone = change if len(change.steps) == 1 else None
     else:
         target, shift = cov + change, change
     whiten = divergence.whitener(cov)
-    scaled = None if mask is None else divergence.mask_spectra(cov, whiten, mask[None], [scale])
+    scaled = None if alone is None else divergence.plan_spectra(cov, whiten, [alone])
     (frob,), (value,), (admissible,) = divergence.measure(cov, whiten, target[None], shift[None], scaled)
     return float(frob), float(value), bool(admissible)
-
-
-def _position_mask(n, position):
-    """The standard change's mask: the position and its mirror."""
-    mask = np.zeros((n, n), dtype=bool)
-    mask[position] = mask[position[::-1]] = True
-    return mask
 
 
 class TestKl:
@@ -502,27 +494,35 @@ class TestSchemeOrdering:
 
 def _evaluated(cov, position, delta, stmt):
     """Each compare row by the public definitions, one scheme at a time: the
-    frobenius of its target and the kl_mp of its change (for the standard
-    row, the change of the position-only plan, which is its change), which
-    is inadmissible (KL NaN) where that raises InadmissibleError or
-    SingularMatrixError."""
+    frobenius of its target and the kl_mp or kl_additive of its change,
+    which is inadmissible (KL NaN) where that raises InadmissibleError or
+    SingularMatrixError, and the change itself."""
     variation = Variation(cov.shape[0], *position, delta)
     rows = []
     for kind in COMPARE_SCHEMES:
         if kind == "standard":
             shift = additive_shift(cov, (position,), (delta,))
-            alone = build_plan(variation, Scheme("none"), ())
-            np.testing.assert_array_equal(_plan_shift(cov, alone), shift)
-            target, kl_of = cov + shift, functools.partial(kl_mp, cov, alone)
+            target, kl_of = cov + shift, functools.partial(kl_additive, cov, shift)
         else:
             plan = build_plan(variation, Scheme(kind, None, 0), (stmt,))
             target, kl_of = plan.apply(cov), functools.partial(kl_mp, cov, plan)
+            shift = _plan_shift(cov, plan)
         try:
             value, admissible = kl_of(), True
         except (InadmissibleError, SingularMatrixError):
             value, admissible = math.nan, False
-        rows.append(_row(frobenius(cov, target), value, admissible))
+        rows.append((frobenius(cov, target), value, admissible, shift))
     return rows
+
+
+def _assert_definitions(cov, columns, expected):
+    """The compare table's rows are the definitions': Frobenius bitwise, KL
+    and admissibility up to the rounding of each change's spectrum (the
+    table takes them from its masks' spectra)."""
+    assert len(columns[0]) == len(expected)
+    for (frob, value, admissible), (want, exact, definite, shift) in zip(zip(*columns), expected):
+        assert _cell(frob) == _cell(want)
+        assert kl_within_rounding(cov, shift, (float(value), bool(admissible)), (exact, definite)), (value, exact)
 
 
 COMPARE_FACTORS = (1e-300, 0.9, 1.0, 1.1, 1e300)
@@ -530,7 +530,8 @@ COMPARE_FACTORS = (1e-300, 0.9, 1.0, 1.1, 1e300)
 
 class TestStackedSchemeOrdering:
     """scheme_ordering takes its five rows from one whitener and one
-    measure; each row must be bitwise what the definitions give for it."""
+    measure; each row's Frobenius must be bitwise what the definitions give
+    for it, and its KL and flag that up to rounding (_assert_definitions)."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), delta=st.sampled_from(COMPARE_FACTORS) | st.floats(0.5, 2.0))
@@ -542,7 +543,7 @@ class TestStackedSchemeOrdering:
         with np.errstate(all="ignore"):
             columns = scheme_ordering(cov, position, delta, stmt)
             expected = _evaluated(cov, position, delta, stmt)
-        assert _rows(columns) == expected
+        _assert_definitions(cov, columns, expected)
 
     @pytest.fixture
     def whitener_calls(self, monkeypatch):
@@ -557,7 +558,7 @@ class TestStackedSchemeOrdering:
             columns = scheme_ordering(sigma4, (1, 0), delta, stmt4)
             assert len(whitener_calls) == 1
             expected = _evaluated(sigma4, (1, 0), delta, stmt4)
-        assert _rows(columns) == expected
+        _assert_definitions(sigma4, columns, expected)
 
     def test_singular_base_makes_every_row_inadmissible(self, whitener_calls):
         # a _||_ c | b on a base whose first two variables are collinear
@@ -567,7 +568,7 @@ class TestStackedSchemeOrdering:
         assert len(whitener_calls) == 1
         assert not admissible.any()
         assert np.isnan(values).all() and (frob > 0.0).all()
-        assert _rows((frob, values, admissible)) == _evaluated(cov, (1, 0), 1.1, stmt)
+        _assert_definitions(cov, (frob, values, admissible), _evaluated(cov, (1, 0), 1.1, stmt))
 
 
 # the factors of the one-evaluator properties: a negative factor (which
@@ -598,7 +599,8 @@ class TestOneEvaluator:
             table = one_way_sweep(model, position, [delta], [kind])
             if kind == "standard":
                 change = additive_shift(cov, (position,), (delta,))
-                row = _row(*_measure(cov, change, _position_mask(dag.n, position), delta - 1.0))
+                alone = build_plan(Variation(dag.n, *position, delta), Scheme("none"), ())
+                row = _row(*_measure(cov, change, alone))
             else:
                 try:
                     change = build_plan(Variation(dag.n, *position, delta), Scheme(kind), model.statements)
