@@ -165,19 +165,18 @@ def kl_stack(whiten: np.ndarray | None, shifts: np.ndarray, scaled: tuple | None
     None."""
     nu = np.full(shifts.shape[:-1], np.nan)
     if whiten is not None:
-        rest = np.ones(len(shifts), dtype=bool)
+        rest = np.arange(len(shifts))
         if scaled is not None:
             lam, reach, scale = scaled
             on = np.abs(scale) * reach <= SPECTRUM_LIMIT
             nu[on] = scale[on, None] * lam[on]
-            rest = ~on
-        if rest.any():
+            rest = rest[~on]
+        if rest.size:
             each = shifts[rest]
             changes = whiten @ each @ whiten.T
             finite = np.isfinite(each).all(axis=(1, 2)) & np.isfinite(changes).all(axis=(1, 2))
             if finite.any():
-                at = np.flatnonzero(rest)[finite]
-                nu[at] = np.linalg.eigvalsh(changes[finite])
+                nu[rest[finite]] = np.linalg.eigvalsh(changes[finite])
     admissible = (nu > -1.0).all(axis=1)
     values = np.full(len(shifts), np.nan)
     values[admissible] = kl_of_spectrum(nu[admissible])
