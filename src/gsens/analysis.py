@@ -77,15 +77,13 @@ float64 matmul with the block-row and block-column indicators of the
 model's statement table (cimodel.statement_table) finds which statements'
 blocks each scheme's masks touch. An untouched block is bitwise the base's,
 which holds (require_model). Every touched (row, statement) pair of a block
-goes to steps 1-3 of cimodel, one decide_pairs call per group of
-statements that share |C|, smallest first, each on the rows that still
-hold; only a row they leave undecided goes to model_holds on its target (a
-NaN mirrored by a NaN counts as symmetric there, so a block that holds a
-NaN fails). Every verdict is therefore the minor definition's, decided as
-covary decides it. Warnings, construction errors and the row order are
-those of building every row's plan in turn; numpy's floating-point warnings
-are off while a sweep evaluates, as in the CLI, so the warnings a sweep
-issues are build_plan's own.
+is decided by cimodel, one decide_pairs call per group of statements that
+share |C|, smallest first, each on the rows that still hold. Every verdict
+is therefore the minor definition's, decided as covary decides it.
+Warnings, construction errors and the row order are those of building
+every row's plan in turn; numpy's floating-point warnings are off while a
+sweep evaluates, as in the CLI, so the warnings a sweep issues are
+build_plan's own.
 """
 
 from __future__ import annotations
@@ -100,7 +98,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cimodel import CIStatement, decide_pairs, model_holds, require_model, statement_table
+from .cimodel import CIStatement, decide_pairs, require_model, statement_table
 from .covariation import Scheme, Variation, build_plan, check_product
 from .divergence import additive_shift, measure, spectra, whitener
 from .errors import FactorError, GsensError, ModelFormatError
@@ -597,18 +595,11 @@ def _sweep(model: Model, positions, grids, schemes, tol: TolerancePolicy) -> Swe
             # every touched (row, statement) pair, one call per group of
             # statements that share |C|, smallest first, each on the rows
             # that hold so far
-            holds, open_ = built.copy(), touched[slot]
-            unsure = np.zeros_like(open_)
+            holds, touch = built.copy(), touched[slot]
             for members in grouped:
-                row, col = np.nonzero(holds[:, None] & open_[:, members])
-                if not row.size:
-                    continue
-                verdict, decided = decide_pairs(targets, table, row, ks[members[col]], tol)
-                holds[row[decided & ~verdict]] = False
-                unsure[row[~decided], members[col[~decided]]] = True
-            for b in np.flatnonzero(holds & unsure.any(axis=1)).tolist():
-                stmts = [model.statements[k] for k in ks[unsure[b]].tolist()]
-                holds[b] = model_holds(targets[b], stmts, tol).holds
+                row, col = np.nonzero(holds[:, None] & touch[:, members])
+                if row.size:
+                    holds[row[~decide_pairs(targets, table, row, ks[members[col]], tol)]] = False
             preserving[at] = holds
     _replay(notes)
     labels = ["standard" if spec is None else spec.kind for spec in specs]
@@ -781,7 +772,10 @@ def _parse_grid(raw, where: str) -> tuple[float, ...]:
         count = int(round(span)) + 1
         if count > MAX_GRID_POINTS:
             raise ModelFormatError(f"{where}: {count} factors from min to max by step exceed {MAX_GRID_POINTS}")
-        return tuple(round(lo + k * step, 12) for k in range(count) if lo + k * step <= hi + 1e-12)
+        # factors are rounded to, and may pass max by, 1e-12, or a thousandth
+        # of the step rounded down to a power of ten where that is smaller
+        digits = 12 if step >= 1e-9 else 3 - math.floor(math.log10(step))
+        return tuple(round(lo + k * step, digits) for k in range(count) if lo + k * step <= hi + 10.0**-digits)
     raise ModelFormatError(f"{where}: expected a list or a min/max/step object")
 
 

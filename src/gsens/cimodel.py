@@ -66,21 +66,25 @@ Write A, B, C for left, right and given.
    tolerance with a vanishing confirming minor, rel = 0) enumerates the
    minors as the definition states.
 
-Steps 1-3 run on (matrix, statement) pairs, grouped by |C| (decide_pairs).
-A statement table, built once per statement tuple and dimension and
-memoised, holds each group's A+C and B+C index arrays, A and B padded to
-the group's widest by repeating their first index; a repeated row or
-column repeats entries already in the block, so mu is unchanged, s changes
-only by rounding, and step 3, which picks the first largest residual,
-never picks a repeat. Per group, one gather, one batched eigvalsh, solve
-and matmul give every pair's s and mu, one _certified call decides them,
-and iter_minors evaluates the confirming minors of every pair step 2
-leaves open as one stack of (|C|+1) x (|C|+1) blocks, rows and
-columns sorted. require_model and model_holds each make one such pass, and
-a sweep one per block and group, so every minor the check evaluates comes
-from iter_minors. Batched and padded, Y and s may differ from a
-statement's own solve in their last bits; step 2's proof holds for any
-computed Y, so every verdict is still the minor definition's.
+Steps 1-4 all run in one pass over (matrix, statement) pairs, grouped by
+|C| (decide_pairs), and only this module tells them apart: a caller gets
+the definition's verdict on every pair. A statement table, built once per
+statement tuple and dimension and memoised, holds the statements and each
+group's members and A+C and B+C index arrays, A and B padded to the
+group's widest by repeating their first index; a repeated row or column
+repeats entries already in the block, so mu is unchanged, s changes only by
+rounding, and step 3, which picks the first largest residual, never picks
+a repeat. Per group, one gather, one batched eigvalsh, solve and matmul
+give every pair's s and mu, one _certified call decides them, and
+iter_minors evaluates the confirming minors of every pair step 2 leaves
+open as one stack of (|C|+1) x (|C|+1) blocks, rows and columns sorted.
+Step 4 enumerates each pair still open on its statement's own block,
+never on the padded one, whose repeats would add minors the definition
+does not have. model_holds (and through it ci_holds and require_model)
+makes one such pass, and a sweep one per block and group, so every minor
+the check evaluates comes from iter_minors. Batched and padded, Y and s may
+differ from a statement's own solve in their last bits; step 2's proof
+holds for any computed Y, so every verdict is still the minor definition's.
 
 A failing statement's witness is the first non-vanishing minor in
 enumeration order. It is found by early-exit enumeration when it is first
@@ -222,14 +226,16 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 class _Group(NamedTuple):
-    """The statements of a table that share |C| = order - 1, in table order.
-    rows holds each one's A, padded to the group's widest A by repeating
-    its first index, then its C; cols its B, padded likewise, then its C.
-    width is (widest A, widest B), and flat holds each block's entries as
-    indices into a flattened n x n matrix."""
+    """The statements of a table that share |C| = order - 1, in table order,
+    members holding their positions in the table. rows holds each one's A,
+    padded to the group's widest A by repeating its first index, then its
+    C; cols its B, padded likewise, then its C. width is (widest A, widest
+    B), and flat holds each block's entries as indices into a flattened n x
+    n matrix."""
 
     order: int
     width: tuple[int, int]
+    members: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
     flat: np.ndarray
@@ -248,11 +254,12 @@ class _Part(NamedTuple):
 
 
 class StatementTable(NamedTuple):
-    """A statement tuple arranged for decide_pairs: its groups by |C|, each
-    statement's group and slot within it, its block rows and columns as 0/1
-    indicators (statements, n), and every statement on one matrix as the
-    parts of _decide. Every array is read-only."""
+    """A statement tuple arranged for decide_pairs: the statements, their
+    groups by |C|, each statement's group and slot within it, its block rows
+    and columns as 0/1 indicators (statements, n), and every statement on
+    one matrix as the parts of _decide. Every array is read-only."""
 
+    statements: tuple[CIStatement, ...]
     groups: tuple[_Group, ...]
     group: np.ndarray
     slot: np.ndarray
@@ -278,12 +285,12 @@ def statement_table(statements: tuple[CIStatement, ...], n: int) -> StatementTab
         rows = np.array([s.left + s.left[:1] * (wa - len(s.left)) + s.given for s in stmts], dtype=np.intp)
         cols = np.array([s.right + s.right[:1] * (wb - len(s.right)) + s.given for s in stmts], dtype=np.intp)
         flat = rows[:, :, None] * n + cols[:, None, :]
-        groups.append(_Group(size + 1, (wa, wb), *map(_read_only, (rows, cols, flat))))
+        groups.append(_Group(size + 1, (wa, wb), *map(_read_only, (members, rows, cols, flat))))
         every.append(_Part(groups[-1], *map(_read_only, (members, slot[members], 0 * members, flat))))
     rows_of, cols_of = np.zeros((2, len(statements), n))
     for k, stmt in enumerate(statements):
         rows_of[k, stmt.block_rows] = cols_of[k, stmt.block_cols] = 1.0
-    return StatementTable(tuple(groups), *map(_read_only, (group, slot, rows_of, cols_of)), tuple(every))
+    return StatementTable(statements, tuple(groups), *map(_read_only, (group, slot, rows_of, cols_of)), tuple(every))
 
 
 def _gamma(n: int) -> float:
@@ -355,10 +362,9 @@ def _confirm(covs: np.ndarray, group: _Group, slot: np.ndarray, at: np.ndarray, 
 
 
 def decide_pairs(covs: np.ndarray, table: StatementTable, at: np.ndarray, which: np.ndarray, tol: TolerancePolicy):
-    """Steps 1-3 of the module docstring on the pairs (matrix covs[at[p]],
+    """The verdict of the minor definition on each pair (matrix covs[at[p]],
     statement which[p] of the table) of a stack (m, n, n), one pass per
-    group: each pair's verdict, and whether those steps decided it (the
-    verdict reads False where they did not)."""
+    group (steps 1-4 of the module docstring)."""
     size = covs.shape[-1] ** 2
     group_of = table.group[which]
     parts = []
@@ -367,40 +373,34 @@ def decide_pairs(covs: np.ndarray, table: StatementTable, at: np.ndarray, which:
         if pairs.size:
             slot, mats = table.slot[which[pairs]], at[pairs]
             parts.append(_Part(group, pairs, slot, mats, (mats * size)[:, None, None] + group.flat[slot]))
-    verdict = _decide(covs, parts, len(at), tol)
-    return verdict == _HOLDS, verdict != _OPEN
+    return _decide(covs, table.statements, parts, len(at), tol)
 
 
-# A pair's verdict in _decide: steps 1-3 prove it holds, confirm it fails, or
-# leave it open.
-_HOLDS, _FAILS, _OPEN = 1, 0, -1
-
-
-def _decide(covs: np.ndarray, parts, count: int, tol: TolerancePolicy):
-    """The verdict (_HOLDS, _FAILS or _OPEN) of count pairs given as parts."""
-    verdict = np.empty(count, dtype=np.int8)
-    verdict.fill(_OPEN)
+def _decide(covs: np.ndarray, statements: tuple[CIStatement, ...], parts, count: int, tol: TolerancePolicy):
+    """Whether each of count pairs, given as parts of a table of statements,
+    holds."""
+    holds = np.zeros(count, dtype=bool)
     with np.errstate(all="ignore"):
         for group, pairs, slot, at, index in parts:
             blocks = covs.take(index)
             if group.order == 1:
                 v = np.abs(blocks)
-                verdict[pairs] = (v <= tol.rel * np.maximum(1.0, v)).all(axis=(1, 2))  # _HOLDS or _FAILS
+                holds[pairs] = (v <= tol.rel * np.maximum(1.0, v)).all(axis=(1, 2))
                 continue
             live, s, mu, residual = _certify(blocks, group.width)
             certified = _certified(group.order, s, mu, tol.rel)
-            sure = pairs[live]
-            verdict[sure[certified]] = _HOLDS
+            holds[pairs[live[certified]]] = True
+            # step 4 on every pair that steps 2 and 3 leave open
+            open_ = np.ones(len(pairs), dtype=bool)
+            open_[live[certified]] = False
             if not certified.all():
-                unsure = ~certified
-                value, scale = _confirm(covs, group, slot[live[unsure]], at[live[unsure]], residual[unsure])
-                verdict[sure[unsure]] = np.where(tol.vanishes(value, scale), _OPEN, _FAILS)
-    return verdict
-
-
-def _every(cov: np.ndarray, statements: tuple[CIStatement, ...], tol: TolerancePolicy):
-    """_decide on cov and every statement."""
-    return _decide(cov[None], statement_table(statements, len(cov)).every, len(statements), tol)
+                unsure = live[~certified]
+                value, scale = _confirm(covs, group, slot[unsure], at[unsure], residual[~certified])
+                open_[unsure[~tol.vanishes(value, scale)]] = False
+            for p in open_.nonzero()[0].tolist():
+                stmt = statements[group.members[slot[p]]]
+                holds[pairs[p]] = _first_witness(covs[at[p]], stmt, tol) is None
+    return holds
 
 
 def _first_witness(cov: np.ndarray, stmt: CIStatement, tol: TolerancePolicy) -> Minor | None:
@@ -410,32 +410,23 @@ def _first_witness(cov: np.ndarray, stmt: CIStatement, tol: TolerancePolicy) -> 
     return None
 
 
-def _verdicts(cov: np.ndarray, statements: tuple[CIStatement, ...], tol: TolerancePolicy) -> tuple[CICheck, ...]:
-    """Every statement's CICheck, from one _decide pass; a statement it
-    leaves open enumerates its minors now."""
-    if not statements:
-        return ()
-    checks = []
-    for stmt, verdict in zip(statements, _every(cov, statements, tol).tolist()):
-        if verdict != _OPEN:
-            checks.append(CICheck(verdict == _HOLDS, functools.partial(_first_witness, cov, stmt, tol)))
-        else:
-            witness = _first_witness(cov, stmt, tol)
-            checks.append(CICheck(witness is None, lambda found=witness: found))
-    return tuple(checks)
-
-
 def ci_holds(cov, stmt: CIStatement, tol: TolerancePolicy = DEFAULT_TOL) -> CICheck:
     """Check one statement (see the module docstring for how)."""
-    return _verdicts(check_symmetric(as_matrix(cov)), (stmt,), tol)[0]
+    return model_holds(cov, (stmt,), tol).checks[0]
 
 
 def model_holds(
     cov, statements: Sequence[CIStatement], tol: TolerancePolicy = DEFAULT_TOL
 ) -> ModelCheck:
-    """ci_holds for every statement, with cov validated once and steps 1-3
-    run on all of them in one grouped pass."""
-    return ModelCheck(_verdicts(check_symmetric(as_matrix(cov)), tuple(statements), tol))
+    """ci_holds for every statement, with cov validated once and every
+    statement decided in one grouped pass."""
+    cov = check_symmetric(as_matrix(cov))
+    table = statement_table(tuple(statements), len(cov))
+    statements = table.statements
+    holds = _decide(cov[None], statements, table.every, len(statements), tol).tolist()
+    return ModelCheck(tuple(
+        CICheck(h, functools.partial(_first_witness, cov, stmt, tol)) for stmt, h in zip(statements, holds)
+    ))
 
 
 def require_model(
@@ -443,18 +434,10 @@ def require_model(
 ) -> None:
     """Raise ModelPreconditionError unless cov satisfies every statement, so
     that "the input was never in the model" is not reported as "the
-    perturbation broke the model"; the first failing statement is named.
-    One _decide pass over every statement decides the precondition."""
-    cov = check_symmetric(as_matrix(cov))
-    statements = tuple(statements)
-    if not statements:
-        return
-    for k, verdict in enumerate(_every(cov, statements, tol).tolist()):
-        if verdict == _HOLDS:
-            continue
-        witness = _first_witness(cov, statements[k], tol)
-        if verdict == _FAILS or witness is not None:
-            raise ModelPreconditionError(
-                f"covariance does not satisfy the model: statement {k + 1} "
-                f"fails with {witness.describe(names)}"
-            )
+    perturbation broke the model"; the first failing statement is named."""
+    failure = model_holds(cov, statements, tol).first_failure
+    if failure is not None:
+        k, witness = failure
+        raise ModelPreconditionError(
+            f"covariance does not satisfy the model: statement {k + 1} fails with {witness.describe(names)}"
+        )

@@ -141,8 +141,8 @@ def _sweep_request(args, positions: list[str]) -> dict:
     """The sweep config object that the sweep/sweep2 flags describe."""
 
     def grid(deltas, lo, hi, step):
-        if deltas:
-            return [float(x) for x in deltas.split(",")]
+        if deltas is not None:
+            return [float(x) for x in deltas.split(",")] if deltas else []
         return {"min": lo, "max": hi, "step": step}
 
     lo = 0.75 if args.delta_min is None else args.delta_min
@@ -161,7 +161,7 @@ def _sweep_request(args, positions: list[str]) -> dict:
         "output": args.output,
     }
     if len(positions) == 2 and (
-        args.deltas2 or (args.delta_min2, args.delta_max2, args.delta_step2) != (None, None, None)
+        (args.deltas2, args.delta_min2, args.delta_max2, args.delta_step2) != (None, None, None, None)
     ):
         request["deltas2"] = grid(
             args.deltas2,

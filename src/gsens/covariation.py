@@ -106,9 +106,7 @@ def check_product(product: np.ndarray) -> None:
     """Require a symmetric plan product without zero entries; a product of
     factors that underflows to zero would force a spurious independence,
     and is a FactorError."""
-    # bitwise-equal bytes are what check_symmetric accepts first, without its wrappers
-    if product.tobytes() != product.T.tobytes():
-        check_symmetric(product, "plan product")
+    check_symmetric(product, "plan product")
     if not product.all():
         raise FactorError("plan product has zero entries")
 

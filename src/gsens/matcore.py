@@ -133,15 +133,13 @@ def iter_minors(block: Block, k: int) -> Iterator[Minor]:
                 yield Minor(rows=rows, cols=cols, value=v, scale=s)
 
 
-def rcond(a: np.ndarray):
-    """Reciprocal 2-norm condition number, 1 / numpy.linalg.cond(a), of a
-    matrix (a float) or of each matrix of a stack (m, k, k) (an array); 0.0
+def rcond(a: np.ndarray) -> float:
+    """Reciprocal 2-norm condition number, 1 / numpy.linalg.cond(a); 0.0
     where the matrix is singular."""
     s = np.linalg.svd(a, compute_uv=False)
     # s_min = 0 gives cond = inf and so 0.0; fmax maps a NaN (0/0, NaN entries) to 0.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        out = np.fmax(1.0 / (s[..., 0] / s[..., -1]), 0.0)
-    return float(out) if out.ndim == 0 else out
+        return float(np.fmax(1.0 / (s[0] / s[-1]), 0.0))
 
 
 def check_invertible(a: np.ndarray) -> np.ndarray:

@@ -781,6 +781,14 @@ def _edge_model(name: str) -> Model:
     return load_model(fixture_path(name))
 
 
+def _count_enumerations(monkeypatch) -> list:
+    """A list that gains an entry whenever cimodel enumerates a statement's
+    minors (step 4, or a witness read)."""
+    calls, enumerate_ = [], cimodel._first_witness
+    monkeypatch.setattr(cimodel, "_first_witness", lambda *a: calls.append(a) or enumerate_(*a))
+    return calls
+
+
 class TestSweepEngine:
     """The mask-batched sweep against the per-row definition."""
 
@@ -836,40 +844,36 @@ class TestSweepEngine:
     ])
     def test_forced_fallback_matches_the_definition(self, name, positions, monkeypatch):
         # at rel = 1e-30 no certificate passes, so every touched statement
-        # goes to model_holds on its row's target unless its confirming minor
+        # has its minors enumerated (step 4) unless its confirming minor
         # fails; both models have integer covariances, whose minors vanish
         # exactly
-        calls = []
-        monkeypatch.setattr(analysis, "model_holds", lambda *a: calls.append(1) or model_holds(*a))
         model = _edge_model(name)
         grid = [-0.5, 0.8, 1.0, 1.3]
         grids = [grid] * len(positions)
         schemes = ["standard", "total", "partial", "row", "column"]
-        assert_matches_definition(model, positions, grids, schemes, TolerancePolicy(1e-30))
+        tol = TolerancePolicy(1e-30)
+        assert_matches_definition(model, positions, grids, schemes, tol)
+        calls = _count_enumerations(monkeypatch)
+        if len(positions) == 1:
+            _run(lambda: one_way_sweep(model, positions[0], grid, schemes, tol))
+        else:
+            _run(lambda: two_way_sweep(model, positions, grid, grid, schemes, tol))
         assert len(calls) > len(grid) ** len(positions)
 
     def test_builds_each_axis_plan_once_and_rechecks_only_standard_rows(self, toy_model, monkeypatch):
-        counts = {"build": 0, "holds": 0}
-
-        def counting(key, fn):
-            def wrapped(*args, **kwargs):
-                counts[key] += 1
-                return fn(*args, **kwargs)
-            return wrapped
-
-        monkeypatch.setattr(analysis, "build_plan", counting("build", build_plan))
-        monkeypatch.setattr(analysis, "model_holds", counting("holds", model_holds))
+        built = []
+        monkeypatch.setattr(analysis, "build_plan", lambda *a: built.append(1) or build_plan(*a))
+        enumerated = _count_enumerations(monkeypatch)
         grid = [round(0.75 + 0.05 * k, 10) for k in range(11)]
         table = two_way_sweep(toy_model, ((1, 0), (2, 1)), grid, grid)
         # one plan per plan scheme, position and factor, not two per row
-        assert counts["build"] == 4 * 2 * len(grid)
+        assert len(built) == 4 * 2 * len(grid)
         standard = np.array(table.scheme) == "standard"
-        assert counts["holds"] <= standard.sum()
+        assert len(enumerated) <= standard.sum()
         assert table.preserving[~standard].all()
 
     def test_standard_sweep2_decides_every_row_without_model_holds(self, monkeypatch, capsys):
-        calls = []
-        monkeypatch.setattr(analysis, "model_holds", lambda *a: calls.append(1) or model_holds(*a))
+        calls = _count_enumerations(monkeypatch)
         path = str(fixture_path("synthetic4"))
         assert main(["sweep2", path, "--pos", "Y2,Y1", "--pos2", "Y3,Y2", "--schemes", "standard"]) == 0
         rows = capsys.readouterr().out.splitlines()[1:]

@@ -408,6 +408,39 @@ def test_oversized_grid_is_refused_before_it_is_built(argv, message, capsys):
     assert peak < 8 << 20  # bytes: the grid itself would take far more
 
 
+@pytest.mark.parametrize(
+    "lo,hi,step,factors",
+    [
+        ("1e-13", "5e-13", "1e-13", ["1e-13", "2e-13", "3e-13", "4e-13", "5e-13"]),
+        ("2.5e-12", "4.5e-12", "1e-12", ["2.5e-12", "3.5e-12", "4.5e-12"]),
+        ("1e-12", "2.6e-12", "1e-12", ["1e-12", "2e-12"]),
+        # from a step of 1e-9 up, 12 decimals, and up to 1e-12 past max
+        # (the last factor, min + 5 step, passes it by 3.3e-13)
+        ("0.3333333333333333", "0.333333338333", "1e-9", [f"0.33333333{k}333" for k in range(3, 9)]),
+    ],
+    ids=["below-1e-12", "halves", "end-past-max", "step-1e-9"],
+)
+def test_a_min_max_step_grid_keeps_the_factors_asked_for(lo, hi, step, factors, capsys):
+    argv = ["sweep", SYNTH, "--pos", "Y2,Y1", "--schemes", "total"]
+    assert main(argv + ["--delta-min", lo, "--delta-max", hi, "--delta-step", step]) == 0
+    assert [line.split(",", 1)[0] for line in capsys.readouterr().out.splitlines()[1:]] == factors
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", SYNTH, "--pos", "Y2,Y1", "--deltas="],
+        ["sweep2", SYNTH, "--pos", "Y2,Y1", "--pos2", "Y3,Y2", "--deltas", "0.9", "--deltas2="],
+        ["sweep", "--config", "{config}"],
+    ],
+    ids=["deltas", "deltas2", "config"],
+)
+def test_an_empty_factor_list_is_an_empty_grid(argv, tmp_path, capsys):
+    config = _write_config(tmp_path, {"model": SYNTH, "positions": [["Y2", "Y1"]], "deltas": []})
+    assert main([a.replace("{config}", config) for a in argv]) == 1
+    assert capsys.readouterr() == ("", "error: empty factor grid\n")
+
+
 def test_usage_error_exits_with_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["covary", SYNTH, "--pos", "Y2,Y1"])  # missing --delta

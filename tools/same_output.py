@@ -46,8 +46,12 @@ masks are equal), one-way factors 1e150, 1e299 and 1e306 (the first two
 within the overflow bound of every base of synthetic4 at (Y2,Y1), the last
 beyond it, so its rows take the per-row path), and a sweep2 whose masks
 are equal under every scheme (partial, and row and column with explicit E
-and F) with one negative factor. Last come a check and a sweep config on a
-file that is not UTF-8 text.
+and F) with one negative factor. Then come a check and a sweep config on a
+file that is not UTF-8 text. Last come min/max/step grids whose step is
+below 1e-12 (1e-13 to 5e-13 by 1e-13; 2.5e-12 to 4.5e-12 by 1e-12; 1e-12
+to 2.6e-12 by 1e-12, whose rounded last step passes max) and empty
+--deltas= and --deltas2= flags: these differ from a tree that rounds every
+grid to 12 decimals, or replaces an empty flag by a default grid.
 
 Prints each job whose exit code, stdout or stderr differs, with the streams
 that differ, and exits 1 if any job differs; 0 otherwise. A job whose
@@ -92,7 +96,7 @@ EDGE_FILES = {
         "ci": [{"A": ["a"], "B": ["c"], "C": ["b"]}],
     }),
     # a _||_ d | {b, c} holds; the standard change at (c, b) by 2 makes
-    # Sigma_CC exactly singular, so no certificate exists and model_holds decides
+    # Sigma_CC exactly singular, so no certificate exists and the minors are enumerated
     "edge-collinear.json": json.dumps({
         "variables": ["a", "b", "c", "d"],
         "covariance": [[2.0, 1.0, 0.5, 0.5], [1.0, 1.0, 0.5, 0.5], [0.5, 0.5, 1.0, 1.0], [0.5, 0.5, 1.0, 2.0]],
@@ -211,6 +215,15 @@ EDGE_JOBS = [
                           "--schemes", "partial,row,column", "--E", "Y2,Y3", "--F", "Y1,Y2")),
     Job("check", "edge-binary.json", ()),
     Job("sweep", "", ("--config", "{inputs}/edge-binary.json")),
+    # grids with steps below 1e-12, and empty factor lists
+    Job("sweep", SYNTH, ("--pos", "Y2,Y1", "--schemes", "total", "--delta-min", "1e-13", "--delta-max", "5e-13",
+                         "--delta-step", "1e-13")),
+    Job("sweep", SYNTH, ("--pos", "Y2,Y1", "--schemes", "total", "--delta-min", "2.5e-12", "--delta-max",
+                         "4.5e-12", "--delta-step", "1e-12")),
+    Job("sweep", SYNTH, ("--pos", "Y2,Y1", "--schemes", "total", "--delta-min", "1e-12", "--delta-max",
+                         "2.6e-12", "--delta-step", "1e-12")),
+    Job("sweep", SYNTH, ("--pos", "Y2,Y1", "--deltas=")),
+    Job("sweep2", SYNTH, ("--pos", "Y2,Y1", "--pos2", "Y3,Y2", "--deltas", "0.9", "--deltas2=")),
 ]
 NUMPY_WARNING = re.compile(r"^warning: .* encountered in .*\n", re.MULTILINE)
 
