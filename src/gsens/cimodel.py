@@ -87,8 +87,9 @@ differ from a statement's own solve in their last bits; step 2's proof
 holds for any computed Y, so every verdict is still the minor definition's.
 
 A failing statement's witness is the first non-vanishing minor in
-enumeration order. It is found by early-exit enumeration when it is first
-read, so a verdict that is only tested for truth costs no enumeration.
+enumeration order. Step 4 keeps the one it finds; any other is found by
+early-exit enumeration when it is first read, so a verdict that is only
+tested for truth costs no enumeration beyond step 4's.
 """
 
 from __future__ import annotations
@@ -373,13 +374,14 @@ def decide_pairs(covs: np.ndarray, table: StatementTable, at: np.ndarray, which:
         if pairs.size:
             slot, mats = table.slot[which[pairs]], at[pairs]
             parts.append(_Part(group, pairs, slot, mats, (mats * size)[:, None, None] + group.flat[slot]))
-    return _decide(covs, table.statements, parts, len(at), tol)
+    return _decide(covs, table.statements, parts, len(at), tol)[0]
 
 
 def _decide(covs: np.ndarray, statements: tuple[CIStatement, ...], parts, count: int, tol: TolerancePolicy):
     """Whether each of count pairs, given as parts of a table of statements,
-    holds."""
-    holds = np.zeros(count, dtype=bool)
+    holds, and the witness (None where it holds) of each pair step 4
+    enumerated, by pair."""
+    holds, found = np.zeros(count, dtype=bool), {}
     with np.errstate(all="ignore"):
         for group, pairs, slot, at, index in parts:
             blocks = covs.take(index)
@@ -398,9 +400,10 @@ def _decide(covs: np.ndarray, statements: tuple[CIStatement, ...], parts, count:
                 value, scale = _confirm(covs, group, slot[unsure], at[unsure], residual[~certified])
                 open_[unsure[~tol.vanishes(value, scale)]] = False
             for p in open_.nonzero()[0].tolist():
-                stmt = statements[group.members[slot[p]]]
-                holds[pairs[p]] = _first_witness(covs[at[p]], stmt, tol) is None
-    return holds
+                pair = int(pairs[p])
+                found[pair] = _first_witness(covs[at[p]], statements[group.members[slot[p]]], tol)
+                holds[pair] = found[pair] is None
+    return holds, found
 
 
 def _first_witness(cov: np.ndarray, stmt: CIStatement, tol: TolerancePolicy) -> Minor | None:
@@ -423,9 +426,11 @@ def model_holds(
     cov = check_symmetric(as_matrix(cov))
     table = statement_table(tuple(statements), len(cov))
     statements = table.statements
-    holds = _decide(cov[None], statements, table.every, len(statements), tol).tolist()
+    holds, found = _decide(cov[None], statements, table.every, len(statements), tol)
+    # a witness step 4 found is kept; any other is enumerated when first read
     return ModelCheck(tuple(
-        CICheck(h, functools.partial(_first_witness, cov, stmt, tol)) for stmt, h in zip(statements, holds)
+        CICheck(h, functools.partial(found.get, k) if k in found else functools.partial(_first_witness, cov, stmt, tol))
+        for k, (stmt, h) in enumerate(zip(statements, holds.tolist()))
     ))
 
 

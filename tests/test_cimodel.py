@@ -85,6 +85,18 @@ class TestCiHolds:
         assert res.witness.value == 2.5  # 2.5*5 - 5*2, computed directly
         assert res.witness.rows == (1, 2) and res.witness.cols == (0, 1)
 
+    def test_enumerated_failure_keeps_its_witness(self, sigma4, stmt4, monkeypatch):
+        # a NaN block has no certificate, so its minors are enumerated (step
+        # 4), and that one enumeration also gives the witness
+        broken = sigma4.copy()
+        broken[1, 0] = broken[0, 1] = np.nan
+        calls = []
+        monkeypatch.setattr(cimodel, "iter_minors", lambda *a: calls.append(a) or iter_minors(*a))
+        res = ci_holds(broken, stmt4)
+        assert not res.holds
+        assert repr(res.witness) == repr(minor_witness(broken, stmt4, DEFAULT_TOL))
+        assert len(calls) == 1
+
     def test_swap_sides_gives_same_answer(self, rng):
         for _ in range(20):
             dag = random_dag(rng)
