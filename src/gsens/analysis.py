@@ -60,10 +60,12 @@ each plan carries that mask); any plan built gives the mask. Every
 scheme's masks are stacked (schemes, positions, n, n), and the whole
 table, grid point g under scheme s at row g * schemes + s, is evaluated in
 one pass over stacked arrays, in blocks of at most BLOCK_ENTRIES matrix
-entries whose rows mix schemes: per block one product, targets P o Sigma
-and changes (P - 1) o Sigma (Sigma + D for the standard scheme's rows),
-and Frobenius, KL and admissibility from one divergence.measure, with
-Sigma factored once per sweep. A scheme whose masks are equal at every
+entries (2^15, 256 KiB per float64 array: every block pays a fixed
+sequence of numpy calls, so the cap is set by the memory a block may
+take) whose rows mix schemes: per block one product, targets P o Sigma and changes
+(P - 1) o Sigma (Sigma + D for the standard scheme's rows), and
+Frobenius, KL and admissibility from one divergence.measure, with Sigma
+factored once per sweep. A scheme whose masks are equal at every
 position (every scheme of a one-way sweep, the standard change included,
 and total always) changes Sigma by (f - 1) (M o Sigma) on each row, f the
 product of the row's factors: its base M o Sigma gets one spectrum per
@@ -109,8 +111,11 @@ from .matcore import DEFAULT_TOL, TolerancePolicy
 DAG_COV_AGREE_TOL = 1e-9
 
 # A sweep stacks at most this many matrix entries (grid points x n x n) per
-# array (64 KiB), however large the model.
-BLOCK_ENTRIES = 1 << 13
+# array (256 KiB of float64), however large the model. Every block pays a
+# fixed sequence of numpy calls (one measure, one decide_pairs per |C|
+# group), so the cap is set by memory: a sweep of a few hundred rows at
+# n <= 6 fits one block, and caps from 2^14 to 2^17 entries ran alike.
+BLOCK_ENTRIES = 1 << 15
 
 # A factor grid, and a sweep's grid of points, holds at most this many.
 MAX_GRID_POINTS = 10**6

@@ -14,7 +14,12 @@ Write A, B, C for left, right and given.
 2. Certified hold. Solve Y = Sigma_CC^-1 Sigma_CB, only when the moduli lam
    of Sigma_CC's eigenvalues (its singular values: Sigma_CC is a principal
    block of a symmetric matrix) give min lam / max lam >= RCOND_LIMIT, the
-   rule of matcore.inverse; a zero Sigma_CC (0/0) fails it. Let N =
+   rule of matcore.inverse; a zero Sigma_CC (0/0) fails it. For |C| <= 2
+   both are closed forms: a 1 x 1 Sigma_CC = d has moduli |d| and fails
+   only when d = 0, and Y = Sigma_CB / d; a 2 x 2 [[p, q], [q, r]] has
+   moduli |(p + r)/2 +- hypot((p - r)/2, q)|, and Y comes from Cramer's
+   rule with det = pr - q^2, both taken on Sigma_CC / mu so that no
+   product overflows. Above, a batched eigvalsh and solve. Let N =
    [Sigma_AC; Sigma_CC] [Y, I]. N has rank <= |C|, and E = M - N is zero
    on the C columns and holds the residuals Sigma_AB - Sigma_AC Y (the
    Schur residual Sigma_AB.C when Y is exact) and Sigma_CB - Sigma_CC Y on
@@ -74,17 +79,20 @@ group's members and A+C and B+C index arrays, A and B padded to the
 group's widest by repeating their first index; a repeated row or column
 repeats entries already in the block, so mu is unchanged, s changes only by
 rounding, and step 3, which picks the first largest residual, never picks
-a repeat. Per group, one gather, one batched eigvalsh, solve and matmul
-give every pair's s and mu, one _certified call decides them, and
-iter_minors evaluates the confirming minors of every pair step 2 leaves
-open as one stack of (|C|+1) x (|C|+1) blocks, rows and columns sorted.
-Step 4 enumerates each pair still open on its statement's own block,
-never on the padded one, whose repeats would add minors the definition
-does not have. model_holds (and through it ci_holds and require_model)
-makes one such pass, and a sweep one per block and group, so every minor
-the check evaluates comes from iter_minors. Batched and padded, Y and s may
-differ from a statement's own solve in their last bits; step 2's proof
-holds for any computed Y, so every verdict is still the minor definition's.
+a repeat. Per group, one gather (pairs last, so that every elementwise
+operation and reduction runs along the pairs) and then, for |C| <= 2, the
+closed forms and elementwise residuals Sigma_XB - sum_c Sigma_Xc y_c, or,
+for |C| >= 3, one batched eigvalsh, solve and matmul, give every pair's s
+and mu, one _certified call decides them, and iter_minors evaluates the
+confirming minors of every pair step 2 leaves open as one stack of
+(|C|+1) x (|C|+1) blocks, rows and columns sorted. Step 4 enumerates
+each pair still open on its statement's own block, never on the padded
+one, whose repeats would add minors the definition does not have.
+model_holds (and through it ci_holds and require_model) makes one such
+pass, and a sweep one per block and group, so every minor the check
+evaluates comes from iter_minors. Batched and padded, Y and s may differ
+from a statement's own solve in their last bits; step 2's proof holds for
+any computed Y, so every verdict is still the minor definition's.
 
 A failing statement's witness is the first non-vanishing minor in
 enumeration order. Step 4 keeps the one it finds; any other is found by
@@ -232,7 +240,7 @@ class _Group(NamedTuple):
     padded to the group's widest A by repeating its first index, then its
     C; cols its B, padded likewise, then its C. width is (widest A, widest
     B), and flat holds each block's entries as indices into a flattened n x
-    n matrix."""
+    n matrix, statements last: (wa + c, wb + c, statements)."""
 
     order: int
     width: tuple[int, int]
@@ -245,7 +253,9 @@ class _Group(NamedTuple):
 class _Part(NamedTuple):
     """Pairs of one group for _decide: their positions in the pair list,
     their statements' slots in the group, their matrices, and their blocks'
-    entries as indices into the flattened stack of matrices."""
+    entries as indices into the flattened stack of matrices, pairs last:
+    each operation on the gathered blocks then runs along the pairs, where
+    a pair's block has a handful of entries."""
 
     group: _Group
     pairs: np.ndarray
@@ -285,7 +295,7 @@ def statement_table(statements: tuple[CIStatement, ...], n: int) -> StatementTab
         wa, wb = max(len(s.left) for s in stmts), max(len(s.right) for s in stmts)
         rows = np.array([s.left + s.left[:1] * (wa - len(s.left)) + s.given for s in stmts], dtype=np.intp)
         cols = np.array([s.right + s.right[:1] * (wb - len(s.right)) + s.given for s in stmts], dtype=np.intp)
-        flat = rows[:, :, None] * n + cols[:, None, :]
+        flat = rows.T[:, None, :] * n + cols.T[None, :, :]
         groups.append(_Group(size + 1, (wa, wb), *map(_read_only, (members, rows, cols, flat))))
         every.append(_Part(groups[-1], *map(_read_only, (members, slot[members], 0 * members, flat))))
     rows_of, cols_of = np.zeros((2, len(statements), n))
@@ -319,40 +329,66 @@ def _certified(k: int, s, mu, rel: float):
 
 
 def _certify(blocks: np.ndarray, width: tuple[int, int]):
-    """Step 2 on a group's gathered blocks (m, wa + c, wb + c), rows A then
-    C and columns B then C with c > 0: the indices of the blocks that are
-    finite and whose Sigma_CC passes step 2's eigenvalue rule, and their s
-    (not finite where the bound is not), mu and computed residuals Sigma_AB
-    - Sigma_AC Y (padded rows and columns included). Callers turn numpy's
-    floating-point warnings off."""
+    """Step 2 on a group's gathered blocks (wa + c, wb + c, m), pairs last,
+    rows A then C and columns B then C with c > 0: the indices of the blocks
+    that are finite and whose Sigma_CC passes step 2's eigenvalue rule, and
+    their s (not finite where the bound is not), mu and computed residuals
+    Sigma_AB - Sigma_AC Y (wa, wb, m), padded rows and columns included.
+    Callers turn numpy's floating-point warnings off."""
     wa, wb = width
+    c = blocks.shape[0] - wa
     size = np.abs(blocks)
-    mu = size.max(axis=(1, 2))
+    mu = size.max(axis=(0, 1))
     live = np.isfinite(mu).nonzero()[0]
-    if len(live) < len(blocks):
-        blocks, size, mu = blocks[live], size[live], mu[live]
-    lam = np.abs(np.linalg.eigvalsh(blocks[:, wa:, wb:]))
-    kept = lam.min(axis=1) / lam.max(axis=1) >= RCOND_LIMIT
+    if len(live) < len(mu):
+        blocks, size, mu = blocks[..., live], size[..., live], mu[live]
+    if c > 2:
+        # LAPACK and matmul take one matrix per pair: pairs first
+        blocks = blocks.transpose(2, 0, 1).copy()
+        lam = np.abs(np.linalg.eigvalsh(blocks[:, wa:, wb:]))
+        kept = lam.min(axis=1) / lam.max(axis=1) >= RCOND_LIMIT
+        if not kept.all():
+            live, blocks, mu = live[kept], blocks[kept], mu[kept]
+        y = np.linalg.solve(blocks[:, wa:, wb:], blocks[:, wa:, :wb])
+        residual = blocks[:, :, :wb] - blocks[:, :, wb:] @ y
+        sums = np.abs(blocks[:, :, :wb]) + np.abs(blocks[:, :, wb:]) @ np.abs(y)
+        s = (np.abs(residual) + _gamma(2 * c + 4) * sums).max(axis=(1, 2))
+        return live, s, mu, residual[:, :wa].transpose(1, 2, 0)
+    cc, cb = blocks[wa:, wb:], blocks[wa:, :wb]
+    if c == 1:
+        # the moduli are |d| twice: |d| / |d| fails the rule only as 0 / 0
+        d = cc[0, 0]
+        kept, y = d != 0, [cb[0] / d]
+    else:
+        # Sigma_CC / mu, whose products cannot overflow, has moduli
+        # |(p + r) / 2 +- hypot((p - r) / 2, q)|; Y by Cramer's rule
+        p, q, t, r = (cc / mu).reshape(4, -1)
+        mid, half = np.abs(p + r) / 2, np.hypot((p - r) / 2, t)
+        kept = np.abs(mid - half) / (mid + half) >= RCOND_LIMIT
+        det = (p * r - q * t) * mu
+        y = [(r * cb[0] - q * cb[1]) / det, (p * cb[1] - t * cb[0]) / det]
+    # Sigma_XB - sum_c Sigma_Xc y_c and its sum of magnitudes, elementwise
+    residual, sums = blocks[:, :wb], size[:, :wb]
+    for j, row in enumerate(y):
+        residual = residual - blocks[:, wb + j, None] * row
+        sums = sums + size[:, wb + j, None] * np.abs(row)
     if not kept.all():
-        live, blocks, size, mu = live[kept], blocks[kept], size[kept], mu[kept]
-    y = np.linalg.solve(blocks[:, wa:, wb:], blocks[:, wa:, :wb])
-    residual = blocks[:, :, :wb] - blocks[:, :, wb:] @ y
-    allowance = _gamma(2 * (blocks.shape[1] - wa) + 4) * (size[:, :, :wb] + size[:, :, wb:] @ np.abs(y))
-    s = (np.abs(residual) + allowance).max(axis=(1, 2))
-    return live, s, mu, residual[:, :wa]
+        live, mu, residual, sums = live[kept], mu[kept], residual[..., kept], sums[..., kept]
+    s = (np.abs(residual) + _gamma(2 * c + 4) * sums).max(axis=(0, 1))
+    return live, s, mu, residual[:wa]
 
 
 def _confirm(covs: np.ndarray, group: _Group, slot: np.ndarray, at: np.ndarray, residual: np.ndarray):
     """Step 3 on pairs of one group, statement group slot[p] on matrix
     covs[at[p]]: the value and scale, from iter_minors, of the minor on rows
     {a}+C and columns {b}+C, (a, b) the largest entry of the pair's
-    |residual| (m, wa, wb), the first in row-major order (so a padded row or
+    |residual| (wa, wb, m), the first in row-major order (so a padded row or
     column, a repeat of one before it, is never chosen over it). The pairs'
     minors go to iter_minors as one stack of blocks, whose indices are
     positions: each pair's own rows and columns, sorted, are gathered here."""
-    m, wa, wb = residual.shape
+    wa, wb, m = residual.shape
     k = group.order
-    a, b = np.divmod(np.abs(residual).reshape(m, -1).argmax(axis=1), wb)
+    a, b = np.divmod(np.abs(residual).reshape(-1, m).argmax(axis=0), wb)
     # each pair's rows {a}+C, then its columns {b}+C, sorted
     ends = np.concatenate((group.rows[slot, wa - 1 :], group.cols[slot, wb - 1 :]))
     ends[:m, 0], ends[m:, 0] = group.rows[slot, a], group.cols[slot, b]
@@ -373,7 +409,7 @@ def decide_pairs(covs: np.ndarray, table: StatementTable, at: np.ndarray, which:
         pairs = (group_of == g).nonzero()[0]
         if pairs.size:
             slot, mats = table.slot[which[pairs]], at[pairs]
-            parts.append(_Part(group, pairs, slot, mats, (mats * size)[:, None, None] + group.flat[slot]))
+            parts.append(_Part(group, pairs, slot, mats, group.flat[:, :, slot] + mats * size))
     return _decide(covs, table.statements, parts, len(at), tol)[0]
 
 
@@ -387,7 +423,7 @@ def _decide(covs: np.ndarray, statements: tuple[CIStatement, ...], parts, count:
             blocks = covs.take(index)
             if group.order == 1:
                 v = np.abs(blocks)
-                holds[pairs] = (v <= tol.rel * np.maximum(1.0, v)).all(axis=(1, 2))
+                holds[pairs] = (v <= tol.rel * np.maximum(1.0, v)).all(axis=(0, 1))
                 continue
             live, s, mu, residual = _certify(blocks, group.width)
             certified = _certified(group.order, s, mu, tol.rel)
@@ -397,7 +433,7 @@ def _decide(covs: np.ndarray, statements: tuple[CIStatement, ...], parts, count:
             open_[live[certified]] = False
             if not certified.all():
                 unsure = live[~certified]
-                value, scale = _confirm(covs, group, slot[unsure], at[unsure], residual[~certified])
+                value, scale = _confirm(covs, group, slot[unsure], at[unsure], residual[..., ~certified])
                 open_[unsure[~tol.vanishes(value, scale)]] = False
             for p in open_.nonzero()[0].tolist():
                 pair = int(pairs[p])

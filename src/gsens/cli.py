@@ -140,9 +140,16 @@ _REQUEST_FLAGS = (
 def _sweep_request(args, positions: list[str]) -> dict:
     """The sweep config object that the sweep/sweep2 flags describe."""
 
+    def factor(text):
+        # an item that is not a number stays text, which the grid parser names
+        try:
+            return float(text)
+        except ValueError:
+            return text
+
     def grid(deltas, lo, hi, step):
         if deltas is not None:
-            return [float(x) for x in deltas.split(",")] if deltas else []
+            return [factor(x) for x in deltas.split(",")] if deltas else []
         return {"min": lo, "max": hi, "step": step}
 
     lo = 0.75 if args.delta_min is None else args.delta_min

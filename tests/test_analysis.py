@@ -860,6 +860,42 @@ class TestSweepEngine:
             _run(lambda: two_way_sweep(model, positions, grid, grid, schemes, tol))
         assert len(calls) > len(grid) ** len(positions)
 
+    @pytest.mark.parametrize("name,positions,grids,schemes", [
+        # negative-factor warnings, total error rows and extreme factors
+        ("synthetic4", ((1, 0),), [[-2.0, -0.5, 1e-300, 0.8, 1.0, 1.1, 1e300]],
+         ["standard", "total", "partial", "row", "column"]),
+        # zero products between negative-factor warnings, schemes repeated and mixed
+        ("synthetic4", ((1, 0), (2, 1)), [[-0.5, -1e-200, 0.9, 1.1], [1e-200, 1.1, -1.0]],
+         ["row", "standard", "total", "partial", "row", "column"]),
+        ("integer5", ((2, 1), (4, 3)), [[-0.5, 0.8, 1.3], [1.2, -2.0, 0.9]],
+         ["column", "total", "standard", "partial", "row"]),
+    ])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7])
+    def test_blocks_of_a_few_rows_give_the_one_block_table(self, name, positions, grids, schemes, rows, monkeypatch):
+        model = _edge_model(name)
+        measured, measure = [], analysis.measure
+        monkeypatch.setattr(analysis, "measure", lambda *a: measured.append(1) or measure(*a))
+
+        def sweep():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                if len(positions) == 1:
+                    table = one_way_sweep(model, positions[0], grids[0], schemes)
+                else:
+                    table = two_way_sweep(model, positions, *grids, schemes)
+            return table, [(w.category, str(w.message)) for w in caught]
+
+        (whole, notes), blocks = sweep(), len(measured)
+        assert blocks == 1 and len(whole) <= analysis.BLOCK_ENTRIES // model.n**2
+        monkeypatch.setattr(analysis, "BLOCK_ENTRIES", rows * model.n**2)
+        split, split_notes = sweep()
+        # an underflowing product becomes an error row within its block
+        assert len(measured) - blocks >= -(-sum(e is None for e in whole.error) // rows) > 1
+        assert notes and split_notes == notes
+        assert (split.scheme, split.error) == (whole.scheme, whole.error) and any(whole.error)
+        for column in ("factors", "kl", "frobenius", "admissible", "preserving"):
+            assert getattr(split, column).tobytes() == getattr(whole, column).tobytes(), column
+
     def test_builds_each_axis_plan_once_and_rechecks_only_standard_rows(self, toy_model, monkeypatch):
         built = []
         monkeypatch.setattr(analysis, "build_plan", lambda *a: built.append(1) or build_plan(*a))
@@ -951,7 +987,7 @@ class TestSweepEngine:
 
         def counting_certify(blocks, width):
             if inside:  # step 2 on the base, by |C|
-                base.append(blocks.shape[1] - width[0])
+                base.append(blocks.shape[0] - width[0])
             return certify(blocks, width)
 
         def counting_decide(covs, table, at, which, tol):

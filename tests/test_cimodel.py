@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import types
 import warnings
 
 import numpy as np
@@ -22,11 +23,14 @@ from gsens import (
     dag_ci_statements,
     dag_to_gaussian,
     iter_minors,
+    load_model,
     model_holds,
+    two_way_sweep,
 )
 from gsens import cimodel
 from gsens.cli import main
 from gsens.errors import ModelPreconditionError
+from gsens.fixtures import fixture_path
 
 
 class TestCIStatement:
@@ -155,7 +159,7 @@ class TestModelHolds:
         calls, certify = [], cimodel._certify
 
         def counting(blocks, width):
-            calls.append((blocks.shape[1] - width[0], len(blocks)))
+            calls.append((blocks.shape[0] - width[0], blocks.shape[-1]))
             return certify(blocks, width)
 
         confirmed, confirm = [], cimodel._confirm
@@ -340,8 +344,10 @@ def _statement_case(rng, k):
 def _variants(rng, stmt, cov):
     """Matrices: cov, standard changes in A x B, A x C and C x C, and a
     change in A x B scaled to the largest doubles, whose bound overflows;
-    then, uncovered by any certificate, a singular Sigma_CC and NaN and inf
-    entries."""
+    then, uncovered by any certificate, a singular Sigma_CC (exactly zero
+    when |C| = 1), NaN and inf entries, an inf in Sigma_CC and, when |C| >=
+    2, a rank-one [[1, 2], [2, 4]] times a power of two in Sigma_CC's
+    leading 2 x 2 block."""
     a, b, c = stmt.left, stmt.right, stmt.given
 
     def changed(i, j, value):
@@ -364,6 +370,13 @@ def _variants(rng, stmt, cov):
             singular[:, c[1]] = singular[:, c[0]]
         out += [singular, changed(pick(c), pick(c), np.nan)]
     out += [changed(pick(a), pick(b), np.nan), changed(pick(a), pick(b + c), np.inf)]
+    if c:
+        out.append(changed(c[-1], c[-1], np.inf))
+    if len(c) >= 2:
+        rank_one = cov.copy()
+        scale = 2.0 ** np.round(np.log2(cov[c[0], c[0]]))
+        rank_one[np.ix_(c[:2], c[:2])] = scale * np.array([[1.0, 2.0], [2.0, 4.0]])
+        out.append(rank_one)
     return out
 
 
@@ -390,10 +403,11 @@ class TestDecideStack:
                 with np.errstate(all="ignore"):  # the scaled variant overflows
                     assert h == (minor_witness(m, stmt, tol) is None)
                 outcomes.add(h)
-        # at rel = 1e-30 only exactly vanishing minors pass; with |C| = 1 the
-        # singular variant zeroes Sigma_CC instead of repeating a variable,
-        # and no k = 2 case holds
-        assert outcomes == ({False} if (k, rel) == (2, 1e-30) else {True, False})
+        # at rel = 1e-30 only exactly vanishing minors pass, and minors of
+        # infinite scale: with |C| = 1 the singular variant zeroes Sigma_CC
+        # instead of repeating a variable, so the k = 2 cases that hold are
+        # those with an inf in Sigma_CC
+        assert outcomes == {True, False}
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_confirming_minors_are_iter_minors_bit_for_bit(self, k):
@@ -404,7 +418,7 @@ class TestDecideStack:
         residual = rng.normal(size=(40, len(stmt.left), len(stmt.right)))
         group = cimodel.statement_table((stmt,), cov.shape[0]).groups[0]
         at = np.arange(len(stack))
-        values, scales = cimodel._confirm(stack, group, 0 * at, at, residual)
+        values, scales = cimodel._confirm(stack, group, 0 * at, at, np.moveaxis(residual, 0, -1))
         for m, r, value, scale in zip(stack, residual, values, scales):
             i, j = np.unravel_index(np.argmax(np.abs(r)), r.shape)
             rows = tuple(sorted(stmt.given + (stmt.left[i],)))
@@ -421,7 +435,10 @@ def _grouped_case(rng):
     |C| = 0...5 that mostly fail, on the DAG's covariance with its variables
     rescaled by 10^U(-3, 3); then copies with a NaN entry, an inf entry and
     one variable an exact copy of another, so that every Sigma_CC holding
-    both is exactly singular."""
+    both is exactly singular, and, for a statement with |C| = 1 and one
+    with |C| = 2 (random ones, which every case has), copies whose Sigma_CC
+    is exactly zero (the 1 x 1), of rank one ([[1, 2], [2, 4]] times a
+    power of two) and holding a NaN (the 2 x 2)."""
     n = int(rng.integers(6, 10))
     dag = random_dag(rng, n, edge_prob=float(rng.uniform(0.3, 0.7)), beta_max=1.5)
     _, cov = dag_to_gaussian(dag)
@@ -441,7 +458,12 @@ def _grouped_case(rng):
     inf[i, i] = np.inf
     copy[j, :], copy[:, j] = copy[i, :], copy[:, i]
     copy[j, j] = copy[i, i]
-    return np.stack([cov, nan, inf, copy]), statements
+    (c,), (p, q) = (next(s.given for s in statements[-6:] if len(s.given) == k) for k in (1, 2))
+    zero, rank_one, nan_cc = cov.copy(), cov.copy(), cov.copy()
+    zero[c, c] = 0.0
+    rank_one[np.ix_((p, q), (p, q))] = 2.0 ** np.round(np.log2(cov[p, p])) * np.array([[1.0, 2.0], [2.0, 4.0]])
+    nan_cc[p, q] = nan_cc[q, p] = np.nan
+    return np.stack([cov, nan, inf, copy, zero, rank_one, nan_cc]), statements
 
 
 class TestGroupedEvaluator:
@@ -512,6 +534,48 @@ class TestGroupedEvaluator:
             want = certified_scalar(k, a, b, rel)
             if certified_scalar(k, a, b, rel, -1) == certified_scalar(k, a, b, rel, 1):
                 assert verdict == want, (k, a, b, rel)
+
+
+def test_conditioning_sets_of_one_or_two_never_reach_lapack(monkeypatch):
+    """Step 2 solves |C| <= 2 in closed form: with eigvalsh and solve made to
+    raise inside cimodel, a synthetic4 sweep (|C| = 1) gives the same table
+    and |C| = 2 stacks, singular and non-finite ones among them, the same
+    verdicts."""
+    model = load_model(fixture_path("synthetic4"))
+    rng = np.random.default_rng(7)
+    cases = [_statement_case(rng, 3) for _ in range(4)]
+    stacks = [np.stack(_variants(rng, stmt, cov)) for stmt, cov in cases]
+
+    def run():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            table = two_way_sweep(model, ((1, 0), (2, 1)), [-0.5, 0.9, 1.0, 1.1, 1e300], [0.8, 1.2])
+        verdicts = []
+        for (stmt, _), stack in zip(cases, stacks):
+            at = np.arange(len(stack))
+            verdicts.append(cimodel.decide_pairs(stack, cimodel.statement_table((stmt,), stack.shape[-1]), at,
+                                                 0 * at, DEFAULT_TOL).tolist())
+        return table, verdicts
+
+    want = run()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a LAPACK call")
+
+    numpy = types.ModuleType("numpy")
+    numpy.__dict__.update(vars(np))
+    numpy.linalg = types.SimpleNamespace(eigvalsh=refuse, solve=refuse)
+    monkeypatch.setattr(cimodel, "np", numpy)
+    got = run()
+    assert got[1] == want[1] and {False, True} <= {v for vs in got[1] for v in vs}
+    assert (got[0].scheme, got[0].error) == (want[0].scheme, want[0].error)
+    for column in ("factors", "kl", "frobenius", "admissible", "preserving"):
+        assert getattr(got[0], column).tobytes() == getattr(want[0], column).tobytes(), column
+    assert not got[0].preserving.all()
+    # |C| = 3 still takes the batched eigvalsh
+    stmt, cov = _statement_case(rng, 4)
+    with pytest.raises(AssertionError, match="a LAPACK call"):
+        model_holds(cov, [stmt])
 
 
 def _scaled_dag_model(n: int, seed: int) -> dict:

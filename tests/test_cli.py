@@ -441,6 +441,23 @@ def test_an_empty_factor_list_is_an_empty_grid(argv, tmp_path, capsys):
     assert capsys.readouterr() == ("", "error: empty factor grid\n")
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["sweep", SYNTH, "--pos", "Y2,Y1", "--deltas=0.9,abc"], "deltas[1]: expected a finite number, got 'abc'"),
+        (["sweep", SYNTH, "--pos", "Y2,Y1", "--deltas=0.9,"], "deltas[1]: expected a finite number, got ''"),
+        (["sweep2", SYNTH, "--pos", "Y2,Y1", "--pos2", "Y3,Y2", "--deltas", "0.9", "--deltas2=x,1.1"],
+         "deltas2[0]: expected a finite number, got 'x'"),
+        (["sweep2", SYNTH, "--pos", "Y2,Y1", "--pos2", "Y3,Y2", "--deltas", "0.9", "--deltas2=1e400"],
+         "deltas2[0]: expected a finite number, got inf"),
+    ],
+    ids=["deltas-text", "deltas-empty-item", "deltas2-text", "deltas2-overflow"],
+)
+def test_a_bad_factor_flag_item_is_named_by_its_position(argv, message, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_usage_error_exits_with_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["covary", SYNTH, "--pos", "Y2,Y1"])  # missing --delta

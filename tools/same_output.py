@@ -51,7 +51,13 @@ file that is not UTF-8 text. Last come min/max/step grids whose step is
 below 1e-12 (1e-13 to 5e-13 by 1e-13; 2.5e-12 to 4.5e-12 by 1e-12; 1e-12
 to 2.6e-12 by 1e-12, whose rounded last step passes max) and empty
 --deltas= and --deltas2= flags: these differ from a tree that rounds every
-grid to 12 decimals, or replaces an empty flag by a default grid.
+grid to 12 decimals, or replaces an empty flag by a default grid. After
+them come W2, the default-grid ``sweep2 synthetic4 --pos Y2,Y1 --pos2
+Y3,Y2``, whose 13,005 rows span several sweep blocks; a sweep whose
+standard rows make a 2 x 2 conditioning block exactly singular with an
+unequal diagonal ([[1, 2], [2, 4]]); and sweeps whose --deltas list holds
+an item that is not a number (abc) or an empty item, which a tree that
+names the bad item reports as deltas[1].
 
 Prints each job whose exit code, stdout or stderr differs, with the streams
 that differ, and exits 1 if any job differs; 0 otherwise. A job whose
@@ -113,6 +119,13 @@ EDGE_FILES = {
         "ci": [{"A": ["h"], "B": ["a", "c"]}, {"A": ["a"], "B": ["c"], "C": ["b"]},
                {"A": ["a"], "B": ["d", "e"], "C": ["b", "c"]}, {"A": ["a"], "B": ["c"], "C": ["d"]},
                {"A": ["a", "b"], "B": ["e"], "C": ["c", "d", "h"]}, {"A": ["a"], "B": ["f", "g"], "C": list("bcde")}],
+    }),
+    # a _||_ d | {b, c} holds; the standard change at (c, b) by 2 makes
+    # Sigma_CC [[1, 2], [2, 4]], exactly singular with unequal diagonal
+    "edge-rank-one.json": json.dumps({
+        "variables": ["a", "b", "c", "d"],
+        "covariance": [[2.0, 1.0, 1.0, 0.5], [1.0, 1.0, 1.0, 0.5], [1.0, 1.0, 4.0, 2.0], [0.5, 0.5, 2.0, 2.0]],
+        "ci": [{"A": ["a"], "B": ["d"], "C": ["b", "c"]}],
     }),
     "edge-synthetic4.json": (ROOT / "src" / "gsens" / "fixtures" / "synthetic4.json").read_text(),
     # not UTF-8 text, as a model and as a sweep config
@@ -224,6 +237,12 @@ EDGE_JOBS = [
                          "2.6e-12", "--delta-step", "1e-12")),
     Job("sweep", SYNTH, ("--pos", "Y2,Y1", "--deltas=")),
     Job("sweep2", SYNTH, ("--pos", "Y2,Y1", "--pos2", "Y3,Y2", "--deltas", "0.9", "--deltas2=")),
+    # W2, over several sweep blocks; an exactly singular rank-one 2 x 2
+    # Sigma_CC; factor lists with an item that is not a number
+    Job("sweep2", SYNTH, ("--pos", "Y2,Y1", "--pos2", "Y3,Y2")),
+    Job("sweep", "edge-rank-one.json", ("--pos", "c,b", "--deltas", "0.5,1,2,3")),
+    Job("sweep", SYNTH, ("--pos", "Y2,Y1", "--deltas=0.9,abc")),
+    Job("sweep", SYNTH, ("--pos", "Y2,Y1", "--deltas=0.9,")),
 ]
 NUMPY_WARNING = re.compile(r"^warning: .* encountered in .*\n", re.MULTILINE)
 
